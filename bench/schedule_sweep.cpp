@@ -2,9 +2,8 @@
 // perf contract), emitting machine-readable BENCH_schedule_sweep.json.
 //
 // Part 1 — pool_overhead: region-launch latency (an empty parallel
-// region, fork + join) of the seed's two-condvar/std::function pool —
-// kept below verbatim as LegacyCondvarPool for an in-binary A/B — against
-// the current spin-then-park FunctionRef pool, at 1/2/4/8 threads.
+// region, fork + join) of the spin-then-park pool at 1/2/4/8 threads,
+// under its default OS-thread policy and with PUREC_OVERSUBSCRIBE=1.
 //
 // Part 2 — satellite_sweep: the fig8 AOD workload (late-scene imbalance,
 // §4.3.3) under static / dynamic / dynamic+stealing / guided × chunk
@@ -12,17 +11,17 @@
 // pixels are independent, so any divergence is a scheduling bug and the
 // harness exits nonzero.
 //
+// Every cell is measured PUREC_REPS times and reported as its median
+// with the min and max of the repetitions.
+//
 // JSON schema: see EXPERIMENTS.md ("Schedule sweep"). Output path:
 // $PUREC_BENCH_JSON or ./BENCH_schedule_sweep.json.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "apps/satellite.h"
@@ -38,103 +37,43 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-// ---------------------------------------------------------------------------
-// The seed runtime's pool, reproduced verbatim (two condition variables,
-// one mutex, std::function dispatch) so the overhead comparison measures
-// the substrate change and nothing else.
-// ---------------------------------------------------------------------------
-
-class LegacyCondvarPool {
- public:
-  explicit LegacyCondvarPool(std::size_t worker_count) {
-    if (worker_count == 0) worker_count = 1;
-    workers_.reserve(worker_count - 1);
-    for (std::size_t i = 1; i < worker_count; ++i) {
-      workers_.emplace_back([this, i] { worker_loop(i); });
-    }
-  }
-
-  ~LegacyCondvarPool() {
-    {
-      std::lock_guard lock(mutex_);
-      shutdown_ = true;
-    }
-    start_cv_.notify_all();
-    for (std::thread& t : workers_) t.join();
-  }
-
-  void run_on_all(const std::function<void(std::size_t)>& task) {
-    if (workers_.empty()) {
-      task(0);
-      return;
-    }
-    {
-      std::lock_guard lock(mutex_);
-      task_ = &task;
-      remaining_ = workers_.size();
-      ++generation_;
-    }
-    start_cv_.notify_all();
-    task(0);
-    std::unique_lock lock(mutex_);
-    done_cv_.wait(lock, [this] { return remaining_ == 0; });
-    task_ = nullptr;
-  }
-
- private:
-  void worker_loop(std::size_t index) {
-    std::size_t seen_generation = 0;
-    for (;;) {
-      const std::function<void(std::size_t)>* task = nullptr;
-      {
-        std::unique_lock lock(mutex_);
-        start_cv_.wait(lock, [&] {
-          return shutdown_ || generation_ != seen_generation;
-        });
-        if (shutdown_) return;
-        seen_generation = generation_;
-        task = task_;
-      }
-      (*task)(index);
-      {
-        std::lock_guard lock(mutex_);
-        if (--remaining_ == 0) done_cv_.notify_all();
-      }
-    }
-  }
-
-  std::vector<std::thread> workers_;
-  std::mutex mutex_;
-  std::condition_variable start_cv_;
-  std::condition_variable done_cv_;
-  const std::function<void(std::size_t)>* task_ = nullptr;
-  std::size_t generation_ = 0;
-  std::size_t remaining_ = 0;
-  bool shutdown_ = false;
-};
-
 /// ns per empty fork/join region. Pool construction and teardown are
 /// excluded; a short warmup gets every worker through its first park.
-template <class Pool>
-double measure_region_ns(Pool& pool, int regions) {
+double measure_region_ns(purec::rt::ThreadPool& pool, int regions) {
   for (int r = 0; r < 200; ++r) pool.run_on_all([](std::size_t) {});
   const Clock::time_point start = Clock::now();
   for (int r = 0; r < regions; ++r) pool.run_on_all([](std::size_t) {});
   return seconds_since(start) * 1e9 / regions;
 }
 
+/// Median, min and max of one cell's repetitions.
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+Spread spread_of(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  const std::size_t n = samples.size();
+  const double median = n % 2 == 1
+                            ? samples[n / 2]
+                            : (samples[n / 2 - 1] + samples[n / 2]) / 2.0;
+  return {median, samples.front(), samples.back()};
+}
+
 struct OverheadRow {
   const char* pool;
   int threads;
   int os_threads;
-  double ns_per_region;
+  Spread ns_per_region;
 };
 
 struct SweepRow {
   std::string schedule;
   std::int64_t chunk;
   int threads;
-  double seconds;
+  Spread seconds;
   double checksum;
 };
 
@@ -171,45 +110,44 @@ int main(int argc, char** argv) {
   (void)argv;
   const bool smoke = purec::bench::smoke_scale();
   const int regions = smoke ? 2000 : 20000;
+  const int reps = purec::bench::repetitions();
+  bool checksums_ok = true;
 
   // --- Part 1: pool overhead -------------------------------------------
-  // Three pools per rung: the seed's condvar/std::function pool (always
-  // one OS thread per worker), the current substrate under its default
-  // policy (OS threads capped at the hardware concurrency, surplus
-  // indices folded in — see thread_pool.h), and the current substrate
-  // with PUREC_OVERSUBSCRIBE=1 forcing one OS thread per worker, which
-  // isolates the barrier change from the virtualization change.
+  // Two lanes per rung: the substrate under its default policy (OS
+  // threads capped at the hardware concurrency, surplus indices folded
+  // in — see thread_pool.h), and with PUREC_OVERSUBSCRIBE=1 forcing one
+  // OS thread per worker, which isolates the barrier from the
+  // virtualization.
   std::vector<OverheadRow> overhead;
-  std::printf("pool-overhead microbenchmark (%d empty regions/config)\n",
-              regions);
-  std::printf("%-10s%16s%16s%18s%10s\n", "threads", "seed condvar",
-              "spin+park", "spin+park oversub", "ratio");
+  std::printf("pool-overhead microbenchmark (%d empty regions/config, "
+              "median of %d)\n",
+              regions, reps);
+  std::printf("%-10s%16s%20s\n", "threads", "spin+park", "spin+park oversub");
   for (const int threads : {1, 2, 4, 8}) {
-    double legacy_ns = 0.0;
-    {
-      LegacyCondvarPool pool(static_cast<std::size_t>(threads));
-      legacy_ns = measure_region_ns(pool, regions);
-    }
-    double current_ns = 0.0;
+    std::vector<double> current_ns;
+    std::vector<double> oversub_ns;
     int current_os_threads = 0;
-    {
-      purec::rt::ThreadPool pool(static_cast<std::size_t>(threads));
-      current_os_threads = static_cast<int>(pool.os_thread_count());
-      current_ns = measure_region_ns(pool, regions);
+    for (int rep = 0; rep < reps; ++rep) {
+      {
+        purec::rt::ThreadPool pool(static_cast<std::size_t>(threads));
+        current_os_threads = static_cast<int>(pool.os_thread_count());
+        current_ns.push_back(measure_region_ns(pool, regions));
+      }
+      {
+        setenv("PUREC_OVERSUBSCRIBE", "1", 1);
+        purec::rt::ThreadPool pool(static_cast<std::size_t>(threads));
+        unsetenv("PUREC_OVERSUBSCRIBE");
+        oversub_ns.push_back(measure_region_ns(pool, regions));
+      }
     }
-    double oversub_ns = 0.0;
-    {
-      setenv("PUREC_OVERSUBSCRIBE", "1", 1);
-      purec::rt::ThreadPool pool(static_cast<std::size_t>(threads));
-      unsetenv("PUREC_OVERSUBSCRIBE");
-      oversub_ns = measure_region_ns(pool, regions);
-    }
-    overhead.push_back({"seed_condvar", threads, threads, legacy_ns});
     overhead.push_back(
-        {"spin_park", threads, current_os_threads, current_ns});
-    overhead.push_back({"spin_park_oversub", threads, threads, oversub_ns});
-    std::printf("%-10d%13.0f ns%13.0f ns%15.0f ns%9.2fx\n", threads,
-                legacy_ns, current_ns, oversub_ns, legacy_ns / current_ns);
+        {"spin_park", threads, current_os_threads, spread_of(current_ns)});
+    overhead.push_back(
+        {"spin_park_oversub", threads, threads, spread_of(oversub_ns)});
+    std::printf("%-10d%13.0f ns%17.0f ns\n", threads,
+                overhead[overhead.size() - 2].ns_per_region.median,
+                overhead.back().ns_per_region.median);
   }
 
   // --- Part 2: fig8 satellite schedule sweep ---------------------------
@@ -221,13 +159,20 @@ int main(int argc, char** argv) {
   const auto run_one = [&](const std::string& name,
                            const purec::rt::ForOptions& options,
                            std::int64_t reported_chunk) {
-    const purec::apps::RunResult result =
-        purec::apps::run_satellite_schedule(config, pool, options);
-    sweep.push_back({name, reported_chunk, threads, result.compute_seconds,
-                     result.checksum});
+    std::vector<double> seconds;
+    double checksum = 0.0;
+    for (int rep = 0; rep < reps; ++rep) {
+      const purec::apps::RunResult result =
+          purec::apps::run_satellite_schedule(config, pool, options);
+      if (rep > 0 && result.checksum != checksum) checksums_ok = false;
+      checksum = result.checksum;
+      seconds.push_back(result.compute_seconds);
+    }
+    sweep.push_back(
+        {name, reported_chunk, threads, spread_of(seconds), checksum});
     std::printf("%-16s chunk=%-4lld %9.1f ms\n", name.c_str(),
                 static_cast<long long>(reported_chunk),
-                result.compute_seconds * 1e3);
+                sweep.back().seconds.median * 1e3);
   };
 
   std::printf("\nfig8 satellite sweep: %dx%dx%d pixels, %d threads\n",
@@ -243,7 +188,6 @@ int main(int argc, char** argv) {
 
   // Pixels are independent: every schedule must compute the identical
   // scene. A drift here is a scheduling bug, not noise.
-  bool checksums_ok = true;
   for (const SweepRow& row : sweep) {
     if (row.checksum != sweep.front().checksum) {
       std::fprintf(stderr,
@@ -269,6 +213,7 @@ int main(int argc, char** argv) {
   std::fprintf(out, "{\n  \"benchmark\": \"schedule_sweep\",\n");
   purec::bench::write_json_host_fields(out);
   std::fprintf(out, "  \"smoke\": %s,\n", smoke ? "true" : "false");
+  std::fprintf(out, "  \"reps\": %d,\n", reps);
   std::fprintf(out,
                "  \"workload\": {\"name\": \"fig8_satellite\", \"width\": "
                "%d, \"height\": %d, \"bands\": %d},\n",
@@ -278,9 +223,12 @@ int main(int argc, char** argv) {
     const OverheadRow& row = overhead[i];
     std::fprintf(out,
                  "    {\"pool\": \"%s\", \"threads\": %d, "
-                 "\"os_threads\": %d, \"ns_per_region\": %s}%s\n",
+                 "\"os_threads\": %d, \"ns_per_region\": %s, "
+                 "\"ns_min\": %s, \"ns_max\": %s}%s\n",
                  row.pool, row.threads, row.os_threads,
-                 json_escape_free_number(row.ns_per_region).c_str(),
+                 json_escape_free_number(row.ns_per_region.median).c_str(),
+                 json_escape_free_number(row.ns_per_region.min).c_str(),
+                 json_escape_free_number(row.ns_per_region.max).c_str(),
                  i + 1 < overhead.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n  \"satellite_sweep\": [\n");
@@ -288,9 +236,13 @@ int main(int argc, char** argv) {
     const SweepRow& row = sweep[i];
     std::fprintf(out,
                  "    {\"schedule\": \"%s\", \"chunk\": %lld, \"threads\": "
-                 "%d, \"seconds\": %s, \"checksum\": %s}%s\n",
+                 "%d, \"seconds\": %s, \"seconds_min\": %s, "
+                 "\"seconds_max\": %s, \"checksum\": %s}%s\n",
                  row.schedule.c_str(), static_cast<long long>(row.chunk),
-                 row.threads, json_escape_free_number(row.seconds).c_str(),
+                 row.threads,
+                 json_escape_free_number(row.seconds.median).c_str(),
+                 json_escape_free_number(row.seconds.min).c_str(),
+                 json_escape_free_number(row.seconds.max).c_str(),
                  json_escape_free_number(row.checksum).c_str(),
                  i + 1 < sweep.size() ? "," : "");
   }

@@ -29,11 +29,13 @@ namespace purec {
 /// names an append-mode destination, unset/unopenable falls back to
 /// stderr. Emitted once whenever any runtime subsystem (memo stats,
 /// --instrument) dumps at exit, so their lines share one stream and never
-/// interleave with program stdout.
+/// interleave with program stdout. The bytes of
+/// runtime/c/purec_stats_sink.h.
 [[nodiscard]] const std::string& stats_sink_snippet();
 
-/// The counter structs, clock helpers, trace buffer and atexit dump.
-/// Requires stats_sink_snippet() earlier in the same file.
+/// The counter structs, clock helpers, trace buffer and atexit dump: the
+/// bytes of runtime/c/purec_instr.h. Requires stats_sink_snippet()
+/// earlier in the same file.
 [[nodiscard]] const std::string& instrument_runtime_snippet();
 
 /// Definition + constructor-time registration of region `index` named

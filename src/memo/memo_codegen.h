@@ -23,9 +23,9 @@
 
 namespace purec {
 
-/// The sharded seqlock table in plain C (GCC __atomic builtins, no
-/// headers beyond <stdlib.h>). Mirrors runtime/memo_cache.cpp; honors the
-/// same PUREC_MEMO_SHARDS / PUREC_MEMO_CAP knobs.
+/// The sharded seqlock table in plain C (GCC __atomic builtins): the bytes
+/// of runtime/c/purec_memo.h, embedded at configure time. Requires
+/// stats_sink_snippet() earlier in the same file.
 [[nodiscard]] const std::string& memo_runtime_prelude();
 
 /// "purec_memo_" + fn. The prefix is reserved: user identifiers never

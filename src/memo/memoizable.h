@@ -93,9 +93,9 @@ struct MemoizableResult {
 inline constexpr std::size_t kMemoMaxGlobalSnapshot = 8;
 
 /// Cost-gate threshold: a single-expression body below this many
-/// expression nodes is cheaper to recompute than the table trip (the
-/// honest 0.1x matmul-twin negative in BENCH_memoize.json — `mult` is 3
-/// nodes), so gated classification rejects it.
+/// expression nodes is cheaper to recompute than the table trip (memoized,
+/// the 3-node matmul `mult` leaf measured 0.1x), so gated classification
+/// rejects it.
 inline constexpr std::size_t kMemoTrivialExprNodes = 8;
 
 /// Profile-gate threshold on reuse-per-miss x body-cost-nodes: a thunk

@@ -85,10 +85,6 @@ void dump(std::FILE* out) {
                "barrier_spins=%llu barrier_parks=%llu steals=%llu\n",
                get(c.regions), get(c.region_ns), get(c.barrier_spins),
                get(c.barrier_parks), get(c.steals));
-  std::fprintf(out, "purec-rt[memo] hits=%llu misses=%llu stores=%llu "
-                    "evictions=%llu\n",
-               get(c.memo_hits), get(c.memo_misses), get(c.memo_stores),
-               get(c.memo_evictions));
   bool any = false;
   for (std::size_t w = 0; w < kMaxWorkers; ++w) {
     if (c.chunks[w].value.load(std::memory_order_relaxed) != 0) any = true;
@@ -121,7 +117,6 @@ void dump(std::FILE* out) {
                      hist_percentile(snapshot, 100)));
   };
   dump_hist("region_hist", snapshot_region_hist());
-  dump_hist("memo_probe", snapshot_memo_hist());
 }
 
 void reset() noexcept {
@@ -134,15 +129,10 @@ void reset() noexcept {
   zero(c.barrier_spins);
   zero(c.barrier_parks);
   zero(c.steals);
-  zero(c.memo_hits);
-  zero(c.memo_misses);
-  zero(c.memo_stores);
-  zero(c.memo_evictions);
   for (std::size_t w = 0; w < kMaxWorkers; ++w) zero(c.chunks[w]);
   for (std::size_t w = 0; w < kMaxWorkers; ++w) {
     for (int cell = 0; cell < kHistCells; ++cell) {
       c.region_hist[w].cells[cell].store(0, std::memory_order_relaxed);
-      c.memo_hist[w].cells[cell].store(0, std::memory_order_relaxed);
     }
   }
 }

@@ -1,8 +1,7 @@
 // purec::rt::stats — the C++ runtime's twin of the emitted-C --instrument
 // counters: region launches and wall time, per-worker chunk claims, steal
-// counts, barrier spin/park outcomes, memo cache traffic, plus
-// log-bucketed latency histograms (region wall time, memo probe latency)
-// whose p50/p90/p99 land in the human dump.
+// counts, barrier spin/park outcomes, plus a log-bucketed region wall-time
+// histogram whose p50/p90/p99 land in the human dump.
 //
 // Compile-time default OFF. Every hook below compiles to nothing unless
 // the translation units are built with -DPUREC_RT_STATS=1 (the
@@ -98,27 +97,22 @@ struct HistSnapshot {
                                             unsigned percent) noexcept;
 
 /// The global counter block. Members mirror the emitted-C instrument
-/// runtime plus the pool/memo internals the C side cannot see.
+/// runtime plus the pool internals the C side cannot see.
 struct Counters {
   Cell regions;        ///< for_each_chunk launches
   Cell region_ns;      ///< wall time inside launches (ns)
   Cell barrier_spins;  ///< wait_for_change resolved inside the spin window
   Cell barrier_parks;  ///< wait_for_change entered the kernel
   Cell steals;         ///< chunks claimed from another worker's range
-  Cell memo_hits;
-  Cell memo_misses;
-  Cell memo_stores;
-  Cell memo_evictions;
   Cell chunks[kMaxWorkers];        ///< chunk claims per worker index
   HistRow region_hist[kMaxWorkers];  ///< region wall time (ns)
-  HistRow memo_hist[kMaxWorkers];    ///< memo probe latency (ns)
 };
 
 [[nodiscard]] Counters& counters() noexcept;
 
 /// The calling thread's worker index (set by the runtime while it runs
 /// chunks; 0 on threads the pool never touched). Lets subsystems without
-/// a worker parameter (memo probes, barrier waits) attribute their
+/// a worker parameter (barrier waits) attribute their
 /// per-worker cells. Plain TLS — call sites gate on kEnabled (or the
 /// trace twin's gate) so production builds never touch it.
 [[nodiscard]] std::size_t current_worker() noexcept;
@@ -162,22 +156,10 @@ inline void record_region_ns(std::uint64_t ns) noexcept {
   }
 }
 
-/// Memo probe (lookup) latency, recorded into the calling worker's row.
-inline void record_memo_probe_ns(std::uint64_t ns) noexcept {
-  if constexpr (kEnabled) {
-    record_hist(counters().memo_hist, current_worker(), ns);
-  } else {
-    (void)ns;
-  }
-}
-
 /// Merges the per-worker rows of one histogram (dump-time only).
 [[nodiscard]] HistSnapshot snapshot_hist(const HistRow* rows) noexcept;
 [[nodiscard]] inline HistSnapshot snapshot_region_hist() noexcept {
   return snapshot_hist(counters().region_hist);
-}
-[[nodiscard]] inline HistSnapshot snapshot_memo_hist() noexcept {
-  return snapshot_hist(counters().memo_hist);
 }
 
 /// Monotonic nanoseconds; 0 when stats are compiled out (callers guard

@@ -133,10 +133,6 @@ struct EventShape {
       return {"barrier_spin", "barrier", false};
     case EventKind::BarrierPark:
       return {"barrier_park", "barrier", false};
-    case EventKind::MemoHit:
-      return {"memo_hit", "memo", false};
-    case EventKind::MemoMiss:
-      return {"memo_miss", "memo", false};
   }
   return {"event", "event", false};
 }

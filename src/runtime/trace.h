@@ -58,8 +58,6 @@ enum class EventKind : std::uint8_t {
   Steal,        ///< a chunk claimed from a victim's range (instant)
   BarrierSpin,  ///< wait_for_change resolved in the spin window (X)
   BarrierPark,  ///< wait_for_change entered the kernel (X)
-  MemoHit,      ///< memo probe that hit (X, cat "memo")
-  MemoMiss,     ///< memo probe that missed (X, cat "memo")
 };
 
 struct Event {

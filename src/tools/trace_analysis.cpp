@@ -205,12 +205,6 @@ std::optional<TraceSummary> analyze_trace(const json::Value& trace,
         summary.barrier_spins += 1;
         summary.barrier_spin_us += dur_us;
       }
-    } else if (cat == "memo") {
-      if (name == "memo_hit") {
-        summary.memo_hits += 1;
-      } else {
-        summary.memo_misses += 1;
-      }
     }
   }
   // Fold placeholder rows ("region N", the runtime's unregistered-name
@@ -307,10 +301,6 @@ std::string render_trace_summary(const TraceSummary& s) {
            " spin_ms=" + format_fixed(s.barrier_spin_us / 1000.0) +
            " parks=" + std::to_string(s.barrier_parks) +
            " park_ms=" + format_fixed(s.barrier_park_us / 1000.0) + "\n";
-  }
-  if (s.memo_hits + s.memo_misses > 0) {
-    out += "purecc-trace: memo hits=" + std::to_string(s.memo_hits) +
-           " misses=" + std::to_string(s.memo_misses) + "\n";
   }
   for (const MemoModelRow& row : s.memo_model) {
     out += "purecc-trace: memo-model " + row.function +

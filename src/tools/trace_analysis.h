@@ -68,8 +68,6 @@ struct TraceSummary {
   double barrier_park_us = 0.0;
   std::uint64_t barrier_spins = 0;
   std::uint64_t barrier_parks = 0;
-  std::uint64_t memo_hits = 0;
-  std::uint64_t memo_misses = 0;
   std::uint64_t dropped = 0;  ///< summed args.dropped of overflow markers
   std::int64_t report_version = 0;  ///< 0 when no report was joined
   /// Memo cost-model scores joined from the report (v4+); empty when the

@@ -68,8 +68,8 @@ struct ChainOptions {
   /// `--memoize=all`: disable the memoization cost gate. By default the
   /// classifier skips trivially small single-expression callees (a
   /// `mult`-sized leaf pays more for the table trip than the recompute —
-  /// the honest 0.1× negative in BENCH_memoize.json); this flag restores
-  /// thunk-everything behavior for measurement.
+  /// memoized, it measured 0.1×); this flag restores thunk-everything
+  /// behavior for measurement.
   bool memoize_all = false;
   /// `--memoize=verify`: the emitted table compiles with full-key
   /// verification on by default — slots store the raw argument/global

@@ -1,0 +1,811 @@
+/* Scenario tests for the C runtimes purecc pastes into its output: the
+ * memo table (src/runtime/c/purec_memo.h), the shared stats sink
+ * (purec_stats_sink.h) and the --instrument counters (purec_instr.h).
+ *
+ * The headers are included in the order emitted C includes them, so every
+ * byte of runtime text purecc can emit compiles here as C under
+ * -Wall -Wextra -Werror, and the static internals (purec_memo_shard_mask,
+ * slot_mask, purec_memo_verify, ...) are directly readable. The table is
+ * built by its constructor from the PUREC_MEMO_* environment, exactly as
+ * in an emitted program, so each configuration is one process:
+ * tests/CMakeLists.txt registers every scenario as its own CTest entry
+ * with the knobs in ENVIRONMENT, and scenarios that need a fresh attacher
+ * re-run this binary as a "phase" with the knobs that attacher needs.
+ *
+ *   memo_runtime_test <scenario> [args...]    exit status 0 = pass
+ */
+#include <fcntl.h>
+#include <pthread.h>
+#include <stdio.h>
+#include <stdlib.h>
+#include <string.h>
+#include <sys/stat.h>
+#include <sys/types.h>
+#include <sys/wait.h>
+#include <time.h>
+#include <unistd.h>
+
+#include "purec_stats_sink.h"
+#include "purec_memo.h"
+#include "purec_instr.h"
+
+static int failures;
+
+#define CHECK(cond)                                                    \
+  do {                                                                 \
+    if (!(cond)) {                                                     \
+      fprintf(stderr, "%s:%d: check failed: %s\n", __FILE__, __LINE__, \
+              #cond);                                                  \
+      failures++;                                                      \
+    }                                                                  \
+  } while (0)
+
+static const char* self_exe; /* argv[0], re-run for phases */
+
+/* ------------------------------------------------------------------ */
+/* Keys and values                                                     */
+/* ------------------------------------------------------------------ */
+
+/* The fingerprint a thunk for `f(int)` computes for argument i. */
+static purec_memo_word key_of(purec_memo_word i, purec_memo_word* kw,
+                              unsigned* kn) {
+  purec_memo_word key = 0x1234ULL;
+  *kn = 0;
+  PUREC_MEMO_KEY_INT(key, kw, *kn, i);
+  key = purec_memo_mix(key);
+  return key == 0 ? 1 : key;
+}
+
+/* The pure function being memoized: a hit must return exactly this. */
+static purec_memo_word value_of(purec_memo_word i) {
+  return purec_memo_mix(i ^ 0xabcdefULL);
+}
+
+static int lookup_i(purec_memo_word i, purec_memo_word* out) {
+  purec_memo_word kw[1];
+  unsigned kn;
+  purec_memo_word key = key_of(i, kw, &kn);
+  return purec_memo_lookup(key, kw, kn, out);
+}
+
+static int store_i(purec_memo_word i, purec_memo_word value) {
+  purec_memo_word kw[1];
+  unsigned kn;
+  purec_memo_word key = key_of(i, kw, &kn);
+  return purec_memo_store(key, kw, kn, value);
+}
+
+typedef struct {
+  unsigned long long hits, misses, evictions, wrong;
+} tally;
+
+/* One memoized call of value_of(i): probe, and on a miss compute and
+ * publish. A hit carrying anything but value_of(i) counts as wrong. */
+static purec_memo_word serve(purec_memo_word i, tally* t) {
+  purec_memo_word out = 0;
+  if (lookup_i(i, &out)) {
+    t->hits++;
+    if (out != value_of(i)) t->wrong++;
+    return out;
+  }
+  t->misses++;
+  if (store_i(i, value_of(i))) t->evictions++;
+  return value_of(i);
+}
+
+/* Slots across the whole table whose tag is `key`. */
+static int count_resident(purec_memo_word key) {
+  purec_memo_word s, i;
+  int n = 0;
+  for (s = 0; s <= purec_memo_shard_mask; s++) {
+    for (i = 0; i <= purec_memo_shards[s].slot_mask; i++) {
+      if (purec_memo_shards[s].slots[i].tag == key) n++;
+    }
+  }
+  return n;
+}
+
+/* ------------------------------------------------------------------ */
+/* In-process scenarios                                                */
+/* ------------------------------------------------------------------ */
+
+static void scenario_roundtrip(void) {
+  purec_memo_word out = 0, kw[2], key = 0x77ULL, word = 0;
+  unsigned kn = 0;
+  float f = -2.75f;
+  double d = 0.1;
+  CHECK(purec_memo_ready);
+  CHECK(!lookup_i(1, &out));
+  CHECK(store_i(1, 42) == 0);
+  CHECK(lookup_i(1, &out) && out == 42);
+  CHECK(!lookup_i(2, &out));
+  /* Floating-point arguments and results travel as bit patterns. */
+  PUREC_MEMO_KEY_F32(key, kw, kn, f);
+  PUREC_MEMO_KEY_F64(key, kw, kn, d);
+  key = purec_memo_mix(key);
+  CHECK(kn == 2);
+  CHECK(purec_memo_store(key, kw, kn, PUREC_MEMO_PACK_F64(d * f)) == 0);
+  CHECK(purec_memo_lookup(key, kw, kn, &word));
+  CHECK(PUREC_MEMO_UNPACK_F64(word) == d * f);
+  CHECK(purec_memo_store(key ^ 1, kw, kn, PUREC_MEMO_PACK_F32(f)) == 0);
+  CHECK(purec_memo_lookup(key ^ 1, kw, kn, &word));
+  CHECK(PUREC_MEMO_UNPACK_F32(word) == f);
+}
+
+static void scenario_idempotent(void) {
+  purec_memo_word kw[1], out = 0;
+  unsigned kn;
+  purec_memo_word key = key_of(7, kw, &kn);
+  CHECK(store_i(7, 7) == 0);
+  CHECK(store_i(7, 7) == 0);
+  CHECK(lookup_i(7, &out) && out == 7);
+  CHECK(count_resident(key) == 1);
+}
+
+static void scenario_capacity_one(void) {
+  purec_memo_word out = 0;
+  CHECK(purec_memo_shard_mask == 0);
+  CHECK(purec_memo_shards[0].slot_mask == 0);
+  CHECK(purec_memo_probe == 1);
+  CHECK(store_i(1, 11) == 0);
+  CHECK(lookup_i(1, &out) && out == 11);
+  /* The single slot is recycled: the old key is gone, never wrong. */
+  CHECK(store_i(2, 22) == 1);
+  CHECK(lookup_i(2, &out) && out == 22);
+  CHECK(!lookup_i(1, &out));
+}
+
+/* geometry SHARDS PER: the constructor normalized the env knobs to SHARDS
+ * shards of PER slots each, and the table works. */
+static void scenario_geometry(const char* shards_arg, const char* per_arg) {
+  purec_memo_word shards = strtoull(shards_arg, 0, 10);
+  purec_memo_word per = strtoull(per_arg, 0, 10);
+  purec_memo_word out = 0;
+  CHECK(purec_memo_ready);
+  CHECK(purec_memo_shard_mask + 1 == shards);
+  CHECK(purec_memo_shards[0].slot_mask + 1 == per);
+  CHECK(purec_memo_probe == (per < 8 ? per : 8));
+  CHECK(store_i(5, 55) == 0);
+  CHECK(lookup_i(5, &out) && out == 55);
+}
+
+static void expect_cap_knob(const char* value, purec_memo_word want) {
+  setenv("PUREC_MEMO_CAP", value, 1);
+  if (purec_memo_env("PUREC_MEMO_CAP", 65536) != want) {
+    fprintf(stderr, "PUREC_MEMO_CAP=\"%s\" parsed wrong\n", value);
+    failures++;
+  }
+}
+
+static void scenario_env_parse(void) {
+  expect_cap_knob("128", 128);
+  expect_cap_knob("-1", 1ULL << 24); /* strtoull wraps to ULLONG_MAX */
+  expect_cap_knob("999999999999999999", 1ULL << 24);
+  expect_cap_knob("garbage", 65536);
+  expect_cap_knob("12x", 65536);
+  expect_cap_knob("0", 65536);
+  expect_cap_knob("", 65536);
+  unsetenv("PUREC_MEMO_CAP");
+  CHECK(purec_memo_env("PUREC_MEMO_CAP", 65536) == 65536);
+  CHECK(purec_memo_pow2(1) == 1);
+  CHECK(purec_memo_pow2(100) == 64);
+  CHECK(purec_memo_pow2(1ULL << 24) == 1ULL << 24);
+  CHECK(purec_memo_pow2(~0ULL) == 1ULL << 63);
+}
+
+static void scenario_eviction(void) {
+  tally t = {0, 0, 0, 0};
+  purec_memo_word i;
+  int round;
+  for (round = 0; round < 4; round++) {
+    for (i = 0; i < 4096; i++) serve(i, &t);
+  }
+  CHECK(t.wrong == 0);
+  CHECK(t.evictions > 0);
+}
+
+typedef struct {
+  purec_memo_word offset;
+  tally t;
+} hammer_worker;
+
+static void* hammer_run(void* arg) {
+  hammer_worker* w = (hammer_worker*)arg;
+  purec_memo_word cursor = w->offset, i;
+  int round;
+  for (round = 0; round < 200; round++) {
+    for (i = 0; i < 1024; i += 8) serve((cursor + i) % 1024, &w->t);
+    cursor++;
+  }
+  return 0;
+}
+
+/* 8 threads of mixed hit/miss/evict traffic over a small table: a hit
+ * must return the value stored for its key, whatever the interleaving. */
+static void scenario_hammer(void) {
+  pthread_t threads[8];
+  hammer_worker workers[8];
+  tally sum = {0, 0, 0, 0};
+  int t;
+  for (t = 0; t < 8; t++) {
+    memset(&workers[t], 0, sizeof workers[t]);
+    workers[t].offset = (purec_memo_word)t * 31;
+    CHECK(pthread_create(&threads[t], 0, hammer_run, &workers[t]) == 0);
+  }
+  for (t = 0; t < 8; t++) {
+    CHECK(pthread_join(threads[t], 0) == 0);
+    sum.hits += workers[t].t.hits;
+    sum.misses += workers[t].t.misses;
+    sum.evictions += workers[t].t.evictions;
+    sum.wrong += workers[t].t.wrong;
+  }
+  CHECK(sum.wrong == 0);
+  CHECK(sum.hits > 0);
+  CHECK(sum.misses > 0);
+  CHECK(sum.evictions > 0);
+}
+
+/* The same workload cached and uncached folds to the same checksum, with
+ * or without capacity pressure. */
+static void scenario_checksum(void) {
+  tally t = {0, 0, 0, 0};
+  purec_memo_word cached = 0, uncached = 0, i;
+  int round;
+  for (round = 0; round < 3; round++) {
+    for (i = 0; i < 512; i++) {
+      cached = purec_memo_mix(cached ^ serve(i % 64, &t));
+      uncached = purec_memo_mix(uncached ^ value_of(i % 64));
+    }
+  }
+  CHECK(cached == uncached);
+  CHECK(t.wrong == 0);
+}
+
+static void scenario_verify_alias(void) {
+  purec_memo_word kw[1], out = 0;
+  unsigned kn;
+  const purec_memo_word fp = key_of(1, kw, &kn);
+  const purec_memo_word a[2] = {11, 12}, b[2] = {21, 22};
+  CHECK(purec_memo_verify);
+  /* Two distinct tuples forced onto one fingerprint. */
+  CHECK(purec_memo_store(fp, a, 2, 100) == 0);
+  CHECK(purec_memo_lookup(fp, a, 2, &out) && out == 100);
+  CHECK(!purec_memo_lookup(fp, b, 2, &out)); /* the alias misses */
+  /* Publishing the alias replaces the resident entry, so b does not miss
+   * forever; a misses in turn. */
+  CHECK(purec_memo_store(fp, b, 2, 200) == 1);
+  CHECK(purec_memo_lookup(fp, b, 2, &out) && out == 200);
+  CHECK(!purec_memo_lookup(fp, a, 2, &out));
+}
+
+static void scenario_verify_wide(void) {
+  purec_memo_word wide[PUREC_MEMO_VWORDS + 1], out = 0, key = 0x99ULL;
+  unsigned kn = 0, w;
+  CHECK(purec_memo_verify);
+  for (w = 0; w < PUREC_MEMO_VWORDS + 1; w++) {
+    PUREC_MEMO_KEY_INT(key, wide, kn, w);
+  }
+  key = purec_memo_mix(key);
+  /* An unverifiable tuple is never cached: a permanent, safe miss. */
+  CHECK(purec_memo_store(key, wide, kn, 5) == 0);
+  CHECK(!purec_memo_lookup(key, wide, kn, &out));
+  CHECK(count_resident(key) == 0);
+}
+
+static void scenario_verify_off(void) {
+  purec_memo_word kw[1], out = 0;
+  unsigned kn;
+  const purec_memo_word fp = key_of(3, kw, &kn);
+  const purec_memo_word a[1] = {1}, b[1] = {2};
+  CHECK(!purec_memo_verify);
+  CHECK(purec_memo_store(fp, a, 1, 33) == 0);
+  /* Without verify the fingerprint is the whole key: b "hits". */
+  CHECK(purec_memo_lookup(fp, b, 1, &out) && out == 33);
+}
+
+/* ------------------------------------------------------------------ */
+/* Phases: one fresh attacher each, run by the file scenarios below     */
+/* ------------------------------------------------------------------ */
+
+/* phase_fill N: store keys 0..N-1. */
+static void phase_fill(purec_memo_word n) {
+  purec_memo_word i;
+  for (i = 0; i < n; i++) store_i(i, value_of(i));
+}
+
+/* phase_resident N: every key 0..N-1 hits with its exact value, so this
+ * attacher serves the file the earlier phases wrote. */
+static void phase_resident(purec_memo_word n) {
+  purec_memo_word i, out;
+  int missing = 0;
+  for (i = 0; i < n; i++) {
+    out = 0;
+    if (!lookup_i(i, &out)) {
+      missing++;
+    } else {
+      CHECK(out == value_of(i));
+    }
+  }
+  CHECK(missing == 0);
+}
+
+/* phase_exact N: three rounds over N keys; every hit is exact. */
+static void phase_exact(purec_memo_word n) {
+  tally t = {0, 0, 0, 0};
+  purec_memo_word i;
+  int round;
+  for (round = 0; round < 3; round++) {
+    for (i = 0; i < n; i++) serve(i, &t);
+  }
+  CHECK(t.wrong == 0);
+  CHECK(t.hits > 0);
+}
+
+/* phase_private N: the table starts empty (whatever the file holds is not
+ * being served), then works exactly. */
+static void phase_private(purec_memo_word n) {
+  purec_memo_word i, out = 0;
+  for (i = 0; i < n; i++) CHECK(!lookup_i(i, &out));
+  phase_exact(n);
+}
+
+/* phase_hammer OFFSET: 50 rounds over 256 keys against the shared file,
+ * concurrently with another process doing the same. */
+static void phase_hammer(purec_memo_word offset) {
+  tally t = {0, 0, 0, 0};
+  purec_memo_word i;
+  int round;
+  for (round = 0; round < 50; round++) {
+    for (i = 0; i < 256; i++) serve((i + offset) % 256, &t);
+  }
+  CHECK(t.wrong == 0);
+  CHECK(t.hits > 0);
+  CHECK(t.hits + t.misses == 50 * 256);
+}
+
+/* ------------------------------------------------------------------ */
+/* Process and file helpers                                            */
+/* ------------------------------------------------------------------ */
+
+/* Starts this binary as `phase arg` with PUREC_MEMO_PATH=path (when not
+ * null) plus NAME, VALUE pairs from the null-terminated `env`. */
+static pid_t spawn_phase(const char* phase, const char* arg,
+                         const char* path, const char* const* env) {
+  pid_t pid;
+  fflush(stdout);
+  fflush(stderr);
+  pid = fork();
+  if (pid == 0) {
+    if (path != 0) setenv("PUREC_MEMO_PATH", path, 1);
+    for (; env != 0 && env[0] != 0; env += 2) setenv(env[0], env[1], 1);
+    execl(self_exe, self_exe, phase, arg, (char*)0);
+    _exit(127);
+  }
+  return pid;
+}
+
+static void wait_phase(pid_t pid, const char* phase) {
+  int status = 0;
+  if (pid < 0 || waitpid(pid, &status, 0) != pid || !WIFEXITED(status) ||
+      WEXITSTATUS(status) != 0) {
+    fprintf(stderr, "phase %s failed (status %d)\n", phase, status);
+    failures++;
+  }
+}
+
+static void run_phase(const char* phase, const char* arg, const char* path,
+                      const char* const* env) {
+  wait_phase(spawn_phase(phase, arg, path, env), phase);
+}
+
+static long file_size(const char* path) {
+  struct stat st;
+  return stat(path, &st) == 0 ? (long)st.st_size : -1;
+}
+
+/* The whole file, NUL-terminated (caller frees); null if unreadable. */
+static char* slurp(const char* path, long* size) {
+  FILE* f = fopen(path, "rb");
+  char* text;
+  *size = file_size(path);
+  if (f == 0 || *size < 0) {
+    if (f != 0) fclose(f);
+    return 0;
+  }
+  text = (char*)calloc((size_t)*size + 1, 1);
+  if (text != 0 && fread(text, 1, (size_t)*size, f) != (size_t)*size) {
+    free(text);
+    text = 0;
+  }
+  fclose(f);
+  return text;
+}
+
+static purec_memo_word read_word(const char* path, int index) {
+  purec_memo_word w = 0;
+  int fd = open(path, O_RDONLY);
+  if (fd < 0 || pread(fd, &w, sizeof w, (off_t)index * 8) != sizeof w) {
+    failures++;
+  }
+  if (fd >= 0) close(fd);
+  return w;
+}
+
+static void write_word(const char* path, int index, purec_memo_word w) {
+  int fd = open(path, O_WRONLY);
+  if (fd < 0 || pwrite(fd, &w, sizeof w, (off_t)index * 8) != sizeof w) {
+    failures++;
+  }
+  if (fd >= 0) close(fd);
+}
+
+static int count_of(const char* text, const char* needle) {
+  int n = 0;
+  const char* at = text;
+  while (text != 0 && (at = strstr(at, needle)) != 0) {
+    n++;
+    at += strlen(needle);
+  }
+  return n;
+}
+
+/* The file a successful attacher with this process's knobs created: size,
+ * magic, verify flag and ready state all match. */
+static void expect_valid_file(const char* path) {
+  purec_memo_word nslots =
+      (purec_memo_shard_mask + 1) * (purec_memo_shards[0].slot_mask + 1);
+  purec_memo_word vbytes =
+      purec_memo_verify ? nslots * (1u + PUREC_MEMO_VWORDS) * 8 : 0;
+  CHECK((purec_memo_word)file_size(path) == 64 + nslots * 32 + vbytes);
+  CHECK(read_word(path, 0) == 0x304d454d43525550ULL);
+  CHECK(read_word(path, 5) == (purec_memo_word)purec_memo_verify);
+  CHECK(read_word(path, 6) == 2);
+}
+
+/* ------------------------------------------------------------------ */
+/* Shared-file scenarios (PUREC_MEMO_PATH)                             */
+/* ------------------------------------------------------------------ */
+
+static const char* const kOtherGeometry[] = {
+    "PUREC_MEMO_SHARDS", "8", "PUREC_MEMO_CAP", "1024", 0};
+static const char* const kVerifyOn[] = {"PUREC_MEMO_VERIFY", "1", 0};
+
+/* A first attacher creates and fills the file; a later, separate
+ * attacher sees every store (the restart case). */
+static void scenario_shared_attach(const char* path) {
+  unlink(path);
+  run_phase("phase_fill", "64", path, 0);
+  expect_valid_file(path);
+  run_phase("phase_resident", "64", path, 0);
+  unlink(path);
+}
+
+/* Attachers with a different geometry or verify flag fall back to a
+ * private table and leave the file untouched for the compatible ones. */
+static void scenario_shared_mismatch(const char* path) {
+  long before_size, after_size;
+  char *before, *after;
+  unlink(path);
+  run_phase("phase_fill", "64", path, 0);
+  expect_valid_file(path);
+  before = slurp(path, &before_size);
+  run_phase("phase_private", "64", path, kOtherGeometry);
+  run_phase("phase_private", "64", path, kVerifyOn);
+  after = slurp(path, &after_size);
+  CHECK(before != 0 && after != 0 && before_size == after_size &&
+        memcmp(before, after, (size_t)before_size) == 0);
+  run_phase("phase_resident", "64", path, 0);
+  free(before);
+  free(after);
+  unlink(path);
+}
+
+/* Two processes hammer one file concurrently and stay exact; a fresh
+ * attacher then finds every key resident. Under PUREC_MEMO_VERIFY=1 the
+ * key-word sidecar rides the same seqlock. */
+static void scenario_fork(const char* path) {
+  pid_t a, b;
+  unlink(path);
+  a = spawn_phase("phase_hammer", "0", path, 0);
+  b = spawn_phase("phase_hammer", "31", path, 0);
+  wait_phase(a, "phase_hammer 0");
+  wait_phase(b, "phase_hammer 31");
+  expect_valid_file(path);
+  run_phase("phase_resident", "256", path, 0);
+  unlink(path);
+}
+
+/* hostile PATH KIND: a PUREC_MEMO_PATH the runtime must refuse. The
+ * attacher falls back to a private table, gives exact results, and does
+ * not write to the file. */
+static void scenario_hostile(const char* path, const char* kind) {
+  char other[4096];
+  long before_size = 0, after_size = 0;
+  char *before, *after;
+  unlink(path);
+  rmdir(path);
+  if (strcmp(kind, "directory") == 0) {
+    CHECK(mkdir(path, 0755) == 0);
+    run_phase("phase_private", "64", path, 0);
+    rmdir(path);
+    return;
+  }
+  if (strcmp(kind, "missing_dir") == 0) {
+    snprintf(other, sizeof other, "%s.missing/memo.cache", path);
+    run_phase("phase_private", "64", other, 0);
+    CHECK(file_size(other) == -1);
+    return;
+  }
+  if (strcmp(kind, "readonly") == 0) {
+    /* Root may still open a read-only file, and then legitimately
+     * initializes it; either way the results are exact. */
+    int fd = open(path, O_CREAT | O_WRONLY, 0444);
+    CHECK(fd >= 0);
+    if (fd >= 0) close(fd);
+    run_phase("phase_exact", "64", path, 0);
+    if (geteuid() != 0) CHECK(file_size(path) == 0);
+    unlink(path);
+    return;
+  }
+  if (strcmp(kind, "garbage") == 0) {
+    /* Plausible size, garbage content. */
+    FILE* f = fopen(path, "wb");
+    CHECK(f != 0);
+    if (f != 0) {
+      memset(other, 0x5a, sizeof other);
+      CHECK(fwrite(other, 1, sizeof other, f) == sizeof other);
+      fclose(f);
+    }
+  } else {
+    run_phase("phase_fill", "64", path, 0);
+    expect_valid_file(path);
+    if (strcmp(kind, "truncated") == 0) {
+      CHECK(truncate(path, file_size(path) / 2) == 0);
+    } else if (strcmp(kind, "not_ready") == 0) {
+      write_word(path, 6, 1); /* a creator killed mid-init */
+    } else if (strcmp(kind, "version") == 0) {
+      write_word(path, 1, 2);
+    } else if (strcmp(kind, "abi") == 0) {
+      write_word(path, 2, read_word(path, 2) ^ 1);
+    } else if (strcmp(kind, "geometry") == 0) {
+      /* Same slot count, so the size still matches. */
+      write_word(path, 3, (purec_memo_shard_mask + 1) * 2);
+      write_word(path, 4, (purec_memo_shards[0].slot_mask + 1) / 2);
+    } else {
+      fprintf(stderr, "unknown hostile kind '%s'\n", kind);
+      failures++;
+    }
+  }
+  before = slurp(path, &before_size);
+  run_phase("phase_private", "64", path, 0);
+  after = slurp(path, &after_size);
+  CHECK(before != 0 && after != 0 && before_size == after_size &&
+        memcmp(before, after, (size_t)before_size) == 0);
+  free(before);
+  free(after);
+  unlink(path);
+}
+
+/* ------------------------------------------------------------------ */
+/* Exit-time dumps: PUREC_MEMO_STATS and --instrument                  */
+/* ------------------------------------------------------------------ */
+
+static int square(int x) { return x * x; }
+
+static purec_memo_stats_entry purec_memo_stats_square = {"square", 0, 0, 0};
+__attribute__((constructor)) static void purec_memo_stats_square_register(
+    void) {
+  purec_memo_stats_register(&purec_memo_stats_square);
+}
+
+/* The thunk shape purecc emits for `pure int square(int)`. */
+static int purec_memo_square(int purec_a0) {
+  purec_memo_word purec_key = 0x5151ULL;
+  purec_memo_word purec_word;
+  purec_memo_word purec_kw[1];
+  unsigned purec_kn = 0;
+  int purec_result;
+  PUREC_MEMO_KEY_INT(purec_key, purec_kw, purec_kn, purec_a0);
+  purec_key = purec_memo_mix(purec_key);
+  if (purec_key == 0) purec_key = 1;
+  if (purec_memo_lookup(purec_key, purec_kw, purec_kn, &purec_word)) {
+    PUREC_MEMO_STAT_INC(&purec_memo_stats_square.hits);
+    return (int)(purec_word);
+  }
+  PUREC_MEMO_STAT_INC(&purec_memo_stats_square.misses);
+  purec_result = square(purec_a0);
+  if (purec_memo_store(purec_key, purec_kw, purec_kn,
+                       (purec_memo_word)(purec_result)))
+    PUREC_MEMO_STAT_INC(&purec_memo_stats_square.evictions);
+  return purec_result;
+}
+
+/* phase_stats: 100 calls over 10 arguments. */
+static void phase_stats(void) {
+  int i;
+  for (i = 0; i < 100; i++) {
+    CHECK(purec_memo_square(i % 10) == square(i % 10));
+  }
+}
+
+static void scenario_stats_dump(const char* path) {
+  const char* env_on[] = {"PUREC_MEMO_STATS", "1", "PUREC_STATS_FILE", path,
+                          0};
+  const char* env_off[] = {"PUREC_MEMO_STATS", "0", "PUREC_STATS_FILE",
+                           path, 0};
+  long size;
+  char* text;
+  unlink(path);
+  run_phase("phase_stats", 0, 0, env_on);
+  text = slurp(path, &size);
+  CHECK(text != 0 &&
+        strcmp(text, "purec-memo[square] hits=90 misses=10 evictions=0\n") ==
+            0);
+  free(text);
+  /* With the knob off the counters are dead branches: no dump at all. */
+  unlink(path);
+  run_phase("phase_stats", 0, 0, env_off);
+  CHECK(file_size(path) == -1);
+}
+
+static purec_instr_region_t purec_instr_r0 = {.name = "demo:7", .id = 0u};
+__attribute__((constructor)) static void purec_instr_r0_register(void) {
+  purec_instr_register(&purec_instr_r0);
+}
+
+/* phase_instr: three executions of one region, four chunks each. */
+static void phase_instr(void) {
+  int run, i;
+  for (run = 0; run < 3; run++) {
+    unsigned long long purec_instr_t0 = purec_instr_now();
+    for (i = 0; i < 4; i++) purec_instr_chunk(&purec_instr_r0);
+    purec_instr_region_done(&purec_instr_r0, purec_instr_t0);
+  }
+}
+
+static void scenario_instr_dump(const char* prefix) {
+  char summary[4096], trace[4096];
+  const char* env_summary[] = {"PUREC_STATS_FILE", summary, 0};
+  const char* env_trace[] = {"PUREC_TRACE", trace, 0};
+  long size;
+  char* text;
+  snprintf(summary, sizeof summary, "%s.txt", prefix);
+  snprintf(trace, sizeof trace, "%s.json", prefix);
+  unlink(summary);
+  unlink(trace);
+  run_phase("phase_instr", 0, 0, env_summary);
+  text = slurp(summary, &size);
+  CHECK(count_of(text, "purec-instr[demo:7] invocations=3 total_ns=") == 1);
+  CHECK(count_of(text, " p50_ns=") == 1);
+  CHECK(count_of(text, " w0=12\n") == 1);
+  free(text);
+  /* Two traced runs append cooperatively into one array. */
+  run_phase("phase_instr", 0, 0, env_trace);
+  run_phase("phase_instr", 0, 0, env_trace);
+  text = slurp(trace, &size);
+  CHECK(text != 0 && text[0] == '[');
+  CHECK(size >= 2 && strcmp(text + size - 2, "]\n") == 0);
+  CHECK(count_of(text, "\"process_name\"") == 2);
+  CHECK(count_of(text, "\"cat\":\"region\",\"ph\":\"X\"") == 6);
+  CHECK(count_of(text, "\"demo:7 chunks\",\"ph\":\"C\"") == 2);
+  CHECK(count_of(text, "\"w0\":12") == 2);
+  CHECK(count_of(text, "][") == 0);
+  free(text);
+  unlink(summary);
+  unlink(trace);
+}
+
+/* ------------------------------------------------------------------ */
+/* hist_table: the --instrument histogram math, printed for comparison  */
+/* with purec::rt::stats (tests/runtime_stats_test.cpp)                 */
+/* ------------------------------------------------------------------ */
+
+static void print_index(purec_instr_u64 v) {
+  printf("index %llu %u\n", v, purec_instr_hist_index(v));
+}
+
+/* "hist ID COUNT CELL:N ..." then "pct ID P VALUE" for p50/p90/p99. */
+static void print_hist(int id, const purec_instr_u64* values, unsigned n) {
+  static const unsigned percents[3] = {50, 90, 99};
+  purec_instr_u64 hist[PUREC_INSTR_HIST_CELLS];
+  unsigned i;
+  memset(hist, 0, sizeof hist);
+  for (i = 0; i < n; i++) hist[purec_instr_hist_index(values[i])]++;
+  printf("hist %d %u", id, n);
+  for (i = 0; i < PUREC_INSTR_HIST_CELLS; i++) {
+    if (hist[i] != 0) printf(" %u:%llu", i, hist[i]);
+  }
+  printf("\n");
+  for (i = 0; i < 3; i++) {
+    printf("pct %d %u %llu\n", id, percents[i],
+           purec_instr_hist_pct(hist, n, percents[i]));
+  }
+}
+
+static void mode_hist_table(void) {
+  purec_instr_u64 v, values[1000];
+  unsigned i, k;
+  for (v = 0; v < 4096; v++) print_index(v);
+  for (k = 0; k < 64; k++) {
+    print_index((1ULL << k) - 1);
+    print_index(1ULL << k);
+    print_index((1ULL << k) + 1);
+  }
+  print_index(~0ULL);
+  for (i = 0; i < PUREC_INSTR_HIST_CELLS; i++) {
+    printf("upper %u %llu\n", i, purec_instr_hist_upper(i));
+  }
+  print_hist(0, 0, 0);
+  values[0] = 42;
+  print_hist(1, values, 1);
+  for (i = 0; i < 100; i++) values[i] = 5;
+  values[100] = 1000;
+  print_hist(2, values, 101);
+  for (i = 0; i < 1000; i++) values[i] = (purec_instr_u64)i * i * 37 + 3;
+  print_hist(3, values, 1000);
+  for (k = 0; k < 64; k++) values[k] = 1ULL << k;
+  print_hist(4, values, 64);
+}
+
+int main(int argc, char** argv) {
+  const char* name = argc > 1 ? argv[1] : "";
+  const char* arg = argc > 2 ? argv[2] : "";
+  const char* arg2 = argc > 3 ? argv[3] : "";
+  purec_memo_word n = strtoull(arg, 0, 10);
+  self_exe = argv[0];
+  if (strcmp(name, "roundtrip") == 0) {
+    scenario_roundtrip();
+  } else if (strcmp(name, "idempotent") == 0) {
+    scenario_idempotent();
+  } else if (strcmp(name, "capacity_one") == 0) {
+    scenario_capacity_one();
+  } else if (strcmp(name, "geometry") == 0) {
+    scenario_geometry(arg, arg2);
+  } else if (strcmp(name, "env_parse") == 0) {
+    scenario_env_parse();
+  } else if (strcmp(name, "eviction") == 0) {
+    scenario_eviction();
+  } else if (strcmp(name, "hammer") == 0) {
+    scenario_hammer();
+  } else if (strcmp(name, "checksum") == 0) {
+    scenario_checksum();
+  } else if (strcmp(name, "verify_alias") == 0) {
+    scenario_verify_alias();
+  } else if (strcmp(name, "verify_wide") == 0) {
+    scenario_verify_wide();
+  } else if (strcmp(name, "verify_off") == 0) {
+    scenario_verify_off();
+  } else if (strcmp(name, "shared_attach") == 0) {
+    scenario_shared_attach(arg);
+  } else if (strcmp(name, "shared_mismatch") == 0) {
+    scenario_shared_mismatch(arg);
+  } else if (strcmp(name, "fork") == 0) {
+    scenario_fork(arg);
+  } else if (strcmp(name, "hostile") == 0) {
+    scenario_hostile(arg, arg2);
+  } else if (strcmp(name, "stats_dump") == 0) {
+    scenario_stats_dump(arg);
+  } else if (strcmp(name, "instr_dump") == 0) {
+    scenario_instr_dump(arg);
+  } else if (strcmp(name, "hist_table") == 0) {
+    mode_hist_table();
+  } else if (strcmp(name, "phase_fill") == 0) {
+    phase_fill(n);
+  } else if (strcmp(name, "phase_resident") == 0) {
+    phase_resident(n);
+  } else if (strcmp(name, "phase_exact") == 0) {
+    phase_exact(n);
+  } else if (strcmp(name, "phase_private") == 0) {
+    phase_private(n);
+  } else if (strcmp(name, "phase_hammer") == 0) {
+    phase_hammer(n);
+  } else if (strcmp(name, "phase_stats") == 0) {
+    phase_stats();
+  } else if (strcmp(name, "phase_instr") == 0) {
+    phase_instr();
+  } else {
+    fprintf(stderr, "memo_runtime_test: unknown scenario '%s'\n", name);
+    return 2;
+  }
+  return failures == 0 ? 0 : 1;
+}

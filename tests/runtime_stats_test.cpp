@@ -1,5 +1,5 @@
 // purec::rt::stats behind -DPUREC_RT_STATS=1: this executable recompiles
-// thread_pool.cpp / parallel_for.cpp / memo_cache.cpp with the knob on
+// thread_pool.cpp / parallel_for.cpp with the knob on
 // (tests/CMakeLists.txt), so the hooks are live here while the production
 // runtime archive keeps them compiled out. The assertions are accounting
 // identities — chunk tallies must sum to exactly the chunk count the
@@ -11,11 +11,10 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <sstream>
 #include <string>
 
-#include <unistd.h>
-
-#include "runtime/memo_cache.h"
 #include "runtime/parallel_for.h"
 #include "runtime/thread_pool.h"
 
@@ -106,43 +105,6 @@ TEST(RuntimeStats, BarrierOutcomesAreRecorded) {
             0u);
 }
 
-TEST(RuntimeStats, MemoCacheTrafficMirrorsIntoTheGlobalCounters) {
-  stats::reset();
-  MemoCache cache(MemoConfig{});
-  std::uint64_t value = 0;
-  EXPECT_FALSE(cache.lookup(42, &value));
-  cache.store(42, 7);
-  EXPECT_TRUE(cache.lookup(42, &value));
-  EXPECT_EQ(value, 7u);
-  EXPECT_EQ(read(stats::counters().memo_hits), 1u);
-  EXPECT_EQ(read(stats::counters().memo_misses), 1u);
-  EXPECT_EQ(read(stats::counters().memo_stores), 1u);
-  EXPECT_EQ(read(stats::counters().memo_evictions), 0u);
-}
-
-TEST(RuntimeStats, SharedMemoCacheTrafficTicksTheSameCounters) {
-  // A PUREC_MEMO_PATH-backed cache routes probes through the identical
-  // instrumented wrapper: global counters and the memo-probe latency
-  // histogram fill exactly as for a private table.
-  stats::reset();
-  const std::string path = ::testing::TempDir() + "purec_stats_memo_" +
-                           std::to_string(::getpid()) + ".cache";
-  std::remove(path.c_str());
-  MemoConfig config{4, 256};
-  config.path = path;
-  MemoCache cache(config);
-  ASSERT_TRUE(cache.shared());
-  std::uint64_t value = 0;
-  EXPECT_FALSE(cache.lookup(42, &value));
-  cache.store(42, 7);
-  EXPECT_TRUE(cache.lookup(42, &value));
-  EXPECT_EQ(read(stats::counters().memo_hits), 1u);
-  EXPECT_EQ(read(stats::counters().memo_misses), 1u);
-  EXPECT_EQ(read(stats::counters().memo_stores), 1u);
-  EXPECT_EQ(stats::snapshot_memo_hist().count, 2u);  // one per probe
-  std::remove(path.c_str());
-}
-
 TEST(RuntimeStats, DumpWritesTheHumanSummary) {
   stats::reset();
   stats::add(stats::counters().regions, 3);
@@ -156,7 +118,6 @@ TEST(RuntimeStats, DumpWritesTheHumanSummary) {
   std::fclose(tmp);
   EXPECT_NE(text.find("purec-rt[pool] regions=3"), std::string::npos)
       << text;
-  EXPECT_NE(text.find("purec-rt[memo] hits=0"), std::string::npos) << text;
   EXPECT_NE(text.find("purec-rt[chunks] w1=1"), std::string::npos) << text;
 }
 
@@ -244,6 +205,63 @@ TEST(RuntimeStatsHist, PercentileEdges) {
   EXPECT_EQ(stats::hist_percentile(one, 100), cell_upper);
 }
 
+TEST(RuntimeStatsHist, MatchesTheEmittedCHistogramBitForBit) {
+  // The --instrument runtime (src/runtime/c/purec_instr.h) prints its
+  // cell index, cell upper bound and percentile math; every line must
+  // agree with the C++ functions, so a joined trace analysis compares
+  // like with like.
+  const char* bin = std::getenv("PUREC_RUNTIME_C_TEST");
+  if (bin == nullptr || bin[0] == '\0') {
+    GTEST_SKIP() << "PUREC_RUNTIME_C_TEST not set";
+  }
+  const std::string command = "'" + std::string(bin) + "' hist_table";
+  std::FILE* pipe = popen(command.c_str(), "r");
+  ASSERT_NE(pipe, nullptr);
+  std::size_t indices = 0;
+  std::size_t uppers = 0;
+  std::size_t percentiles = 0;
+  stats::HistSnapshot snapshot;
+  char line[8192];
+  while (std::fgets(line, sizeof line, pipe) != nullptr) {
+    std::istringstream in(line);
+    std::string kind;
+    in >> kind;
+    if (kind == "index") {
+      std::uint64_t value = 0;
+      std::size_t index = 0;
+      in >> value >> index;
+      EXPECT_EQ(stats::hist_index(value), index) << "value " << value;
+      ++indices;
+    } else if (kind == "upper") {
+      std::size_t index = 0;
+      std::uint64_t upper = 0;
+      in >> index >> upper;
+      EXPECT_EQ(stats::hist_cell_upper(index), upper) << "cell " << index;
+      ++uppers;
+    } else if (kind == "hist") {
+      int id = 0;
+      snapshot = stats::HistSnapshot{};
+      in >> id >> snapshot.count;
+      std::size_t cell = 0;
+      char colon = 0;
+      std::uint64_t n = 0;
+      while (in >> cell >> colon >> n) snapshot.cells[cell] = n;
+    } else if (kind == "pct") {
+      int id = 0;
+      unsigned percent = 0;
+      std::uint64_t value = 0;
+      in >> id >> percent >> value;
+      EXPECT_EQ(stats::hist_percentile(snapshot, percent), value)
+          << "histogram " << id << " p" << percent;
+      ++percentiles;
+    }
+  }
+  EXPECT_EQ(pclose(pipe), 0);
+  EXPECT_EQ(indices, 4096u + 64u * 3u + 1u);
+  EXPECT_EQ(uppers, static_cast<std::size_t>(stats::kHistCells));
+  EXPECT_EQ(percentiles, 5u * 3u);
+}
+
 TEST(RuntimeStatsHist, RegionRunsFeedTheRegionHistogram) {
   stats::reset();
   ThreadPool pool(2);
@@ -255,7 +273,6 @@ TEST(RuntimeStatsHist, RegionRunsFeedTheRegionHistogram) {
 TEST(RuntimeStatsHist, DumpPrintsHistogramSummaries) {
   stats::reset();
   stats::record_hist(stats::counters().region_hist, 0, 1000);
-  stats::record_hist(stats::counters().memo_hist, 0, 50);
   std::FILE* tmp = std::tmpfile();
   ASSERT_NE(tmp, nullptr);
   stats::dump(tmp);
@@ -265,19 +282,17 @@ TEST(RuntimeStatsHist, DumpPrintsHistogramSummaries) {
   std::fclose(tmp);
   EXPECT_NE(text.find("purec-rt[region_hist] count=1"), std::string::npos)
       << text;
-  EXPECT_NE(text.find("purec-rt[memo_probe] count=1"), std::string::npos)
-      << text;
   EXPECT_NE(text.find("p99_ns="), std::string::npos) << text;
 }
 
 TEST(RuntimeStats, ResetZeroesEverything) {
   stats::add(stats::counters().regions, 5);
-  stats::add(stats::counters().memo_hits, 2);
+  stats::add(stats::counters().steals, 2);
   stats::note_chunk(0);
   stats::record_hist(stats::counters().region_hist, 0, 123);
   stats::reset();
   EXPECT_EQ(read(stats::counters().regions), 0u);
-  EXPECT_EQ(read(stats::counters().memo_hits), 0u);
+  EXPECT_EQ(read(stats::counters().steals), 0u);
   EXPECT_EQ(total_chunks(), 0u);
   EXPECT_EQ(stats::snapshot_region_hist().count, 0u);
 }

@@ -1,10 +1,10 @@
 // purec::rt::trace behind -DPUREC_RT_TRACE=1: like runtime_stats_test,
 // this executable recompiles the hooked runtime TUs with the trace knob on
-// (tests/CMakeLists.txt), so chunk/steal/barrier/memo events stream here
+// (tests/CMakeLists.txt), so chunk/steal/barrier events stream here
 // while the production archive keeps the hooks compiled out. Assertions
 // cover the ring (overflow -> dropped count), the Chrome-array schema of
 // the writer, the cooperative append that merges sequential dumps into one
-// valid JSON array, and the live parallel_for/memo hooks.
+// valid JSON array, and the live parallel_for hooks.
 #include "runtime/trace.h"
 
 #include <gtest/gtest.h>
@@ -14,9 +14,6 @@
 #include <cstdio>
 #include <string>
 
-#include <unistd.h>
-
-#include "runtime/memo_cache.h"
 #include "runtime/parallel_for.h"
 #include "runtime/thread_pool.h"
 #include "support/json.h"
@@ -94,7 +91,7 @@ TEST(RuntimeTrace, WriteEventsEmitsTheChromeArraySchema) {
   trace::record(1, trace::EventKind::Chunk, 1200, 2200, 7, 0, 64);
   trace::record(1, trace::EventKind::Steal, 2200, 2200, 7, 3);
   trace::record(2, trace::EventKind::BarrierPark, 100, 900);
-  trace::record(0, trace::EventKind::MemoHit, 50, 60);
+  trace::record(0, trace::EventKind::BarrierSpin, 50, 60);
   std::FILE* tmp = std::tmpfile();
   ASSERT_NE(tmp, nullptr);
   trace::write_events(tmp);
@@ -112,7 +109,6 @@ TEST(RuntimeTrace, WriteEventsEmitsTheChromeArraySchema) {
   EXPECT_NE(text.find("\"cat\":\"chunk\""), std::string::npos) << text;
   EXPECT_NE(text.find("\"cat\":\"steal\""), std::string::npos) << text;
   EXPECT_NE(text.find("\"cat\":\"barrier\""), std::string::npos) << text;
-  EXPECT_NE(text.find("\"cat\":\"memo\""), std::string::npos) << text;
   EXPECT_NE(text.find("\"region_id\":7"), std::string::npos) << text;
   EXPECT_NE(text.find("heat:12"), std::string::npos) << text;
 
@@ -139,7 +135,7 @@ TEST(RuntimeTrace, RingOverflowCountsDroppedEvents) {
   ScopedTracePath scratch("runtime_trace_overflow.json");
   const std::size_t extra = 10;
   for (std::size_t i = 0; i < trace::kRingCapacity + extra; ++i) {
-    trace::record(0, trace::EventKind::MemoMiss, i, i + 1);
+    trace::record(0, trace::EventKind::Chunk, i, i + 1);
   }
   std::FILE* tmp = std::tmpfile();
   ASSERT_NE(tmp, nullptr);
@@ -207,48 +203,6 @@ TEST(RuntimeTrace, ParallelForStreamsChunkEventsWithTheRegionId) {
   EXPECT_NE(text.find("\"region_id\":9"), std::string::npos) << text;
   // 100 iterations in chunks of 7 = 15 claims = 15 chunk events.
   EXPECT_EQ(count_occurrences(text, "\"cat\":\"chunk\""), 15u);
-}
-
-TEST(RuntimeTrace, MemoProbesStreamHitAndMissEvents) {
-  ScopedTracePath scratch("runtime_trace_memo.json");
-  MemoCache cache(MemoConfig{});
-  std::uint64_t value = 0;
-  EXPECT_FALSE(cache.lookup(42, &value));
-  cache.store(42, 7);
-  EXPECT_TRUE(cache.lookup(42, &value));
-  std::FILE* tmp = std::tmpfile();
-  ASSERT_NE(tmp, nullptr);
-  trace::write_events(tmp);
-  const std::string text = slurp(tmp);
-  std::fclose(tmp);
-  EXPECT_NE(text.find("\"memo_hit\""), std::string::npos) << text;
-  EXPECT_NE(text.find("\"memo_miss\""), std::string::npos) << text;
-}
-
-TEST(RuntimeTrace, SharedMemoCacheStreamsTheSameEvents) {
-  // Probes against a PUREC_MEMO_PATH mapping go through the identical
-  // trace hook: hit/miss events stream whether the slots are private or
-  // a shared file.
-  ScopedTracePath scratch("runtime_trace_memo_shared.json");
-  const std::string path = ::testing::TempDir() + "purec_trace_memo_" +
-                           std::to_string(::getpid()) + ".cache";
-  std::remove(path.c_str());
-  MemoConfig config{4, 256};
-  config.path = path;
-  MemoCache cache(config);
-  ASSERT_TRUE(cache.shared());
-  std::uint64_t value = 0;
-  EXPECT_FALSE(cache.lookup(42, &value));
-  cache.store(42, 7);
-  EXPECT_TRUE(cache.lookup(42, &value));
-  std::FILE* tmp = std::tmpfile();
-  ASSERT_NE(tmp, nullptr);
-  trace::write_events(tmp);
-  const std::string text = slurp(tmp);
-  std::fclose(tmp);
-  EXPECT_NE(text.find("\"memo_hit\""), std::string::npos) << text;
-  EXPECT_NE(text.find("\"memo_miss\""), std::string::npos) << text;
-  std::remove(path.c_str());
 }
 
 TEST(RuntimeTrace, ResetDropsRecordedEvents) {

@@ -77,7 +77,7 @@ TEST(JsonParse, RejectsPathologicalNesting) {
 // ---------------------------------------------------------------------------
 
 // A mixed two-runtime trace: emitted-C region on pid 1 (X + C counter
-// events), runtime chunk/steal/barrier/memo events on pid 2 that carry
+// events), runtime chunk/steal/barrier events on pid 2 that carry
 // only the region_id, plus an overflow marker.
 const char* kMixedTrace = R"json([
   {"name":"process_name","ph":"M","pid":1,"args":{"name":"purec-instr"}},
@@ -93,10 +93,6 @@ const char* kMixedTrace = R"json([
    "s":"t","args":{"region_id":0,"victim":0}},
   {"name":"barrier_park","cat":"barrier","ph":"X","pid":2,"tid":2,
    "ts":0.0,"dur":500.0,"args":{}},
-  {"name":"memo_hit","cat":"memo","ph":"X","pid":2,"tid":0,
-   "ts":10.0,"dur":1.0,"args":{}},
-  {"name":"memo_miss","cat":"memo","ph":"X","pid":2,"tid":0,
-   "ts":20.0,"dur":2.0,"args":{}},
   {"name":"purec: trace ring overflow","ph":"i","pid":2,"tid":0,
    "ts":999.0,"s":"g","args":{"dropped":5}}
 ])json";
@@ -131,8 +127,6 @@ TEST(AnalyzeTrace, MergesBothRuntimesIntoOneRegionRow) {
   EXPECT_EQ(region.steals, 1u);
   EXPECT_EQ(summary->barrier_parks, 1u);
   EXPECT_DOUBLE_EQ(summary->barrier_park_us, 500.0);
-  EXPECT_EQ(summary->memo_hits, 1u);
-  EXPECT_EQ(summary->memo_misses, 1u);
   EXPECT_EQ(summary->dropped, 5u);
 }
 
