@@ -4,7 +4,7 @@
 // Two kernels the chain now parallelizes via reduction clauses instead of
 // mis-serializing:
 //   dot  — float dot product folded with `+` (the dot_reduce fixture's
-//          runtime twin: parallel_reduce over a pure combiner)
+//          shape on the C++ runtime: parallel_reduce over a pure combiner)
 //   min  — float minimum folded with fminf-style min
 // Each runs serially and through parallel_reduce at 1/2/4/8 threads
 // (clamped by PUREC_MAX_THREADS) under the static, guided and stealing

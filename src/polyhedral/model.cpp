@@ -445,8 +445,8 @@ struct ReductionMatch {
     const Expr* other =
         first_is_s ? call->args[1].get() : call->args[0].get();
     if (references_identifier(*other, s)) return std::nullopt;
-    m.op = ReductionOp::Call;
-    minmax_callee(name, m.op);
+    // fmin/fmax families are Min/Max; any other 2-ary call is a Call.
+    if (!minmax_callee(name, m.op)) m.op = ReductionOp::Call;
     m.callee = name;
     m.other = other;
     m.call_rhs = true;

@@ -2,9 +2,8 @@
 /* --instrument runtime: per-region invocation/wall-time counters,
  * per-worker chunk tallies, and a log-bucketed wall-time histogram per
  * region (HdrHistogram-style: exact below 2^3 ns, then 8 linear
- * sub-buckets per power of two — the same cell math as the C++ runtime's
- * purec::rt::stats histograms, so percentiles agree across a mixed
- * binary). Workers bump their own cache-line-padded cell with a relaxed
+ * sub-buckets per power of two, so a cell is at most 1/8 of its lower
+ * bound wide). Workers bump their own cache-line-padded cell with a relaxed
  * __atomic add (the per-CPU counter pattern), so the hot path is one
  * padded add per claimed outer iteration — no lock, no shared line. The
  * atexit dump writes a human summary (with p50/p90/p99) to
@@ -13,10 +12,10 @@
  * the region's stable id in args, one "C" counter event per region with
  * the per-worker totals, "M" metadata naming process and thread) for
  * chrome://tracing or Perfetto. The trace file is a bare JSON array,
- * cooperatively appended: an existing array at the path (for example one
- * the C++ runtime's PUREC_RT_TRACE dump already wrote) has its closing
- * bracket replaced by a comma and the new events spliced in, so any
- * number of sequential dumps to one path remain one valid timeline. */
+ * cooperatively appended: an existing array at the path (for example an
+ * earlier run's dump) has its closing bracket replaced by a comma and the
+ * new events spliced in, so any number of sequential dumps to one path
+ * remain one valid timeline. */
 typedef unsigned long long purec_instr_u64;
 #define PUREC_INSTR_MAX_WORKERS 64
 #define PUREC_INSTR_MAX_REGIONS 64
@@ -68,9 +67,9 @@ static void purec_instr_chunk(purec_instr_region_t* purec_r) {
                      __ATOMIC_RELAXED);
 }
 
-/* Histogram cell math — keep bit-for-bit identical to hist_index /
- * hist_cell_upper / hist_percentile in src/runtime/stats.h, so a joined
- * trace analysis can compare percentiles across the two runtimes. */
+/* Histogram cell math: cell i holds the values (upper(i - 1), upper(i)],
+ * and the cells tile [0, 2^64) without gaps. A percentile reports the
+ * upper bound of the cell it lands in. */
 static unsigned purec_instr_hist_index(purec_instr_u64 purec_v) {
   int purec_msb, purec_shift;
   if (purec_v < PUREC_INSTR_HIST_SUB) return (unsigned)purec_v;

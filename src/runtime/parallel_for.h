@@ -23,9 +23,7 @@
 #include <functional>
 #include <vector>
 
-#include "runtime/stats.h"
 #include "runtime/thread_pool.h"
-#include "runtime/trace.h"
 
 namespace purec::rt {
 
@@ -37,10 +35,6 @@ struct ForOptions {
   /// Dynamic only: claim from per-worker sub-ranges and steal on
   /// exhaustion instead of hammering one shared counter.
   bool stealing = false;
-  /// Stable region id stamped on trace events (join key against the
-  /// compile-time report's scops[].region_id). Ignored unless tracing is
-  /// compiled in and active.
-  std::uint32_t region_id = 0;
 };
 
 namespace detail {
@@ -76,65 +70,11 @@ struct alignas(kCacheLineBytes) ClaimableRange {
 /// inlines into the claim loops.
 template <class ChunkFn>
 void for_each_chunk(ThreadPool& pool, std::int64_t begin, std::int64_t end,
-                    const ForOptions& options, ChunkFn&& raw_chunk_fn) {
+                    const ForOptions& options, ChunkFn&& chunk_fn) {
   if (begin >= end) return;
   const auto threads = static_cast<std::int64_t>(pool.worker_count());
   const std::int64_t total = end - begin;
   const std::int64_t chunk = std::max<std::int64_t>(options.chunk, 1);
-
-  // Observability shim around the user's chunk body; with stats and
-  // tracing compiled out (the default) this is the identity and the
-  // launch/claim paths are instruction-for-instruction what they always
-  // were.
-  const auto chunk_fn = [&](std::size_t worker, std::int64_t b,
-                            std::int64_t e) {
-    stats::note_chunk(worker);
-    if constexpr (stats::kEnabled || trace::kEnabled) {
-      // Attribute per-worker histogram rows / rings for subsystems that
-      // run inside the chunk body without a worker parameter (memo).
-      stats::set_current_worker(worker);
-    }
-    if constexpr (trace::kEnabled) {
-      if (trace::active()) {
-        const std::uint64_t t0 = stats::now_ns();
-        raw_chunk_fn(worker, b, e);
-        trace::record(worker, trace::EventKind::Chunk, t0,
-                      stats::now_ns(), options.region_id, b, e);
-        return;
-      }
-    }
-    raw_chunk_fn(worker, b, e);
-  };
-  struct RegionTimer {
-    std::uint64_t begin_ns = 0;
-    std::uint32_t region_id = 0;
-    explicit RegionTimer(std::uint32_t id) : region_id(id) {
-      if constexpr (stats::kEnabled || trace::kEnabled) {
-        begin_ns = stats::now_ns();
-      }
-      if constexpr (stats::kEnabled) {
-        stats::add(stats::counters().regions);
-      }
-    }
-    ~RegionTimer() {
-      if constexpr (stats::kEnabled || trace::kEnabled) {
-        const std::uint64_t end_ns = stats::now_ns();
-        if constexpr (stats::kEnabled) {
-          stats::add(stats::counters().region_ns, end_ns - begin_ns);
-          stats::record_region_ns(end_ns - begin_ns);
-        }
-        if constexpr (trace::kEnabled) {
-          if (trace::active()) {
-            // The launch runs on the calling thread, which always carries
-            // worker index 0.
-            trace::record(0, trace::EventKind::Region, begin_ns, end_ns,
-                          region_id);
-          }
-        }
-      }
-    }
-  } region_timer{options.region_id};
-  (void)region_timer;
 
   switch (options.schedule) {
     case Schedule::Static: {
@@ -178,20 +118,8 @@ void for_each_chunk(ThreadPool& pool, std::int64_t begin, std::int64_t end,
           // anywhere.
           const auto n = static_cast<std::size_t>(threads);
           for (std::size_t hop = 1; hop < n; ++hop) {
-            const std::size_t victim_index = (worker + hop) % n;
-            auto& victim = ranges[victim_index];
-            while (victim.claim(chunk, &b, &e)) {
-              stats::add(stats::counters().steals);
-              if constexpr (trace::kEnabled) {
-                if (trace::active()) {
-                  const std::uint64_t now = stats::now_ns();
-                  trace::record(worker, trace::EventKind::Steal, now, now,
-                                options.region_id,
-                                static_cast<std::int64_t>(victim_index));
-                }
-              }
-              chunk_fn(worker, b, e);
-            }
+            auto& victim = ranges[(worker + hop) % n];
+            while (victim.claim(chunk, &b, &e)) chunk_fn(worker, b, e);
           }
         });
         return;
@@ -266,9 +194,9 @@ void parallel_for(ThreadPool& pool, std::int64_t begin, std::int64_t end,
 /// General reduction over [begin, end): each worker folds `body(i)` into
 /// a private accumulator seeded with `identity` via `combine` (one cache
 /// line per partial), and partials are combined in worker order after the
-/// join — the runtime twin of OpenMP `reduction(op:...)`. `combine` must
-/// be associative; commutativity is not required because partials merge
-/// in a fixed order. Layered on the same core as parallel_for_blocked, so
+/// join — OpenMP `reduction(op:...)` on the pool. `combine` must be
+/// associative; commutativity is not required because partials merge in a
+/// fixed order. Layered on the same core as parallel_for_blocked, so
 /// every schedule — including guided and stealing — is available.
 ///
 ///   sum:  parallel_reduce(pool, b, e, 0.0, std::plus<>{}, body)

@@ -2,9 +2,6 @@
 
 #include <cstdlib>
 
-#include "runtime/stats.h"
-#include "runtime/trace.h"
-
 #if defined(__linux__)
 #include <linux/futex.h>
 #include <sys/syscall.h>
@@ -119,12 +116,6 @@ void ThreadPool::run_on_all(FunctionRef<void(std::size_t)> task) {
 }
 
 void ThreadPool::worker_loop(std::size_t index, std::size_t stride) {
-  if constexpr (stats::kEnabled || trace::kEnabled) {
-    // Barrier waits and other out-of-chunk work on this OS thread are
-    // attributed to its primary worker index (the chunk shim refines the
-    // attribution per chunk while regions run).
-    stats::set_current_worker(index);
-  }
   std::uint32_t seen = 0;
   for (;;) {
     wait_for_change(start_, seen);
@@ -143,30 +134,10 @@ void ThreadPool::worker_loop(std::size_t index, std::size_t stride) {
 }
 
 void ThreadPool::wait_for_change(Signal& signal, std::uint32_t last_seen) {
-  if constexpr (trace::kEnabled) {
-    if (trace::active()) {
-      const std::uint64_t begin_ns = stats::now_ns();
-      const bool parked = wait_for_change_impl(signal, last_seen);
-      trace::record(stats::current_worker(),
-                    parked ? trace::EventKind::BarrierPark
-                           : trace::EventKind::BarrierSpin,
-                    begin_ns, stats::now_ns());
-      return;
-    }
-  }
-  (void)wait_for_change_impl(signal, last_seen);
-}
-
-bool ThreadPool::wait_for_change_impl(Signal& signal,
-                                      std::uint32_t last_seen) {
   for (std::size_t spin = 0; spin < spin_limit_; ++spin) {
-    if (signal.word.load(std::memory_order_acquire) != last_seen) {
-      stats::add(stats::counters().barrier_spins);
-      return false;
-    }
+    if (signal.word.load(std::memory_order_acquire) != last_seen) return;
     cpu_relax();
   }
-  stats::add(stats::counters().barrier_parks);
 #if defined(__linux__)
   for (;;) {
     // Advertise intent to sleep, then re-check: the waker reads `parked`
@@ -175,13 +146,11 @@ bool ThreadPool::wait_for_change_impl(Signal& signal,
     signal.parked.fetch_add(1, std::memory_order_seq_cst);
     if (signal.word.load(std::memory_order_seq_cst) != last_seen) {
       signal.parked.fetch_sub(1, std::memory_order_relaxed);
-      return true;
+      return;
     }
     futex_wait(signal.word, last_seen);
     signal.parked.fetch_sub(1, std::memory_order_relaxed);
-    if (signal.word.load(std::memory_order_acquire) != last_seen) {
-      return true;
-    }
+    if (signal.word.load(std::memory_order_acquire) != last_seen) return;
   }
 #else
   std::unique_lock lock(park_mutex_);
@@ -193,7 +162,6 @@ bool ThreadPool::wait_for_change_impl(Signal& signal,
     return signal.word.load(std::memory_order_seq_cst) != last_seen;
   });
   signal.parked.fetch_sub(1, std::memory_order_relaxed);
-  return true;
 #endif
 }
 

@@ -92,10 +92,7 @@ class ThreadPool {
   void worker_loop(std::size_t index, std::size_t stride);
 
   /// Blocks until `signal.word != last_seen`: bounded spin, then park.
-  /// The thin wrapper adds trace timing when tracing is compiled in; the
-  /// impl returns whether the wait entered the kernel.
   void wait_for_change(Signal& signal, std::uint32_t last_seen);
-  bool wait_for_change_impl(Signal& signal, std::uint32_t last_seen);
   /// Wakes every thread parked in wait_for_change on `signal`.
   void wake_all(Signal& signal);
 

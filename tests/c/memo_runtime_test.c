@@ -696,55 +696,59 @@ static void scenario_instr_dump(const char* prefix) {
 }
 
 /* ------------------------------------------------------------------ */
-/* hist_table: the --instrument histogram math, printed for comparison  */
-/* with purec::rt::stats (tests/runtime_stats_test.cpp)                 */
+/* hist: the --instrument histogram cell math and percentiles           */
 /* ------------------------------------------------------------------ */
 
-static void print_index(purec_instr_u64 v) {
-  printf("index %llu %u\n", v, purec_instr_hist_index(v));
-}
-
-/* "hist ID COUNT CELL:N ..." then "pct ID P VALUE" for p50/p90/p99. */
-static void print_hist(int id, const purec_instr_u64* values, unsigned n) {
-  static const unsigned percents[3] = {50, 90, 99};
+/* Percentile `pct` of `n` samples, all of them `values[0..n)`. */
+static purec_instr_u64 pct_of(const purec_instr_u64* values, unsigned n,
+                              unsigned pct) {
   purec_instr_u64 hist[PUREC_INSTR_HIST_CELLS];
   unsigned i;
   memset(hist, 0, sizeof hist);
   for (i = 0; i < n; i++) hist[purec_instr_hist_index(values[i])]++;
-  printf("hist %d %u", id, n);
-  for (i = 0; i < PUREC_INSTR_HIST_CELLS; i++) {
-    if (hist[i] != 0) printf(" %u:%llu", i, hist[i]);
-  }
-  printf("\n");
-  for (i = 0; i < 3; i++) {
-    printf("pct %d %u %llu\n", id, percents[i],
-           purec_instr_hist_pct(hist, n, percents[i]));
-  }
+  return purec_instr_hist_pct(hist, n, pct);
 }
 
-static void mode_hist_table(void) {
-  purec_instr_u64 v, values[1000];
-  unsigned i, k;
-  for (v = 0; v < 4096; v++) print_index(v);
-  for (k = 0; k < 64; k++) {
-    print_index((1ULL << k) - 1);
-    print_index(1ULL << k);
-    print_index((1ULL << k) + 1);
+static void scenario_hist(void) {
+  static const purec_instr_u64 probes[3] = {100, 100000, 1ULL << 40};
+  const unsigned last = purec_instr_hist_index(~0ULL);
+  purec_instr_u64 v, values[101];
+  unsigned i;
+  /* Exact below PUREC_INSTR_HIST_SUB: value v lives in cell v. */
+  for (v = 0; v < PUREC_INSTR_HIST_SUB; v++) {
+    CHECK(purec_instr_hist_index(v) == v);
+    CHECK(purec_instr_hist_upper((unsigned)v) == v);
   }
-  print_index(~0ULL);
-  for (i = 0; i < PUREC_INSTR_HIST_CELLS; i++) {
-    printf("upper %u %llu\n", i, purec_instr_hist_upper(i));
+  /* The cells tile [0, 2^64) without gaps or overlaps. */
+  CHECK(last < PUREC_INSTR_HIST_CELLS);
+  CHECK(purec_instr_hist_upper(last) == ~0ULL);
+  for (i = 0; i < last; i++) {
+    CHECK(purec_instr_hist_index(purec_instr_hist_upper(i)) == i);
+    CHECK(purec_instr_hist_index(purec_instr_hist_upper(i) + 1) == i + 1);
   }
-  print_hist(0, 0, 0);
-  values[0] = 42;
-  print_hist(1, values, 1);
+  /* Relative error: a cell is at most a quarter of its lower bound wide. */
+  for (i = 0; i < 3; i++) {
+    unsigned cell = purec_instr_hist_index(probes[i]);
+    purec_instr_u64 lower = purec_instr_hist_upper(cell - 1) + 1;
+    CHECK(lower <= probes[i] && probes[i] <= purec_instr_hist_upper(cell));
+    CHECK(purec_instr_hist_upper(cell) - lower + 1 <= lower >> 2);
+  }
+  /* Percentile edges. */
+  CHECK(pct_of(0, 0, 50) == 0);
   for (i = 0; i < 100; i++) values[i] = 5;
   values[100] = 1000;
-  print_hist(2, values, 101);
-  for (i = 0; i < 1000; i++) values[i] = (purec_instr_u64)i * i * 37 + 3;
-  print_hist(3, values, 1000);
-  for (k = 0; k < 64; k++) values[k] = 1ULL << k;
-  print_hist(4, values, 64);
+  CHECK(pct_of(values, 101, 50) == 5);
+  CHECK(pct_of(values, 101, 99) == 5);
+  CHECK(pct_of(values, 101, 100) ==
+        purec_instr_hist_upper(purec_instr_hist_index(1000)));
+  values[0] = 42;
+  CHECK(pct_of(values, 1, 1) == 43);
+  CHECK(pct_of(values, 1, 100) == 43);
+  /* The rank rounds up: p50 of {1, 2, 3} is the 2nd sample, not the 1st. */
+  values[0] = 1;
+  values[1] = 2;
+  values[2] = 3;
+  CHECK(pct_of(values, 3, 50) == 2);
 }
 
 int main(int argc, char** argv) {
@@ -787,8 +791,8 @@ int main(int argc, char** argv) {
     scenario_stats_dump(arg);
   } else if (strcmp(name, "instr_dump") == 0) {
     scenario_instr_dump(arg);
-  } else if (strcmp(name, "hist_table") == 0) {
-    mode_hist_table();
+  } else if (strcmp(name, "hist") == 0) {
+    scenario_hist();
   } else if (strcmp(name, "phase_fill") == 0) {
     phase_fill(n);
   } else if (strcmp(name, "phase_resident") == 0) {

@@ -175,8 +175,8 @@ static int purec_memo_attach(const char* path, purec_memo_word shards,
       ? (size_t)nslots * (1u + PUREC_MEMO_VWORDS) * sizeof(purec_memo_word)
       : 0;
   size_t total = 64 + slots_bytes + vbytes;
-  /* ABI fingerprint over the slot/verify layout; the same literals are
-   * mixed by the C++ runtime twin so both sides can share one file. */
+  /* ABI fingerprint over the slot/verify layout, so a file laid out by
+   * an incompatible build or verify mode is never attached. */
   purec_memo_word abi =
       purec_memo_mix(0x5043ULL ^ (32ULL << 8) ^ (13ULL << 16) ^
                      (verify ? (1ULL << 24) : 0ULL));

@@ -334,8 +334,8 @@ TEST(E2EInstrument, InstrumentedDifferentialAndChromeTrace) {
   const std::string trace = read_file(trace_path);
   ASSERT_FALSE(trace.empty()) << "PUREC_TRACE wrote nothing";
   // Cooperative array format: a bare JSON array of events, opened with
-  // '[' and closed with ']' after every dump, so a second writer (the
-  // C++ runtime's PUREC_RT_TRACE dump) can splice its events in.
+  // '[' and closed with ']' after every dump, so a later dump to the same
+  // path can splice its events in.
   EXPECT_EQ(trace.rfind("[", 0), 0u) << trace.substr(0, 120);
   EXPECT_NE(trace.find("\"ph\":\"M\""), std::string::npos)
       << "no metadata events in the trace";

@@ -69,8 +69,29 @@ class PureccCliTest : public ::testing::Test {
     out << kInputProgram;
   }
 
+  /// Writes `text` to a scratch file and returns its path.
+  static std::string write_temp(const std::string& name,
+                                const std::string& text) {
+    const std::string path = ::testing::TempDir() + "/" + name;
+    std::ofstream out(path);
+    out << text;
+    return path;
+  }
+
   std::string input_path_;
 };
+
+/// A one-region trace in the schema an --instrument build writes.
+std::string region_trace(double dur_us) {
+  return "[\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
+         "\"args\":{\"name\":\"purec-instr\"}},\n"
+         "{\"name\":\"fill:24\",\"cat\":\"region\",\"ph\":\"X\",\"pid\":1,"
+         "\"tid\":1,\"ts\":0.000,\"dur\":" +
+         std::to_string(dur_us) +
+         ",\"args\":{\"region_id\":0}},\n"
+         "{\"name\":\"fill:24 chunks\",\"ph\":\"C\",\"pid\":1,\"ts\":1.0,"
+         "\"args\":{\"w0\":8,\"w1\":8}}\n]\n";
+}
 
 TEST_F(PureccCliTest, NoArgumentsPrintsUsage) {
   const RunResult r = run_purecc("");
@@ -415,6 +436,50 @@ TEST_F(PureccCliTest, FpReductionsGatesTheFloatAccumulation) {
       << relaxed.output;
   EXPECT_NE(relaxed.output.find("reduction=+:sum"), std::string::npos)
       << relaxed.output;
+}
+
+TEST_F(PureccCliTest, TraceSummarizesAnInstrumentedRun) {
+  const RunResult r = run_purecc(
+      "trace " + shell_quote(write_temp("purecc_cli_trace.json",
+                                        region_trace(2000.0))));
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("purecc-trace: region fill:24 id=0 executions=1 "
+                          "wall_ms=2.000 imbalance=1.000 chunks=16"),
+            std::string::npos)
+      << r.output;
+}
+
+TEST_F(PureccCliTest, TraceTruncatedMidArrayFailsWithTheByteOffset) {
+  // A run killed mid-dump leaves an unterminated array.
+  const std::string full = region_trace(2000.0);
+  const std::string path = write_temp(
+      "purecc_cli_truncated.json", full.substr(0, full.find("\"dur\"")));
+  const RunResult r = run_purecc("trace " + shell_quote(path));
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("purecc: " + path + ": "), std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("at byte"), std::string::npos) << r.output;
+}
+
+TEST_F(PureccCliTest, TraceThatIsNotAnArrayFails) {
+  const RunResult r = run_purecc(
+      "trace " + shell_quote(write_temp("purecc_cli_object.json",
+                                        "{\"traceEvents\": []}\n")));
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("not a JSON array"), std::string::npos)
+      << r.output;
+}
+
+TEST_F(PureccCliTest, TraceDiffFailsOnARegressionPastTheThreshold) {
+  const std::string base =
+      write_temp("purecc_cli_base.json", region_trace(1000.0));
+  const std::string slow =
+      write_temp("purecc_cli_slow.json", region_trace(10000.0));
+  const RunResult r = run_purecc("trace --diff " + shell_quote(base) + " " +
+                                 shell_quote(slow) + " --threshold 0.5");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("REGRESSION"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("-> FAIL"), std::string::npos) << r.output;
 }
 
 }  // namespace

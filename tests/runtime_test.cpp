@@ -99,6 +99,8 @@ TEST(ParallelForBlocked, ChunksArePartition) {
                          std::lock_guard lock(mutex);
                          chunks.push_back({b, e});
                        });
+  // Static: exactly one contiguous chunk per worker.
+  EXPECT_EQ(chunks.size(), 6u);
   std::sort(chunks.begin(), chunks.end());
   std::int64_t expected_begin = 0;
   for (const auto& [b, e] : chunks) {
@@ -123,6 +125,8 @@ TEST(ParallelForBlocked, DynamicChunkSizeRespected) {
   for (std::size_t i = 0; i < sizes.size(); ++i) {
     EXPECT_LE(sizes[i], 8);
   }
+  // ceil(100 / 8) claims, whichever worker wins each race.
+  EXPECT_EQ(sizes.size(), 13u);
   EXPECT_EQ(std::accumulate(sizes.begin(), sizes.end(), std::int64_t{0}),
             100);
 }

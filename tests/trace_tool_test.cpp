@@ -76,25 +76,20 @@ TEST(JsonParse, RejectsPathologicalNesting) {
 // analyze_trace
 // ---------------------------------------------------------------------------
 
-// A mixed two-runtime trace: emitted-C region on pid 1 (X + C counter
-// events), runtime chunk/steal/barrier events on pid 2 that carry
-// only the region_id, plus an overflow marker.
-const char* kMixedTrace = R"json([
+// What an --instrument build writes under PUREC_TRACE: metadata, one X
+// event per region execution (stamped with the region_id), the per-worker
+// "<region> chunks" counter, and an overflow marker.
+const char* kEmittedTrace = R"json([
   {"name":"process_name","ph":"M","pid":1,"args":{"name":"purec-instr"}},
+  {"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"main"}},
   {"name":"heat:12","cat":"region","ph":"X","pid":1,"tid":1,
    "ts":0.0,"dur":2000.0,"args":{"region_id":0}},
-  {"name":"heat:12 chunks","cat":"chunk","ph":"C","pid":1,"tid":1,
-   "ts":2000.0,"args":{"region_id":0,"w0":3,"w1":1}},
-  {"name":"chunk","cat":"chunk","ph":"X","pid":2,"tid":0,
-   "ts":100.0,"dur":300.0,"args":{"region_id":0}},
-  {"name":"chunk","cat":"chunk","ph":"X","pid":2,"tid":1,
-   "ts":100.0,"dur":100.0,"args":{"region_id":0}},
-  {"name":"steal","cat":"steal","ph":"i","pid":2,"tid":1,"ts":150.0,
-   "s":"t","args":{"region_id":0,"victim":0}},
-  {"name":"barrier_park","cat":"barrier","ph":"X","pid":2,"tid":2,
-   "ts":0.0,"dur":500.0,"args":{}},
-  {"name":"purec: trace ring overflow","ph":"i","pid":2,"tid":0,
-   "ts":999.0,"s":"g","args":{"dropped":5}}
+  {"name":"heat:12","cat":"region","ph":"X","pid":1,"tid":1,
+   "ts":3000.0,"dur":500.0,"args":{"region_id":0}},
+  {"name":"heat:12 chunks","ph":"C","pid":1,
+   "ts":4000.0,"args":{"w0":3,"w1":1}},
+  {"name":"purec: trace ring overflow","ph":"i","pid":1,"tid":1,
+   "ts":4001.0,"s":"g","args":{"dropped":5}}
 ])json";
 
 const char* kReportV3 = R"json({
@@ -109,29 +104,64 @@ const char* kReportV3 = R"json({
   }]
 })json";
 
-TEST(AnalyzeTrace, MergesBothRuntimesIntoOneRegionRow) {
-  const json::Value trace = parse_or_die(kMixedTrace);
+TEST(AnalyzeTrace, AggregatesTheEmittedSchema) {
+  const json::Value trace = parse_or_die(kEmittedTrace);
   std::string error;
   const auto summary = analyze_trace(trace, nullptr, &error);
   ASSERT_TRUE(summary.has_value()) << error;
-  // The pid-2 chunk/steal rows (known only as "region 0") must fold into
-  // the named pid-1 row sharing the region id.
   ASSERT_EQ(summary->regions.size(), 1u);
   const RegionTrace& region = summary->regions.begin()->second;
   EXPECT_EQ(region.name, "heat:12");
   EXPECT_EQ(region.region_id, 0);
-  EXPECT_EQ(region.executions, 1u);
-  EXPECT_DOUBLE_EQ(region.wall_us, 2000.0);
-  // 2 pid-2 chunk events + 4 counted in the emitted-C C event.
-  EXPECT_EQ(region.chunk_events, 6u);
-  EXPECT_EQ(region.steals, 1u);
-  EXPECT_EQ(summary->barrier_parks, 1u);
-  EXPECT_DOUBLE_EQ(summary->barrier_park_us, 500.0);
+  EXPECT_EQ(region.executions, 2u);
+  EXPECT_DOUBLE_EQ(region.wall_us, 2500.0);
+  EXPECT_EQ(region.chunks, 4u);
+  EXPECT_EQ(region.workers.at(0), 3u);
+  EXPECT_EQ(region.workers.at(1), 1u);
+  EXPECT_DOUBLE_EQ(region_imbalance(region), 1.5);
   EXPECT_EQ(summary->dropped, 5u);
 }
 
+TEST(AnalyzeTrace, SkipsEventsFromOtherWritersWithoutError) {
+  // The emitted schema with foreign events spliced in: per-chunk, steal
+  // and barrier records another tracer once wrote on pid 2, plus unknown
+  // categories and phases. None of them may change the aggregate.
+  const json::Value trace = parse_or_die(R"json([
+    {"name":"heat:12","cat":"region","ph":"X","pid":1,"tid":1,
+     "ts":0.0,"dur":2000.0,"args":{"region_id":0}},
+    {"name":"heat:12 chunks","ph":"C","pid":1,"ts":2000.0,
+     "args":{"w0":2,"w1":2}},
+    {"name":"process_name","ph":"M","pid":2,"args":{"name":"purec-rt"}},
+    {"name":"chunk","cat":"chunk","ph":"X","pid":2,"tid":0,
+     "ts":100.0,"dur":300.0,"args":{"region_id":0,"begin":0,"end":8}},
+    {"name":"steal","cat":"steal","ph":"i","pid":2,"tid":1,"ts":150.0,
+     "s":"t","args":{"region_id":0,"victim":0}},
+    {"name":"barrier_park","cat":"barrier","ph":"X","pid":2,"tid":2,
+     "ts":0.0,"dur":500.0,"args":{}},
+    {"name":"gc","cat":"v8","ph":"X","pid":3,"ts":0.0,"dur":9.0},
+    {"name":"flow","cat":"region","ph":"s","pid":1,"ts":1.0,"id":7},
+    {"name":"async","ph":"b","pid":1,"ts":1.0,"args":{"region_id":0}},
+    {"name":"not a counter","ph":"C","pid":1,"ts":1.0,"args":{"w0":99}},
+    {"name":"bare"}
+  ])json");
+  std::string error;
+  const auto summary = analyze_trace(trace, nullptr, &error);
+  ASSERT_TRUE(summary.has_value()) << error;
+  ASSERT_EQ(summary->regions.size(), 1u);
+  const RegionTrace& region = summary->regions.begin()->second;
+  EXPECT_EQ(region.name, "heat:12");
+  EXPECT_EQ(region.executions, 1u);
+  EXPECT_DOUBLE_EQ(region.wall_us, 2000.0);
+  EXPECT_EQ(region.chunks, 4u);
+  EXPECT_DOUBLE_EQ(region_imbalance(region), 1.0);
+  EXPECT_EQ(summary->dropped, 0u);
+  const std::string text = render_trace_summary(*summary);
+  EXPECT_EQ(text.find("steal"), std::string::npos) << text;
+  EXPECT_EQ(text.find("barrier"), std::string::npos) << text;
+}
+
 TEST(AnalyzeTrace, JoinsTheReportByRegionId) {
-  const json::Value trace = parse_or_die(kMixedTrace);
+  const json::Value trace = parse_or_die(kEmittedTrace);
   const json::Value report = parse_or_die(kReportV3);
   const auto summary = analyze_trace(trace, &report);
   ASSERT_TRUE(summary.has_value());
@@ -143,12 +173,13 @@ TEST(AnalyzeTrace, JoinsTheReportByRegionId) {
   const std::string text = render_trace_summary(*summary);
   EXPECT_NE(text.find("heat:12"), std::string::npos) << text;
   EXPECT_NE(text.find("schedule(dynamic, 16)"), std::string::npos) << text;
-  EXPECT_NE(text.find("steal_ratio="), std::string::npos) << text;
+  EXPECT_NE(text.find("imbalance=1.500 chunks=4"), std::string::npos)
+      << text;
   EXPECT_NE(text.find("dropped events=5"), std::string::npos) << text;
 }
 
 TEST(AnalyzeTrace, RendersTheMemoCostModelFromAV4Report) {
-  const json::Value trace = parse_or_die(kMixedTrace);
+  const json::Value trace = parse_or_die(kEmittedTrace);
   const json::Value report = parse_or_die(R"json({
     "report_version": 4,
     "scops": [],
@@ -177,22 +208,16 @@ TEST(AnalyzeTrace, RendersTheMemoCostModelFromAV4Report) {
       << text;
 }
 
-TEST(AnalyzeTrace, ImbalanceAndStealRatioArithmetic) {
+TEST(AnalyzeTrace, ImbalanceArithmetic) {
   RegionTrace region;
   EXPECT_DOUBLE_EQ(region_imbalance(region), 0.0);
-  EXPECT_DOUBLE_EQ(region_steal_ratio(region), 0.0);
-  // busy times 300 and 100: max / mean = 300 / 200 = 1.5.
-  region.workers[0] = {1, 300.0};
-  region.workers[1] = {1, 100.0};
+  // Chunk counts 3 and 1: max / mean = 3 / 2 = 1.5.
+  region.workers[0] = 3;
+  region.workers[1] = 1;
   EXPECT_DOUBLE_EQ(region_imbalance(region), 1.5);
-  // Count-only fallback (emitted-C counter event): 3 and 1 -> 1.5 too.
-  RegionTrace counts;
-  counts.workers[0] = {3, 0.0};
-  counts.workers[1] = {1, 0.0};
-  EXPECT_DOUBLE_EQ(region_imbalance(counts), 1.5);
-  region.chunk_events = 4;
-  region.steals = 1;
-  EXPECT_DOUBLE_EQ(region_steal_ratio(region), 0.25);
+  // Workers that claimed nothing do not dilute the mean.
+  region.workers[2] = 0;
+  EXPECT_DOUBLE_EQ(region_imbalance(region), 1.5);
 }
 
 TEST(AnalyzeTrace, RejectsNonArrayInput) {
