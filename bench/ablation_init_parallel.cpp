@@ -8,7 +8,6 @@
 
 #include "apps/matmul.h"
 #include "bench_common.h"
-#include "runtime/thread_pool.h"
 
 namespace {
 
@@ -29,14 +28,12 @@ int main(int argc, char** argv) {
 
   purec::bench::register_series(
       "ablation_init", "init_parallel(pure)", [](int t) {
-        purec::rt::ThreadPool pool(static_cast<std::size_t>(t));
         // Pure = chain output with the accidentally-parallel init loop.
-        return run_matmul(MatmulVariant::Pure, config(), pool).init_seconds;
+        return run_matmul(MatmulVariant::Pure, config(), t).init_seconds;
       });
   purec::bench::register_series(
       "ablation_init", "init_sequential(pluto)", [](int t) {
-        purec::rt::ThreadPool pool(static_cast<std::size_t>(t));
-        return run_matmul(MatmulVariant::PureNoInit, config(), pool)
+        return run_matmul(MatmulVariant::PureNoInit, config(), t)
             .init_seconds;
       });
 

@@ -1,12 +1,11 @@
-// Ablation: PluTo tile-size choice (DESIGN.md §5.3). Sweeps the tile edge
-// for the tiled matmul at a fixed thread count — the cache-blocking
+// Ablation: PluTo tile-size choice (§4.3). Sweeps the tile edge for the
+// tiled matmul at the top of the thread ladder — the cache-blocking
 // design choice PluTo-SICA's "extensive cache usage" claim rests on.
 // Also measures the compiler chain itself (source-to-source cost).
 #include <benchmark/benchmark.h>
 
 #include "apps/matmul.h"
 #include "bench_common.h"
-#include "runtime/thread_pool.h"
 #include "transform/pure_chain.h"
 
 namespace {
@@ -19,9 +18,9 @@ void BM_tile_size(benchmark::State& state) {
   MatmulConfig config;
   config.n = purec::bench::scaled_size(2048, 896, 256);
   config.tile = static_cast<int>(state.range(0));
-  purec::rt::ThreadPool pool(8);
+  const int threads = static_cast<int>(purec::bench::thread_ladder().back());
   for (auto _ : state) {
-    const auto r = run_matmul(MatmulVariant::Pluto, config, pool);
+    const auto r = run_matmul(MatmulVariant::Pluto, config, threads);
     state.SetIterationTime(r.compute_seconds);
     benchmark::DoNotOptimize(r.checksum);
   }

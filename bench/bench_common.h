@@ -1,18 +1,19 @@
-// Shared bench-harness infrastructure: the paper's core ladder (1..64),
-// full-scale toggle, and helpers to register per-variant series with
-// google-benchmark using manual (kernel-only) timing.
+// Shared bench-harness infrastructure: the paper's core ladder (powers of
+// two up to the host's cores), full-scale toggle, and helpers to register
+// per-variant series with google-benchmark using manual (kernel-only)
+// timing.
 //
 // Environment knobs:
 //   PUREC_FULL=1         paper-scale problem sizes (4096^2 matrices, ...)
 //   PUREC_SMOKE=1        CI-sized problems: correctness-of-harness runs
 //                        only, numbers are meaningless (set by bench-smoke)
 //   PUREC_REPS=<n>       repetitions per configuration (paper: 20)
-//   PUREC_MAX_THREADS=<n> clamp the thread ladder (default: full 1..64)
+//   PUREC_MAX_THREADS=<n> top of the thread ladder (default: the hardware
+//                        concurrency)
 #pragma once
 
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <string>
@@ -53,26 +54,12 @@ namespace purec::bench {
   return hc == 0 ? 1 : hc;
 }
 
-/// Host-honesty fields every BENCH_*.json writer stamps right after its
-/// "benchmark" field: the node's hardware concurrency and a
-/// `container_1core` flag. When the flag is true (CI containers pinned to
-/// one core) every multi-worker row oversubscribes a single core — the
-/// numbers measure contention behavior, not scaling, and readers of the
-/// committed artifacts can tell which is which without knowing where the
-/// file was produced.
-inline void write_json_host_fields(std::FILE* out) {
-  const unsigned hc = bench_hardware_concurrency();
-  std::fprintf(out,
-               "  \"hardware_concurrency\": %u,\n"
-               "  \"container_1core\": %s,\n",
-               hc, hc <= 1 ? "true" : "false");
-}
-
-/// The paper's ladder: 2^0 .. 2^6 cores. Values above the hardware
-/// concurrency oversubscribe (flagged in EXPERIMENTS.md), exactly like
-/// running the paper's 64-core sweep on a smaller node.
+/// The paper's ladder, 2^0 .. 2^6 cores on its 64-core node: powers of two
+/// up to the hardware concurrency. OpenMP runs one OS thread per requested
+/// thread, so rungs above the core count would measure oversubscription,
+/// not scaling; PUREC_MAX_THREADS moves the top either way.
 [[nodiscard]] inline std::vector<std::int64_t> thread_ladder() {
-  std::int64_t max_threads = 64;
+  std::int64_t max_threads = bench_hardware_concurrency();
   if (const char* env = std::getenv("PUREC_MAX_THREADS")) {
     const std::int64_t clamp = std::atoll(env);
     if (clamp > 0) max_threads = clamp;

@@ -11,7 +11,6 @@
 
 #include "apps/ellpack.h"
 #include "bench_common.h"
-#include "runtime/thread_pool.h"
 
 namespace {
 
@@ -30,8 +29,7 @@ EllConfig config(Compiler compiler) {
 }
 
 double run_variant(EllVariant variant, Compiler compiler, int threads) {
-  purec::rt::ThreadPool pool(static_cast<std::size_t>(threads));
-  return run_ell(variant, config(compiler), pool).compute_seconds;
+  return run_ell(variant, config(compiler), threads).compute_seconds;
 }
 
 }  // namespace
@@ -39,12 +37,9 @@ double run_variant(EllVariant variant, Compiler compiler, int threads) {
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
 
-  {
-    purec::rt::ThreadPool pool(1);
-    std::printf("fig10: sequential baseline = %.3f s\n",
-                run_ell(EllVariant::Sequential, config(Compiler::Gcc), pool)
-                    .compute_seconds);
-  }
+  std::printf("fig10: sequential baseline = %.3f s\n",
+              run_ell(EllVariant::Sequential, config(Compiler::Gcc), 1)
+                  .compute_seconds);
 
   purec::bench::register_series("fig10_lama_exec", "pure_auto_gcc",
                                 [](int t) {

@@ -7,7 +7,6 @@
 
 #include "apps/ellpack.h"
 #include "bench_common.h"
-#include "runtime/thread_pool.h"
 
 namespace {
 
@@ -26,8 +25,7 @@ EllConfig config(Compiler compiler) {
 }
 
 double run_variant(EllVariant variant, Compiler compiler, int threads) {
-  purec::rt::ThreadPool pool(static_cast<std::size_t>(threads));
-  return run_ell(variant, config(compiler), pool).compute_seconds;
+  return run_ell(variant, config(compiler), threads).compute_seconds;
 }
 
 }  // namespace
@@ -35,9 +33,8 @@ double run_variant(EllVariant variant, Compiler compiler, int threads) {
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
 
-  purec::rt::ThreadPool seq_pool(1);
   const double seq_seconds =
-      run_ell(EllVariant::Sequential, config(Compiler::Gcc), seq_pool)
+      run_ell(EllVariant::Sequential, config(Compiler::Gcc), 1)
           .compute_seconds;
   std::printf("fig11: Tseq (GCC) = %.3f s\n", seq_seconds);
 

@@ -11,7 +11,6 @@
 
 #include "apps/matmul.h"
 #include "bench_common.h"
-#include "runtime/thread_pool.h"
 
 namespace {
 
@@ -28,10 +27,9 @@ MatmulConfig config() {
 }
 
 double run_variant(MatmulVariant variant, int threads) {
-  purec::rt::ThreadPool pool(static_cast<std::size_t>(threads));
   // The paper measures whole-application time, which is why the
   // init-loop parallelization shows up in Fig. 3 at all.
-  return run_matmul(variant, config(), pool).total_seconds();
+  return run_matmul(variant, config(), threads).total_seconds();
 }
 
 }  // namespace
@@ -40,15 +38,11 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
 
   // The dashed sequential-baseline line of Fig. 3.
-  {
-    purec::rt::ThreadPool pool(1);
-    const double seq =
-        run_matmul(MatmulVariant::Sequential, config(), pool)
-            .total_seconds();
-    std::printf("fig3: sequential GCC baseline = %.3f s (paper: 22.17 s at "
-                "n=4096)\n",
-                seq);
-  }
+  const double seq =
+      run_matmul(MatmulVariant::Sequential, config(), 1).total_seconds();
+  std::printf("fig3: sequential GCC baseline = %.3f s (paper: 22.17 s at "
+              "n=4096)\n",
+              seq);
 
   purec::bench::register_series("fig3_matmul_gcc", "pure", [](int t) {
     return run_variant(MatmulVariant::Pure, t);

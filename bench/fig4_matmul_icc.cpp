@@ -10,7 +10,6 @@
 
 #include "apps/matmul.h"
 #include "bench_common.h"
-#include "runtime/thread_pool.h"
 
 namespace {
 
@@ -27,8 +26,7 @@ MatmulConfig config(Compiler compiler) {
 }
 
 double run_variant(MatmulVariant variant, Compiler compiler, int threads) {
-  purec::rt::ThreadPool pool(static_cast<std::size_t>(threads));
-  return run_matmul(variant, config(compiler), pool).total_seconds();
+  return run_matmul(variant, config(compiler), threads).total_seconds();
 }
 
 }  // namespace

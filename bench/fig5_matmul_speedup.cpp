@@ -11,7 +11,6 @@
 
 #include "apps/matmul.h"
 #include "bench_common.h"
-#include "runtime/thread_pool.h"
 
 namespace {
 
@@ -28,8 +27,7 @@ MatmulConfig config(Compiler compiler) {
 }
 
 double run_variant(MatmulVariant variant, Compiler compiler, int threads) {
-  purec::rt::ThreadPool pool(static_cast<std::size_t>(threads));
-  return run_matmul(variant, config(compiler), pool).total_seconds();
+  return run_matmul(variant, config(compiler), threads).total_seconds();
 }
 
 }  // namespace
@@ -37,9 +35,8 @@ double run_variant(MatmulVariant variant, Compiler compiler, int threads) {
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
 
-  purec::rt::ThreadPool seq_pool(1);
   const double seq_seconds =
-      run_matmul(MatmulVariant::Sequential, config(Compiler::Gcc), seq_pool)
+      run_matmul(MatmulVariant::Sequential, config(Compiler::Gcc), 1)
           .total_seconds();
   std::printf("fig5: Tseq (GCC) = %.3f s — speedups below are Tseq/Tpar\n",
               seq_seconds);

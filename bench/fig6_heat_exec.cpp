@@ -10,7 +10,6 @@
 
 #include "apps/heat.h"
 #include "bench_common.h"
-#include "runtime/thread_pool.h"
 
 namespace {
 
@@ -30,8 +29,7 @@ HeatConfig config(Compiler compiler) {
 }
 
 double run_variant(HeatVariant variant, Compiler compiler, int threads) {
-  purec::rt::ThreadPool pool(static_cast<std::size_t>(threads));
-  return run_heat(variant, config(compiler), pool).compute_seconds;
+  return run_heat(variant, config(compiler), threads).compute_seconds;
 }
 
 }  // namespace
@@ -39,18 +37,15 @@ double run_variant(HeatVariant variant, Compiler compiler, int threads) {
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
 
-  {
-    purec::rt::ThreadPool pool(1);
-    const double gcc_seq =
-        run_heat(HeatVariant::Sequential, config(Compiler::Gcc), pool)
-            .compute_seconds;
-    const double icc_seq =
-        run_heat(HeatVariant::Sequential, config(Compiler::Icc), pool)
-            .compute_seconds;
-    std::printf("fig6: sequential GCC %.3f s / ICC-proxy %.3f s "
-                "(paper: 34.14 s / 31.32 s at n=4096, 200 steps)\n",
-                gcc_seq, icc_seq);
-  }
+  const double gcc_seq =
+      run_heat(HeatVariant::Sequential, config(Compiler::Gcc), 1)
+          .compute_seconds;
+  const double icc_seq =
+      run_heat(HeatVariant::Sequential, config(Compiler::Icc), 1)
+          .compute_seconds;
+  std::printf("fig6: sequential GCC %.3f s / ICC-proxy %.3f s "
+              "(paper: 34.14 s / 31.32 s at n=4096, 200 steps)\n",
+              gcc_seq, icc_seq);
 
   purec::bench::register_series("fig6_heat_exec", "pure_gcc", [](int t) {
     return run_variant(HeatVariant::Pure, Compiler::Gcc, t);

@@ -8,7 +8,6 @@
 
 #include "apps/heat.h"
 #include "bench_common.h"
-#include "runtime/thread_pool.h"
 
 namespace {
 
@@ -28,8 +27,7 @@ HeatConfig config(Compiler compiler) {
 }
 
 double run_variant(HeatVariant variant, Compiler compiler, int threads) {
-  purec::rt::ThreadPool pool(static_cast<std::size_t>(threads));
-  return run_heat(variant, config(compiler), pool).compute_seconds;
+  return run_heat(variant, config(compiler), threads).compute_seconds;
 }
 
 }  // namespace
@@ -37,9 +35,8 @@ double run_variant(HeatVariant variant, Compiler compiler, int threads) {
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
 
-  purec::rt::ThreadPool seq_pool(1);
   const double seq_seconds =
-      run_heat(HeatVariant::Sequential, config(Compiler::Gcc), seq_pool)
+      run_heat(HeatVariant::Sequential, config(Compiler::Gcc), 1)
           .compute_seconds;
   std::printf("fig7: Tseq (GCC) = %.3f s\n", seq_seconds);
 

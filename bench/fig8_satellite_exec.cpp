@@ -11,7 +11,6 @@
 
 #include "apps/satellite.h"
 #include "bench_common.h"
-#include "runtime/thread_pool.h"
 
 namespace {
 
@@ -31,8 +30,7 @@ SatelliteConfig config() {
 }
 
 double run_variant(SatelliteVariant variant, int threads) {
-  purec::rt::ThreadPool pool(static_cast<std::size_t>(threads));
-  return run_satellite(variant, config(), pool).compute_seconds;
+  return run_satellite(variant, config(), threads).compute_seconds;
 }
 
 }  // namespace
@@ -40,12 +38,9 @@ double run_variant(SatelliteVariant variant, int threads) {
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
 
-  {
-    purec::rt::ThreadPool pool(1);
-    std::printf("fig8: sequential baseline = %.3f s\n",
-                run_satellite(SatelliteVariant::Sequential, config(), pool)
-                    .compute_seconds);
-  }
+  std::printf("fig8: sequential baseline = %.3f s\n",
+              run_satellite(SatelliteVariant::Sequential, config(), 1)
+                  .compute_seconds);
 
   purec::bench::register_series("fig8_satellite_exec", "auto_static",
                                 [](int t) {

@@ -7,7 +7,6 @@
 
 #include "apps/satellite.h"
 #include "bench_common.h"
-#include "runtime/thread_pool.h"
 
 namespace {
 
@@ -24,8 +23,7 @@ SatelliteConfig config() {
 }
 
 double run_variant(SatelliteVariant variant, int threads) {
-  purec::rt::ThreadPool pool(static_cast<std::size_t>(threads));
-  return run_satellite(variant, config(), pool).compute_seconds;
+  return run_satellite(variant, config(), threads).compute_seconds;
 }
 
 }  // namespace
@@ -33,9 +31,8 @@ double run_variant(SatelliteVariant variant, int threads) {
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
 
-  purec::rt::ThreadPool seq_pool(1);
   const double seq_seconds =
-      run_satellite(SatelliteVariant::Sequential, config(), seq_pool)
+      run_satellite(SatelliteVariant::Sequential, config(), 1)
           .compute_seconds;
   std::printf("fig9: Tseq = %.3f s\n", seq_seconds);
 

@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "apps/matmul.h"
-#include "runtime/thread_pool.h"
 #include "transform/pure_chain.h"
 
 int main() {
@@ -44,12 +43,11 @@ int main() {
   }
   std::printf("\n");
   for (int threads : {1, 2, 4, 8}) {
-    purec::rt::ThreadPool pool(static_cast<std::size_t>(threads));
     std::printf("%-12d", threads);
     for (MatmulVariant v :
          {MatmulVariant::Pure, MatmulVariant::Pluto,
           MatmulVariant::PlutoSica, MatmulVariant::MklProxy}) {
-      const RunResult r = run_matmul(v, config, pool);
+      const RunResult r = run_matmul(v, config, threads);
       std::printf("%11.1f ms", r.total_seconds() * 1e3);
     }
     std::printf("\n");

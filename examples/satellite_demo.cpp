@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "apps/satellite.h"
-#include "runtime/thread_pool.h"
 #include "transform/pure_chain.h"
 
 int main() {
@@ -30,22 +29,20 @@ int main() {
   config.height = 384;
   config.bands = 6;
 
-  purec::rt::ThreadPool seq_pool(1);
   const RunResult seq =
-      run_satellite(SatelliteVariant::Sequential, config, seq_pool);
+      run_satellite(SatelliteVariant::Sequential, config, 1);
   std::printf("sequential: %8.1f ms (checksum %.3f)\n\n",
               seq.compute_seconds * 1e3, seq.checksum);
 
   std::printf("%-10s%16s%16s%16s\n", "threads", "static", "dynamic(1row)",
               "hand(4rows)");
   for (int threads : {2, 4, 8, 16}) {
-    purec::rt::ThreadPool pool(static_cast<std::size_t>(threads));
     const RunResult st =
-        run_satellite(SatelliteVariant::AutoStatic, config, pool);
+        run_satellite(SatelliteVariant::AutoStatic, config, threads);
     const RunResult dy =
-        run_satellite(SatelliteVariant::AutoDynamic, config, pool);
+        run_satellite(SatelliteVariant::AutoDynamic, config, threads);
     const RunResult hd =
-        run_satellite(SatelliteVariant::HandDynamic, config, pool);
+        run_satellite(SatelliteVariant::HandDynamic, config, threads);
     std::printf("%-10d%13.1f ms%13.1f ms%13.1f ms\n", threads,
                 st.compute_seconds * 1e3, dy.compute_seconds * 1e3,
                 hd.compute_seconds * 1e3);

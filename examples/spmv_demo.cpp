@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "apps/ellpack.h"
-#include "runtime/thread_pool.h"
 #include "transform/pure_chain.h"
 
 int main() {
@@ -31,16 +30,14 @@ int main() {
   config.rows = 60000;
   config.repetitions = 20;
 
-  purec::rt::ThreadPool seq_pool(1);
-  const RunResult seq = run_ell(EllVariant::Sequential, config, seq_pool);
+  const RunResult seq = run_ell(EllVariant::Sequential, config, 1);
   std::printf("sequential: %8.1f ms (checksum %.3f)\n\n",
               seq.compute_seconds * 1e3, seq.checksum);
 
   std::printf("%-10s%16s%16s\n", "threads", "pure(auto)", "hand(LAMA)");
   for (int threads : {2, 4, 8, 16}) {
-    purec::rt::ThreadPool pool(static_cast<std::size_t>(threads));
-    const RunResult a = run_ell(EllVariant::PureAuto, config, pool);
-    const RunResult h = run_ell(EllVariant::HandStatic, config, pool);
+    const RunResult a = run_ell(EllVariant::PureAuto, config, threads);
+    const RunResult h = run_ell(EllVariant::HandStatic, config, threads);
     std::printf("%-10d%13.1f ms%13.1f ms\n", threads,
                 a.compute_seconds * 1e3, h.compute_seconds * 1e3);
   }

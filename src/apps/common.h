@@ -1,12 +1,18 @@
 // Shared helpers for the evaluation applications: deterministic RNG,
-// aligned buffers, wall-clock timing, and the "compiler proxy" attribute.
+// wall-clock timing, and the "compiler proxy" attribute.
+//
+// Every parallel variant is a `#pragma omp parallel for
+// num_threads(threads)` loop with the schedule its chain (or hand port)
+// emits, so the apps run on the same libgomp as purecc's output. The
+// Sequential variants contain no OpenMP region: they are the paper's plain
+// GCC baseline.
 //
 // The paper compares GCC 7.2 -O2 against ICC 16 (whose win comes from
 // auto-vectorizing the extracted pure functions). We have one compiler, so
 // the ICC role is played by compiling the variant's kernels with
 // aggressive vectorization flags via function attributes — same code
 // path, vectorized vs. not, which is exactly the distinction the paper
-// measures (§4.2, DESIGN.md substitution table).
+// measures (§4.2).
 #pragma once
 
 #include <chrono>

@@ -95,24 +95,16 @@ PUREC_NOINLINE PUREC_VECTORIZED float ell_row_dot_vec(
   return sum;
 }
 
-void spmv_rows_calls(const EllMatrix& m, float* y, std::int64_t r0,
-                     std::int64_t r1, Compiler compiler) {
-  const auto dot = compiler == Compiler::Icc ? ell_row_dot_vec : ell_row_dot;
-  for (std::int64_t i = r0; i < r1; ++i) {
-    y[i] = dot(m.values.data(), m.cols.data(), m.x.data(),
-               static_cast<int>(i), m.rows, m.width);
-  }
-}
-
 /// Hand-written LAMA loop: dot inlined, same static schedule.
-void spmv_rows_inlined(const EllMatrix& m, float* __restrict y,
-                       std::int64_t r0, std::int64_t r1) {
+void spmv_inlined_parallel(const EllMatrix& m, float* __restrict y,
+                           int threads) {
   const float* __restrict values = m.values.data();
   const int* __restrict cols = m.cols.data();
   const float* __restrict x = m.x.data();
   const int rows = m.rows;
   const int width = m.width;
-  for (std::int64_t i = r0; i < r1; ++i) {
+#pragma omp parallel for num_threads(threads) schedule(static)
+  for (int i = 0; i < rows; ++i) {
     float sum = 0.0f;
     for (int k = 0; k < width; ++k) {
       sum += values[static_cast<std::size_t>(k) * rows + i] *
@@ -142,33 +134,36 @@ const char* to_string(EllVariant variant) noexcept {
 }
 
 RunResult run_ell(EllVariant variant, const EllConfig& config,
-                  rt::ThreadPool& pool) {
+                  int threads) {
   RunResult result;
   EllMatrix m;
   result.init_seconds = init_matrix(m, config);
   float* y = m.y.data();
+  const auto dot =
+      config.compiler == Compiler::Icc ? ell_row_dot_vec : ell_row_dot;
+  const float* values = m.values.data();
+  const int* cols = m.cols.data();
+  const float* x = m.x.data();
+  const int rows = m.rows;
+  const int width = m.width;
 
   Timer timer;
   for (int rep = 0; rep < config.repetitions; ++rep) {
     switch (variant) {
       case EllVariant::Sequential:
-        spmv_rows_calls(m, y, 0, m.rows, config.compiler);
+        for (int i = 0; i < rows; ++i) {
+          y[i] = dot(values, cols, x, i, rows, width);
+        }
         break;
       case EllVariant::PureAuto:
-        rt::parallel_for_blocked(
-            pool, 0, m.rows,
-            [&](std::int64_t b, std::int64_t e) {
-              spmv_rows_calls(m, y, b, e, config.compiler);
-            },
-            {rt::Schedule::Static, 1});
+        // The chain's output: parallel row loop, the row dot stays a call.
+#pragma omp parallel for num_threads(threads) schedule(static)
+        for (int i = 0; i < rows; ++i) {
+          y[i] = dot(values, cols, x, i, rows, width);
+        }
         break;
       case EllVariant::HandStatic:
-        rt::parallel_for_blocked(
-            pool, 0, m.rows,
-            [&](std::int64_t b, std::int64_t e) {
-              spmv_rows_inlined(m, y, b, e);
-            },
-            {rt::Schedule::Static, 1});
+        spmv_inlined_parallel(m, y, threads);
         break;
     }
   }

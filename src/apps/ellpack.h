@@ -1,13 +1,12 @@
 // Application 4 (§4.3.4): ELL sparse matrix-vector multiplication — the
 // standalone LAMA ELLMatrix kernel.
 //
-// Substitution (see DESIGN.md): the Boeing/pwtk wind-tunnel stiffness
-// matrix (217,918 rows, 11.5M nonzeros) is replaced by a synthetic
-// symmetric banded FEM-style matrix with the same shape characteristics:
-// ~53 nonzeros/row on average, stored column-major in ELL format
-// (values[k * rows + i]), with a sparser tail region so "the thread load
-// differs greatly at the end of the program" exactly as the paper
-// describes.
+// Substitution: the Boeing/pwtk wind-tunnel stiffness matrix (217,918 rows,
+// 11.5M nonzeros) is replaced by a synthetic symmetric banded FEM-style
+// matrix with the same shape characteristics: ~53 nonzeros/row on average,
+// stored column-major in ELL format (values[k * rows + i]), with a sparser
+// tail region so "the thread load differs greatly at the end of the program"
+// exactly as the paper describes.
 //
 // Variants:
 //   Sequential — one thread, row dot product as a pure-function call
@@ -19,7 +18,6 @@
 #pragma once
 
 #include "apps/common.h"
-#include "runtime/parallel_for.h"
 
 namespace purec::apps {
 
@@ -36,8 +34,9 @@ struct EllConfig {
   int repetitions = 50;   // SpMV is too fast to time once
 };
 
+/// Runs one variant on `threads` OpenMP threads (Sequential ignores it).
 [[nodiscard]] RunResult run_ell(EllVariant variant, const EllConfig& config,
-                                rt::ThreadPool& pool);
+                                int threads);
 
 [[nodiscard]] const char* to_string(EllVariant variant) noexcept;
 

@@ -80,12 +80,10 @@ void step_rows_inlined(const Grids& g, float* __restrict dst, int r0,
 }
 
 void one_step(Grids& g, HeatVariant variant, Compiler compiler,
-              rt::ThreadPool* pool) {
+              int threads) {
   const int n = g.n;
   float* dst = g.nxt.data();
-  const auto rows = [&](std::int64_t r0, std::int64_t r1) {
-    const int a = static_cast<int>(r0);
-    const int b = static_cast<int>(r1);
+  const auto rows = [&](int a, int b) {
     switch (variant) {
       case HeatVariant::Sequential:
       case HeatVariant::Pure:
@@ -105,10 +103,11 @@ void one_step(Grids& g, HeatVariant variant, Compiler compiler,
         return;
     }
   };
-  if (pool == nullptr) {
+  if (variant == HeatVariant::Sequential) {
     rows(1, n - 1);
   } else {
-    rt::parallel_for_blocked(*pool, 1, n - 1, rows);
+#pragma omp parallel for num_threads(threads) schedule(static)
+    for (int i = 1; i < n - 1; ++i) rows(i, i + 1);
   }
   std::swap(g.cur, g.nxt);
   g.heat_source();
@@ -126,15 +125,13 @@ const char* to_string(HeatVariant variant) noexcept {
 }
 
 RunResult run_heat(HeatVariant variant, const HeatConfig& config,
-                   rt::ThreadPool& pool) {
+                   int threads) {
   RunResult result;
   Grids g;
   result.init_seconds = init_grids(g, config.n);
-  rt::ThreadPool* exec =
-      variant == HeatVariant::Sequential ? nullptr : &pool;
   Timer timer;
   for (int s = 0; s < config.steps; ++s) {
-    one_step(g, variant, config.compiler, exec);
+    one_step(g, variant, config.compiler, threads);
   }
   result.compute_seconds = timer.seconds();
   result.checksum = checksum(g);

@@ -15,7 +15,6 @@
 #pragma once
 
 #include "apps/common.h"
-#include "runtime/parallel_for.h"
 
 namespace purec::apps {
 
@@ -32,9 +31,9 @@ struct HeatConfig {
   Compiler compiler = Compiler::Gcc;
 };
 
+/// Runs one variant on `threads` OpenMP threads (Sequential ignores it).
 [[nodiscard]] RunResult run_heat(HeatVariant variant,
-                                 const HeatConfig& config,
-                                 rt::ThreadPool& pool);
+                                 const HeatConfig& config, int threads);
 
 [[nodiscard]] const char* to_string(HeatVariant variant) noexcept;
 

@@ -63,8 +63,7 @@ void fill_row(Matrices& m, int i) {
 /// Initialization (the paper's malloc+fill loop). The pure chain
 /// parallelized this by accident (§4.3.1); `parallel` reproduces both
 /// behaviors.
-double init_matrices(Matrices& m, int n, bool parallel,
-                     rt::ThreadPool& pool) {
+double init_matrices(Matrices& m, int n, bool parallel, int threads) {
   Timer timer;
   m.n = n;
   const auto total = static_cast<std::size_t>(n) * n;
@@ -72,13 +71,8 @@ double init_matrices(Matrices& m, int n, bool parallel,
   m.bt.resize(total);
   m.c.resize(total);
   if (parallel) {
-    rt::parallel_for_blocked(
-        pool, 0, n,
-        [&](std::int64_t begin, std::int64_t end) {
-          for (std::int64_t i = begin; i < end; ++i) {
-            fill_row(m, static_cast<int>(i));
-          }
-        });
+#pragma omp parallel for num_threads(threads) schedule(static)
+    for (int i = 0; i < n; ++i) fill_row(m, i);
   } else {
     for (int i = 0; i < n; ++i) fill_row(m, i);
   }
@@ -102,27 +96,15 @@ double init_matrices(Matrices& m, int n, bool parallel,
 // ---------------------------------------------------------------------------
 
 /// Sequential / Pure: C[i][j] = dot(A[i], Bt[j]) with a real call.
-void compute_calls(Matrices& m, DotFn dot, rt::ThreadPool* pool) {
+void compute_row_calls(Matrices& m, DotFn dot, int i) {
   const int n = m.n;
   const float* a = m.a.data();
   const float* bt = m.bt.data();
   float* c = m.c.data();
-  const auto row = [&](std::int64_t i) {
-    for (int j = 0; j < n; ++j) {
-      c[static_cast<std::size_t>(i) * n + j] =
-          dot(&a[static_cast<std::size_t>(i) * n],
-              &bt[static_cast<std::size_t>(j) * n], n);
-    }
-  };
-  if (pool == nullptr) {
-    for (int i = 0; i < n; ++i) row(i);
-  } else {
-    rt::parallel_for_blocked(*pool, 0, n,
-                             [&](std::int64_t begin, std::int64_t end) {
-                               for (std::int64_t i = begin; i < end; ++i) {
-                                 row(i);
-                               }
-                             });
+  for (int j = 0; j < n; ++j) {
+    c[static_cast<std::size_t>(i) * n + j] =
+        dot(&a[static_cast<std::size_t>(i) * n],
+            &bt[static_cast<std::size_t>(j) * n], n);
   }
 }
 
@@ -163,27 +145,25 @@ PUREC_VECTORIZED void compute_sica_tile(const Matrices& m,
   }
 }
 
-void compute_tiled(Matrices& m, int tile, rt::ThreadPool& pool,
-                   bool vectorized) {
+void compute_tiled(Matrices& m, int tile, int threads, bool vectorized) {
   const int n = m.n;
   const int tiles_i = (n + tile - 1) / tile;
   const int tiles_j = (n + tile - 1) / tile;
   float* c = m.c.data();
-  rt::parallel_for(
-      pool, 0, tiles_i,
-      [&](std::int64_t ti) {
-        const int i0 = static_cast<int>(ti) * tile;
-        const int i1 = std::min(i0 + tile, n);
-        for (int tj = 0; tj < tiles_j; ++tj) {
-          const int j0 = tj * tile;
-          const int j1 = std::min(j0 + tile, n);
-          if (vectorized) {
-            compute_sica_tile(m, c, i0, i1, j0, j1);
-          } else {
-            compute_pluto_tile(m, c, i0, i1, j0, j1);
-          }
-        }
-      });
+#pragma omp parallel for num_threads(threads) schedule(static)
+  for (int ti = 0; ti < tiles_i; ++ti) {
+    const int i0 = ti * tile;
+    const int i1 = std::min(i0 + tile, n);
+    for (int tj = 0; tj < tiles_j; ++tj) {
+      const int j0 = tj * tile;
+      const int j1 = std::min(j0 + tile, n);
+      if (vectorized) {
+        compute_sica_tile(m, c, i0, i1, j0, j1);
+      } else {
+        compute_pluto_tile(m, c, i0, i1, j0, j1);
+      }
+    }
+  }
 }
 
 /// MKL proxy: 2x4-row register blocking over the contiguous k-stream with
@@ -252,19 +232,20 @@ void mkl_block(const float* __restrict a, const float* __restrict bt,
   if (i_full < i1) mkl_edge(a, bt, c, n, i_full, i1, j0, j1);
 }
 
-void compute_mkl_proxy(Matrices& m, rt::ThreadPool& pool) {
+void compute_mkl_proxy(Matrices& m, int threads) {
   const int n = m.n;
   constexpr int kPanel = 64;
   const int panels = (n + kPanel - 1) / kPanel;
   float* c = m.c.data();
-  rt::parallel_for(pool, 0, panels, [&](std::int64_t p) {
-    const int i0 = static_cast<int>(p) * kPanel;
+#pragma omp parallel for num_threads(threads) schedule(static)
+  for (int p = 0; p < panels; ++p) {
+    const int i0 = p * kPanel;
     const int i1 = std::min(i0 + kPanel, n);
     for (int j0 = 0; j0 < n; j0 += kPanel) {
       const int j1 = std::min(j0 + kPanel, n);
       mkl_block(m.a.data(), m.bt.data(), c, n, i0, i1, j0, j1);
     }
-  });
+  }
 }
 
 }  // namespace
@@ -282,33 +263,36 @@ const char* to_string(MatmulVariant variant) noexcept {
 }
 
 RunResult run_matmul(MatmulVariant variant, const MatmulConfig& config,
-                     rt::ThreadPool& pool) {
+                     int threads) {
   RunResult result;
   Matrices m;
   // §4.3.1: only the Pure variant inherits the parallel allocation loop.
   const bool parallel_init = variant == MatmulVariant::Pure;
-  result.init_seconds = init_matrices(m, config.n, parallel_init, pool);
+  result.init_seconds = init_matrices(m, config.n, parallel_init, threads);
 
+  const int n = m.n;
+  const DotFn dot = dot_for(config.compiler);
   Timer timer;
   switch (variant) {
     case MatmulVariant::Sequential:
-      compute_calls(m, dot_for(config.compiler), nullptr);
+      for (int i = 0; i < n; ++i) compute_row_calls(m, dot, i);
       break;
     case MatmulVariant::Pure:
     case MatmulVariant::PureNoInit:
-      compute_calls(m, dot_for(config.compiler), &pool);
+#pragma omp parallel for num_threads(threads) schedule(static)
+      for (int i = 0; i < n; ++i) compute_row_calls(m, dot, i);
       break;
     case MatmulVariant::Pluto:
       // Plain PluTo never vectorizes; ICC does not help the inlined loop
       // either (§4.3.1: "this automatic vectorization is not carried out
       // when the function is inlined").
-      compute_tiled(m, config.tile, pool, /*vectorized=*/false);
+      compute_tiled(m, config.tile, threads, /*vectorized=*/false);
       break;
     case MatmulVariant::PlutoSica:
-      compute_tiled(m, config.tile, pool, /*vectorized=*/true);
+      compute_tiled(m, config.tile, threads, /*vectorized=*/true);
       break;
     case MatmulVariant::MklProxy:
-      compute_mkl_proxy(m, pool);
+      compute_mkl_proxy(m, threads);
       break;
   }
   result.compute_seconds = timer.seconds();

@@ -18,7 +18,6 @@
 #pragma once
 
 #include "apps/common.h"
-#include "runtime/parallel_for.h"
 
 namespace purec::apps {
 
@@ -37,11 +36,11 @@ struct MatmulConfig {
   Compiler compiler = Compiler::Gcc;
 };
 
-/// Runs one variant on `threads` workers. Deterministic inputs; the
-/// checksum is identical across variants (tests assert this).
+/// Runs one variant on `threads` OpenMP threads (Sequential ignores it).
+/// Deterministic inputs; the checksum is identical across variants (tests
+/// assert this).
 [[nodiscard]] RunResult run_matmul(MatmulVariant variant,
-                                   const MatmulConfig& config,
-                                   rt::ThreadPool& pool);
+                                   const MatmulConfig& config, int threads);
 
 [[nodiscard]] const char* to_string(MatmulVariant variant) noexcept;
 

@@ -1,5 +1,6 @@
 #include "apps/satellite.h"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -92,6 +93,19 @@ void process_range(const Cube& cube, float* out, std::int64_t begin,
   }
 }
 
+/// schedule(dynamic,1) over blocks of `block_rows` scene rows: the claim
+/// granularity of the AutoDynamic (1 row) and HandDynamic (4 rows) ports.
+void process_blocks_dynamic(const Cube& cube, float* out, int block_rows,
+                            int threads) {
+  const std::int64_t block = std::int64_t{block_rows} * cube.width;
+  const std::int64_t pixels = std::int64_t{cube.width} * cube.height;
+  const std::int64_t blocks = (pixels + block - 1) / block;
+#pragma omp parallel for num_threads(threads) schedule(dynamic, 1)
+  for (std::int64_t b = 0; b < blocks; ++b) {
+    process_range(cube, out, b * block, std::min(b * block + block, pixels));
+  }
+}
+
 [[nodiscard]] double checksum(const Cube& cube) {
   double sum = 0.0;
   for (std::size_t i = 0; i < cube.aod.size(); ++i) {
@@ -112,11 +126,8 @@ const char* to_string(SatelliteVariant variant) noexcept {
   return "?";
 }
 
-namespace {
-
-RunResult run_with_options(const SatelliteConfig& config,
-                           rt::ThreadPool* pool,
-                           const rt::ForOptions& options) {
+RunResult run_satellite(SatelliteVariant variant,
+                        const SatelliteConfig& config, int threads) {
   RunResult result;
   Cube cube;
   result.init_seconds = init_cube(cube, config);
@@ -125,48 +136,30 @@ RunResult run_with_options(const SatelliteConfig& config,
   float* out = cube.aod.data();
 
   Timer timer;
-  if (pool == nullptr) {
-    process_range(cube, out, 0, pixels);
-  } else {
-    rt::parallel_for_blocked(
-        *pool, 0, pixels,
-        [&](std::int64_t b, std::int64_t e) {
-          process_range(cube, out, b, e);
-        },
-        options);
+  switch (variant) {
+    case SatelliteVariant::Sequential:
+      process_range(cube, out, 0, pixels);
+      break;
+    case SatelliteVariant::AutoStatic:
+      // The chain's raw output: static partition of the pixel loop.
+#pragma omp parallel for num_threads(threads) schedule(static)
+      for (std::int64_t p = 0; p < pixels; ++p) {
+        process_range(cube, out, p, p + 1);
+      }
+      break;
+    case SatelliteVariant::AutoDynamic:
+      // schedule(dynamic,1) over rows — the paper's manual fix of the
+      // generated pragma.
+      process_blocks_dynamic(cube, out, 1, threads);
+      break;
+    case SatelliteVariant::HandDynamic:
+      // Hand-tuned: dynamic with a 4-row chunk (less queue contention).
+      process_blocks_dynamic(cube, out, 4, threads);
+      break;
   }
   result.compute_seconds = timer.seconds();
   result.checksum = checksum(cube);
   return result;
-}
-
-}  // namespace
-
-RunResult run_satellite_schedule(const SatelliteConfig& config,
-                                 rt::ThreadPool& pool,
-                                 const rt::ForOptions& options) {
-  return run_with_options(config, &pool, options);
-}
-
-RunResult run_satellite(SatelliteVariant variant,
-                        const SatelliteConfig& config, rt::ThreadPool& pool) {
-  switch (variant) {
-    case SatelliteVariant::Sequential:
-      return run_with_options(config, nullptr, {});
-    case SatelliteVariant::AutoStatic:
-      // The chain's raw output: static partition of the pixel loop.
-      return run_with_options(config, &pool, {rt::Schedule::Static, 1});
-    case SatelliteVariant::AutoDynamic:
-      // schedule(dynamic,1) over rows — the paper's manual fix of the
-      // generated pragma.
-      return run_with_options(config, &pool,
-                              {rt::Schedule::Dynamic, config.width});
-    case SatelliteVariant::HandDynamic:
-      // Hand-tuned: dynamic with a 4-row chunk (less queue contention).
-      return run_with_options(config, &pool,
-                              {rt::Schedule::Dynamic, 4 * config.width});
-  }
-  return run_with_options(config, nullptr, {});
 }
 
 }  // namespace purec::apps

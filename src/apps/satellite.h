@@ -1,13 +1,13 @@
 // Application 3 (§4.3.3): satellite image processing — aerosol optical
 // depth (AOD) retrieval from hyperspectral observations.
 //
-// Substitution (see DESIGN.md): the MODIS/Aqua scene is replaced by a
-// synthetic hyperspectral cube whose per-pixel retrieval cost is
-// data-dependent (an iterative refinement whose trip count depends on the
-// pixel's "aerosol" content) and spatially skewed: late image regions are
-// systematically more expensive. That reproduces the paper's observed
-// "unbalanced behavior in the later program phases" which static OpenMP
-// scheduling handles poorly and `schedule(dynamic,1)` fixes.
+// Substitution: the MODIS/Aqua scene is replaced by a synthetic hyperspectral
+// cube whose per-pixel retrieval cost is data-dependent (an iterative
+// refinement whose trip count depends on the pixel's "aerosol" content) and
+// spatially skewed: late image regions are systematically more expensive.
+// That reproduces the paper's observed "unbalanced behavior in the later
+// program phases" which static OpenMP scheduling handles poorly and
+// `schedule(dynamic,1)` fixes.
 //
 // Variants:
 //   Sequential  — one thread
@@ -19,7 +19,6 @@
 #pragma once
 
 #include "apps/common.h"
-#include "runtime/parallel_for.h"
 
 namespace purec::apps {
 
@@ -37,16 +36,10 @@ struct SatelliteConfig {
   Compiler compiler = Compiler::Gcc;
 };
 
+/// Runs one variant on `threads` OpenMP threads (Sequential ignores it).
 [[nodiscard]] RunResult run_satellite(SatelliteVariant variant,
                                       const SatelliteConfig& config,
-                                      rt::ThreadPool& pool);
-
-/// Runs the retrieval with an arbitrary runtime schedule (the
-/// --schedule sweep's entry point; the named variants above are fixed
-/// points of this). `options.chunk` counts pixels.
-[[nodiscard]] RunResult run_satellite_schedule(const SatelliteConfig& config,
-                                               rt::ThreadPool& pool,
-                                               const rt::ForOptions& options);
+                                      int threads);
 
 [[nodiscard]] const char* to_string(SatelliteVariant variant) noexcept;
 

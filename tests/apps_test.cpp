@@ -7,7 +7,6 @@
 #include "apps/heat.h"
 #include "apps/matmul.h"
 #include "apps/satellite.h"
-#include "runtime/thread_pool.h"
 
 namespace purec::apps {
 namespace {
@@ -29,12 +28,10 @@ TEST_P(MatmulVariants, ChecksumMatchesSequential) {
   config.n = 96;
   config.tile = 32;
 
-  rt::ThreadPool seq_pool(1);
   const RunResult reference =
-      run_matmul(MatmulVariant::Sequential, config, seq_pool);
+      run_matmul(MatmulVariant::Sequential, config, 1);
 
-  rt::ThreadPool pool(static_cast<std::size_t>(threads));
-  const RunResult got = run_matmul(variant, config, pool);
+  const RunResult got = run_matmul(variant, config, threads);
   // All variants compute the same dot products; the reduction order only
   // changes inside a row (associativity-safe for these inputs).
   EXPECT_NEAR(got.checksum, reference.checksum,
@@ -54,9 +51,8 @@ TEST(Matmul, IccVariantMatches) {
   gcc_config.n = 80;
   MatmulConfig icc_config = gcc_config;
   icc_config.compiler = Compiler::Icc;
-  rt::ThreadPool pool(4);
-  const RunResult gcc = run_matmul(MatmulVariant::Pure, gcc_config, pool);
-  const RunResult icc = run_matmul(MatmulVariant::Pure, icc_config, pool);
+  const RunResult gcc = run_matmul(MatmulVariant::Pure, gcc_config, 4);
+  const RunResult icc = run_matmul(MatmulVariant::Pure, icc_config, 4);
   // The vectorized build reassociates the reduction (fast-math), so only
   // near-equality is expected — like comparing real GCC vs ICC output.
   EXPECT_NEAR(gcc.checksum, icc.checksum,
@@ -67,13 +63,11 @@ TEST(Matmul, OddSizesNotMultipleOfTile) {
   MatmulConfig config;
   config.n = 101;  // prime, exercises tile remainders
   config.tile = 32;
-  rt::ThreadPool pool(4);
-  rt::ThreadPool seq_pool(1);
   const RunResult reference =
-      run_matmul(MatmulVariant::Sequential, config, seq_pool);
+      run_matmul(MatmulVariant::Sequential, config, 1);
   for (MatmulVariant v : {MatmulVariant::Pluto, MatmulVariant::PlutoSica,
                           MatmulVariant::MklProxy}) {
-    const RunResult got = run_matmul(v, config, pool);
+    const RunResult got = run_matmul(v, config, 4);
     EXPECT_NEAR(got.checksum, reference.checksum,
                 kTolerance * std::abs(reference.checksum))
         << to_string(v);
@@ -98,12 +92,9 @@ TEST_P(HeatVariants, ChecksumMatchesSequential) {
   config.n = 64;
   config.steps = 10;
 
-  rt::ThreadPool seq_pool(1);
-  const RunResult reference =
-      run_heat(HeatVariant::Sequential, config, seq_pool);
+  const RunResult reference = run_heat(HeatVariant::Sequential, config, 1);
 
-  rt::ThreadPool pool(static_cast<std::size_t>(threads));
-  const RunResult got = run_heat(variant, config, pool);
+  const RunResult got = run_heat(variant, config, threads);
   // Jacobi: every cell computed independently -> results are bitwise
   // stable across schedules.
   EXPECT_DOUBLE_EQ(got.checksum, reference.checksum);
@@ -121,9 +112,8 @@ TEST(Heat, IccVariantMatches) {
   config.steps = 5;
   HeatConfig icc = config;
   icc.compiler = Compiler::Icc;
-  rt::ThreadPool pool(4);
-  const RunResult a = run_heat(HeatVariant::Pure, config, pool);
-  const RunResult b = run_heat(HeatVariant::Pure, icc, pool);
+  const RunResult a = run_heat(HeatVariant::Pure, config, 4);
+  const RunResult b = run_heat(HeatVariant::Pure, icc, 4);
   // fast-math in the vectorized build may re-round the 4-point average.
   EXPECT_NEAR(a.checksum, b.checksum, 1e-4 * std::abs(a.checksum) + 1e-9);
 }
@@ -132,8 +122,7 @@ TEST(Heat, HeatSpreads) {
   HeatConfig config;
   config.n = 32;
   config.steps = 20;
-  rt::ThreadPool pool(1);
-  const RunResult r = run_heat(HeatVariant::Sequential, config, pool);
+  const RunResult r = run_heat(HeatVariant::Sequential, config, 1);
   EXPECT_GT(r.checksum, 0.0) << "heat must have diffused from the source";
 }
 
@@ -151,12 +140,10 @@ TEST_P(SatelliteVariants, ChecksumMatchesSequential) {
   config.height = 48;
   config.bands = 4;
 
-  rt::ThreadPool seq_pool(1);
   const RunResult reference =
-      run_satellite(SatelliteVariant::Sequential, config, seq_pool);
+      run_satellite(SatelliteVariant::Sequential, config, 1);
 
-  rt::ThreadPool pool(static_cast<std::size_t>(threads));
-  const RunResult got = run_satellite(variant, config, pool);
+  const RunResult got = run_satellite(variant, config, threads);
   EXPECT_DOUBLE_EQ(got.checksum, reference.checksum);
 }
 
@@ -175,9 +162,7 @@ TEST(Satellite, LateRowsAreMoreExpensive) {
   config.width = 64;
   config.height = 64;
   config.bands = 4;
-  rt::ThreadPool pool(1);
-  const RunResult r = run_satellite(SatelliteVariant::Sequential, config,
-                                    pool);
+  const RunResult r = run_satellite(SatelliteVariant::Sequential, config, 1);
   EXPECT_GT(r.checksum, 0.0);
 }
 
@@ -195,12 +180,9 @@ TEST_P(EllVariants, ChecksumMatchesSequential) {
   config.avg_row_nnz = 21;
   config.repetitions = 3;
 
-  rt::ThreadPool seq_pool(1);
-  const RunResult reference =
-      run_ell(EllVariant::Sequential, config, seq_pool);
+  const RunResult reference = run_ell(EllVariant::Sequential, config, 1);
 
-  rt::ThreadPool pool(static_cast<std::size_t>(threads));
-  const RunResult got = run_ell(variant, config, pool);
+  const RunResult got = run_ell(variant, config, threads);
   EXPECT_DOUBLE_EQ(got.checksum, reference.checksum);
 }
 
@@ -216,9 +198,8 @@ TEST(Ell, IccVariantMatches) {
   config.repetitions = 2;
   EllConfig icc = config;
   icc.compiler = Compiler::Icc;
-  rt::ThreadPool pool(4);
-  const RunResult a = run_ell(EllVariant::PureAuto, config, pool);
-  const RunResult b = run_ell(EllVariant::PureAuto, icc, pool);
+  const RunResult a = run_ell(EllVariant::PureAuto, config, 4);
+  const RunResult b = run_ell(EllVariant::PureAuto, icc, 4);
   // The vectorized row dot reassociates (fast-math): near-equality only.
   EXPECT_NEAR(a.checksum, b.checksum, 1e-4 * std::abs(a.checksum) + 1e-9);
 }
@@ -228,11 +209,9 @@ TEST(Ell, TinyMatrix) {
   config.rows = 7;
   config.avg_row_nnz = 4;
   config.repetitions = 1;
-  rt::ThreadPool pool(8);  // more threads than rows
-  rt::ThreadPool seq_pool(1);
-  const RunResult reference =
-      run_ell(EllVariant::Sequential, config, seq_pool);
-  const RunResult got = run_ell(EllVariant::PureAuto, config, pool);
+  const RunResult reference = run_ell(EllVariant::Sequential, config, 1);
+  // More threads than rows: some threads get an empty static share.
+  const RunResult got = run_ell(EllVariant::PureAuto, config, 8);
   EXPECT_DOUBLE_EQ(got.checksum, reference.checksum);
 }
 
