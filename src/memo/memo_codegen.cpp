@@ -118,8 +118,8 @@ std::string memo_thunk_definition(const MemoFunctionInfo& info) {
   const std::size_t key_words =
       info.param_types.size() + info.global_snapshot.size();
   const std::string stats = "purec_memo_stats_" + info.name;
-  out << "static purec_memo_stats_entry " << stats << " = {\""
-      << info.name << "\", 0, 0, 0};\n";
+  out << "static purec_memo_stats_entry " << stats << " = {.name = \""
+      << info.name << "\"};\n";
   out << "__attribute__((constructor)) static void " << stats
       << "_register(void) {\n";
   out << "  purec_memo_stats_register(&" << stats << ");\n";
@@ -141,11 +141,11 @@ std::string memo_thunk_definition(const MemoFunctionInfo& info) {
   out << "  if (purec_key == 0) purec_key = 1;\n";
   out << "  if (purec_memo_lookup(purec_key, purec_kw, purec_kn, "
          "&purec_word)) {\n";
-  out << "    PUREC_MEMO_STAT_INC(&" << stats << ".hits);\n";
+  out << "    PUREC_MEMO_STAT_INC(" << stats << ", hits);\n";
   out << "    return " << unpack_expr(info.return_type, "purec_word")
       << ";\n";
   out << "  }\n";
-  out << "  PUREC_MEMO_STAT_INC(&" << stats << ".misses);\n";
+  out << "  PUREC_MEMO_STAT_INC(" << stats << ", misses);\n";
   out << "  purec_result = " << info.name << "(";
   for (std::size_t i = 0; i < info.param_types.size(); ++i) {
     if (i != 0) out << ", ";
@@ -154,7 +154,7 @@ std::string memo_thunk_definition(const MemoFunctionInfo& info) {
   out << ");\n";
   out << "  if (purec_memo_store(purec_key, purec_kw, purec_kn, "
       << pack_expr(info.return_type, "purec_result") << "))\n";
-  out << "    PUREC_MEMO_STAT_INC(&" << stats << ".evictions);\n";
+  out << "    PUREC_MEMO_STAT_INC(" << stats << ", evictions);\n";
   out << "  return purec_result;\n";
   out << "}\n";
   return std::move(out).str();

@@ -16,9 +16,11 @@
  */
 #include <fcntl.h>
 #include <pthread.h>
+#include <signal.h>
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
+#include <sys/mman.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -364,6 +366,113 @@ static void phase_hammer(purec_memo_word offset) {
 }
 
 /* ------------------------------------------------------------------ */
+/* Read-mostly hits and clock eviction order                           */
+/* ------------------------------------------------------------------ */
+
+static void wrote_sealed(int sig) {
+  static const char msg[] = "memo_runtime_test: a hit wrote to the table\n";
+  (void)sig;
+  if (write(2, msg, sizeof msg - 1) < 0) _exit(2);
+  _exit(1);
+}
+
+/* Points every shard at its part of `slots` (and of `vwords`, under
+ * verify), laid out as purec_memo_init lays them out. */
+static void place_table(purec_memo_slot* slots, purec_memo_word* vwords) {
+  const purec_memo_word per = purec_memo_shards[0].slot_mask + 1;
+  purec_memo_word s;
+  for (s = 0; s <= purec_memo_shard_mask; s++) {
+    purec_memo_shards[s].slots = slots + s * per;
+    if (purec_memo_verify)
+      purec_memo_shards[s].vwords =
+          vwords + s * per * (1u + PUREC_MEMO_VWORDS);
+  }
+}
+
+/* Warm hits write nothing. Once a first round of hits has set every clock
+ * bit, the slot array (and verify sidecar) moves into a mapping sealed
+ * read-only: a second round of hits must neither fault nor change a byte
+ * of it, so even a store of an unchanged value fails the scenario. */
+static void scenario_hit_readonly(void) {
+  const purec_memo_word nslots =
+      (purec_memo_shard_mask + 1) * (purec_memo_shards[0].slot_mask + 1);
+  const size_t slot_bytes = nslots * sizeof(purec_memo_slot);
+  const size_t bytes =
+      slot_bytes + (purec_memo_verify ? nslots * (1u + PUREC_MEMO_VWORDS) *
+                                            sizeof(purec_memo_word)
+                                      : 0);
+  purec_memo_slot* const slots = purec_memo_shards[0].slots;
+  purec_memo_word* const vwords = purec_memo_shards[0].vwords;
+  tally t = {0, 0, 0, 0};
+  purec_memo_word i;
+  unsigned char *sealed, *snapshot;
+  for (i = 0; i < 256; i++) serve(i, &t);
+  CHECK(t.misses == 256);
+  phase_resident(256);
+  sealed = (unsigned char*)mmap(0, bytes, PROT_READ | PROT_WRITE,
+                                MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  CHECK(sealed != MAP_FAILED);
+  if (sealed == MAP_FAILED) return;
+  memcpy(sealed, slots, slot_bytes);
+  if (purec_memo_verify)
+    memcpy(sealed + slot_bytes, vwords, bytes - slot_bytes);
+  snapshot = (unsigned char*)malloc(bytes);
+  CHECK(snapshot != 0);
+  if (snapshot != 0) memcpy(snapshot, sealed, bytes);
+  place_table((purec_memo_slot*)sealed,
+              (purec_memo_word*)(sealed + slot_bytes));
+  CHECK(mprotect(sealed, bytes, PROT_READ) == 0);
+  signal(SIGSEGV, wrote_sealed);
+  phase_resident(256);
+  signal(SIGSEGV, SIG_DFL);
+  CHECK(snapshot != 0 && memcmp(sealed, snapshot, bytes) == 0);
+  place_table(slots, vwords);
+  munmap(sealed, bytes);
+  free(snapshot);
+}
+
+/* A fingerprint that lands in slot `slot` of an 8-slot table; `gen`
+ * tells apart keys for the same slot. */
+static purec_memo_word slot_key(purec_memo_word slot, purec_memo_word gen) {
+  return (gen + 1) * 8 + slot;
+}
+
+/* Clock second chance in a one-shard, 8-slot table (one probe window):
+ * a key hit since its insert survives the next eviction that sweeps past
+ * it, the unhit neighbour after it is evicted instead, and the spent bit
+ * leaves the key evictable by the sweep after that. */
+static void scenario_second_chance(void) {
+  purec_memo_word j, out = 0;
+  CHECK(purec_memo_shard_mask == 0);
+  CHECK(purec_memo_shards[0].slot_mask == 7);
+  CHECK(purec_memo_probe == 8);
+  for (j = 0; j < 8; j++) {
+    CHECK(purec_memo_store(slot_key(j, 0), 0, 0, j) == 0);
+  }
+  CHECK(purec_memo_lookup(slot_key(0, 0), 0, 0, &out) && out == 0);
+  CHECK(purec_memo_lookup(slot_key(4, 0), 0, 0, &out) && out == 4);
+  /* The sweep from slot 0 spares the hit key 0 and evicts key 1. */
+  CHECK(purec_memo_store(slot_key(0, 1), 0, 0, 100) == 1);
+  CHECK(count_resident(slot_key(0, 0)) == 1);
+  CHECK(count_resident(slot_key(1, 0)) == 0);
+  /* The sweep from slot 4 spares the hit key 4 and evicts key 5. */
+  CHECK(purec_memo_store(slot_key(4, 1), 0, 0, 104) == 1);
+  CHECK(count_resident(slot_key(4, 0)) == 1);
+  CHECK(count_resident(slot_key(5, 0)) == 0);
+  /* Key 0 spent its second chance: the next sweep from slot 0 takes it. */
+  CHECK(purec_memo_store(slot_key(0, 2), 0, 0, 200) == 1);
+  CHECK(count_resident(slot_key(0, 0)) == 0);
+  CHECK(count_resident(slot_key(4, 0)) == 1);
+  for (j = 2; j < 8; j++) {
+    if (j == 4 || j == 5) continue;
+    CHECK(purec_memo_lookup(slot_key(j, 0), 0, 0, &out) && out == j);
+  }
+  CHECK(purec_memo_lookup(slot_key(0, 1), 0, 0, &out) && out == 100);
+  CHECK(purec_memo_lookup(slot_key(4, 1), 0, 0, &out) && out == 104);
+  CHECK(purec_memo_lookup(slot_key(0, 2), 0, 0, &out) && out == 200);
+}
+
+/* ------------------------------------------------------------------ */
 /* Process and file helpers                                            */
 /* ------------------------------------------------------------------ */
 
@@ -592,7 +701,7 @@ static void scenario_hostile(const char* path, const char* kind) {
 
 static int square(int x) { return x * x; }
 
-static purec_memo_stats_entry purec_memo_stats_square = {"square", 0, 0, 0};
+static purec_memo_stats_entry purec_memo_stats_square = {.name = "square"};
 __attribute__((constructor)) static void purec_memo_stats_square_register(
     void) {
   purec_memo_stats_register(&purec_memo_stats_square);
@@ -609,14 +718,14 @@ static int purec_memo_square(int purec_a0) {
   purec_key = purec_memo_mix(purec_key);
   if (purec_key == 0) purec_key = 1;
   if (purec_memo_lookup(purec_key, purec_kw, purec_kn, &purec_word)) {
-    PUREC_MEMO_STAT_INC(&purec_memo_stats_square.hits);
+    PUREC_MEMO_STAT_INC(purec_memo_stats_square, hits);
     return (int)(purec_word);
   }
-  PUREC_MEMO_STAT_INC(&purec_memo_stats_square.misses);
+  PUREC_MEMO_STAT_INC(purec_memo_stats_square, misses);
   purec_result = square(purec_a0);
   if (purec_memo_store(purec_key, purec_kw, purec_kn,
                        (purec_memo_word)(purec_result)))
-    PUREC_MEMO_STAT_INC(&purec_memo_stats_square.evictions);
+    PUREC_MEMO_STAT_INC(purec_memo_stats_square, evictions);
   return purec_result;
 }
 
@@ -626,6 +735,68 @@ static void phase_stats(void) {
   for (i = 0; i < 100; i++) {
     CHECK(purec_memo_square(i % 10) == square(i % 10));
   }
+}
+
+/* phase_stats_threads: STATS_THREADS pthreads make STATS_CALLS memoized
+ * calls each over 64 arguments, each thread counting into its own cell. */
+#define STATS_THREADS 4
+#define STATS_CALLS 20000
+
+typedef struct {
+  int offset, wrong;
+  unsigned cell;
+} stats_worker;
+
+static void* stats_run(void* arg) {
+  stats_worker* w = (stats_worker*)arg;
+  int i;
+  for (i = 0; i < STATS_CALLS; i++) {
+    int x = (i + w->offset) % 64;
+    if (purec_memo_square(x) != square(x)) w->wrong++;
+  }
+  w->cell = purec_memo_stat_index();
+  return 0;
+}
+
+static void phase_stats_threads(void) {
+  pthread_t threads[STATS_THREADS];
+  stats_worker workers[STATS_THREADS];
+  int t, u;
+  for (t = 0; t < STATS_THREADS; t++) {
+    memset(&workers[t], 0, sizeof workers[t]);
+    workers[t].offset = t * 17;
+    CHECK(pthread_create(&threads[t], 0, stats_run, &workers[t]) == 0);
+  }
+  for (t = 0; t < STATS_THREADS; t++) {
+    CHECK(pthread_join(threads[t], 0) == 0);
+    CHECK(workers[t].wrong == 0);
+  }
+  for (t = 0; t < STATS_THREADS; t++) {
+    for (u = 0; u < t; u++) CHECK(workers[t].cell != workers[u].cell);
+  }
+}
+
+/* The striped counters lose no count: the dumped hits + misses equal the
+ * calls the threads made. */
+static void scenario_stats_threads(const char* path) {
+  const char* env_on[] = {"PUREC_MEMO_STATS", "1", "PUREC_STATS_FILE", path,
+                          0};
+  unsigned long long hits = 0, misses = 0, evictions = 0;
+  long size;
+  char* text;
+  unlink(path);
+  run_phase("phase_stats_threads", 0, 0, env_on);
+  text = slurp(path, &size);
+  CHECK(text != 0 && count_of(text, "\n") == 1 &&
+        sscanf(text,
+               "purec-memo[square] hits=%llu misses=%llu evictions=%llu",
+               &hits, &misses, &evictions) == 3);
+  CHECK(hits + misses == (unsigned long long)STATS_THREADS * STATS_CALLS);
+  CHECK(misses >= 64);
+  CHECK(hits > 0);
+  CHECK(evictions == 0);
+  free(text);
+  unlink(path);
 }
 
 static void scenario_stats_dump(const char* path) {
@@ -779,6 +950,10 @@ int main(int argc, char** argv) {
     scenario_verify_wide();
   } else if (strcmp(name, "verify_off") == 0) {
     scenario_verify_off();
+  } else if (strcmp(name, "hit_readonly") == 0) {
+    scenario_hit_readonly();
+  } else if (strcmp(name, "second_chance") == 0) {
+    scenario_second_chance();
   } else if (strcmp(name, "shared_attach") == 0) {
     scenario_shared_attach(arg);
   } else if (strcmp(name, "shared_mismatch") == 0) {
@@ -789,6 +964,8 @@ int main(int argc, char** argv) {
     scenario_hostile(arg, arg2);
   } else if (strcmp(name, "stats_dump") == 0) {
     scenario_stats_dump(arg);
+  } else if (strcmp(name, "stats_threads") == 0) {
+    scenario_stats_threads(arg);
   } else if (strcmp(name, "instr_dump") == 0) {
     scenario_instr_dump(arg);
   } else if (strcmp(name, "hist") == 0) {
@@ -805,6 +982,8 @@ int main(int argc, char** argv) {
     phase_hammer(n);
   } else if (strcmp(name, "phase_stats") == 0) {
     phase_stats();
+  } else if (strcmp(name, "phase_stats_threads") == 0) {
+    phase_stats_threads();
   } else if (strcmp(name, "phase_instr") == 0) {
     phase_instr();
   } else {

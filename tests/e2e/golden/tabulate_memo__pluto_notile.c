@@ -44,7 +44,12 @@ static FILE* purec_stats_out(void) {
  * and compare them on a hit, so a fingerprint alias degrades to a miss
  * instead of a wrong value; --memoize=verify flips the compiled-in
  * default). Cross-process safety is the same per-slot seqlock: torn or
- * stale reads are safe misses, and the stats counters stay per-process. */
+ * stale reads are safe misses, and the stats counters stay per-process.
+ *
+ * Read-mostly: a hit on a warm slot only loads. The clock bit is stored
+ * only when it reads clear, the eviction sweep clears only set bits, and
+ * the stats counters live in per-thread cache lines, so threads hitting
+ * the same keys never write a line another thread reads. */
 #ifndef PUREC_MEMO_VERIFY_DEFAULT
 #define PUREC_MEMO_VERIFY_DEFAULT 0
 #endif
@@ -64,33 +69,47 @@ typedef union { double v; purec_memo_word b; } purec_memo_f64;
  * tuples bypass the cache under verify (a permanent, safe miss). */
 #define PUREC_MEMO_VWORDS 12u
 
+/* Stats counters are striped: each thunk owns PUREC_MEMO_STAT_CELLS
+ * cache-line cells, a thread counts into the cell its first count picked,
+ * and the dump sums the cells. Threads share a cell only past that many
+ * threads, so the adds stay atomic. */
+#define PUREC_MEMO_STAT_CELLS 16u
+
+typedef struct {
+  purec_memo_word hits, misses, evictions;
+} __attribute__((aligned(64))) purec_memo_stat_cell;
+
 typedef struct {
   const char* name;
-  purec_memo_word hits, misses, evictions;
+  purec_memo_stat_cell cells[PUREC_MEMO_STAT_CELLS];
 } purec_memo_stats_entry;
 
 static purec_memo_stats_entry* purec_memo_stats_tables[64];
 static unsigned purec_memo_stats_count;
 static unsigned purec_memo_stats_dropped;
 static int purec_memo_stats_on; /* PUREC_MEMO_STATS=1 */
+static unsigned purec_memo_stat_threads;
+static __thread unsigned purec_memo_stat_ticket; /* 0 until first count */
 
 static void purec_memo_stats_dump(void) {
-  unsigned i;
+  unsigned i, c;
   if (purec_memo_stats_dropped != 0)
     fprintf(purec_stats_out(),
             "purec-memo: %u thunk counter(s) not shown (registry full)\n",
             purec_memo_stats_dropped);
   for (i = 0; i < purec_memo_stats_count; i++) {
     purec_memo_stats_entry* e = purec_memo_stats_tables[i];
+    purec_memo_word hits = 0, misses = 0, evictions = 0;
+    for (c = 0; c < PUREC_MEMO_STAT_CELLS; c++) {
+      hits += __atomic_load_n(&e->cells[c].hits, __ATOMIC_RELAXED);
+      misses += __atomic_load_n(&e->cells[c].misses, __ATOMIC_RELAXED);
+      evictions +=
+          __atomic_load_n(&e->cells[c].evictions, __ATOMIC_RELAXED);
+    }
     fprintf(purec_stats_out(),
             "purec-memo[%s] hits=%llu misses=%llu evictions=%llu\n",
-            e->name,
-            (unsigned long long)__atomic_load_n(&e->hits,
-                                                __ATOMIC_RELAXED),
-            (unsigned long long)__atomic_load_n(&e->misses,
-                                                __ATOMIC_RELAXED),
-            (unsigned long long)__atomic_load_n(&e->evictions,
-                                                __ATOMIC_RELAXED));
+            e->name, (unsigned long long)hits, (unsigned long long)misses,
+            (unsigned long long)evictions);
   }
 }
 
@@ -105,10 +124,20 @@ static void purec_memo_stats_register(purec_memo_stats_entry* e) {
     purec_memo_stats_dropped++;
 }
 
-#define PUREC_MEMO_STAT_INC(counter)                                   \
+/* The calling thread's cell index, assigned on its first count. */
+static unsigned purec_memo_stat_index(void) {
+  if (purec_memo_stat_ticket == 0)
+    purec_memo_stat_ticket =
+        __atomic_add_fetch(&purec_memo_stat_threads, 1u, __ATOMIC_RELAXED);
+  return purec_memo_stat_ticket % PUREC_MEMO_STAT_CELLS;
+}
+
+#define PUREC_MEMO_STAT_INC(entry, counter)                            \
   do {                                                                 \
     if (purec_memo_stats_on)                                           \
-      __atomic_fetch_add((counter), 1ULL, __ATOMIC_RELAXED);           \
+      __atomic_fetch_add(                                              \
+          &(entry).cells[purec_memo_stat_index()].counter, 1ULL,       \
+          __ATOMIC_RELAXED);                                           \
   } while (0)
 
 typedef struct {
@@ -299,21 +328,24 @@ static int purec_memo_lookup(purec_memo_word key,
     purec_memo_word tag, val;
     int verified = 1;
     if (s1 & 1u) continue;
-    tag = __atomic_load_n(&s->tag, __ATOMIC_RELAXED);
-    val = __atomic_load_n(&s->value, __ATOMIC_RELAXED);
+    /* Acquire data loads keep the seq re-check below after them, so no
+     * standalone fence is needed; on x86 all of these are plain moves. */
+    tag = __atomic_load_n(&s->tag, __ATOMIC_ACQUIRE);
+    val = __atomic_load_n(&s->value, __ATOMIC_ACQUIRE);
     if (purec_memo_verify && tag == key) {
       const purec_memo_word* rec =
           sh->vwords + idx * (1u + PUREC_MEMO_VWORDS);
-      verified = __atomic_load_n(&rec[0], __ATOMIC_RELAXED) == kn;
+      verified = __atomic_load_n(&rec[0], __ATOMIC_ACQUIRE) == kn;
       for (w = 0; verified && w < kn; w++)
-        verified = __atomic_load_n(&rec[1 + w], __ATOMIC_RELAXED) == kw[w];
+        verified = __atomic_load_n(&rec[1 + w], __ATOMIC_ACQUIRE) == kw[w];
     }
-    __atomic_thread_fence(__ATOMIC_ACQUIRE);
     if (__atomic_load_n(&s->seq, __ATOMIC_RELAXED) != s1) continue;
     if (tag == key) {
       if (!verified) return 0; /* fingerprint alias: recompute */
       *value = val;
-      __atomic_store_n(&s->ref, 1, __ATOMIC_RELAXED);
+      /* Store the clock bit only when clear: a warm hit writes nothing. */
+      if (__atomic_load_n(&s->ref, __ATOMIC_RELAXED) == 0)
+        __atomic_store_n(&s->ref, 1, __ATOMIC_RELAXED);
       return 1;
     }
     if (tag == 0) return 0;
@@ -331,14 +363,16 @@ static int purec_memo_claim(purec_memo_shard* sh, purec_memo_word idx,
   if (!__atomic_compare_exchange_n(&s->seq, &s1, s1 + 1, 0,
                                    __ATOMIC_ACQUIRE, __ATOMIC_RELAXED))
     return 0;
-  __atomic_store_n(&s->tag, key, __ATOMIC_RELAXED);
-  __atomic_store_n(&s->value, value, __ATOMIC_RELAXED);
+  /* Release data stores: a reader whose acquire load sees new data also
+   * sees the odd seq when it re-checks, and treats the slot as a miss. */
+  __atomic_store_n(&s->tag, key, __ATOMIC_RELEASE);
+  __atomic_store_n(&s->value, value, __ATOMIC_RELEASE);
   __atomic_store_n(&s->ref, 0, __ATOMIC_RELAXED);
   if (purec_memo_verify) {
     purec_memo_word* rec = sh->vwords + idx * (1u + PUREC_MEMO_VWORDS);
-    __atomic_store_n(&rec[0], (purec_memo_word)kn, __ATOMIC_RELAXED);
+    __atomic_store_n(&rec[0], (purec_memo_word)kn, __ATOMIC_RELEASE);
     for (w = 0; w < kn; w++)
-      __atomic_store_n(&rec[1 + w], kw[w], __ATOMIC_RELAXED);
+      __atomic_store_n(&rec[1 + w], kw[w], __ATOMIC_RELEASE);
   }
   __atomic_store_n(&s->seq, s1 + 2, __ATOMIC_RELEASE);
   return 1;
@@ -380,7 +414,12 @@ static int purec_memo_store(purec_memo_word key, const purec_memo_word* kw,
   for (i = 0; i < purec_memo_probe; i++) {
     purec_memo_word idx = (key + i) & sh->slot_mask;
     purec_memo_slot* s = &sh->slots[idx];
-    if (__atomic_exchange_n(&s->ref, 0, __ATOMIC_RELAXED) != 0) continue;
+    /* Second chance: clear a set bit and move on. Loading first keeps
+     * the sweep from writing lines whose bit is already clear. */
+    if (__atomic_load_n(&s->ref, __ATOMIC_RELAXED) != 0) {
+      __atomic_store_n(&s->ref, 0, __ATOMIC_RELAXED);
+      continue;
+    }
     old_tag = __atomic_load_n(&s->tag, __ATOMIC_RELAXED);
     if (purec_memo_claim(sh, idx, key, value, kw, kn))
       return old_tag != 0 && old_tag != key;
@@ -474,7 +513,7 @@ int main()
   return 0;
 }
 
-static purec_memo_stats_entry purec_memo_stats_shade = {"shade", 0, 0, 0};
+static purec_memo_stats_entry purec_memo_stats_shade = {.name = "shade"};
 __attribute__((constructor)) static void purec_memo_stats_shade_register(void) {
   purec_memo_stats_register(&purec_memo_stats_shade);
 }
@@ -489,12 +528,12 @@ static float purec_memo_shade(int purec_a0) {
   purec_key = purec_memo_mix(purec_key);
   if (purec_key == 0) purec_key = 1;
   if (purec_memo_lookup(purec_key, purec_kw, purec_kn, &purec_word)) {
-    PUREC_MEMO_STAT_INC(&purec_memo_stats_shade.hits);
+    PUREC_MEMO_STAT_INC(purec_memo_stats_shade, hits);
     return PUREC_MEMO_UNPACK_F32(purec_word);
   }
-  PUREC_MEMO_STAT_INC(&purec_memo_stats_shade.misses);
+  PUREC_MEMO_STAT_INC(purec_memo_stats_shade, misses);
   purec_result = shade(purec_a0);
   if (purec_memo_store(purec_key, purec_kw, purec_kn, PUREC_MEMO_PACK_F32(purec_result)))
-    PUREC_MEMO_STAT_INC(&purec_memo_stats_shade.evictions);
+    PUREC_MEMO_STAT_INC(purec_memo_stats_shade, evictions);
   return purec_result;
 }
