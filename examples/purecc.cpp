@@ -23,11 +23,10 @@
 //                          by the cost gate
 //     --memoize=all        disable the cost gate (thunk every
 //                          memoizable function, for measurement)
-//     --memoize=verify     memoize with full-key verification compiled in
-//                          by default: slots store the raw argument/global
-//                          words and compare them on a hit, so the 2^-25
-//                          fingerprint-aliasing bound becomes opt-out
-//                          (PUREC_MEMO_VERIFY=0/1 overrides at run time)
+//     --memoize=verify     memoize with full-key verification compiled
+//                          in: slots store the raw argument/global words
+//                          and compare them on a hit, so the 2^-25
+//                          fingerprint-aliasing bound no longer applies
 //     --memoize-profile=F  feed a PUREC_MEMO_STATS dump back into the
 //                          classifier: the shape-based cost gate is
 //                          replaced by the profile-informed model, keeping

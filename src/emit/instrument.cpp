@@ -109,8 +109,8 @@ std::string instrument_region_definition(std::size_t index,
                                          const std::string& name) {
   const std::string var = "purec_instr_r" + std::to_string(index);
   std::string out;
-  out += "static purec_instr_region_t " + var + " = {\"" + name + "\", " +
-         std::to_string(index) + "u};\n";
+  out += "static purec_instr_region_t " + var + " = {.name = \"" + name +
+         "\", .id = " + std::to_string(index) + "u};\n";
   out += "__attribute__((constructor)) static void " + var +
          "_register(void) {\n  purec_instr_register(&" + var + ");\n}\n";
   return out;

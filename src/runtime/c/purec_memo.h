@@ -7,31 +7,18 @@
  * PUREC_MEMO_CAP (total slots), PUREC_MEMO_STATS=1 (per-thunk
  * hit/miss/eviction counters dumped at exit to the shared stats stream —
  * PUREC_STATS_FILE or stderr, see purec_stats_out(); counters are dead
- * branches when the knob is off), PUREC_MEMO_PATH=FILE (map the slot
- * array from an mmap'd file so concurrent processes share one cache that
- * persists across restarts; a 64-byte header — magic, version, ABI
- * fingerprint, geometry, verify flag, ready state — is validated under
- * flock on attach and any mismatch falls back to the private in-process
- * table), PUREC_MEMO_VERIFY=1 (store the raw key words next to each slot
- * and compare them on a hit, so a fingerprint alias degrades to a miss
- * instead of a wrong value; --memoize=verify flips the compiled-in
- * default). Cross-process safety is the same per-slot seqlock: torn or
- * stale reads are safe misses, and the stats counters stay per-process.
+ * branches when the knob is off). The table is private to the process.
+ * Full-key verification is compile-time only: PUREC_MEMO_VERIFY=1
+ * (--memoize=verify emits it) stores the raw key words next to each slot
+ * and compares them on a hit, so a fingerprint alias degrades to a miss
+ * instead of a wrong value; at 0 every verify branch folds away.
  *
  * Read-mostly: a hit on a warm slot only loads. The clock bit is stored
  * only when it reads clear, the eviction sweep clears only set bits, and
  * the stats counters live in per-thread cache lines, so threads hitting
  * the same keys never write a line another thread reads. */
-#ifndef PUREC_MEMO_VERIFY_DEFAULT
-#define PUREC_MEMO_VERIFY_DEFAULT 0
-#endif
-#if defined(__unix__) || defined(__APPLE__)
-#define PUREC_MEMO_MMAP 1
-#include <fcntl.h>
-#include <sys/file.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
+#ifndef PUREC_MEMO_VERIFY
+#define PUREC_MEMO_VERIFY 0
 #endif
 typedef unsigned long long purec_memo_word;
 typedef union { float v; unsigned int b; } purec_memo_f32;
@@ -130,7 +117,6 @@ typedef struct {
 static purec_memo_shard* purec_memo_shards;
 static purec_memo_word purec_memo_shard_mask;
 static unsigned purec_memo_probe = 8u;
-static int purec_memo_verify; /* compare raw key words on hit */
 static int purec_memo_ready;  /* 0 until init allocates successfully */
 
 static purec_memo_word purec_memo_mix(purec_memo_word x) {
@@ -159,117 +145,25 @@ static purec_memo_word purec_memo_pow2(purec_memo_word v) {
   return p;
 }
 
-#ifdef PUREC_MEMO_MMAP
-/* Map the slot array (and verify sidecar) from `path`. flock serializes
- * create-vs-attach: the creator sizes the file and publishes the header
- * before any attacher reads it; a creator killed mid-init leaves state
- * != 2 and attachers reject the husk. Returns 0 on any mismatch so the
- * caller falls back to the private table. The mapping and fd live for
- * the process lifetime. */
-static int purec_memo_attach(const char* path, purec_memo_word shards,
-                             purec_memo_word per, int verify,
-                             purec_memo_slot** slots_out,
-                             purec_memo_word** vwords_out) {
-  purec_memo_word nslots = shards * per;
-  size_t slots_bytes = (size_t)nslots * sizeof(purec_memo_slot);
-  size_t vbytes = verify
-      ? (size_t)nslots * (1u + PUREC_MEMO_VWORDS) * sizeof(purec_memo_word)
-      : 0;
-  size_t total = 64 + slots_bytes + vbytes;
-  /* ABI fingerprint over the slot/verify layout, so a file laid out by
-   * an incompatible build or verify mode is never attached. */
-  purec_memo_word abi =
-      purec_memo_mix(0x5043ULL ^ (32ULL << 8) ^ (13ULL << 16) ^
-                     (verify ? (1ULL << 24) : 0ULL));
-  struct stat st;
-  unsigned char* base;
-  purec_memo_word* h;
-  int fresh;
-  int fd = open(path, O_RDWR | O_CREAT | O_CLOEXEC, 0644);
-  if (fd < 0) return 0;
-  if (flock(fd, LOCK_EX) != 0) {
-    close(fd);
-    return 0;
-  }
-  if (fstat(fd, &st) != 0) {
-    flock(fd, LOCK_UN);
-    close(fd);
-    return 0;
-  }
-  fresh = st.st_size == 0;
-  if (fresh ? ftruncate(fd, (off_t)total) != 0
-            : (st.st_size < 0 || (purec_memo_word)st.st_size != total)) {
-    flock(fd, LOCK_UN);
-    close(fd);
-    return 0;
-  }
-  base = (unsigned char*)mmap(0, total, PROT_READ | PROT_WRITE, MAP_SHARED,
-                              fd, 0);
-  if (base == MAP_FAILED) {
-    flock(fd, LOCK_UN);
-    close(fd);
-    return 0;
-  }
-  h = (purec_memo_word*)base;
-  if (fresh) {
-    /* ftruncate zero-fills, so every slot is already empty. */
-    h[0] = 0x304d454d43525550ULL; /* "PURCMEM0" */
-    h[1] = 1;                     /* file format version */
-    h[2] = abi;
-    h[3] = shards;
-    h[4] = per;
-    h[5] = verify ? 1 : 0;
-    __atomic_store_n(&h[6], 2ULL, __ATOMIC_RELEASE); /* ready */
-  } else if (__atomic_load_n(&h[6], __ATOMIC_ACQUIRE) != 2ULL ||
-             h[0] != 0x304d454d43525550ULL || h[1] != 1 || h[2] != abi ||
-             h[3] != shards || h[4] != per ||
-             h[5] != (purec_memo_word)(verify ? 1 : 0)) {
-    munmap(base, total);
-    flock(fd, LOCK_UN);
-    close(fd);
-    return 0;
-  }
-  flock(fd, LOCK_UN);
-  *slots_out = (purec_memo_slot*)(base + 64);
-  *vwords_out = verify ? (purec_memo_word*)(base + 64 + slots_bytes) : 0;
-  return 1;
-}
-#endif
-
 __attribute__((constructor)) static void purec_memo_init(void) {
   purec_memo_word shards =
       purec_memo_pow2(purec_memo_env("PUREC_MEMO_SHARDS", 8));
   purec_memo_word cap = purec_memo_env("PUREC_MEMO_CAP", 65536);
   purec_memo_word per, s, nslots;
-  purec_memo_slot* slots = 0;
+  purec_memo_slot* slots;
   purec_memo_word* vwords = 0;
-  int shared = 0;
   const char* stats = getenv("PUREC_MEMO_STATS");
-  const char* verify = getenv("PUREC_MEMO_VERIFY");
-  const char* path = getenv("PUREC_MEMO_PATH");
   purec_memo_stats_on = stats != 0 && stats[0] == '1';
-  purec_memo_verify =
-      verify != 0 ? verify[0] == '1' : PUREC_MEMO_VERIFY_DEFAULT;
   if (purec_memo_stats_on) atexit(purec_memo_stats_dump);
   if (cap < shards) shards = purec_memo_pow2(cap);
   per = purec_memo_pow2(cap / shards);
   nslots = shards * per;
-#ifdef PUREC_MEMO_MMAP
-  if (path != 0 && path[0] != 0)
-    shared = purec_memo_attach(path, shards, per, purec_memo_verify,
-                               &slots, &vwords);
-#else
-  (void)path;
-#endif
-  if (!shared) {
-    slots = (purec_memo_slot*)calloc(nslots, sizeof(purec_memo_slot));
-    if (slots == 0) return; /* no table: every call computes */
-    if (purec_memo_verify) {
-      vwords = (purec_memo_word*)calloc(
-          (size_t)nslots * (1u + PUREC_MEMO_VWORDS),
-          sizeof(purec_memo_word));
-      if (vwords == 0) return;
-    }
+  slots = (purec_memo_slot*)calloc(nslots, sizeof(purec_memo_slot));
+  if (slots == 0) return; /* no table: every call computes */
+  if (PUREC_MEMO_VERIFY) {
+    vwords = (purec_memo_word*)calloc(
+        (size_t)nslots * (1u + PUREC_MEMO_VWORDS), sizeof(purec_memo_word));
+    if (vwords == 0) return;
   }
   purec_memo_shards =
       (purec_memo_shard*)calloc(shards, sizeof(purec_memo_shard));
@@ -277,7 +171,7 @@ __attribute__((constructor)) static void purec_memo_init(void) {
   for (s = 0; s < shards; s++) {
     purec_memo_shards[s].slots = slots + s * per;
     purec_memo_shards[s].vwords =
-        purec_memo_verify ? vwords + s * per * (1u + PUREC_MEMO_VWORDS) : 0;
+        PUREC_MEMO_VERIFY ? vwords + s * per * (1u + PUREC_MEMO_VWORDS) : 0;
     purec_memo_shards[s].slot_mask = per - 1;
   }
   purec_memo_shard_mask = shards - 1;
@@ -291,7 +185,7 @@ static int purec_memo_lookup(purec_memo_word key,
   purec_memo_shard* sh;
   unsigned i, w;
   if (!purec_memo_ready) return 0;
-  if (purec_memo_verify && kn > PUREC_MEMO_VWORDS) return 0; /* too wide */
+  if (PUREC_MEMO_VERIFY && kn > PUREC_MEMO_VWORDS) return 0; /* too wide */
   sh = &purec_memo_shards[(key >> 40) & purec_memo_shard_mask];
   for (i = 0; i < purec_memo_probe; i++) {
     purec_memo_word idx = (key + i) & sh->slot_mask;
@@ -304,7 +198,7 @@ static int purec_memo_lookup(purec_memo_word key,
      * standalone fence is needed; on x86 all of these are plain moves. */
     tag = __atomic_load_n(&s->tag, __ATOMIC_ACQUIRE);
     val = __atomic_load_n(&s->value, __ATOMIC_ACQUIRE);
-    if (purec_memo_verify && tag == key) {
+    if (PUREC_MEMO_VERIFY && tag == key) {
       const purec_memo_word* rec =
           sh->vwords + idx * (1u + PUREC_MEMO_VWORDS);
       verified = __atomic_load_n(&rec[0], __ATOMIC_ACQUIRE) == kn;
@@ -340,7 +234,7 @@ static int purec_memo_claim(purec_memo_shard* sh, purec_memo_word idx,
   __atomic_store_n(&s->tag, key, __ATOMIC_RELEASE);
   __atomic_store_n(&s->value, value, __ATOMIC_RELEASE);
   __atomic_store_n(&s->ref, 0, __ATOMIC_RELAXED);
-  if (purec_memo_verify) {
+  if (PUREC_MEMO_VERIFY) {
     purec_memo_word* rec = sh->vwords + idx * (1u + PUREC_MEMO_VWORDS);
     __atomic_store_n(&rec[0], (purec_memo_word)kn, __ATOMIC_RELEASE);
     for (w = 0; w < kn; w++)
@@ -358,7 +252,7 @@ static int purec_memo_store(purec_memo_word key, const purec_memo_word* kw,
   unsigned i, w;
   purec_memo_word old_tag;
   if (!purec_memo_ready) return 0;
-  if (purec_memo_verify && kn > PUREC_MEMO_VWORDS) return 0;
+  if (PUREC_MEMO_VERIFY && kn > PUREC_MEMO_VWORDS) return 0;
   sh = &purec_memo_shards[(key >> 40) & purec_memo_shard_mask];
   for (i = 0; i < purec_memo_probe; i++) {
     purec_memo_word idx = (key + i) & sh->slot_mask;
@@ -366,7 +260,7 @@ static int purec_memo_store(purec_memo_word key, const purec_memo_word* kw,
     purec_memo_word tag = __atomic_load_n(&s->tag, __ATOMIC_RELAXED);
     if (tag == key) {
       int same;
-      if (!purec_memo_verify) return 0; /* resident value is identical */
+      if (!PUREC_MEMO_VERIFY) return 0; /* resident value is identical */
       /* Under verify a resident fingerprint alias must be replaced or
        * this key would miss forever; the unlocked compare only risks one
        * redundant republish. */

@@ -1123,9 +1123,9 @@ ChainArtifacts run_pure_chain(const std::string& source,
     add_include("#include <stdlib.h>");
     add_include("#include <stdio.h>");
     if (options.memoize_verify) {
-      // Flips the compiled-in default inside the prelude; the
-      // PUREC_MEMO_VERIFY env knob still overrides either way.
-      prelude += "#define PUREC_MEMO_VERIFY_DEFAULT 1\n";
+      // Compiles full-key verification into the table; nothing turns it
+      // off at run time.
+      prelude += "#define PUREC_MEMO_VERIFY 1\n";
     }
     prelude += memo_runtime_prelude();
     for (const std::string& name : memo_used) {

@@ -72,10 +72,9 @@ struct ChainOptions {
   /// behavior for measurement.
   bool memoize_all = false;
   /// `--memoize=verify`: the emitted table compiles with full-key
-  /// verification on by default — slots store the raw argument/global
-  /// words and compare them on a hit, making the 2^-25 fingerprint-
-  /// aliasing bound opt-out (PUREC_MEMO_VERIFY=0/1 still overrides at run
-  /// time). Implies memoize.
+  /// verification (`#define PUREC_MEMO_VERIFY 1`) — slots store the raw
+  /// argument/global words and compare them on a hit, so the 2^-25
+  /// fingerprint-aliasing bound no longer applies. Implies memoize.
   bool memoize_verify = false;
   /// `--memoize-profile=FILE` (the CLI parses the PUREC_MEMO_STATS dump
   /// into this map): when `has_memoize_profile`, the classifier swaps the

@@ -5,16 +5,17 @@
  * The headers are included in the order emitted C includes them, so every
  * byte of runtime text purecc can emit compiles here as C under
  * -Wall -Wextra -Werror, and the static internals (purec_memo_shard_mask,
- * slot_mask, purec_memo_verify, ...) are directly readable. The table is
- * built by its constructor from the PUREC_MEMO_* environment, exactly as
- * in an emitted program, so each configuration is one process:
- * tests/CMakeLists.txt registers every scenario as its own CTest entry
- * with the knobs in ENVIRONMENT, and scenarios that need a fresh attacher
- * re-run this binary as a "phase" with the knobs that attacher needs.
+ * slot_mask, ...) are directly readable. The table is built by its
+ * constructor from the PUREC_MEMO_* environment, exactly as in an emitted
+ * program, so each configuration is one process: tests/CMakeLists.txt
+ * registers every scenario as its own CTest entry with the knobs in
+ * ENVIRONMENT, and the exit-dump scenarios re-run this binary as a
+ * "phase" with the knobs that process needs. The file is built twice:
+ * memo_runtime_verify_test defines PUREC_MEMO_VERIFY=1, as
+ * --memoize=verify emits it.
  *
  *   memo_runtime_test <scenario> [args...]    exit status 0 = pass
  */
-#include <fcntl.h>
 #include <pthread.h>
 #include <signal.h>
 #include <stdio.h>
@@ -268,7 +269,7 @@ static void scenario_verify_alias(void) {
   unsigned kn;
   const purec_memo_word fp = key_of(1, kw, &kn);
   const purec_memo_word a[2] = {11, 12}, b[2] = {21, 22};
-  CHECK(purec_memo_verify);
+  CHECK(PUREC_MEMO_VERIFY);
   /* Two distinct tuples forced onto one fingerprint. */
   CHECK(purec_memo_store(fp, a, 2, 100) == 0);
   CHECK(purec_memo_lookup(fp, a, 2, &out) && out == 100);
@@ -283,7 +284,7 @@ static void scenario_verify_alias(void) {
 static void scenario_verify_wide(void) {
   purec_memo_word wide[PUREC_MEMO_VWORDS + 1], out = 0, key = 0x99ULL;
   unsigned kn = 0, w;
-  CHECK(purec_memo_verify);
+  CHECK(PUREC_MEMO_VERIFY);
   for (w = 0; w < PUREC_MEMO_VWORDS + 1; w++) {
     PUREC_MEMO_KEY_INT(key, wide, kn, w);
   }
@@ -299,25 +300,14 @@ static void scenario_verify_off(void) {
   unsigned kn;
   const purec_memo_word fp = key_of(3, kw, &kn);
   const purec_memo_word a[1] = {1}, b[1] = {2};
-  CHECK(!purec_memo_verify);
+  CHECK(!PUREC_MEMO_VERIFY);
   CHECK(purec_memo_store(fp, a, 1, 33) == 0);
   /* Without verify the fingerprint is the whole key: b "hits". */
   CHECK(purec_memo_lookup(fp, b, 1, &out) && out == 33);
 }
 
-/* ------------------------------------------------------------------ */
-/* Phases: one fresh attacher each, run by the file scenarios below     */
-/* ------------------------------------------------------------------ */
-
-/* phase_fill N: store keys 0..N-1. */
-static void phase_fill(purec_memo_word n) {
-  purec_memo_word i;
-  for (i = 0; i < n; i++) store_i(i, value_of(i));
-}
-
-/* phase_resident N: every key 0..N-1 hits with its exact value, so this
- * attacher serves the file the earlier phases wrote. */
-static void phase_resident(purec_memo_word n) {
+/* Every key 0..n-1 hits with its exact value. */
+static void expect_resident(purec_memo_word n) {
   purec_memo_word i, out;
   int missing = 0;
   for (i = 0; i < n; i++) {
@@ -329,40 +319,6 @@ static void phase_resident(purec_memo_word n) {
     }
   }
   CHECK(missing == 0);
-}
-
-/* phase_exact N: three rounds over N keys; every hit is exact. */
-static void phase_exact(purec_memo_word n) {
-  tally t = {0, 0, 0, 0};
-  purec_memo_word i;
-  int round;
-  for (round = 0; round < 3; round++) {
-    for (i = 0; i < n; i++) serve(i, &t);
-  }
-  CHECK(t.wrong == 0);
-  CHECK(t.hits > 0);
-}
-
-/* phase_private N: the table starts empty (whatever the file holds is not
- * being served), then works exactly. */
-static void phase_private(purec_memo_word n) {
-  purec_memo_word i, out = 0;
-  for (i = 0; i < n; i++) CHECK(!lookup_i(i, &out));
-  phase_exact(n);
-}
-
-/* phase_hammer OFFSET: 50 rounds over 256 keys against the shared file,
- * concurrently with another process doing the same. */
-static void phase_hammer(purec_memo_word offset) {
-  tally t = {0, 0, 0, 0};
-  purec_memo_word i;
-  int round;
-  for (round = 0; round < 50; round++) {
-    for (i = 0; i < 256; i++) serve((i + offset) % 256, &t);
-  }
-  CHECK(t.wrong == 0);
-  CHECK(t.hits > 0);
-  CHECK(t.hits + t.misses == 50 * 256);
 }
 
 /* ------------------------------------------------------------------ */
@@ -383,7 +339,7 @@ static void place_table(purec_memo_slot* slots, purec_memo_word* vwords) {
   purec_memo_word s;
   for (s = 0; s <= purec_memo_shard_mask; s++) {
     purec_memo_shards[s].slots = slots + s * per;
-    if (purec_memo_verify)
+    if (PUREC_MEMO_VERIFY)
       purec_memo_shards[s].vwords =
           vwords + s * per * (1u + PUREC_MEMO_VWORDS);
   }
@@ -398,7 +354,7 @@ static void scenario_hit_readonly(void) {
       (purec_memo_shard_mask + 1) * (purec_memo_shards[0].slot_mask + 1);
   const size_t slot_bytes = nslots * sizeof(purec_memo_slot);
   const size_t bytes =
-      slot_bytes + (purec_memo_verify ? nslots * (1u + PUREC_MEMO_VWORDS) *
+      slot_bytes + (PUREC_MEMO_VERIFY ? nslots * (1u + PUREC_MEMO_VWORDS) *
                                             sizeof(purec_memo_word)
                                       : 0);
   purec_memo_slot* const slots = purec_memo_shards[0].slots;
@@ -408,13 +364,13 @@ static void scenario_hit_readonly(void) {
   unsigned char *sealed, *snapshot;
   for (i = 0; i < 256; i++) serve(i, &t);
   CHECK(t.misses == 256);
-  phase_resident(256);
+  expect_resident(256);
   sealed = (unsigned char*)mmap(0, bytes, PROT_READ | PROT_WRITE,
                                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   CHECK(sealed != MAP_FAILED);
   if (sealed == MAP_FAILED) return;
   memcpy(sealed, slots, slot_bytes);
-  if (purec_memo_verify)
+  if (PUREC_MEMO_VERIFY)
     memcpy(sealed + slot_bytes, vwords, bytes - slot_bytes);
   snapshot = (unsigned char*)malloc(bytes);
   CHECK(snapshot != 0);
@@ -423,7 +379,7 @@ static void scenario_hit_readonly(void) {
               (purec_memo_word*)(sealed + slot_bytes));
   CHECK(mprotect(sealed, bytes, PROT_READ) == 0);
   signal(SIGSEGV, wrote_sealed);
-  phase_resident(256);
+  expect_resident(256);
   signal(SIGSEGV, SIG_DFL);
   CHECK(snapshot != 0 && memcmp(sealed, snapshot, bytes) == 0);
   place_table(slots, vwords);
@@ -476,35 +432,24 @@ static void scenario_second_chance(void) {
 /* Process and file helpers                                            */
 /* ------------------------------------------------------------------ */
 
-/* Starts this binary as `phase arg` with PUREC_MEMO_PATH=path (when not
- * null) plus NAME, VALUE pairs from the null-terminated `env`. */
-static pid_t spawn_phase(const char* phase, const char* arg,
-                         const char* path, const char* const* env) {
+/* Runs this binary as `phase` with NAME, VALUE pairs from the
+ * null-terminated `env` added to its environment; the phase must pass. */
+static void run_phase(const char* phase, const char* const* env) {
+  int status = 0;
   pid_t pid;
   fflush(stdout);
   fflush(stderr);
   pid = fork();
   if (pid == 0) {
-    if (path != 0) setenv("PUREC_MEMO_PATH", path, 1);
-    for (; env != 0 && env[0] != 0; env += 2) setenv(env[0], env[1], 1);
-    execl(self_exe, self_exe, phase, arg, (char*)0);
+    for (; env[0] != 0; env += 2) setenv(env[0], env[1], 1);
+    execl(self_exe, self_exe, phase, (char*)0);
     _exit(127);
   }
-  return pid;
-}
-
-static void wait_phase(pid_t pid, const char* phase) {
-  int status = 0;
   if (pid < 0 || waitpid(pid, &status, 0) != pid || !WIFEXITED(status) ||
       WEXITSTATUS(status) != 0) {
     fprintf(stderr, "phase %s failed (status %d)\n", phase, status);
     failures++;
   }
-}
-
-static void run_phase(const char* phase, const char* arg, const char* path,
-                      const char* const* env) {
-  wait_phase(spawn_phase(phase, arg, path, env), phase);
 }
 
 static long file_size(const char* path) {
@@ -530,24 +475,6 @@ static char* slurp(const char* path, long* size) {
   return text;
 }
 
-static purec_memo_word read_word(const char* path, int index) {
-  purec_memo_word w = 0;
-  int fd = open(path, O_RDONLY);
-  if (fd < 0 || pread(fd, &w, sizeof w, (off_t)index * 8) != sizeof w) {
-    failures++;
-  }
-  if (fd >= 0) close(fd);
-  return w;
-}
-
-static void write_word(const char* path, int index, purec_memo_word w) {
-  int fd = open(path, O_WRONLY);
-  if (fd < 0 || pwrite(fd, &w, sizeof w, (off_t)index * 8) != sizeof w) {
-    failures++;
-  }
-  if (fd >= 0) close(fd);
-}
-
 static int count_of(const char* text, const char* needle) {
   int n = 0;
   const char* at = text;
@@ -556,143 +483,6 @@ static int count_of(const char* text, const char* needle) {
     at += strlen(needle);
   }
   return n;
-}
-
-/* The file a successful attacher with this process's knobs created: size,
- * magic, verify flag and ready state all match. */
-static void expect_valid_file(const char* path) {
-  purec_memo_word nslots =
-      (purec_memo_shard_mask + 1) * (purec_memo_shards[0].slot_mask + 1);
-  purec_memo_word vbytes =
-      purec_memo_verify ? nslots * (1u + PUREC_MEMO_VWORDS) * 8 : 0;
-  CHECK((purec_memo_word)file_size(path) == 64 + nslots * 32 + vbytes);
-  CHECK(read_word(path, 0) == 0x304d454d43525550ULL);
-  CHECK(read_word(path, 5) == (purec_memo_word)purec_memo_verify);
-  CHECK(read_word(path, 6) == 2);
-}
-
-/* ------------------------------------------------------------------ */
-/* Shared-file scenarios (PUREC_MEMO_PATH)                             */
-/* ------------------------------------------------------------------ */
-
-static const char* const kOtherGeometry[] = {
-    "PUREC_MEMO_SHARDS", "8", "PUREC_MEMO_CAP", "1024", 0};
-static const char* const kVerifyOn[] = {"PUREC_MEMO_VERIFY", "1", 0};
-
-/* A first attacher creates and fills the file; a later, separate
- * attacher sees every store (the restart case). */
-static void scenario_shared_attach(const char* path) {
-  unlink(path);
-  run_phase("phase_fill", "64", path, 0);
-  expect_valid_file(path);
-  run_phase("phase_resident", "64", path, 0);
-  unlink(path);
-}
-
-/* Attachers with a different geometry or verify flag fall back to a
- * private table and leave the file untouched for the compatible ones. */
-static void scenario_shared_mismatch(const char* path) {
-  long before_size, after_size;
-  char *before, *after;
-  unlink(path);
-  run_phase("phase_fill", "64", path, 0);
-  expect_valid_file(path);
-  before = slurp(path, &before_size);
-  run_phase("phase_private", "64", path, kOtherGeometry);
-  run_phase("phase_private", "64", path, kVerifyOn);
-  after = slurp(path, &after_size);
-  CHECK(before != 0 && after != 0 && before_size == after_size &&
-        memcmp(before, after, (size_t)before_size) == 0);
-  run_phase("phase_resident", "64", path, 0);
-  free(before);
-  free(after);
-  unlink(path);
-}
-
-/* Two processes hammer one file concurrently and stay exact; a fresh
- * attacher then finds every key resident. Under PUREC_MEMO_VERIFY=1 the
- * key-word sidecar rides the same seqlock. */
-static void scenario_fork(const char* path) {
-  pid_t a, b;
-  unlink(path);
-  a = spawn_phase("phase_hammer", "0", path, 0);
-  b = spawn_phase("phase_hammer", "31", path, 0);
-  wait_phase(a, "phase_hammer 0");
-  wait_phase(b, "phase_hammer 31");
-  expect_valid_file(path);
-  run_phase("phase_resident", "256", path, 0);
-  unlink(path);
-}
-
-/* hostile PATH KIND: a PUREC_MEMO_PATH the runtime must refuse. The
- * attacher falls back to a private table, gives exact results, and does
- * not write to the file. */
-static void scenario_hostile(const char* path, const char* kind) {
-  char other[4096];
-  long before_size = 0, after_size = 0;
-  char *before, *after;
-  unlink(path);
-  rmdir(path);
-  if (strcmp(kind, "directory") == 0) {
-    CHECK(mkdir(path, 0755) == 0);
-    run_phase("phase_private", "64", path, 0);
-    rmdir(path);
-    return;
-  }
-  if (strcmp(kind, "missing_dir") == 0) {
-    snprintf(other, sizeof other, "%s.missing/memo.cache", path);
-    run_phase("phase_private", "64", other, 0);
-    CHECK(file_size(other) == -1);
-    return;
-  }
-  if (strcmp(kind, "readonly") == 0) {
-    /* Root may still open a read-only file, and then legitimately
-     * initializes it; either way the results are exact. */
-    int fd = open(path, O_CREAT | O_WRONLY, 0444);
-    CHECK(fd >= 0);
-    if (fd >= 0) close(fd);
-    run_phase("phase_exact", "64", path, 0);
-    if (geteuid() != 0) CHECK(file_size(path) == 0);
-    unlink(path);
-    return;
-  }
-  if (strcmp(kind, "garbage") == 0) {
-    /* Plausible size, garbage content. */
-    FILE* f = fopen(path, "wb");
-    CHECK(f != 0);
-    if (f != 0) {
-      memset(other, 0x5a, sizeof other);
-      CHECK(fwrite(other, 1, sizeof other, f) == sizeof other);
-      fclose(f);
-    }
-  } else {
-    run_phase("phase_fill", "64", path, 0);
-    expect_valid_file(path);
-    if (strcmp(kind, "truncated") == 0) {
-      CHECK(truncate(path, file_size(path) / 2) == 0);
-    } else if (strcmp(kind, "not_ready") == 0) {
-      write_word(path, 6, 1); /* a creator killed mid-init */
-    } else if (strcmp(kind, "version") == 0) {
-      write_word(path, 1, 2);
-    } else if (strcmp(kind, "abi") == 0) {
-      write_word(path, 2, read_word(path, 2) ^ 1);
-    } else if (strcmp(kind, "geometry") == 0) {
-      /* Same slot count, so the size still matches. */
-      write_word(path, 3, (purec_memo_shard_mask + 1) * 2);
-      write_word(path, 4, (purec_memo_shards[0].slot_mask + 1) / 2);
-    } else {
-      fprintf(stderr, "unknown hostile kind '%s'\n", kind);
-      failures++;
-    }
-  }
-  before = slurp(path, &before_size);
-  run_phase("phase_private", "64", path, 0);
-  after = slurp(path, &after_size);
-  CHECK(before != 0 && after != 0 && before_size == after_size &&
-        memcmp(before, after, (size_t)before_size) == 0);
-  free(before);
-  free(after);
-  unlink(path);
 }
 
 /* ------------------------------------------------------------------ */
@@ -785,7 +575,7 @@ static void scenario_stats_threads(const char* path) {
   long size;
   char* text;
   unlink(path);
-  run_phase("phase_stats_threads", 0, 0, env_on);
+  run_phase("phase_stats_threads", env_on);
   text = slurp(path, &size);
   CHECK(text != 0 && count_of(text, "\n") == 1 &&
         sscanf(text,
@@ -807,7 +597,7 @@ static void scenario_stats_dump(const char* path) {
   long size;
   char* text;
   unlink(path);
-  run_phase("phase_stats", 0, 0, env_on);
+  run_phase("phase_stats", env_on);
   text = slurp(path, &size);
   CHECK(text != 0 &&
         strcmp(text, "purec-memo[square] hits=90 misses=10 evictions=0\n") ==
@@ -815,7 +605,7 @@ static void scenario_stats_dump(const char* path) {
   free(text);
   /* With the knob off the counters are dead branches: no dump at all. */
   unlink(path);
-  run_phase("phase_stats", 0, 0, env_off);
+  run_phase("phase_stats", env_off);
   CHECK(file_size(path) == -1);
 }
 
@@ -844,15 +634,15 @@ static void scenario_instr_dump(const char* prefix) {
   snprintf(trace, sizeof trace, "%s.json", prefix);
   unlink(summary);
   unlink(trace);
-  run_phase("phase_instr", 0, 0, env_summary);
+  run_phase("phase_instr", env_summary);
   text = slurp(summary, &size);
   CHECK(count_of(text, "purec-instr[demo:7] invocations=3 total_ns=") == 1);
   CHECK(count_of(text, " p50_ns=") == 1);
   CHECK(count_of(text, " w0=12\n") == 1);
   free(text);
   /* Two traced runs append cooperatively into one array. */
-  run_phase("phase_instr", 0, 0, env_trace);
-  run_phase("phase_instr", 0, 0, env_trace);
+  run_phase("phase_instr", env_trace);
+  run_phase("phase_instr", env_trace);
   text = slurp(trace, &size);
   CHECK(text != 0 && text[0] == '[');
   CHECK(size >= 2 && strcmp(text + size - 2, "]\n") == 0);
@@ -926,7 +716,6 @@ int main(int argc, char** argv) {
   const char* name = argc > 1 ? argv[1] : "";
   const char* arg = argc > 2 ? argv[2] : "";
   const char* arg2 = argc > 3 ? argv[3] : "";
-  purec_memo_word n = strtoull(arg, 0, 10);
   self_exe = argv[0];
   if (strcmp(name, "roundtrip") == 0) {
     scenario_roundtrip();
@@ -954,14 +743,6 @@ int main(int argc, char** argv) {
     scenario_hit_readonly();
   } else if (strcmp(name, "second_chance") == 0) {
     scenario_second_chance();
-  } else if (strcmp(name, "shared_attach") == 0) {
-    scenario_shared_attach(arg);
-  } else if (strcmp(name, "shared_mismatch") == 0) {
-    scenario_shared_mismatch(arg);
-  } else if (strcmp(name, "fork") == 0) {
-    scenario_fork(arg);
-  } else if (strcmp(name, "hostile") == 0) {
-    scenario_hostile(arg, arg2);
   } else if (strcmp(name, "stats_dump") == 0) {
     scenario_stats_dump(arg);
   } else if (strcmp(name, "stats_threads") == 0) {
@@ -970,16 +751,6 @@ int main(int argc, char** argv) {
     scenario_instr_dump(arg);
   } else if (strcmp(name, "hist") == 0) {
     scenario_hist();
-  } else if (strcmp(name, "phase_fill") == 0) {
-    phase_fill(n);
-  } else if (strcmp(name, "phase_resident") == 0) {
-    phase_resident(n);
-  } else if (strcmp(name, "phase_exact") == 0) {
-    phase_exact(n);
-  } else if (strcmp(name, "phase_private") == 0) {
-    phase_private(n);
-  } else if (strcmp(name, "phase_hammer") == 0) {
-    phase_hammer(n);
   } else if (strcmp(name, "phase_stats") == 0) {
     phase_stats();
   } else if (strcmp(name, "phase_stats_threads") == 0) {

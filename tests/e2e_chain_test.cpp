@@ -237,21 +237,28 @@ TEST_P(E2EChainTest, SerialVsParallelDifferential) {
   ASSERT_FALSE(reference.empty()) << "serial reference produced no output";
 
   for (const Config& config : kConfigs) {
-    SCOPED_TRACE(config.name);
-    const ChainArtifacts parallel =
-        run_pure_chain(fixture.runnable, options_for(config, fixture));
-    if (!fixture.ok_with(config.inline_pure)) {
-      EXPECT_FALSE(parallel.ok)
-          << fixture.name << " must be rejected in this configuration";
-      continue;
+    // Memo fixtures also run with --memoize=verify: the table with
+    // full-key verification compiled in must print the same checksum.
+    for (const bool verify : {false, true}) {
+      if (verify && !fixture.memoize) continue;
+      const std::string tag =
+          std::string(config.name) + (verify ? "_memoize_verify" : "");
+      SCOPED_TRACE(tag);
+      ChainOptions options = options_for(config, fixture);
+      options.memoize_verify = verify;
+      const ChainArtifacts parallel = run_pure_chain(fixture.runnable, options);
+      if (!fixture.ok_with(config.inline_pure)) {
+        EXPECT_FALSE(parallel.ok)
+            << fixture.name << " must be rejected in this configuration";
+        continue;
+      }
+      ASSERT_TRUE(parallel.ok) << parallel.diagnostics.format();
+      const std::string output = compile_and_run(
+          parallel.final_source, std::string(fixture.name) + "_" + tag);
+      EXPECT_EQ(output, reference)
+          << "parallel binary diverged from serial reference\n"
+          << parallel.final_source;
     }
-    ASSERT_TRUE(parallel.ok) << parallel.diagnostics.format();
-    const std::string output = compile_and_run(
-        parallel.final_source,
-        std::string(fixture.name) + "_" + config.name);
-    EXPECT_EQ(output, reference)
-        << "parallel binary diverged from serial reference\n"
-        << parallel.final_source;
   }
 }
 
@@ -311,8 +318,9 @@ TEST(E2EInstrument, InstrumentedDifferentialAndChromeTrace) {
     EXPECT_EQ(pclose(p), 0) << cmd << "\n" << output;
     return output;
   };
-  run_cmd("gcc -O2 -fopenmp -o " + shell_quote(bin_path) + " " +
-          shell_quote(c_path) + " -lm");
+  // The counters must compile as clean as the program they instrument.
+  run_cmd("gcc -O2 -fopenmp -Wall -Wextra -Werror -o " + shell_quote(bin_path) +
+          " " + shell_quote(c_path) + " -lm");
 
   // Plain run: human counter summary on stderr + the untouched checksum.
   const std::string summary_run = run_cmd(shell_quote(bin_path));
@@ -395,98 +403,6 @@ TEST(E2EInstrument, InstrumentedDifferentialAndChromeTrace) {
   }
   // The histogram percentiles ride along in the summary lines.
   EXPECT_NE(stats_log.find("p99_ns="), std::string::npos) << stats_log;
-}
-
-// Process-shared persistent memoization end to end: two concurrent
-// processes of the emitted tabulate_memo binary attach one
-// PUREC_MEMO_PATH file, and each must print exactly the unmemoized
-// serial checksum (the acceptance bar for the shared cache). A third
-// run against the now-warm file must serve pure hits, and a corrupted
-// file must degrade to a private table — never to wrong results.
-TEST(E2EMemoShared, TwoProcessesShareOnePersistentCacheExactly) {
-  if (!gcc_available()) GTEST_SKIP() << "no system gcc";
-
-  // Unmemoized serial reference.
-  ChainOptions serial_options;
-  serial_options.parallelize = false;
-  serial_options.tile = false;
-  const ChainArtifacts serial = run_pure_chain(kRunTabulate, serial_options);
-  ASSERT_TRUE(serial.ok) << serial.diagnostics.format();
-  const std::string reference =
-      compile_and_run(serial.final_source, "memo_shared_ref");
-  ASSERT_NE(reference.find("checksum"), std::string::npos);
-
-  // Memoized parallel binary.
-  ChainOptions memo_options;
-  memo_options.memoize = true;
-  const ChainArtifacts memo = run_pure_chain(kRunTabulate, memo_options);
-  ASSERT_TRUE(memo.ok) << memo.diagnostics.format();
-
-  const std::string dir = ::testing::TempDir();
-  const std::string c_path = dir + "/purec_e2e_memo_shared.c";
-  const std::string bin_path = dir + "/purec_e2e_memo_shared.bin";
-  const std::string cache_path = dir + "/purec_e2e_memo_shared.cache";
-  const std::string out_a = dir + "/purec_e2e_memo_shared_a.txt";
-  const std::string out_b = dir + "/purec_e2e_memo_shared_b.txt";
-  {
-    std::ofstream out(c_path);
-    out << memo.final_source;
-  }
-  const auto run_cmd = [](const std::string& cmd) {
-    std::string output;
-    FILE* p = popen((cmd + " 2>&1").c_str(), "r");
-    EXPECT_NE(p, nullptr) << cmd;
-    if (p == nullptr) return output;
-    std::array<char, 256> buf{};
-    while (fgets(buf.data(), buf.size(), p) != nullptr) {
-      output += buf.data();
-    }
-    EXPECT_EQ(pclose(p), 0) << cmd << "\n" << output;
-    return output;
-  };
-  run_cmd("gcc -O2 -fopenmp -o " + shell_quote(bin_path) + " " +
-          shell_quote(c_path) + " -lm");
-
-  // Two concurrent attachers racing on a fresh file: whoever wins the
-  // flock initializes it, the other validates and joins. The compound
-  // command lives in a script file so the paths stay safely quoted.
-  std::remove(cache_path.c_str());
-  const std::string env = "PUREC_MEMO_PATH=" + shell_quote(cache_path);
-  const std::string script_path = dir + "/purec_e2e_memo_shared.sh";
-  {
-    std::ofstream out(script_path);
-    const std::string one = env + " " + shell_quote(bin_path);
-    out << one << " > " << shell_quote(out_a) << " 2>&1 &\n"
-        << one << " > " << shell_quote(out_b) << " 2>&1 &\n"
-        << "wait\n";
-  }
-  run_cmd("sh " + shell_quote(script_path));
-  std::remove(script_path.c_str());
-  EXPECT_EQ(read_file(out_a), reference)
-      << "first shared-cache process diverged from the serial reference";
-  EXPECT_EQ(read_file(out_b), reference)
-      << "second shared-cache process diverged from the serial reference";
-
-  // The file now holds every distinct key: a third process must match
-  // the reference AND report zero misses in its stats dump.
-  const std::string warm = run_cmd(
-      env + " PUREC_MEMO_STATS=1 " + shell_quote(bin_path));
-  EXPECT_NE(warm.find(reference), std::string::npos) << warm;
-  EXPECT_NE(warm.find("purec-memo[shade] hits=4096 misses=0"),
-            std::string::npos)
-      << "warm shared file did not serve pure hits:\n"
-      << warm;
-
-  // Corrupt the header: attach must fall back to a private table and
-  // still produce the exact result.
-  {
-    std::ofstream out(cache_path, std::ios::binary | std::ios::trunc);
-    out << "not a purec memo cache";
-  }
-  const std::string corrupt_run = run_cmd(env + " " + shell_quote(bin_path));
-  EXPECT_EQ(corrupt_run, reference)
-      << "corrupt cache file must degrade to a private table";
-  std::remove(cache_path.c_str());
 }
 
 // tier1 smoke guard: the region-SCoP fixtures must stay in the corpus as

@@ -356,13 +356,13 @@ TEST_F(PureccCliTest, MemoizeAllRewritesCallSitesAndReports) {
 }
 
 TEST_F(PureccCliTest, MemoizeVerifyCompilesTheFullKeyDefaultIn) {
-  // --memoize=verify flips the compiled-in verification default in the
-  // emitted prelude and is echoed in the report options.
+  // --memoize=verify compiles verification into the emitted prelude and
+  // is echoed in the report options.
   const RunResult r = run_purecc(
       "--memoize=all --memoize=verify --report=json " +
       shell_quote(input_path_));
   ASSERT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_NE(r.output.find("#define PUREC_MEMO_VERIFY_DEFAULT 1"),
+  EXPECT_NE(r.output.find("#define PUREC_MEMO_VERIFY 1"),
             std::string::npos)
       << r.output;
   EXPECT_NE(r.output.find("\"memoize_verify\": true"), std::string::npos)
