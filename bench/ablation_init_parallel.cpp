@@ -1,43 +1,38 @@
 // Ablation for the §4.3.1 anecdote: isolates the matmul *initialization*
-// (the malloc/fill loop) and measures it sequential vs. parallelized —
-// the hidden difference that made `pure` beat plain PluTo in Fig. 3.
-// Series report the init phase only.
-#include <benchmark/benchmark.h>
-
-#include <cstdio>
-
-#include "apps/matmul.h"
+// (the malloc/fill loop) and times it as purecc emits it (parallelized,
+// since malloc counts as pure) against the Sequential build — the hidden
+// difference that made `pure` beat plain PluTo in Fig. 3. Series report
+// the init phase only; the checksum covers the filled operands.
 #include "bench_common.h"
 
-namespace {
+using MatmulPhase = double (*)(float**, float**, float**, int);
 
-using purec::apps::MatmulConfig;
-using purec::apps::MatmulVariant;
-using purec::apps::run_matmul;
-
-MatmulConfig config() {
-  MatmulConfig c;
-  c.n = purec::bench::scaled_size(4096, 1536, 256);
-  return c;
+extern "C" {
+double matmul_seq_init(float**, float**, float**, int);
+double matmul_seq_checksum(float**, int);
+double matmul_pure_init(float**, float**, float**, int);
 }
 
-}  // namespace
-
 int main(int argc, char** argv) {
+  using purec::bench::Match;
+  using purec::bench::Run;
   benchmark::Initialize(&argc, argv);
 
-  purec::bench::register_series(
-      "ablation_init", "init_parallel(pure)", [](int t) {
-        // Pure = chain output with the accidentally-parallel init loop.
-        return run_matmul(MatmulVariant::Pure, config(), t).init_seconds;
-      });
-  purec::bench::register_series(
-      "ablation_init", "init_sequential(pluto)", [](int t) {
-        return run_matmul(MatmulVariant::PureNoInit, config(), t)
-            .init_seconds;
-      });
+  const int n = purec::bench::scaled_size(4096, 1536, 101);
+  const auto init_only = [n](MatmulPhase init) {
+    return [=] {
+      purec::bench::Rows a(n), bt(n), c(n);
+      const double seconds = init(a.data(), bt.data(), c.data(), n);
+      return Run{seconds, matmul_seq_checksum(a.data(), n) +
+                              matmul_seq_checksum(bt.data(), n)};
+    };
+  };
 
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  const Run seq = init_only(matmul_seq_init)();
+  purec::bench::register_series("ablation_init", "init_parallel(pure)", seq,
+                                Match::Exact, init_only(matmul_pure_init));
+  purec::bench::register_series("ablation_init", "init_sequential(pluto)",
+                                seq, Match::Exact,
+                                init_only(matmul_seq_init));
+  return purec::bench::run_benchmarks();
 }

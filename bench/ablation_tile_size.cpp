@@ -1,36 +1,29 @@
-// Ablation: PluTo tile-size choice (§4.3). Sweeps the tile edge for the
-// tiled matmul at the top of the thread ladder — the cache-blocking
-// design choice PluTo-SICA's "extensive cache usage" claim rests on.
-// Also measures the compiler chain itself (source-to-source cost).
-#include <benchmark/benchmark.h>
+// Ablation: PluTo tile-size choice (§4.3). Sweeps purecc's --tile for the
+// inlined matmul nest (--mode pluto, one kernel object per tile edge) at
+// the top of the thread ladder — the cache-blocking design choice
+// PluTo-SICA's "extensive cache usage" claim rests on. Series time the
+// product after the Sequential init. Also measures the compiler chain
+// itself (source-to-source cost).
+#include <string>
 
-#include "apps/matmul.h"
 #include "bench_common.h"
 #include "transform/pure_chain.h"
 
-namespace {
+using MatmulPhase = double (*)(float**, float**, float**, int);
 
-using purec::apps::MatmulConfig;
-using purec::apps::MatmulVariant;
-using purec::apps::run_matmul;
-
-void BM_tile_size(benchmark::State& state) {
-  MatmulConfig config;
-  config.n = purec::bench::scaled_size(2048, 896, 256);
-  config.tile = static_cast<int>(state.range(0));
-  const int threads = static_cast<int>(purec::bench::thread_ladder().back());
-  for (auto _ : state) {
-    const auto r = run_matmul(MatmulVariant::Pluto, config, threads);
-    state.SetIterationTime(r.compute_seconds);
-    benchmark::DoNotOptimize(r.checksum);
-  }
+extern "C" {
+double matmul_seq_init(float**, float**, float**, int);
+double matmul_seq_compute(float**, float**, float**, int);
+double matmul_seq_checksum(float**, int);
+double matmul_tile8_compute(float**, float**, float**, int);
+double matmul_tile16_compute(float**, float**, float**, int);
+double matmul_tile32_compute(float**, float**, float**, int);
+double matmul_tile64_compute(float**, float**, float**, int);
+double matmul_tile128_compute(float**, float**, float**, int);
+double matmul_tile256_compute(float**, float**, float**, int);
 }
-BENCHMARK(BM_tile_size)
-    ->ArgName("tile")
-    ->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(128)->Arg(256)
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
+
+namespace {
 
 /// The chain's own cost: full source-to-source run on the matmul listing.
 void BM_chain_end_to_end(benchmark::State& state) {
@@ -56,4 +49,34 @@ BENCHMARK(BM_chain_end_to_end)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  using purec::bench::Run;
+  benchmark::Initialize(&argc, argv);
+
+  const int n = purec::bench::scaled_size(2048, 896, 101);
+  const auto product = [n](MatmulPhase compute) {
+    return [=] {
+      purec::bench::Rows a(n), bt(n), c(n);
+      matmul_seq_init(a.data(), bt.data(), c.data(), n);
+      const double seconds = compute(a.data(), bt.data(), c.data(), n);
+      return Run{seconds, matmul_seq_checksum(c.data(), n)};
+    };
+  };
+
+  const Run seq = product(matmul_seq_compute)();
+  const struct {
+    int tile;
+    MatmulPhase compute;
+  } tiles[] = {
+      {8, matmul_tile8_compute},     {16, matmul_tile16_compute},
+      {32, matmul_tile32_compute},   {64, matmul_tile64_compute},
+      {128, matmul_tile128_compute}, {256, matmul_tile256_compute},
+  };
+  const int top = purec::bench::thread_ladder().back();
+  for (const auto& t : tiles) {
+    purec::bench::register_series(
+        "ablation_tile_size", "tile:" + std::to_string(t.tile), seq,
+        purec::bench::Match::Exact, product(t.compute), {top});
+  }
+  return purec::bench::run_benchmarks();
+}

@@ -1012,8 +1012,9 @@ inline std::vector<Fixture> all_fixtures() {
        true, /*infer=*/false, /*schedule=*/"guided,8"},
       {"matmul_with_init", testsrc::kMatmulWithInit, false,
        kRunMatmulWithInit, true, true},
-      // purecc --memoize end to end. matmul_memo: `mult` gets a thunk
-      // while `dot` pins its pointer-param rejection; satellite_memo has
+      // purecc --memoize end to end. matmul_memo pins two rejections:
+      // the cost gate turns `mult` away and `dot` is rejected for its
+      // pointer params, so its goldens equal matmul's; satellite_memo has
       // no memoizable function at all, pinning --memoize as a byte-level
       // no-op there; tabulate_memo is the repeated-call workload whose
       // thunk keys on an argument plus the `gain` global snapshot.
