@@ -1,5 +1,6 @@
 #include "emit/instrument.h"
 
+#include <cstdlib>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -32,23 +33,41 @@ constexpr const char* kParallelForPrefix = "#pragma omp parallel for";
       make_call("purec_instr_chunk", std::move(args)));
 }
 
+/// The N of a `collapse(N)` clause in `pragma` (1 when absent or not a
+/// positive literal).
+[[nodiscard]] std::size_t collapsed_loops(const std::string& pragma) {
+  const std::string clause = "collapse(";
+  const std::size_t at = pragma.find(clause);
+  if (at == std::string::npos) return 1;
+  const unsigned long n =
+      std::strtoul(pragma.c_str() + at + clause.size(), nullptr, 10);
+  return n == 0 ? 1 : n;
+}
+
 /// Plants the chunk tally at the top of the body of every loop that sits
-/// directly under a `#pragma omp parallel for` sibling: each outer
-/// iteration a worker claims bumps its padded cell exactly once, so the
-/// per-worker totals read back the scheduler's actual work split.
+/// directly under a `#pragma omp parallel for` sibling: each iteration a
+/// worker claims bumps its padded cell exactly once, so the per-worker
+/// totals read back the scheduler's actual work split. Under
+/// `collapse(N)` the claimed iteration is one of the N-loop product, and
+/// the loops in between must stay perfectly nested, so the tally goes
+/// into the innermost collapsed loop's body.
 void add_chunk_tallies(Stmt& s, const std::string& region) {
   std::function<void(Stmt&)> visit = [&](Stmt& node) {
     if (auto* block = stmt_cast<CompoundStmt>(&node)) {
-      bool after_parallel_pragma = false;
+      std::size_t collapsed = 0;  // 0 = not under a parallel-for pragma
       for (StmtPtr& child : block->stmts) {
         auto* pragma = stmt_cast<PragmaStmt>(child.get());
         if (pragma != nullptr) {
-          after_parallel_pragma =
-              pragma->text.rfind(kParallelForPrefix, 0) == 0;
+          collapsed = pragma->text.rfind(kParallelForPrefix, 0) == 0
+                          ? collapsed_loops(pragma->text)
+                          : 0;
           continue;
         }
         auto* loop = stmt_cast<ForStmt>(child.get());
-        if (after_parallel_pragma && loop != nullptr && loop->body) {
+        for (std::size_t k = 1; loop != nullptr && k < collapsed; ++k) {
+          loop = stmt_cast<ForStmt>(loop->body.get());
+        }
+        if (collapsed != 0 && loop != nullptr && loop->body) {
           auto* body = stmt_cast<CompoundStmt>(loop->body.get());
           if (body == nullptr) {
             auto wrapped = std::make_unique<CompoundStmt>();
@@ -59,7 +78,7 @@ void add_chunk_tallies(Stmt& s, const std::string& region) {
           body->stmts.insert(body->stmts.begin(),
                              make_chunk_tally(region));
         }
-        after_parallel_pragma = false;
+        collapsed = 0;
         visit(*child);
       }
       return;

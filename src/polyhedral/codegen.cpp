@@ -241,7 +241,8 @@ bool domain_is_imbalanced(const Scop& scop) {
 
 StmtPtr generate_code(const Scop& scop, const Transform& transform,
                       const CodegenOptions& options,
-                      IteratorSubstitution* substitution_out) {
+                      IteratorSubstitution* substitution_out,
+                      std::size_t* collapse_out) {
   const std::size_t d = scop.depth();
   const std::size_t p = scop.parameters.size();
   const IntMat& T = transform.matrix;
@@ -439,11 +440,30 @@ StmtPtr generate_code(const Scop& scop, const Transform& transform,
                         std::move(current));
   }
 
+  // A fully parallel rectangular tile band spreads its first two tile
+  // loops over the threads together: `collapse(2)` hands out tile pairs,
+  // so a band whose outer tile loop runs once or a few times (16 bands
+  // at 32-row tiles, 10 matmul tile rows on 4 threads) still fills every
+  // core. Legal because neither tile dimension carries a dependence;
+  // OpenMP needs the second loop's bounds free of the first's iterator.
+  const auto rectangular = [&](const std::vector<VarBound>& side) {
+    return std::all_of(side.begin(), side.end(),
+                       [](const VarBound& b) { return b.coeffs[0] == 0; });
+  };
+  const std::size_t collapse =
+      options.parallelize && parallel_outermost && tiled_dims >= 2 &&
+              transform.parallel[1] && rectangular(bounds[1].lower) &&
+              rectangular(bounds[1].upper)
+          ? 2
+          : 0;
+  if (collapse_out != nullptr) *collapse_out = collapse;
+
   auto result = std::make_unique<CompoundStmt>();
   if (options.parallelize &&
       (parallel_outermost ||
        (inner_parallel_point == 0 && tiled_dims == 0))) {
     std::string text = "#pragma omp parallel for";
+    if (collapse != 0) text += " collapse(" + std::to_string(collapse) + ")";
     if (!schedule_clause.empty()) text += " " + schedule_clause;
     if (!reduction_clause.empty()) text += " " + reduction_clause;
     if (!private_clause.empty()) text += " " + private_clause;

@@ -62,12 +62,17 @@ struct IteratorSubstitution {
 /// Generates the transformed loop nest. The returned compound statement
 /// contains the pragmas and loops and is a drop-in replacement for the
 /// scop's original outermost ForStmt. Returns nullptr when bounds cannot
-/// be derived (callers leave the original nest untouched).
+/// be derived (callers leave the original nest untouched). When the
+/// band is tiled, parallel in both outer tile dimensions, and the second
+/// tile loop's bounds do not read the first tile iterator, the parallel
+/// pragma carries `collapse(2)`; `collapse_out` receives that count (0
+/// when the pragma has no collapse clause).
 [[nodiscard]] StmtPtr generate_code(const Scop& scop,
                                     const Transform& transform,
                                     const CodegenOptions& options,
                                     IteratorSubstitution* substitution_out =
-                                        nullptr);
+                                        nullptr,
+                                    std::size_t* collapse_out = nullptr);
 
 /// What schedule_region decided, for the chain's report.
 struct RegionSchedule {

@@ -116,6 +116,23 @@ class AffineBuilder {
     return iterators_.size() + parameters_.size();
   }
 
+  /// The variable names of the space built so far.
+  [[nodiscard]] std::vector<std::string> space_names() const {
+    std::vector<std::string> names = iterators_;
+    names.insert(names.end(), parameters_.begin(), parameters_.end());
+    return names;
+  }
+
+  /// The space index of `e` when it names a loop-invariant parameter.
+  [[nodiscard]] std::optional<std::size_t> parameter_index(const Expr& e) {
+    const auto* ident = expr_cast<IdentExpr>(&e);
+    if (ident == nullptr) return std::nullopt;
+    error_.clear();
+    const std::optional<std::size_t> idx = index_of(ident->name);
+    if (!idx || *idx < iterators_.size()) return std::nullopt;
+    return idx;
+  }
+
  private:
   [[nodiscard]] std::optional<AffineForm> build_impl(const Expr& e) {
     switch (e.kind()) {
@@ -652,6 +669,8 @@ class Extractor {
         alternatives = std::move(combined);
       }
       builder.set_chain(&p.chain);
+      const StatementScope scope{&loop_bounds, &p.chain, &alternatives};
+      scope_ = &scope;
 
       ScopStatement stmt;
       stmt.ast = p.ast;
@@ -775,6 +794,35 @@ class Extractor {
       }
     }
     for (AffineForm& origin : scop.origins) origin.coeffs.resize(space, 0);
+
+    // A base is modeled two-dimensional only when every access to it
+    // split by the same parameter. The dependence test pairs subscript
+    // lists of equal length only, so a half-split base would lose the
+    // dependences between its split and flat accesses: keep it flat
+    // instead, which leaves its product subscripts non-affine.
+    for (const ScopStatement& stmt : scop.statements) {
+      for (const Access& a : stmt.accesses) {
+        if (a.delinearized_by.empty() ||
+            std::find(scop.delinearized.begin(), scop.delinearized.end(),
+                      a.array) != scop.delinearized.end()) {
+          continue;
+        }
+        for (const ScopStatement& other : scop.statements) {
+          for (const Access& b : other.accesses) {
+            if (b.array != a.array || b.delinearized_by == a.delinearized_by) {
+              continue;
+            }
+            result.failure_reason =
+                "non-affine subscript on array " + a.array +
+                ": another access to " + a.array + " does not split as e * " +
+                a.delinearized_by + " + e'";
+            result.failure_loc = stmt.ast->loc;
+            return result;
+          }
+        }
+        scop.delinearized.push_back(a.array);
+      }
+    }
 
     // Inclusive prefix-scan shape `a[i] = a[i - c] + e` (1-D, constant
     // positive distance c): not parallelizable as-is, but the verdict
@@ -1149,16 +1197,131 @@ class Extractor {
     a.array = base;
     for (const Expr* sub : subscripts) {
       auto form = builder.build(*sub);
-      if (!form) {
-        failure = builder.error().empty()
-                      ? "non-affine subscript on array " + base
-                      : builder.error();
+      if (form) {
+        a.subscripts.push_back(std::move(*form));
+        continue;
+      }
+      if (!builder.error().empty()) {
+        failure = builder.error();
         return false;
       }
-      a.subscripts.push_back(std::move(*form));
+      failure = "non-affine subscript on array " + base;
+      if (subscripts.size() != 1) return false;
+      std::optional<ProductSplit> split = split_product(*sub, builder);
+      if (!split) return false;
+      const std::string unproven = unproven_row_bound(*split, builder);
+      if (!unproven.empty()) {
+        failure += ": cannot prove " + unproven;
+        return false;
+      }
+      a.subscripts.push_back(std::move(split->outer));
+      a.subscripts.push_back(std::move(split->inner));
+      a.delinearized_by = builder.space_names()[split->param];
     }
     stmt.accesses.push_back(std::move(a));
     return true;
+  }
+
+  /// A flat subscript `e1 * P + e2` split into its row `e1` and its
+  /// column `e2`, with P's index in the space.
+  struct ProductSplit {
+    AffineForm outer;
+    AffineForm inner;
+    std::size_t param = 0;
+  };
+
+  /// Splits a subscript the builder rejected into `e1 * P + e2` (or
+  /// `P * e1 + e2`, the terms of the sum in any order): exactly one term
+  /// is a product, it is added, one factor is a parameter and the other
+  /// is affine, and the remaining terms are affine.
+  [[nodiscard]] static std::optional<ProductSplit> split_product(
+      const Expr& sub, AffineBuilder& builder) {
+    std::vector<std::pair<const Expr*, bool>> terms;  // (term, negated)
+    std::vector<std::pair<const Expr*, bool>> pending{{&sub, false}};
+    while (!pending.empty()) {
+      const auto [e, negated] = pending.back();
+      pending.pop_back();
+      const auto* b = expr_cast<BinaryExpr>(e);
+      if (b != nullptr &&
+          (b->op == BinaryOp::Add || b->op == BinaryOp::Sub)) {
+        pending.emplace_back(b->rhs.get(),
+                             b->op == BinaryOp::Sub ? !negated : negated);
+        pending.emplace_back(b->lhs.get(), negated);
+        continue;
+      }
+      terms.emplace_back(e, negated);
+    }
+    std::optional<ProductSplit> split;
+    AffineForm inner;
+    for (const auto& [term, negated] : terms) {
+      if (auto form = builder.build(*term)) {
+        builder.align(*form);
+        builder.align(inner);
+        const std::int64_t sign = negated ? -1 : 1;
+        for (std::size_t i = 0; i < inner.coeffs.size(); ++i) {
+          inner.coeffs[i] =
+              checked_add(inner.coeffs[i], checked_mul(sign, form->coeffs[i]));
+        }
+        inner.constant =
+            checked_add(inner.constant, checked_mul(sign, form->constant));
+        continue;
+      }
+      const auto* mul = expr_cast<BinaryExpr>(term);
+      if (!builder.error().empty() || negated || split || mul == nullptr ||
+          mul->op != BinaryOp::Mul) {
+        return std::nullopt;
+      }
+      for (const auto& [factor, other] :
+           {std::pair{mul->rhs.get(), mul->lhs.get()},
+            std::pair{mul->lhs.get(), mul->rhs.get()}}) {
+        const std::optional<std::size_t> param =
+            builder.parameter_index(*factor);
+        if (!param) continue;
+        std::optional<AffineForm> outer = builder.build(*other);
+        if (!outer) return std::nullopt;
+        split = ProductSplit{std::move(*outer), AffineForm{}, *param};
+        break;
+      }
+      if (!split) return std::nullopt;
+    }
+    if (!split) return std::nullopt;
+    builder.align(split->outer);
+    builder.align(inner);
+    split->inner = std::move(inner);
+    return split;
+  }
+
+  /// Checks the split against every convex piece of the current
+  /// statement's domain: both `e2 <= -1` and `e2 >= P` must be
+  /// infeasible. Returns the unproven bound as text, empty when proven.
+  [[nodiscard]] std::string unproven_row_bound(
+      const ProductSplit& split, const AffineBuilder& builder) const {
+    const std::size_t space = builder.space_size();
+    const auto aligned = [space](Constraint c) {
+      c.coeffs.resize(space, 0);
+      return c;
+    };
+    Constraint below = Constraint::ge(split.inner.coeffs, 0);
+    for (std::int64_t& c : below.coeffs) c = -c;
+    below.constant = checked_sub(-1, split.inner.constant);
+    Constraint beyond = Constraint::ge(split.inner.coeffs,
+                                       split.inner.constant);
+    beyond.coeffs[split.param] = checked_sub(beyond.coeffs[split.param], 1);
+    for (const std::vector<Constraint>& guard : *scope_->alternatives) {
+      ConstraintSystem domain(space);
+      for (std::size_t loop_index : *scope_->chain) {
+        for (const Constraint& c : (*scope_->loop_bounds)[loop_index]) {
+          domain.add(aligned(c));
+        }
+      }
+      for (const Constraint& c : guard) domain.add(aligned(c));
+      if (domain.satisfiable_with(below) || domain.satisfiable_with(beyond)) {
+        const std::vector<std::string> names = builder.space_names();
+        return "0 <= " + split.inner.to_string(names) + " < " +
+               names[split.param];
+      }
+    }
+    return {};
   }
 
   bool collect_reads(const Expr& e, AffineBuilder& builder,
@@ -1221,8 +1384,18 @@ class Extractor {
     return true;
   }
 
+  /// What a subscript bound proof may assume: the constraints of the
+  /// statement being collected (its loops' bounds plus one guard piece
+  /// per alternative).
+  struct StatementScope {
+    const std::vector<std::vector<Constraint>>* loop_bounds = nullptr;
+    const std::vector<std::size_t>* chain = nullptr;
+    const std::vector<std::vector<Constraint>>* alternatives = nullptr;
+  };
+
   std::vector<LoopNode> loops_;
   std::vector<PendingStmt> pending_stmts_;
+  const StatementScope* scope_ = nullptr;
   bool saw_guard_ = false;
   /// Set by the walk passes when a rejection can point at the offending
   /// statement/loop; run() falls back to the root loop otherwise.

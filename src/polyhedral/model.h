@@ -25,7 +25,15 @@
 // min/max bounds), chain depth <= 4, at most 8 loops per region, bodies
 // made of assignment statements with affine subscripts, guards affine and
 // conjunctive (negated `else` halves included; `x != y` guards only on
-// the `else` side where the negation is the affine equality). Pure
+// the `else` side where the negation is the affine equality). A flattened
+// subscript `A[e1 * P + e2]` (P a loop-invariant parameter, e1 and e2
+// affine) is accepted as the two subscripts `A[e1][e2]` when every
+// statement domain that touches it proves `0 <= e2 < P` and every access
+// to `A` in the region splits by the same P (Grosser et al.'s
+// delinearization, without the optimistic run-time check); otherwise it
+// stays non-affine and the nest is rejected. Only single-subscript bases
+// (`T*` or 1-D arrays) qualify: a row-pointer `T**` base indexed twice
+// stays flat. Pure
 // function calls have already been substituted by `tmpConst_*`
 // identifiers when extraction runs, which is exactly why the paper's
 // chain can feed these nests to PluTo.
@@ -86,6 +94,10 @@ struct Access {
   AccessKind kind = AccessKind::Read;
   std::string array;                  // base variable name
   std::vector<AffineForm> subscripts; // empty for scalars
+  /// Non-empty when the source wrote one flattened subscript
+  /// `e1 * P + e2` that the model splits into `[e1][e2]`: names P.
+  /// Codegen still prints the source subscript.
+  std::string delinearized_by;
 };
 
 /// One statement instance set: its accesses, its textual position, and —
@@ -153,6 +165,9 @@ struct Scop {
   /// chain's serial verdict so the reason names the pattern instead of a
   /// generic carried dependence.
   std::vector<std::string> reduction_notes;
+  /// Bases whose flattened `e1 * P + e2` subscripts were split into two
+  /// dimensions, in first-access order.
+  std::vector<std::string> delinearized;
 
   [[nodiscard]] std::size_t depth() const noexcept {
     return iterators.size();

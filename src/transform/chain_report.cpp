@@ -52,7 +52,8 @@ json::Value build_chain_report(const ChainArtifacts& artifacts,
   // stamps on trace events (purecc trace joins the two by it).
   // v4: memoization.functions[] entries carry the cost-model trail —
   // cost_nodes plus the --memoize-profile decision (hits/misses/score) —
-  // and options echoes memoize_verify / memoize_profile.
+  // and options echoes memoize_verify / memoize_profile. scops[] entries
+  // since gained `delinearized` and `collapse` (additive, still v4).
   report.set("report_version", 4);
   report.set("ok", artifacts.ok);
 
@@ -122,6 +123,8 @@ json::Value build_chain_report(const ChainArtifacts& artifacts,
               static_cast<std::int64_t>(r.fission_parallel_groups));
     entry.set("privatized", string_array(r.privatized));
     entry.set("fused_loops", static_cast<std::int64_t>(r.fused_loops));
+    entry.set("delinearized", string_array(r.delinearized));
+    entry.set("collapse", static_cast<std::int64_t>(r.collapse));
     entry.set("region_id", r.region_id < 0 ? json::Value(nullptr)
                                            : json::Value(r.region_id));
     entry.set("reductions", string_array(r.reductions));
@@ -323,15 +326,27 @@ std::string render_report_text(const json::Value& report) {
         if (get_int("fused_loops") > 0) {
           scheduling += " fused=" + std::to_string(get_int("fused_loops"));
         }
-        if (const auto* priv = entry.find("privatized")) {
-          if (const auto* items = priv->as_array()) {
-            std::string names;
+        const auto get_names = [&entry](const char* key) {
+          std::string names;
+          const json::Value* v = entry.find(key);
+          if (const auto* items = v != nullptr ? v->as_array() : nullptr) {
             for (const json::Value& name : *items) {
               names += names.empty() ? "" : ",";
               names += name.as_string();
             }
-            if (!names.empty()) scheduling += " private=" + names;
           }
+          return names;
+        };
+        if (const std::string names = get_names("privatized");
+            !names.empty()) {
+          scheduling += " private=" + names;
+        }
+        if (const std::string names = get_names("delinearized");
+            !names.empty()) {
+          scheduling += " delinearized=" + names;
+        }
+        if (get_int("collapse") > 0) {
+          scheduling += " collapse=" + std::to_string(get_int("collapse"));
         }
         std::string reason;
         if (const auto* failure = entry.find("failure")) {

@@ -788,6 +788,7 @@ ChainArtifacts run_pure_chain(const std::string& source,
       poly::Scop& scop = *extraction.scop;
       report.extracted = true;
       report.depth = scop.depth();
+      report.delinearized = scop.delinearized;
       region = scop.region_shaped;
       report.region = region;
 
@@ -933,7 +934,8 @@ ChainArtifacts run_pure_chain(const std::string& source,
         report.skewed = !transform.is_identity();
         scop_iterators = scop.iterators;
 
-        generated = poly::generate_code(scop, transform, cg, &iter_subst);
+        generated = poly::generate_code(scop, transform, cg, &iter_subst,
+                                        &report.collapse);
         if (generated) {
           report.parallelized =
               options.parallelize && transform.any_parallel();
@@ -1022,6 +1024,7 @@ ChainArtifacts run_pure_chain(const std::string& source,
       report.failure_loc = loop->loc;
       report.parallelized = false;
       report.tiled = false;
+      report.collapse = 0;
       undo();
       continue;
     }

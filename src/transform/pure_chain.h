@@ -158,6 +158,12 @@ struct ScopReport {
   /// Sibling loops fused into this nest before transformation (0 = the
   /// nest was not a fusion target).
   std::size_t fused_loops = 0;
+  /// Arrays whose flattened `e1 * P + e2` subscripts the model split into
+  /// two dimensions (poly::Scop::delinearized).
+  std::vector<std::string> delinearized;
+  /// Tile loops folded into the parallel pragma's `collapse(N)` clause (0
+  /// when the pragma has none).
+  std::size_t collapse = 0;
   /// Stable instrumentation region id (-1 when the scop was not
   /// instrumented): the join key between this report entry and the
   /// runtime's trace events (`args.region_id`). Assigned in emission

@@ -187,6 +187,11 @@ TEST(ChainReportSchema, EveryAcceptedFixtureCarriesTheFullDecisionTrail) {
       const json::Value* privatized = scop.find("privatized");
       ASSERT_NE(privatized, nullptr) << where;
       ASSERT_NE(privatized->as_array(), nullptr) << where;
+      // Delinearized bases and the collapse depth are always stated too.
+      const json::Value* delinearized = scop.find("delinearized");
+      ASSERT_NE(delinearized, nullptr) << where;
+      ASSERT_NE(delinearized->as_array(), nullptr) << where;
+      ASSERT_NE(scop.find("collapse"), nullptr) << where;
       if (scop.find("fissioned")->as_bool()) {
         EXPECT_GE(scop.find("fission_groups")->as_int(), 2) << where;
       }
@@ -266,6 +271,53 @@ TEST(ChainReportSchema, InstrumentedRunListsItsRegions) {
     EXPECT_NE(region.as_string().find(':'), std::string::npos)
         << region.as_string();
   }
+}
+
+/// The report entry for the nest in `function`, or nullptr.
+const json::Value* scop_entry(const json::Value& report,
+                              const std::string& function) {
+  for (const json::Value& scop : *report.find("scops")->as_array()) {
+    if (scop.find("function")->as_string() == function) return &scop;
+  }
+  return nullptr;
+}
+
+TEST(ChainReportSchema, DelinearizationAndCollapseAreStated) {
+  const std::vector<Fixture> all = e2e::all_fixtures();
+  const auto report_of = [&all](const char* name) {
+    const Fixture* fixture = find_fixture(all, name);
+    EXPECT_NE(fixture, nullptr) << name;
+    const ChainOptions options = fixture_options(*fixture);
+    const ChainArtifacts artifacts =
+        run_pure_chain(fixture_source(*fixture), options);
+    EXPECT_TRUE(artifacts.ok) << artifacts.diagnostics.format();
+    return build_chain_report(artifacts, options);
+  };
+
+  // Split, tiled, and collapsed: the band-major fill.
+  const json::Value fill = report_of("flat_fill");
+  const json::Value* split = scop_entry(fill, "fill");
+  ASSERT_NE(split, nullptr);
+  EXPECT_TRUE(split->find("parallelized")->as_bool());
+  ASSERT_EQ(split->find("delinearized")->as_array()->size(), 1u);
+  EXPECT_EQ(split->find("delinearized")->as_array()->at(0).as_string(), "A");
+  EXPECT_EQ(split->find("collapse")->as_int(), 2);
+  const std::string text = render_report_text(fill);
+  EXPECT_NE(text.find("delinearized=A collapse=2"), std::string::npos)
+      << text;
+
+  // Overlapping rows: flat, serial, and the reason names the bound.
+  const json::Value overlap = report_of("flat_overlap");
+  const json::Value* flat = scop_entry(overlap, "stamp");
+  ASSERT_NE(flat, nullptr);
+  EXPECT_FALSE(flat->find("transformed")->as_bool());
+  EXPECT_TRUE(flat->find("delinearized")->as_array()->empty());
+  EXPECT_EQ(flat->find("collapse")->as_int(), 0);
+  const json::Value* failure = flat->find("failure");
+  EXPECT_EQ(failure->find("reason")->as_string(),
+            "non-affine subscript on array A: cannot prove 0 <= j < n");
+  EXPECT_GT(failure->find("location")->find("line")->as_int(),
+            flat->find("location")->find("line")->as_int());
 }
 
 // -- Text renderer over the same structure ----------------------------------

@@ -509,6 +509,93 @@ TEST(Codegen, MinReductionClauseInSicaMode) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// collapse(2) on fully parallel rectangular tile bands
+// ---------------------------------------------------------------------------
+
+/// The parallel pragma text of a tiled generation, plus the reported
+/// collapse count.
+std::string tiled_pragma(const std::string& src, std::size_t* collapse) {
+  Prepared p = prepare(src);
+  StmtPtr generated =
+      generate_code(p.scop, p.transform, tiled(8), nullptr, collapse);
+  EXPECT_NE(generated, nullptr);
+  if (generated == nullptr) return {};
+  const std::string text = print_c(*generated);
+  const std::size_t at = text.find("#pragma omp parallel for");
+  return at == std::string::npos ? std::string()
+                                 : text.substr(at, text.find('\n', at) - at);
+}
+
+TEST(Codegen, RectangularParallelTileBandCollapses) {
+  std::size_t collapse = 0;
+  const std::string pragma = tiled_pragma(
+      "float** C;\n"
+      "void k(int n, int m) {\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    for (int j = 0; j < m; j++)\n"
+      "      C[i][j] = 1.0f;\n"
+      "}\n",
+      &collapse);
+  EXPECT_EQ(pragma, "#pragma omp parallel for collapse(2)");
+  EXPECT_EQ(collapse, 2u);
+}
+
+TEST(Codegen, DelinearizedFillTilesCollapsesAndStaysEquivalent) {
+  const std::string src =
+      "void k(float* a, int n, int m) {\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    for (int j = 0; j < m; j++)\n"
+      "      a[i * m + j] = a[i * m + j] * 2.0f + 1.0f;\n"
+      "}\n";
+  std::size_t collapse = 0;
+  EXPECT_EQ(tiled_pragma(src, &collapse),
+            "#pragma omp parallel for collapse(2)");
+  EXPECT_EQ(collapse, 2u);
+  expect_equivalent(src, tiled(4), {{"n", 7}, {"m", 11}}, {{"a", {77, 0}}});
+}
+
+TEST(Codegen, TriangularTileBandDoesNotCollapse) {
+  // The t2t bound reads t1t (the triangular_guided shape): OpenMP's
+  // collapse needs a rectangular iteration space.
+  std::size_t collapse = 7;
+  const std::string pragma = tiled_pragma(
+      "float** L;\n"
+      "void k(int n) {\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    for (int j = 0; j <= i; j++)\n"
+      "      L[i][j] = 1.0f;\n"
+      "}\n",
+      &collapse);
+  ASSERT_FALSE(pragma.empty());
+  EXPECT_EQ(pragma.find("collapse"), std::string::npos) << pragma;
+  EXPECT_EQ(collapse, 0u);
+}
+
+TEST(Codegen, TileBandCarriedAtSecondDimensionDoesNotCollapse) {
+  // Rows are independent, columns carry a[i][j - 1] -> a[i][j]: only the
+  // outer tile loop may be spread over threads.
+  Prepared p = prepare(
+      "float** a;\n"
+      "void k(int n) {\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    for (int j = 1; j < n; j++)\n"
+      "      a[i][j] = a[i][j - 1] + 1.0f;\n"
+      "}\n");
+  ASSERT_TRUE(p.transform.parallel[0]);
+  ASSERT_FALSE(p.transform.parallel[1]);
+  ASSERT_GE(p.transform.band_size, 2u);
+  std::size_t collapse = 7;
+  StmtPtr generated =
+      generate_code(p.scop, p.transform, tiled(8), nullptr, &collapse);
+  ASSERT_NE(generated, nullptr);
+  const std::string text = print_c(*generated);
+  EXPECT_NE(text.find("#pragma omp parallel for\n"), std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("collapse"), std::string::npos) << text;
+  EXPECT_EQ(collapse, 0u);
+}
+
 TEST(Codegen, GeneratedBoundsUseHelpers) {
   Prepared p = prepare(
       "float** C;\n"

@@ -77,6 +77,58 @@ TEST(Dependence, FlowDependenceDistanceOne) {
   EXPECT_TRUE(found);
 }
 
+TEST(Dependence, DelinearizedRowsCarryExactlyAtTheRowLoop) {
+  // A[i*n + j] reads the previous row A[(i-1)*n + j]: split into
+  // [i][j] / [i-1][j], the flow dependence is carried by i at distance
+  // (1, 0) and the column loop stays parallel.
+  auto r = analyze(
+      "void k(float* A, int m, int n) {\n"
+      "  for (int i = 1; i < m; i++)\n"
+      "    for (int j = 0; j < n; j++)\n"
+      "      A[i * n + j] = A[(i - 1) * n + j] + 1.0f;\n"
+      "}\n");
+  ASSERT_EQ(r.scop.delinearized, (std::vector<std::string>{"A"}));
+  bool found = false;
+  for (const Dependence& d : r.deps) {
+    EXPECT_NE(d.level, 2u) << d.to_string(r.scop);
+    if (d.kind == DependenceKind::Flow && d.level == 1) {
+      ASSERT_EQ(d.distance.size(), 2u);
+      EXPECT_EQ(d.distance[0], std::optional<std::int64_t>(1));
+      EXPECT_EQ(d.distance[1], std::optional<std::int64_t>(0));
+      found = true;
+    }
+  }
+  EXPECT_TRUE(found);
+  EXPECT_FALSE(level_is_parallel(r.deps, 1, 2));
+  EXPECT_TRUE(level_is_parallel(r.deps, 2, 2));
+}
+
+TEST(Dependence, MixedShapeBaseNeverReachesTheAnalysis) {
+  // Every access to one base has the same subscript count in any
+  // extracted scop: a split write next to a flat read is rejected at
+  // extraction, so analyze_dependences never skips a pair of mismatched
+  // shapes and silently loses their dependence.
+  for (const char* read : {"A[i]", "A[i * n + j + 1]"}) {
+    SCOPED_TRACE(read);
+    SourceBuffer buf = SourceBuffer::from_string(
+        std::string("void k(float* A, int m, int n) {\n"
+                    "  for (int i = 0; i < m; i++)\n"
+                    "    for (int j = 0; j < n; j++)\n"
+                    "      A[i * n + j] = ") +
+        read + ";\n}\n");
+    DiagnosticEngine diags;
+    TranslationUnit tu = parse(buf, diags);
+    const auto* loop =
+        stmt_cast<ForStmt>(tu.find_function("k")->body->stmts[0].get());
+    ASSERT_NE(loop, nullptr);
+    const ExtractionResult extracted = extract_scop(*loop);
+    EXPECT_FALSE(extracted.ok());
+    EXPECT_NE(extracted.failure_reason.find("non-affine subscript on array A"),
+              std::string::npos)
+        << extracted.failure_reason;
+  }
+}
+
 TEST(Dependence, AntiDependence) {
   // a[i] = a[i+1]: anti dependence (read before overwrite), distance 1.
   auto r = analyze(

@@ -84,7 +84,7 @@ pure float dot(pure float* a, pure float* b, int size) {
   return res;
 }
 
-int main(int argc, char** argv) {
+int main() {
   int n = 64;
   A = (float**)malloc(n * sizeof(float*));
   Bt = (float**)malloc(n * sizeof(float*));
@@ -990,6 +990,124 @@ int main() {
 }
 )";
 
+// Band-major fill of a flat buffer, `A[b * n + p]` (the satellite scene
+// layout): the domain proves 0 <= p < n, so the subscript splits into
+// A[b][p], the nest becomes a classic band, and its tiles collapse(2)
+// because 5 band rows make a single 32-row tile.
+inline constexpr const char* kRunFlatFill = R"(
+#include <stdio.h>
+#include <stdlib.h>
+
+pure float haze(int b, int p) {
+  return (float)((b * 31 + p * 7) % 13) * 0.125f;
+}
+
+void fill(float* A, int nb, int n) {
+  for (int b = 0; b < nb; b++)
+    for (int p = 0; p < n; p++)
+      A[b * n + p] = haze(b, p);
+}
+
+int main() {
+  int nb = 5;
+  int n = 1000;
+  float* A = (float*)malloc(nb * n * sizeof(float));
+  fill(A, nb, n);
+  double checksum = 0.0;
+  for (int b = 0; b < nb; b++)
+    for (int p = 0; p < n; p++)
+      checksum += (double)A[b * n + p] * ((b + p) % 11);
+  printf("checksum %.6f\n", checksum);
+  return 0;
+}
+)";
+
+// Column-major ELL fill, `A[k * rows + row]`, in an imperfect nest with
+// `x[row]` after the inner loop: split by rows, the region's row loop
+// takes the parallel pragma.
+inline constexpr const char* kRunEllFill = R"(
+#include <stdio.h>
+#include <stdlib.h>
+
+void init(float* A, int* cols, float* x, int rows, int width) {
+  for (int row = 0; row < rows; row++) {
+    for (int k = 0; k < width; k++) {
+      A[k * rows + row] = (float)((row * 3 + k * 5) % 9) * 0.5f;
+      cols[k * rows + row] = (row * 7 + k * 13) % rows;
+    }
+    x[row] = (float)((row * 11) % 7) * 0.25f;
+  }
+}
+
+int main() {
+  int rows = 300;
+  int width = 6;
+  float* A = (float*)malloc(rows * width * sizeof(float));
+  int* cols = (int*)malloc(rows * width * sizeof(int));
+  float* x = (float*)malloc(rows * sizeof(float));
+  init(A, cols, x, rows, width);
+  double checksum = 0.0;
+  for (int row = 0; row < rows; row++)
+    for (int k = 0; k < width; k++)
+      checksum += (double)A[k * rows + row] * x[cols[k * rows + row]];
+  printf("checksum %.6f\n", checksum);
+  return 0;
+}
+)";
+
+// Negative: `j <= n` lets row i write A[(i + 1) * n], the first cell of
+// the next row, so the rows overlap and the order of the writes decides
+// the result. The subscript must not split; the nest stays serial with a
+// located "cannot prove 0 <= j < n" reason.
+inline constexpr const char* kRunFlatOverlap = R"(
+#include <stdio.h>
+#include <stdlib.h>
+
+void stamp(float* A, int m, int n) {
+  for (int i = 0; i < m; i++)
+    for (int j = 0; j <= n; j++)
+      A[i * n + j] = (float)(i * 7 + j);
+}
+
+int main() {
+  int m = 40;
+  int n = 9;
+  float* A = (float*)malloc((m * n + 1) * sizeof(float));
+  stamp(A, m, n);
+  double checksum = 0.0;
+  for (int i = 0; i < m * n + 1; i++) checksum += (double)A[i] * (i % 13);
+  printf("checksum %.6f\n", checksum);
+  return 0;
+}
+)";
+
+// Negative: a split-able write A[i * n + j] next to a flat read A[i] of
+// the same base. Row 1 overwrites A[n], which a later row reads as A[i]:
+// keeping A flat (all-or-nothing per base) keeps that dependence, and the
+// nest serial.
+inline constexpr const char* kRunFlatMixed = R"(
+#include <stdio.h>
+#include <stdlib.h>
+
+void spread(float* A, int m, int n) {
+  for (int i = 1; i < m; i++)
+    for (int j = 0; j < n; j++)
+      A[i * n + j] = A[i] + 1.0f;
+}
+
+int main() {
+  int m = 32;
+  int n = 4;
+  float* A = (float*)malloc(m * n * sizeof(float));
+  for (int i = 0; i < m * n; i++) A[i] = (float)(i % 5);
+  spread(A, m, n);
+  double checksum = 0.0;
+  for (int i = 0; i < m * n; i++) checksum += (double)A[i] * (i % 7);
+  printf("checksum %.6f\n", checksum);
+  return 0;
+}
+)";
+
 /// The complete corpus: every fixture in tests/test_sources.h plus every
 /// paper listing checked in under assets/c/.
 inline std::vector<Fixture> all_fixtures() {
@@ -1059,6 +1177,12 @@ inline std::vector<Fixture> all_fixtures() {
       {"private_tmp", kRunPrivateTmp, false, kRunPrivateTmp, true, true},
       {"disjunctive_guard", kRunDisjunctiveGuard, false,
        kRunDisjunctiveGuard, true, true},
+      // Flattened `A[e1 * P + e2]` subscripts: split when the domain
+      // proves 0 <= e2 < P and every access to the base splits alike.
+      {"flat_fill", kRunFlatFill, false, kRunFlatFill, true, true},
+      {"ell_fill", kRunEllFill, false, kRunEllFill, true, true},
+      {"flat_overlap", kRunFlatOverlap, false, kRunFlatOverlap, true, true},
+      {"flat_mixed", kRunFlatMixed, false, kRunFlatMixed, true, true},
       {"matmul_plain", testsrc::kMatmulPlain, false, kRunMatmulPlain, true,
        true, /*infer=*/true},
       {"heat_plain", testsrc::kHeatPlain, false, kRunHeatPlain, true, true,

@@ -1,0 +1,47 @@
+#include <stdio.h>
+#include <stdlib.h>
+#include <omp.h>
+#ifndef PUREC_POLY_HELPERS
+#define PUREC_POLY_HELPERS
+#define floord(n, d) (((n) < 0) ? -((-(n) + (d) - 1) / (d)) : (n) / (d))
+#define ceild(n, d) floord((n) + (d) - 1, (d))
+#define purec_max(a, b) (((a) > (b)) ? (a) : (b))
+#define purec_min(a, b) (((a) < (b)) ? (a) : (b))
+#endif
+float haze(int b, int p)
+{
+  return (float)((b * 31 + p * 7) % 13) * 0.125f;
+}
+void fill(float* A, int nb, int n)
+{
+  {
+#pragma omp parallel for collapse(2)
+    for (int t1t = 0; t1t <= floord(nb - 1, 32); t1t++)
+      for (int t2t = 0; t2t <= floord(n - 1, 32); t2t++)
+        for (int t1 = purec_max(0, 32 * t1t); t1 <= purec_min(nb - 1, 32 * t1t + 31); t1++)
+        {
+#pragma omp simd
+          for (int t2 = purec_max(0, 32 * t2t); t2 <= purec_min(n - 1, 32 * t2t + 31); t2++)
+          {
+            A[t1 * n + t2] = haze(t1, t2);
+          }
+        }
+  }
+}
+int main()
+{
+  int nb = 5;
+  int n = 1000;
+  float* A = (float*)malloc(nb * n * sizeof(float));
+  fill(A, nb, n);
+  double checksum = 0.0;
+  {
+    for (int t1 = 0; t1 <= nb - 1; t1++)
+      for (int t2 = 0; t2 <= n - 1; t2++)
+      {
+        checksum += (double)A[t1 * n + t2] * ((t1 + t2) % 11);
+      }
+  }
+  printf("checksum %.6f\n", checksum);
+  return 0;
+}

@@ -15,7 +15,7 @@ float stencil(float** g, int i, int j)
 void step(int n)
 {
   {
-#pragma omp parallel for
+#pragma omp parallel for collapse(2)
     for (int t1t = 0; t1t <= floord(n - 2, 32); t1t++)
       for (int t2t = 0; t2t <= floord(n - 2, 32); t2t++)
         for (int t1 = purec_max(1, 32 * t1t); t1 <= purec_min(n - 2, 32 * t1t + 31); t1++)

@@ -169,6 +169,20 @@ std::string compile_and_run(const std::string& source,
   return output;
 }
 
+/// Runs a shell command, expecting exit status 0; returns stdout+stderr.
+std::string run_command(const std::string& cmd) {
+  std::string output;
+  FILE* p = popen((cmd + " 2>&1").c_str(), "r");
+  EXPECT_NE(p, nullptr) << cmd;
+  if (p == nullptr) return output;
+  std::array<char, 256> buf{};
+  while (fgets(buf.data(), buf.size(), p) != nullptr) {
+    output += buf.data();
+  }
+  EXPECT_EQ(pclose(p), 0) << cmd << "\n" << output;
+  return output;
+}
+
 class E2EChainTest : public ::testing::TestWithParam<Fixture> {};
 
 TEST_P(E2EChainTest, GoldenEmittedC) {
@@ -306,24 +320,12 @@ TEST(E2EInstrument, InstrumentedDifferentialAndChromeTrace) {
     std::ofstream out(c_path);
     out << instrumented.final_source;
   }
-  const auto run_cmd = [](const std::string& cmd) {
-    std::string output;
-    FILE* p = popen((cmd + " 2>&1").c_str(), "r");
-    EXPECT_NE(p, nullptr) << cmd;
-    if (p == nullptr) return output;
-    std::array<char, 256> buf{};
-    while (fgets(buf.data(), buf.size(), p) != nullptr) {
-      output += buf.data();
-    }
-    EXPECT_EQ(pclose(p), 0) << cmd << "\n" << output;
-    return output;
-  };
   // The counters must compile as clean as the program they instrument.
-  run_cmd("gcc -O2 -fopenmp -Wall -Wextra -Werror -o " + shell_quote(bin_path) +
-          " " + shell_quote(c_path) + " -lm");
+  run_command("gcc -O2 -fopenmp -Wall -Wextra -Werror -o " +
+              shell_quote(bin_path) + " " + shell_quote(c_path) + " -lm");
 
   // Plain run: human counter summary on stderr + the untouched checksum.
-  const std::string summary_run = run_cmd(shell_quote(bin_path));
+  const std::string summary_run = run_command(shell_quote(bin_path));
   EXPECT_NE(summary_run.find(reference), std::string::npos) << summary_run;
   EXPECT_NE(summary_run.find("purec-instr["), std::string::npos)
       << summary_run;
@@ -335,7 +337,7 @@ TEST(E2EInstrument, InstrumentedDifferentialAndChromeTrace) {
 
   // Traced run: the summary is replaced by a Chrome trace-event file.
   std::remove(trace_path.c_str());
-  const std::string traced_run = run_cmd(
+  const std::string traced_run = run_command(
       "PUREC_TRACE=" + shell_quote(trace_path) + " " +
       shell_quote(bin_path));
   EXPECT_EQ(traced_run, reference) << traced_run;
@@ -359,7 +361,7 @@ TEST(E2EInstrument, InstrumentedDifferentialAndChromeTrace) {
 
   // A second traced run against the SAME path must append cooperatively:
   // still one valid array, now with both runs' events.
-  const std::string twice_run = run_cmd(
+  const std::string twice_run = run_command(
       "PUREC_TRACE=" + shell_quote(trace_path) + " " +
       shell_quote(bin_path));
   EXPECT_EQ(twice_run, reference) << twice_run;
@@ -385,7 +387,7 @@ TEST(E2EInstrument, InstrumentedDifferentialAndChromeTrace) {
   const std::string stats_path = dir + "/purec_e2e_instr_stats.log";
   std::remove(stats_path.c_str());
   for (int run = 0; run < 2; ++run) {
-    const std::string stats_run = run_cmd(
+    const std::string stats_run = run_command(
         "PUREC_STATS_FILE=" + shell_quote(stats_path) + " " +
         shell_quote(bin_path));
     EXPECT_EQ(stats_run, reference) << stats_run;
@@ -405,8 +407,54 @@ TEST(E2EInstrument, InstrumentedDifferentialAndChromeTrace) {
   EXPECT_NE(stats_log.find("p99_ns="), std::string::npos) << stats_log;
 }
 
-// tier1 smoke guard: the region-SCoP fixtures must stay in the corpus as
-// *runnable* differentials — if one loses its runnable variant (or gets
+// Under collapse(2) the chunk tally must go into the innermost collapsed
+// loop's body: planted at the top of the outer tile loop it would break
+// the perfect nest OpenMP requires and gcc would reject the file. The
+// matmul fixture's tile band collapses (the satellite one above does not).
+TEST(E2EInstrument, CollapsedTileBandCompilesCleanAndMatchesSerial) {
+  if (!gcc_available()) GTEST_SKIP() << "no system gcc";
+  const std::vector<Fixture> fixtures = all_fixtures();
+  const auto it = std::find_if(
+      fixtures.begin(), fixtures.end(),
+      [](const Fixture& f) { return std::string(f.name) == "matmul"; });
+  ASSERT_NE(it, fixtures.end());
+
+  ChainOptions serial_options;
+  serial_options.parallelize = false;
+  serial_options.tile = false;
+  const ChainArtifacts serial =
+      run_pure_chain(it->runnable, serial_options);
+  ASSERT_TRUE(serial.ok) << serial.diagnostics.format();
+  const std::string reference =
+      compile_and_run(serial.final_source, "instr_collapse_ref");
+  ASSERT_NE(reference.find("checksum"), std::string::npos);
+
+  ChainOptions options;
+  options.instrument = true;
+  const ChainArtifacts instrumented = run_pure_chain(it->runnable, options);
+  ASSERT_TRUE(instrumented.ok) << instrumented.diagnostics.format();
+  ASSERT_NE(instrumented.final_source.find("collapse(2)"), std::string::npos)
+      << instrumented.final_source;
+
+  const std::string dir = ::testing::TempDir();
+  const std::string c_path = dir + "/purec_e2e_instr_collapse.c";
+  const std::string bin_path = dir + "/purec_e2e_instr_collapse.bin";
+  {
+    std::ofstream out(c_path);
+    out << instrumented.final_source;
+  }
+  run_command("gcc -O2 -fopenmp -Wall -Wextra -Werror -o " +
+              shell_quote(bin_path) + " " + shell_quote(c_path) + " -lm");
+  const std::string run = run_command(shell_quote(bin_path));
+  EXPECT_NE(run.find(reference), std::string::npos) << run;
+  for (const std::string& region : instrumented.instrumented_regions) {
+    EXPECT_NE(run.find("purec-instr[" + region + "]"), std::string::npos)
+        << run;
+  }
+}
+
+// tier1 smoke guard: the region-SCoP and delinearization fixtures must
+// stay in the corpus as *runnable* differentials — if one loses its runnable variant (or gets
 // dropped from the table), the checksum-identity contract above would
 // silently stop being checked for it.
 TEST(E2ECorpus, RegionFixturesKeepRunnableDifferentials) {
@@ -414,7 +462,8 @@ TEST(E2ECorpus, RegionFixturesKeepRunnableDifferentials) {
   for (const char* name :
        {"guarded_update", "while_loop", "imperfect_nest", "strided_lower",
         "dot_reduce", "min_reduce", "guarded_reduce", "fission_split",
-        "fused_siblings", "private_tmp", "disjunctive_guard"}) {
+        "fused_siblings", "private_tmp", "disjunctive_guard", "flat_fill",
+        "ell_fill", "flat_overlap", "flat_mixed"}) {
     const auto it = std::find_if(
         fixtures.begin(), fixtures.end(),
         [&](const Fixture& f) { return std::string(f.name) == name; });

@@ -940,6 +940,127 @@ TEST(ReductionRecognition, ReductionTokenSpellsOmpOperators) {
   EXPECT_STREQ(reduction_token(ReductionOp::Call), "");
 }
 
+// -- Delinearization of flattened `A[e1 * P + e2]` subscripts ---------------
+
+TEST(Delinearization, SplitsWhenTheDomainBoundsTheColumn) {
+  // Row-major A by n and column-major B by m, with the product on either
+  // side of the sum and the parameter on either side of the product.
+  auto ok = extract_from(
+      "void k(float* A, float* B, int m, int n) {\n"
+      "  for (int i = 0; i < m; i++)\n"
+      "    for (int j = 0; j < n; j++)\n"
+      "      A[i * n + j] = B[i + m * j];\n"
+      "}\n",
+      "k");
+  ASSERT_TRUE(ok.ok()) << ok.failure_reason;
+  const Scop& scop = *ok.scop;
+  EXPECT_FALSE(scop.region_shaped);
+  EXPECT_EQ(scop.delinearized, (std::vector<std::string>{"A", "B"}));
+  const std::vector<std::string> names = scop.space_names();
+  const Access& w = scop.statements[0].accesses[0];
+  ASSERT_EQ(w.subscripts.size(), 2u);
+  EXPECT_EQ(w.delinearized_by, "n");
+  EXPECT_EQ(w.subscripts[0].to_string(names), "i");
+  EXPECT_EQ(w.subscripts[1].to_string(names), "j");
+  const Access& r0 = scop.statements[0].accesses[1];
+  ASSERT_EQ(r0.subscripts.size(), 2u);
+  EXPECT_EQ(r0.delinearized_by, "m");
+  EXPECT_EQ(r0.subscripts[0].to_string(names), "j");
+  EXPECT_EQ(r0.subscripts[1].to_string(names), "i");
+}
+
+TEST(Delinearization, GuardMayProveTheColumnBound) {
+  auto r = extract_from(
+      "void k(float* A, int m, int n) {\n"
+      "  for (int i = 0; i < m; i++)\n"
+      "    for (int j = 0; j < 2 * n; j++)\n"
+      "      if (j < n)\n"
+      "        A[i * n + j] = 1.0f;\n"
+      "}\n",
+      "k");
+  ASSERT_TRUE(r.ok()) << r.failure_reason;
+  EXPECT_EQ(r.scop->delinearized, (std::vector<std::string>{"A"}));
+}
+
+TEST(Delinearization, OverlappingRowsStayNonAffineWithTheUnprovenBound) {
+  // j reaches n: A[i*n + n] is A[(i+1)*n + 0], so the rows overlap.
+  auto r = extract_from(
+      "void k(float* A, int m, int n) {\n"
+      "  for (int i = 0; i < m; i++)\n"
+      "    for (int j = 0; j <= n; j++)\n"
+      "      A[i * n + j] = 1.0f;\n"
+      "}\n",
+      "k");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.failure_reason,
+            "non-affine subscript on array A: cannot prove 0 <= j < n");
+  EXPECT_EQ(r.failure_loc.line, 4u);
+}
+
+TEST(Delinearization, ShiftedColumnNamesTheUnprovenBound) {
+  auto r = extract_from(
+      "void k(float* A, int m, int n) {\n"
+      "  for (int i = 0; i < m; i++)\n"
+      "    for (int j = 0; j < n; j++)\n"
+      "      A[i * n + j] = A[i * n + j + 1];\n"
+      "}\n",
+      "k");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.failure_reason,
+            "non-affine subscript on array A: cannot prove 0 <= j + 1 < n");
+}
+
+TEST(Delinearization, MixedShapesKeepTheBaseFlat) {
+  // A split write next to a flat read of the same base: splitting only
+  // the write would hide the dependence between them (the dependence
+  // test pairs equal-length subscript lists only), so the base stays
+  // flat and the product subscript is rejected as before.
+  for (const char* read : {"A[i]", "A[j * m + i]", "A[i][j]"}) {
+    SCOPED_TRACE(read);
+    auto r = extract_from(
+        std::string("void k(float* A, int m, int n) {\n"
+                    "  for (int i = 0; i < m; i++)\n"
+                    "    for (int j = 0; j < n; j++)\n"
+                    "      A[i * n + j] = ") +
+            read + " + 1.0f;\n}\n",
+        "k");
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.failure_reason,
+              "non-affine subscript on array A: another access to A does "
+              "not split as e * n + e'");
+    EXPECT_EQ(r.failure_loc.line, 4u);
+  }
+}
+
+TEST(Delinearization, OnlyOneParameterFactorSplits) {
+  // Three factors (a 3-D flattening) and an iterator factor stay flat.
+  for (const char* sub : {"i * m * n + j", "i * j + j"}) {
+    SCOPED_TRACE(sub);
+    auto r = extract_from(
+        std::string("void k(float* A, int m, int n) {\n"
+                    "  for (int i = 0; i < m; i++)\n"
+                    "    for (int j = 0; j < n; j++)\n"
+                    "      A[") +
+            sub + "] = 1.0f;\n}\n",
+        "k");
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.failure_reason, "non-affine subscript on array A");
+  }
+}
+
+TEST(Delinearization, RowPointerBaseIndexedTwiceStaysFlat) {
+  auto r = extract_from(
+      "float** R;\n"
+      "void k(int m, int n) {\n"
+      "  for (int i = 0; i < m; i++)\n"
+      "    for (int j = 0; j < n; j++)\n"
+      "      R[i * n + j][0] = 1.0f;\n"
+      "}\n",
+      "k");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.failure_reason, "non-affine subscript on array R");
+}
+
 TEST(AffineForm, ToString) {
   AffineForm f;
   f.coeffs = {1, -2, 0};
