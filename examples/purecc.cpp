@@ -15,9 +15,9 @@
 //                          parallelizes like its annotated twin)
 //     --memoize            cache pure-call results: memoizable pure
 //                          functions (by-value scalar params, scalar
-//                          global snapshot) get thunks backed by a
-//                          sharded concurrent table in the output C
-//                          (PUREC_MEMO_SHARDS / PUREC_MEMO_CAP /
+//                          global snapshot) get thunks backed by one
+//                          table per thread in the output C, growing up
+//                          to PUREC_MEMO_CAP slots (PUREC_MEMO_CAP and
 //                          PUREC_MEMO_STATS at run time); trivially
 //                          small single-expression callees are skipped
 //                          by the cost gate
@@ -51,9 +51,10 @@
 //                          --report text is a renderer over the same
 //                          structure (transform/chain_report.h)
 //     --instrument         emit self-contained observability counters into
-//                          the output C: per-region invocations/wall-time,
-//                          a log-bucketed wall-time histogram (p50/p90/p99
-//                          in the summary), and cache-line-padded
+//                          the output C: per parallel region
+//                          invocations/wall-time, a log-bucketed
+//                          wall-time histogram (p50/p90/p99 in the
+//                          summary), and cache-line-padded
 //                          per-worker chunk tallies, dumped at exit as a
 //                          human summary (PUREC_STATS_FILE or stderr) or as
 //                          Chrome trace-event JSON under PUREC_TRACE=FILE

@@ -1,10 +1,9 @@
 // --instrument: self-contained runtime observability for the emitted C.
 //
-// The chain wraps every transformed scop in a timing envelope and plants a
-// per-worker tally in each parallel loop body; the snippets below supply
+// The chain wraps every parallelized scop in a timing envelope and plants
+// a per-worker tally in each parallel loop body; the snippets below supply
 // the counters and the exit-time sink. Everything is plain C with GCC
-// __atomic builtins — the output stays dependency-free, exactly like the
-// memo runtime prelude.
+// __atomic builtins, so the output stays dependency-free.
 //
 // Counter design follows the per-CPU pattern (McKenney): one cache-line-
 // padded cell per worker, bumped with a relaxed __atomic add. The hot-path
@@ -39,11 +38,11 @@ namespace purec {
 [[nodiscard]] const std::string& instrument_runtime_snippet();
 
 /// Definition + constructor-time registration of region `index` named
-/// `name` ("function:line" of the transformed nest).
+/// `name` ("function:line" of the parallelized nest).
 [[nodiscard]] std::string instrument_region_definition(std::size_t index,
                                                        const std::string& name);
 
-/// Rewrites a transformed nest in place: prepends a per-worker chunk tally
+/// Rewrites a parallelized nest in place: prepends a per-worker chunk tally
 /// to the body of every `#pragma omp parallel for` loop, then wraps the
 /// whole nest in `{ t0 = now(); nest; region_done(&rN, t0); }`.
 void instrument_region(StmtPtr& nest, std::size_t index);

@@ -96,13 +96,16 @@ std::string memo_thunk_name(const std::string& function) {
 }
 
 std::uint64_t memo_function_id(const std::string& function) {
-  // FNV-1a, then one mix so short names still spread over shards.
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (const char c : function) {
     h ^= static_cast<unsigned char>(c);
     h *= 0x100000001b3ULL;
   }
   return h;
+}
+
+std::size_t memo_key_words(const MemoFunctionInfo& info) {
+  return info.param_types.size() + info.global_snapshot.size();
 }
 
 std::string memo_thunk_prototype(const MemoFunctionInfo& info) {
@@ -115,8 +118,7 @@ std::string memo_thunk_definition(const MemoFunctionInfo& info) {
   std::snprintf(id, sizeof(id), "0x%016llxULL",
                 static_cast<unsigned long long>(
                     memo_function_id(info.name)));
-  const std::size_t key_words =
-      info.param_types.size() + info.global_snapshot.size();
+  const std::size_t key_words = memo_key_words(info);
   const std::string stats = "purec_memo_stats_" + info.name;
   out << "static purec_memo_stats_entry " << stats << " = {.name = \""
       << info.name << "\"};\n";

@@ -1,5 +1,5 @@
 // Emission half of the `--memoize` subsystem: the self-contained C
-// implementation of the concurrent memo table (prepended to the output
+// implementation of the per-thread memo tables (prepended to the output
 // like poly::codegen_prelude), and per-function thunk text.
 //
 // A memoizable call site `f(a, b)` is rewritten to `purec_memo_f(a, b)`;
@@ -16,6 +16,7 @@
 // follow it (they reference the wrapped functions and the globals).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -23,8 +24,8 @@
 
 namespace purec {
 
-/// The sharded seqlock table in plain C (GCC __atomic builtins): the bytes
-/// of runtime/c/purec_memo.h, embedded at configure time. Requires
+/// The per-thread memo tables in plain C: the bytes of
+/// runtime/c/purec_memo.h, embedded at configure time. Requires
 /// stats_sink_snippet() earlier in the same file.
 [[nodiscard]] const std::string& memo_runtime_prelude();
 
@@ -36,6 +37,10 @@ namespace purec {
 /// Stable 64-bit id mixed into every key so two functions with equal
 /// argument tuples cannot alias (FNV-1a over the name).
 [[nodiscard]] std::uint64_t memo_function_id(const std::string& function);
+
+/// Words in the thunk's key tuple: one per argument and per snapshot
+/// global. A verify record must hold the widest tuple of its TU.
+[[nodiscard]] std::size_t memo_key_words(const MemoFunctionInfo& info);
 
 [[nodiscard]] std::string memo_thunk_prototype(const MemoFunctionInfo& info);
 [[nodiscard]] std::string memo_thunk_definition(const MemoFunctionInfo& info);

@@ -1030,10 +1030,13 @@ ChainArtifacts run_pure_chain(const std::string& source,
     }
     *slot = std::move(generated);
     report.transformed = true;
-    if (options.instrument) {
-      // Wrap the transformed nest in a timing envelope and plant the
+    if (options.instrument && report.parallelized) {
+      // Wrap the parallel nest in a timing envelope and plant the
       // per-worker chunk tally in every parallel loop body. The region's
       // counter struct + registrar are emitted into the prelude below.
+      // A serial nest (say, a loop inside a pure function, run once per
+      // call) is left bare: timing it would cost more than its body and
+      // flood the trace ring, and it has no chunks to tally.
       // The index doubles as the region's stable id: it is stamped into
       // the report entry AND emitted into the region struct, so trace
       // events join back to compiler decisions by args.region_id.
@@ -1122,13 +1125,21 @@ ChainArtifacts run_pure_chain(const std::string& source,
     // Table + prototypes before the program (call sites reference the
     // thunks), definitions after it (they reference the wrapped functions
     // and the snapshot globals). stdio feeds the PUREC_MEMO_STATS atexit
-    // dump.
+    // dump; pthread frees a thread's table when the thread exits.
     add_include("#include <stdlib.h>");
     add_include("#include <stdio.h>");
+    add_include("#include <pthread.h>");
     if (options.memoize_verify) {
       // Compiles full-key verification into the table; nothing turns it
-      // off at run time.
-      prelude += "#define PUREC_MEMO_VERIFY 1\n";
+      // off at run time. A verify record holds the widest key tuple among
+      // this TU's thunks.
+      std::size_t widest = 0;
+      for (const std::string& name : memo_used) {
+        widest = std::max(
+            widest, memo_key_words(artifacts.memoization.functions.at(name)));
+      }
+      prelude += "#define PUREC_MEMO_VERIFY 1\n#define PUREC_MEMO_VWORDS " +
+                 std::to_string(widest) + "u\n";
     }
     prelude += memo_runtime_prelude();
     for (const std::string& name : memo_used) {

@@ -62,8 +62,8 @@ struct ChainOptions {
   /// functions whose inputs form a bounded key (by-value scalar params,
   /// scalar global-read snapshot — see memo/memoizable.h) get a generated
   /// thunk; every call site, inside and outside SCoPs, is rewritten to go
-  /// through it, and the output C carries a self-contained sharded
-  /// concurrent table (memo/memo_codegen.h). Off by default.
+  /// through it, and the output C carries a self-contained table per
+  /// thread (memo/memo_codegen.h). Off by default.
   bool memoize = false;
   /// `--memoize=all`: disable the memoization cost gate. By default the
   /// classifier skips trivially small single-expression callees (a
@@ -165,7 +165,7 @@ struct ScopReport {
   /// when the pragma has none).
   std::size_t collapse = 0;
   /// Stable instrumentation region id (-1 when the scop was not
-  /// instrumented): the join key between this report entry and the
+  /// instrumented: no --instrument, or a nest left serial): the join key between this report entry and the
   /// runtime's trace events (`args.region_id`). Assigned in emission
   /// order, matching the emitted purec_instr_rN index.
   std::int64_t region_id = -1;

@@ -4,9 +4,9 @@
  *
  * The headers are included in the order emitted C includes them, so every
  * byte of runtime text purecc can emit compiles here as C under
- * -Wall -Wextra -Werror, and the static internals (purec_memo_shard_mask,
- * slot_mask, ...) are directly readable. The table is built by its
- * constructor from the PUREC_MEMO_* environment, exactly as in an emitted
+ * -Wall -Wextra -Werror, and the static internals (purec_memo_cap, the
+ * calling thread's table purec_memo_self, ...) are directly readable. The
+ * constructor reads the PUREC_MEMO_* environment, exactly as in an emitted
  * program, so each configuration is one process: tests/CMakeLists.txt
  * registers every scenario as its own CTest entry with the knobs in
  * ENVIRONMENT, and the exit-dump scenarios re-run this binary as a
@@ -16,6 +16,7 @@
  *
  *   memo_runtime_test <scenario> [args...]    exit status 0 = pass
  */
+#include <malloc.h>
 #include <pthread.h>
 #include <signal.h>
 #include <stdio.h>
@@ -96,16 +97,20 @@ static purec_memo_word serve(purec_memo_word i, tally* t) {
   return value_of(i);
 }
 
-/* Slots across the whole table whose tag is `key`. */
+/* Slots of the calling thread's table whose tag is `key`. */
 static int count_resident(purec_memo_word key) {
-  purec_memo_word s, i;
+  const purec_memo_table* t = purec_memo_self;
+  purec_memo_word i;
   int n = 0;
-  for (s = 0; s <= purec_memo_shard_mask; s++) {
-    for (i = 0; i <= purec_memo_shards[s].slot_mask; i++) {
-      if (purec_memo_shards[s].slots[i].tag == key) n++;
-    }
+  for (i = 0; t != 0 && i <= t->mask; i++) {
+    if (t->slots[i].tag == key) n++;
   }
   return n;
+}
+
+/* Slots in the calling thread's table; 0 before its first store. */
+static purec_memo_word table_slots(void) {
+  return purec_memo_self == 0 ? 0 : purec_memo_self->mask + 1;
 }
 
 /* ------------------------------------------------------------------ */
@@ -119,7 +124,9 @@ static void scenario_roundtrip(void) {
   double d = 0.1;
   CHECK(purec_memo_ready);
   CHECK(!lookup_i(1, &out));
+  CHECK(purec_memo_self == 0); /* a lookup creates no table */
   CHECK(store_i(1, 42) == 0);
+  CHECK(table_slots() == 256);
   CHECK(lookup_i(1, &out) && out == 42);
   CHECK(!lookup_i(2, &out));
   /* Floating-point arguments and results travel as bit patterns. */
@@ -147,29 +154,15 @@ static void scenario_idempotent(void) {
 
 static void scenario_capacity_one(void) {
   purec_memo_word out = 0;
-  CHECK(purec_memo_shard_mask == 0);
-  CHECK(purec_memo_shards[0].slot_mask == 0);
+  CHECK(purec_memo_cap == 1);
   CHECK(purec_memo_probe == 1);
   CHECK(store_i(1, 11) == 0);
+  CHECK(table_slots() == 1);
   CHECK(lookup_i(1, &out) && out == 11);
   /* The single slot is recycled: the old key is gone, never wrong. */
   CHECK(store_i(2, 22) == 1);
   CHECK(lookup_i(2, &out) && out == 22);
   CHECK(!lookup_i(1, &out));
-}
-
-/* geometry SHARDS PER: the constructor normalized the env knobs to SHARDS
- * shards of PER slots each, and the table works. */
-static void scenario_geometry(const char* shards_arg, const char* per_arg) {
-  purec_memo_word shards = strtoull(shards_arg, 0, 10);
-  purec_memo_word per = strtoull(per_arg, 0, 10);
-  purec_memo_word out = 0;
-  CHECK(purec_memo_ready);
-  CHECK(purec_memo_shard_mask + 1 == shards);
-  CHECK(purec_memo_shards[0].slot_mask + 1 == per);
-  CHECK(purec_memo_probe == (per < 8 ? per : 8));
-  CHECK(store_i(5, 55) == 0);
-  CHECK(lookup_i(5, &out) && out == 55);
 }
 
 static void expect_cap_knob(const char* value, purec_memo_word want) {
@@ -190,8 +183,11 @@ static void scenario_env_parse(void) {
   expect_cap_knob("", 65536);
   unsetenv("PUREC_MEMO_CAP");
   CHECK(purec_memo_env("PUREC_MEMO_CAP", 65536) == 65536);
+  /* The constructor saw no knob: the default per-thread bound. */
+  CHECK(purec_memo_cap == 65536);
+  CHECK(purec_memo_probe == 8);
   CHECK(purec_memo_pow2(1) == 1);
-  CHECK(purec_memo_pow2(100) == 64);
+  CHECK(purec_memo_pow2(100) == 64); /* PUREC_MEMO_CAP=100: 64 slots */
   CHECK(purec_memo_pow2(1ULL << 24) == 1ULL << 24);
   CHECK(purec_memo_pow2(~0ULL) == 1ULL << 63);
 }
@@ -223,8 +219,8 @@ static void* hammer_run(void* arg) {
   return 0;
 }
 
-/* 8 threads of mixed hit/miss/evict traffic over a small table: a hit
- * must return the value stored for its key, whatever the interleaving. */
+/* 8 threads of mixed hit/miss/evict traffic, each over its own small
+ * table: a hit must return the value stored for its key. */
 static void scenario_hammer(void) {
   pthread_t threads[8];
   hammer_worker workers[8];
@@ -332,57 +328,45 @@ static void wrote_sealed(int sig) {
   _exit(1);
 }
 
-/* Points every shard at its part of `slots` (and of `vwords`, under
- * verify), laid out as purec_memo_init lays them out. */
-static void place_table(purec_memo_slot* slots, purec_memo_word* vwords) {
-  const purec_memo_word per = purec_memo_shards[0].slot_mask + 1;
-  purec_memo_word s;
-  for (s = 0; s <= purec_memo_shard_mask; s++) {
-    purec_memo_shards[s].slots = slots + s * per;
-    if (PUREC_MEMO_VERIFY)
-      purec_memo_shards[s].vwords =
-          vwords + s * per * (1u + PUREC_MEMO_VWORDS);
-  }
-}
-
 /* Warm hits write nothing. Once a first round of hits has set every clock
- * bit, the slot array (and verify sidecar) moves into a mapping sealed
- * read-only: a second round of hits must neither fault nor change a byte
- * of it, so even a store of an unchanged value fails the scenario. */
+ * bit, the thread's table (header, slots, verify records and clock bits,
+ * one allocation) moves into a mapping sealed read-only: a second round
+ * of hits must neither fault nor change a byte of it, so even a store of
+ * an unchanged value fails the scenario. */
 static void scenario_hit_readonly(void) {
-  const purec_memo_word nslots =
-      (purec_memo_shard_mask + 1) * (purec_memo_shards[0].slot_mask + 1);
-  const size_t slot_bytes = nslots * sizeof(purec_memo_slot);
-  const size_t bytes =
-      slot_bytes + (PUREC_MEMO_VERIFY ? nslots * (1u + PUREC_MEMO_VWORDS) *
-                                            sizeof(purec_memo_word)
-                                      : 0);
-  purec_memo_slot* const slots = purec_memo_shards[0].slots;
-  purec_memo_word* const vwords = purec_memo_shards[0].vwords;
+  purec_memo_table* table;
+  purec_memo_table* copy;
+  unsigned char *base, *sealed, *snapshot;
+  size_t bytes;
   tally t = {0, 0, 0, 0};
   purec_memo_word i;
-  unsigned char *sealed, *snapshot;
   for (i = 0; i < 256; i++) serve(i, &t);
   CHECK(t.misses == 256);
   expect_resident(256);
+  table = purec_memo_self;
+  base = (unsigned char*)table;
+  bytes = (size_t)((table->ref + table->mask + 1) - base);
   sealed = (unsigned char*)mmap(0, bytes, PROT_READ | PROT_WRITE,
                                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   CHECK(sealed != MAP_FAILED);
   if (sealed == MAP_FAILED) return;
-  memcpy(sealed, slots, slot_bytes);
-  if (PUREC_MEMO_VERIFY)
-    memcpy(sealed + slot_bytes, vwords, bytes - slot_bytes);
+  memcpy(sealed, table, bytes);
+  copy = (purec_memo_table*)sealed;
+  copy->slots =
+      (purec_memo_slot*)(sealed + ((unsigned char*)table->slots - base));
+  copy->vwords =
+      (purec_memo_word*)(sealed + ((unsigned char*)table->vwords - base));
+  copy->ref = sealed + (table->ref - base);
   snapshot = (unsigned char*)malloc(bytes);
   CHECK(snapshot != 0);
   if (snapshot != 0) memcpy(snapshot, sealed, bytes);
-  place_table((purec_memo_slot*)sealed,
-              (purec_memo_word*)(sealed + slot_bytes));
+  purec_memo_self = copy;
   CHECK(mprotect(sealed, bytes, PROT_READ) == 0);
   signal(SIGSEGV, wrote_sealed);
   expect_resident(256);
   signal(SIGSEGV, SIG_DFL);
   CHECK(snapshot != 0 && memcmp(sealed, snapshot, bytes) == 0);
-  place_table(slots, vwords);
+  purec_memo_self = table;
   munmap(sealed, bytes);
   free(snapshot);
 }
@@ -393,18 +377,18 @@ static purec_memo_word slot_key(purec_memo_word slot, purec_memo_word gen) {
   return (gen + 1) * 8 + slot;
 }
 
-/* Clock second chance in a one-shard, 8-slot table (one probe window):
+/* Clock second chance in an 8-slot table (one probe window):
  * a key hit since its insert survives the next eviction that sweeps past
  * it, the unhit neighbour after it is evicted instead, and the spent bit
  * leaves the key evictable by the sweep after that. */
 static void scenario_second_chance(void) {
   purec_memo_word j, out = 0;
-  CHECK(purec_memo_shard_mask == 0);
-  CHECK(purec_memo_shards[0].slot_mask == 7);
+  CHECK(purec_memo_cap == 8);
   CHECK(purec_memo_probe == 8);
   for (j = 0; j < 8; j++) {
     CHECK(purec_memo_store(slot_key(j, 0), 0, 0, j) == 0);
   }
+  CHECK(table_slots() == 8); /* at the cap: a full window evicts */
   CHECK(purec_memo_lookup(slot_key(0, 0), 0, 0, &out) && out == 0);
   CHECK(purec_memo_lookup(slot_key(4, 0), 0, 0, &out) && out == 4);
   /* The sweep from slot 0 spares the hit key 0 and evicts key 1. */
@@ -426,6 +410,110 @@ static void scenario_second_chance(void) {
   CHECK(purec_memo_lookup(slot_key(0, 1), 0, 0, &out) && out == 100);
   CHECK(purec_memo_lookup(slot_key(4, 1), 0, 0, &out) && out == 104);
   CHECK(purec_memo_lookup(slot_key(0, 2), 0, 0, &out) && out == 200);
+}
+
+/* ------------------------------------------------------------------ */
+/* Per-thread tables: growth, privacy, thread exit                     */
+/* ------------------------------------------------------------------ */
+
+/* A table starts at 1024 slots and doubles while a store finds its
+ * window full, up to the cap (4096 in tests/CMakeLists.txt). Every entry,
+ * with its verify record under verify, survives each doubling; at the
+ * cap a full window evicts instead. */
+static void scenario_growth(void) {
+  tally t = {0, 0, 0, 0};
+  purec_memo_word i, slots = 1024;
+  unsigned doublings = 0;
+  CHECK(purec_memo_cap == 4096);
+  for (i = 0; i < 16384; i++) {
+    serve(i, &t);
+    if (table_slots() != slots) {
+      CHECK(table_slots() == 2 * slots);
+      slots = table_slots();
+      doublings++;
+      /* Until the cap nothing was evicted: every key so far hits. */
+      CHECK(t.evictions == 0);
+      expect_resident(i + 1);
+    }
+  }
+  CHECK(doublings == 2);
+  CHECK(slots == 4096);
+  CHECK(t.evictions > 0);
+  CHECK(t.wrong == 0);
+}
+
+typedef struct {
+  int missed, hit, wrong;
+} private_probe;
+
+/* Thread B's view of the 64 keys the main thread stored. */
+static void* private_run(void* arg) {
+  private_probe* p = (private_probe*)arg;
+  purec_memo_word i, out;
+  for (i = 0; i < 64; i++) {
+    if (!lookup_i(i, &out)) p->missed++;
+  }
+  for (i = 0; i < 64; i++) store_i(i, value_of(i));
+  for (i = 0; i < 64; i++) {
+    out = 0;
+    if (lookup_i(i, &out)) p->hit++;
+    if (out != value_of(i)) p->wrong++;
+  }
+  return 0;
+}
+
+/* A key one thread stored misses in another until that thread stores it
+ * too; then both hit with the exact value. */
+static void scenario_private(void) {
+  private_probe b = {0, 0, 0};
+  pthread_t thread;
+  purec_memo_word i;
+  for (i = 0; i < 64; i++) CHECK(store_i(i, value_of(i)) == 0);
+  expect_resident(64);
+  CHECK(pthread_create(&thread, 0, private_run, &b) == 0);
+  CHECK(pthread_join(thread, 0) == 0);
+  CHECK(b.missed == 64);
+  CHECK(b.hit == 64);
+  CHECK(b.wrong == 0);
+  expect_resident(64);
+}
+
+/* One short-lived thread: fill a table through two doublings, then exit. */
+static void* exit_run(void* arg) {
+  tally t = {0, 0, 0, 0};
+  purec_memo_word i;
+  int* wrong = (int*)arg;
+  for (i = 0; i < 3000; i++) serve(i, &t);
+  for (i = 0; i < 3000; i++) serve(i, &t);
+  *wrong = t.wrong != 0 || t.hits == 0 || table_slots() < 4096;
+  return 0;
+}
+
+/* A table dies with its thread. 64 threads each leave a table of at
+ * least 4096 slots behind; had none been freed, the heap would hold them
+ * all after the joins (LSan in the sanitizer lane reports each one). */
+static void scenario_thread_exit(void) {
+  pthread_t threads[8];
+  int wrong[8];
+  struct mallinfo2 before, after;
+  int round, t;
+  before = mallinfo2();
+  for (round = 0; round < 8; round++) {
+    for (t = 0; t < 8; t++) {
+      wrong[t] = 1;
+      CHECK(pthread_create(&threads[t], 0, exit_run, &wrong[t]) == 0);
+    }
+    for (t = 0; t < 8; t++) {
+      CHECK(pthread_join(threads[t], 0) == 0);
+      CHECK(wrong[t] == 0);
+    }
+  }
+  after = mallinfo2();
+  /* 64 tables of 4096 slots would be over 4 MiB, in heap chunks
+   * (uordblks) or, past the mmap threshold, mapped blocks (hblkhd). */
+  CHECK(after.uordblks + after.hblkhd <
+        before.uordblks + before.hblkhd + (1u << 20));
+  CHECK(purec_memo_self == 0); /* the main thread never stored */
 }
 
 /* ------------------------------------------------------------------ */
@@ -715,7 +803,6 @@ static void scenario_hist(void) {
 int main(int argc, char** argv) {
   const char* name = argc > 1 ? argv[1] : "";
   const char* arg = argc > 2 ? argv[2] : "";
-  const char* arg2 = argc > 3 ? argv[3] : "";
   self_exe = argv[0];
   if (strcmp(name, "roundtrip") == 0) {
     scenario_roundtrip();
@@ -723,8 +810,6 @@ int main(int argc, char** argv) {
     scenario_idempotent();
   } else if (strcmp(name, "capacity_one") == 0) {
     scenario_capacity_one();
-  } else if (strcmp(name, "geometry") == 0) {
-    scenario_geometry(arg, arg2);
   } else if (strcmp(name, "env_parse") == 0) {
     scenario_env_parse();
   } else if (strcmp(name, "eviction") == 0) {
@@ -743,6 +828,12 @@ int main(int argc, char** argv) {
     scenario_hit_readonly();
   } else if (strcmp(name, "second_chance") == 0) {
     scenario_second_chance();
+  } else if (strcmp(name, "growth") == 0) {
+    scenario_growth();
+  } else if (strcmp(name, "private") == 0) {
+    scenario_private();
+  } else if (strcmp(name, "thread_exit") == 0) {
+    scenario_thread_exit();
   } else if (strcmp(name, "stats_dump") == 0) {
     scenario_stats_dump(arg);
   } else if (strcmp(name, "stats_threads") == 0) {

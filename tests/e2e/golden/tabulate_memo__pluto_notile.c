@@ -3,6 +3,7 @@
 #include <omp.h>
 #include <stdlib.h>
 #include <stdio.h>
+#include <pthread.h>
 #ifndef PUREC_POLY_HELPERS
 #define PUREC_POLY_HELPERS
 #define floord(n, d) (((n) < 0) ? -((-(n) + (d) - 1) / (d)) : (n) / (d))
@@ -28,23 +29,24 @@ static FILE* purec_stats_out(void) {
 }
 #ifndef PUREC_MEMO_RUNTIME
 #define PUREC_MEMO_RUNTIME
-/* Concurrent memoization table for pure-call results: sharded,
- * cache-line padded, open addressing within an 8-slot probe window,
- * per-slot seqlock publication (a torn read is a safe miss), clock
- * second-chance eviction when a window fills. Knobs: PUREC_MEMO_SHARDS,
- * PUREC_MEMO_CAP (total slots), PUREC_MEMO_STATS=1 (per-thunk
- * hit/miss/eviction counters dumped at exit to the shared stats stream —
- * PUREC_STATS_FILE or stderr, see purec_stats_out(); counters are dead
- * branches when the knob is off). The table is private to the process.
- * Full-key verification is compile-time only: PUREC_MEMO_VERIFY=1
- * (--memoize=verify emits it) stores the raw key words next to each slot
- * and compares them on a hit, so a fingerprint alias degrades to a miss
- * instead of a wrong value; at 0 every verify branch folds away.
- *
- * Read-mostly: a hit on a warm slot only loads. The clock bit is stored
- * only when it reads clear, the eviction sweep clears only set bits, and
- * the stats counters live in per-thread cache lines, so threads hitting
- * the same keys never write a line another thread reads. */
+/* Memoization table for pure-call results, one per thread: a thread's
+ * first store creates its table, and the table is freed when the thread
+ * exits. Only its own thread reads or writes a table, so it needs no
+ * atomics or locks; threads do not share results, so a key misses at most
+ * once per thread. Open addressing within an 8-slot probe window. A table
+ * starts at min(1024, PUREC_MEMO_CAP) slots and doubles, rehashing, when a
+ * store finds its window full; at PUREC_MEMO_CAP slots (per thread,
+ * default 65536, rounded down to a power of two) a full window evicts by
+ * clock second chance. A hit on a warm slot only loads: the clock bit is
+ * stored only when it reads clear. PUREC_MEMO_STATS=1 turns on per-thunk
+ * hit/miss/eviction counters dumped at exit to the shared stats stream
+ * (PUREC_STATS_FILE or stderr, see purec_stats_out()); they are dead
+ * branches when the knob is off. Full-key verification is compile-time
+ * only: PUREC_MEMO_VERIFY=1 (--memoize=verify emits it) stores the raw
+ * key words next to each slot and compares them on a hit, so a
+ * fingerprint alias degrades to a miss instead of a wrong value; at 0
+ * every verify branch folds away. Needs <pthread.h>, <stdlib.h> and
+ * <stdio.h>. */
 #ifndef PUREC_MEMO_VERIFY
 #define PUREC_MEMO_VERIFY 0
 #endif
@@ -53,8 +55,12 @@ typedef union { float v; unsigned int b; } purec_memo_f32;
 typedef union { double v; purec_memo_word b; } purec_memo_f64;
 
 /* Widest key tuple (in 64-bit words) a verify record can hold; wider
- * tuples bypass the cache under verify (a permanent, safe miss). */
+ * tuples bypass the cache under verify (a permanent, safe miss). purecc
+ * defines it as the widest tuple among the TU's thunks. */
+#ifndef PUREC_MEMO_VWORDS
 #define PUREC_MEMO_VWORDS 12u
+#endif
+#define PUREC_MEMO_VREC (1u + PUREC_MEMO_VWORDS) /* [count, words...] */
 
 /* Stats counters are striped: each thunk owns PUREC_MEMO_STAT_CELLS
  * cache-line cells, a thread counts into the cell its first count picked,
@@ -128,24 +134,24 @@ static unsigned purec_memo_stat_index(void) {
   } while (0)
 
 typedef struct {
-  purec_memo_word seq;   /* even = stable, odd = mid-write */
-  purec_memo_word tag;   /* key fingerprint; 0 = empty */
+  purec_memo_word tag; /* key fingerprint; 0 = empty */
   purec_memo_word value;
-  purec_memo_word ref;   /* clock second-chance bit */
 } purec_memo_slot;
 
 typedef struct {
   purec_memo_slot* slots;
-  purec_memo_word* vwords; /* verify mode: [count, words...] per slot */
-  purec_memo_word slot_mask;
-  char pad[64 - sizeof(purec_memo_slot*) - sizeof(purec_memo_word*) -
-           sizeof(purec_memo_word)];
-} purec_memo_shard;
+  purec_memo_word* vwords; /* PUREC_MEMO_VREC words per slot */
+  unsigned char* ref;      /* clock second-chance bit per slot */
+  purec_memo_word mask;    /* slot count - 1 */
+} purec_memo_table;
 
-static purec_memo_shard* purec_memo_shards;
-static purec_memo_word purec_memo_shard_mask;
+#define PUREC_MEMO_NONE (~0ULL) /* purec_memo_find: window full */
+
+static __thread purec_memo_table* purec_memo_self; /* 0 until a store */
+static pthread_key_t purec_memo_exit_key; /* frees a table at thread exit */
+static purec_memo_word purec_memo_cap = 1; /* per-thread slot bound */
 static unsigned purec_memo_probe = 8u;
-static int purec_memo_ready;  /* 0 until init allocates successfully */
+static int purec_memo_ready; /* 0 until init creates the exit key */
 
 static purec_memo_word purec_memo_mix(purec_memo_word x) {
   x += 0x9e3779b97f4a7c15ULL;
@@ -173,102 +179,117 @@ static purec_memo_word purec_memo_pow2(purec_memo_word v) {
   return p;
 }
 
+static void purec_memo_thread_exit(void* table) {
+  free(table);
+  purec_memo_self = 0;
+}
+
 __attribute__((constructor)) static void purec_memo_init(void) {
-  purec_memo_word shards =
-      purec_memo_pow2(purec_memo_env("PUREC_MEMO_SHARDS", 8));
-  purec_memo_word cap = purec_memo_env("PUREC_MEMO_CAP", 65536);
-  purec_memo_word per, s, nslots;
-  purec_memo_slot* slots;
-  purec_memo_word* vwords = 0;
   const char* stats = getenv("PUREC_MEMO_STATS");
   purec_memo_stats_on = stats != 0 && stats[0] == '1';
   if (purec_memo_stats_on) atexit(purec_memo_stats_dump);
-  if (cap < shards) shards = purec_memo_pow2(cap);
-  per = purec_memo_pow2(cap / shards);
-  nslots = shards * per;
-  slots = (purec_memo_slot*)calloc(nslots, sizeof(purec_memo_slot));
-  if (slots == 0) return; /* no table: every call computes */
+  purec_memo_cap = purec_memo_pow2(purec_memo_env("PUREC_MEMO_CAP", 65536));
+  if (purec_memo_probe > purec_memo_cap)
+    purec_memo_probe = (unsigned)purec_memo_cap;
+  purec_memo_ready =
+      pthread_key_create(&purec_memo_exit_key, purec_memo_thread_exit) == 0;
+}
+
+/* The slot in key's window that holds key or, failing that, the first
+ * empty one; PUREC_MEMO_NONE when the window is full of other keys.
+ * Slots never empty again, so a resident key sits before any empty slot
+ * of its window. */
+static purec_memo_word purec_memo_find(const purec_memo_table* t,
+                                       purec_memo_word key) {
+  unsigned i;
+  for (i = 0; i < purec_memo_probe; i++) {
+    purec_memo_word idx = (key + i) & t->mask;
+    purec_memo_word tag = t->slots[idx].tag;
+    if (tag == key || tag == 0) return idx;
+  }
+  return PUREC_MEMO_NONE;
+}
+
+/* Under verify: slot idx holds exactly the key words kw[0..kn). */
+static int purec_memo_same(const purec_memo_table* t, purec_memo_word idx,
+                           const purec_memo_word* kw, unsigned kn) {
+  const purec_memo_word* rec = t->vwords + idx * PUREC_MEMO_VREC;
+  unsigned w;
+  if (rec[0] != kn) return 0;
+  for (w = 0; w < kn; w++)
+    if (rec[1 + w] != kw[w]) return 0;
+  return 1;
+}
+
+static void purec_memo_put(purec_memo_table* t, purec_memo_word idx,
+                           purec_memo_word key, const purec_memo_word* kw,
+                           unsigned kn, purec_memo_word value) {
+  unsigned w;
+  t->slots[idx].tag = key;
+  t->slots[idx].value = value;
+  t->ref[idx] = 0;
   if (PUREC_MEMO_VERIFY) {
-    vwords = (purec_memo_word*)calloc(
-        (size_t)nslots * (1u + PUREC_MEMO_VWORDS), sizeof(purec_memo_word));
-    if (vwords == 0) return;
+    purec_memo_word* rec = t->vwords + idx * PUREC_MEMO_VREC;
+    rec[0] = kn;
+    for (w = 0; w < kn; w++) rec[1 + w] = kw[w];
   }
-  purec_memo_shards =
-      (purec_memo_shard*)calloc(shards, sizeof(purec_memo_shard));
-  if (purec_memo_shards == 0) return;
-  for (s = 0; s < shards; s++) {
-    purec_memo_shards[s].slots = slots + s * per;
-    purec_memo_shards[s].vwords =
-        PUREC_MEMO_VERIFY ? vwords + s * per * (1u + PUREC_MEMO_VWORDS) : 0;
-    purec_memo_shards[s].slot_mask = per - 1;
+}
+
+static int purec_memo_store(purec_memo_word key, const purec_memo_word* kw,
+                            unsigned kn, purec_memo_word value);
+
+/* Gives the calling thread a new table, min(1024, cap) slots for its
+ * first and twice the old size after that, and stores every old entry
+ * into it again with its verify record. A window that overflows there
+ * doubles the table again, so below the cap no entry is lost; at the cap
+ * the overflow evicts. Returns 0, keeping the old table, when memory runs
+ * out. The table is one allocation: the header, the slots, the verify
+ * records (none when PUREC_MEMO_VERIFY is 0) and the clock bits. */
+__attribute__((noinline, cold)) static int purec_memo_grow(void) {
+  const size_t per_slot =
+      sizeof(purec_memo_slot) + 1 +
+      (PUREC_MEMO_VERIFY ? PUREC_MEMO_VREC * sizeof(purec_memo_word) : 0);
+  purec_memo_table* old = purec_memo_self;
+  purec_memo_word n = purec_memo_cap < 1024 ? purec_memo_cap : 1024, i;
+  purec_memo_table* t;
+  if (!purec_memo_ready) return 0;
+  if (old != 0) n = 2 * (old->mask + 1);
+  t = (purec_memo_table*)calloc(1, sizeof(purec_memo_table) + n * per_slot);
+  if (t == 0) return 0;
+  if (pthread_setspecific(purec_memo_exit_key, t) != 0) {
+    free(t);
+    return 0;
   }
-  purec_memo_shard_mask = shards - 1;
-  if (purec_memo_probe > per) purec_memo_probe = (unsigned)per;
-  purec_memo_ready = 1;
+  t->slots = (purec_memo_slot*)(t + 1);
+  t->vwords = (purec_memo_word*)(t->slots + n);
+  t->ref = (unsigned char*)(t->vwords +
+                            (PUREC_MEMO_VERIFY ? n * PUREC_MEMO_VREC : 0));
+  t->mask = n - 1;
+  purec_memo_self = t;
+  for (i = 0; old != 0 && i <= old->mask; i++) {
+    const purec_memo_word* rec =
+        PUREC_MEMO_VERIFY ? old->vwords + i * PUREC_MEMO_VREC : 0;
+    if (old->slots[i].tag != 0)
+      purec_memo_store(old->slots[i].tag, rec ? rec + 1 : 0,
+                       rec ? (unsigned)rec[0] : 0u, old->slots[i].value);
+  }
+  free(old);
+  return 1;
 }
 
 static int purec_memo_lookup(purec_memo_word key,
                              const purec_memo_word* kw, unsigned kn,
                              purec_memo_word* value) {
-  purec_memo_shard* sh;
-  unsigned i, w;
-  if (!purec_memo_ready) return 0;
-  if (PUREC_MEMO_VERIFY && kn > PUREC_MEMO_VWORDS) return 0; /* too wide */
-  sh = &purec_memo_shards[(key >> 40) & purec_memo_shard_mask];
-  for (i = 0; i < purec_memo_probe; i++) {
-    purec_memo_word idx = (key + i) & sh->slot_mask;
-    purec_memo_slot* s = &sh->slots[idx];
-    purec_memo_word s1 = __atomic_load_n(&s->seq, __ATOMIC_ACQUIRE);
-    purec_memo_word tag, val;
-    int verified = 1;
-    if (s1 & 1u) continue;
-    /* Acquire data loads keep the seq re-check below after them, so no
-     * standalone fence is needed; on x86 all of these are plain moves. */
-    tag = __atomic_load_n(&s->tag, __ATOMIC_ACQUIRE);
-    val = __atomic_load_n(&s->value, __ATOMIC_ACQUIRE);
-    if (PUREC_MEMO_VERIFY && tag == key) {
-      const purec_memo_word* rec =
-          sh->vwords + idx * (1u + PUREC_MEMO_VWORDS);
-      verified = __atomic_load_n(&rec[0], __ATOMIC_ACQUIRE) == kn;
-      for (w = 0; verified && w < kn; w++)
-        verified = __atomic_load_n(&rec[1 + w], __ATOMIC_ACQUIRE) == kw[w];
-    }
-    if (__atomic_load_n(&s->seq, __ATOMIC_RELAXED) != s1) continue;
-    if (tag == key) {
-      if (!verified) return 0; /* fingerprint alias: recompute */
-      *value = val;
-      /* Store the clock bit only when clear: a warm hit writes nothing. */
-      if (__atomic_load_n(&s->ref, __ATOMIC_RELAXED) == 0)
-        __atomic_store_n(&s->ref, 1, __ATOMIC_RELAXED);
-      return 1;
-    }
-    if (tag == 0) return 0;
-  }
-  return 0;
-}
-
-static int purec_memo_claim(purec_memo_shard* sh, purec_memo_word idx,
-                            purec_memo_word key, purec_memo_word value,
-                            const purec_memo_word* kw, unsigned kn) {
-  purec_memo_slot* s = &sh->slots[idx];
-  purec_memo_word s1 = __atomic_load_n(&s->seq, __ATOMIC_RELAXED);
-  unsigned w;
-  if (s1 & 1u) return 0;
-  if (!__atomic_compare_exchange_n(&s->seq, &s1, s1 + 1, 0,
-                                   __ATOMIC_ACQUIRE, __ATOMIC_RELAXED))
-    return 0;
-  /* Release data stores: a reader whose acquire load sees new data also
-   * sees the odd seq when it re-checks, and treats the slot as a miss. */
-  __atomic_store_n(&s->tag, key, __ATOMIC_RELEASE);
-  __atomic_store_n(&s->value, value, __ATOMIC_RELEASE);
-  __atomic_store_n(&s->ref, 0, __ATOMIC_RELAXED);
-  if (PUREC_MEMO_VERIFY) {
-    purec_memo_word* rec = sh->vwords + idx * (1u + PUREC_MEMO_VWORDS);
-    __atomic_store_n(&rec[0], (purec_memo_word)kn, __ATOMIC_RELEASE);
-    for (w = 0; w < kn; w++)
-      __atomic_store_n(&rec[1 + w], kw[w], __ATOMIC_RELEASE);
-  }
-  __atomic_store_n(&s->seq, s1 + 2, __ATOMIC_RELEASE);
+  purec_memo_table* t = purec_memo_self;
+  purec_memo_word idx;
+  if (t == 0) return 0;
+  idx = purec_memo_find(t, key);
+  if (idx == PUREC_MEMO_NONE || t->slots[idx].tag != key) return 0;
+  /* A fingerprint alias recomputes. A tuple too wide to store never
+   * matches a record's count. */
+  if (PUREC_MEMO_VERIFY && !purec_memo_same(t, idx, kw, kn)) return 0;
+  *value = t->slots[idx].value;
+  if (t->ref[idx] == 0) t->ref[idx] = 1;
   return 1;
 }
 
@@ -276,56 +297,42 @@ static int purec_memo_claim(purec_memo_shard* sh, purec_memo_word idx,
  * fresh/duplicate/failed stores — the stats counters want the split. */
 static int purec_memo_store(purec_memo_word key, const purec_memo_word* kw,
                             unsigned kn, purec_memo_word value) {
-  purec_memo_shard* sh;
-  unsigned i, w;
-  purec_memo_word old_tag;
-  if (!purec_memo_ready) return 0;
-  if (PUREC_MEMO_VERIFY && kn > PUREC_MEMO_VWORDS) return 0;
-  sh = &purec_memo_shards[(key >> 40) & purec_memo_shard_mask];
+  purec_memo_table* t = purec_memo_self;
+  purec_memo_word idx;
+  unsigned i;
+  if (PUREC_MEMO_VERIFY && kn > PUREC_MEMO_VWORDS) return 0; /* too wide */
+  if (t == 0) {
+    if (!purec_memo_grow()) return 0;
+    t = purec_memo_self;
+  }
+  while ((idx = purec_memo_find(t, key)) == PUREC_MEMO_NONE &&
+         t->mask + 1 < purec_memo_cap && purec_memo_grow())
+    t = purec_memo_self;
+  if (idx != PUREC_MEMO_NONE) {
+    if (t->slots[idx].tag == 0) {
+      purec_memo_put(t, idx, key, kw, kn, value);
+      return 0;
+    }
+    /* Resident: the value is identical, unless under verify the resident
+     * entry is a fingerprint alias, which must be replaced or this key
+     * would miss forever. */
+    if (!PUREC_MEMO_VERIFY || purec_memo_same(t, idx, kw, kn)) return 0;
+    purec_memo_put(t, idx, key, kw, kn, value);
+    return 1;
+  }
+  /* A full window at the cap: second chance clears a set bit and moves
+   * on; the first clear one is evicted. */
   for (i = 0; i < purec_memo_probe; i++) {
-    purec_memo_word idx = (key + i) & sh->slot_mask;
-    purec_memo_slot* s = &sh->slots[idx];
-    purec_memo_word tag = __atomic_load_n(&s->tag, __ATOMIC_RELAXED);
-    if (tag == key) {
-      int same;
-      if (!PUREC_MEMO_VERIFY) return 0; /* resident value is identical */
-      /* Under verify a resident fingerprint alias must be replaced or
-       * this key would miss forever; the unlocked compare only risks one
-       * redundant republish. */
-      {
-        const purec_memo_word* rec =
-            sh->vwords + idx * (1u + PUREC_MEMO_VWORDS);
-        same = __atomic_load_n(&rec[0], __ATOMIC_RELAXED) == kn;
-        for (w = 0; same && w < kn; w++)
-          same = __atomic_load_n(&rec[1 + w], __ATOMIC_RELAXED) == kw[w];
-      }
-      if (same) return 0;
-      if (purec_memo_claim(sh, idx, key, value, kw, kn)) return 1;
+    idx = (key + i) & t->mask;
+    if (t->ref[idx] != 0) {
+      t->ref[idx] = 0;
       continue;
     }
-    if (tag == 0 && purec_memo_claim(sh, idx, key, value, kw, kn)) return 0;
+    purec_memo_put(t, idx, key, kw, kn, value);
+    return 1;
   }
-  for (i = 0; i < purec_memo_probe; i++) {
-    purec_memo_word idx = (key + i) & sh->slot_mask;
-    purec_memo_slot* s = &sh->slots[idx];
-    /* Second chance: clear a set bit and move on. Loading first keeps
-     * the sweep from writing lines whose bit is already clear. */
-    if (__atomic_load_n(&s->ref, __ATOMIC_RELAXED) != 0) {
-      __atomic_store_n(&s->ref, 0, __ATOMIC_RELAXED);
-      continue;
-    }
-    old_tag = __atomic_load_n(&s->tag, __ATOMIC_RELAXED);
-    if (purec_memo_claim(sh, idx, key, value, kw, kn))
-      return old_tag != 0 && old_tag != key;
-  }
-  {
-    purec_memo_word idx = key & sh->slot_mask;
-    purec_memo_slot* s = &sh->slots[idx];
-    old_tag = __atomic_load_n(&s->tag, __ATOMIC_RELAXED);
-    if (purec_memo_claim(sh, idx, key, value, kw, kn))
-      return old_tag != 0 && old_tag != key;
-  }
-  return 0;
+  purec_memo_put(t, key & t->mask, key, kw, kn, value);
+  return 1;
 }
 
 #define PUREC_MEMO_KEY_F32(k, kw, n, x)                                \

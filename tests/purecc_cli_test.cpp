@@ -8,8 +8,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <sys/wait.h>
+
+#include "support/json.h"
 
 namespace {
 
@@ -254,6 +257,55 @@ TEST_F(PureccCliTest, InstrumentInjectsCountersOnlyWhenAsked) {
       << instr.output;
 }
 
+TEST_F(PureccCliTest, InstrumentLeavesSerialNestsBare) {
+  // Listing 7's shape: the reduction inside pure `dot` stays serial and
+  // runs once per call, so only the parallel caller nest is timed.
+  const std::string path = write_temp("purecc_cli_serial_nest.c", R"(
+float **A, **Bt, **C;
+
+pure float dot(pure float* a, pure float* b, int size) {
+  float res = 0.0f;
+  for (int i = 0; i < size; ++i)
+    res += a[i] * b[i];
+  return res;
+}
+
+int main() {
+  for (int i = 0; i < 64; ++i)
+    for (int j = 0; j < 64; ++j)
+      C[i][j] = dot((pure float*)A[i], (pure float*)Bt[j], 64);
+  return 0;
+}
+)");
+  const std::string json_path =
+      ::testing::TempDir() + "/purecc_cli_serial_nest.json";
+  const RunResult r = run_purecc("--instrument --report=json:" +
+                                 shell_quote(json_path) + " " +
+                                 shell_quote(path));
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("purec_instr_r0 = {.name = \"main:"),
+            std::string::npos)
+      << r.output;
+  EXPECT_EQ(r.output.find("\"dot:"), std::string::npos) << r.output;
+  EXPECT_EQ(r.output.find("purec_instr_r1"), std::string::npos) << r.output;
+
+  std::ifstream in(json_path);
+  const std::string report((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+  const std::optional<purec::json::Value> doc = purec::json::parse(report);
+  ASSERT_TRUE(doc.has_value()) << report;
+  const purec::json::Value* scops = doc->find("scops");
+  ASSERT_TRUE(scops != nullptr && scops->as_array() != nullptr) << report;
+  int serial = 0;
+  for (const purec::json::Value& scop : *scops->as_array()) {
+    const bool parallel = scop.find("parallelized")->as_bool();
+    // Only a timed nest carries the id that joins it to trace events.
+    EXPECT_EQ(scop.find("region_id")->is_null(), !parallel) << report;
+    if (!parallel && scop.find("transformed")->as_bool()) ++serial;
+  }
+  EXPECT_EQ(serial, 1) << report;
+}
+
 TEST_F(PureccCliTest, ScheduleSpecRoundTripsIntoPragma) {
   const RunResult r =
       run_purecc("--schedule guided,8 " + shell_quote(input_path_));
@@ -349,6 +401,12 @@ TEST_F(PureccCliTest, MemoizeAllRewritesCallSitesAndReports) {
   EXPECT_NE(r.output.find("memoized 1 call site(s)"), std::string::npos)
       << r.output;
 
+  // Without verify purecc emits no record size: the first define is the
+  // runtime's own default.
+  const std::string vwords = "#define PUREC_MEMO_VWORDS ";
+  EXPECT_EQ(r.output.substr(r.output.find(vwords), vwords.size() + 3),
+            vwords + "12u");
+
   // Without the flag nothing memo-related may leak into the output.
   const RunResult plain = run_purecc(shell_quote(input_path_));
   ASSERT_EQ(plain.exit_code, 0) << plain.output;
@@ -363,6 +421,11 @@ TEST_F(PureccCliTest, MemoizeVerifyCompilesTheFullKeyDefaultIn) {
       shell_quote(input_path_));
   ASSERT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("#define PUREC_MEMO_VERIFY 1"),
+            std::string::npos)
+      << r.output;
+  // A verify record holds the TU's widest key tuple: `twice` keys on its
+  // one argument.
+  EXPECT_NE(r.output.find("#define PUREC_MEMO_VWORDS 1u\n"),
             std::string::npos)
       << r.output;
   EXPECT_NE(r.output.find("\"memoize_verify\": true"), std::string::npos)
