@@ -120,12 +120,20 @@ std::string memo_thunk_definition(const MemoFunctionInfo& info) {
                     memo_function_id(info.name)));
   const std::size_t key_words = memo_key_words(info);
   const std::string stats = "purec_memo_stats_" + info.name;
+  const std::string gate = "purec_memo_gate_" + info.name;
+  std::string call = info.name + "(";
+  for (std::size_t i = 0; i < info.param_types.size(); ++i) {
+    if (i != 0) call += ", ";
+    call += "purec_a" + std::to_string(i);
+  }
+  call += ")";
   out << "static purec_memo_stats_entry " << stats << " = {.name = \""
       << info.name << "\"};\n";
   out << "__attribute__((constructor)) static void " << stats
       << "_register(void) {\n";
   out << "  purec_memo_stats_register(&" << stats << ");\n";
   out << "}\n";
+  out << "static __thread purec_memo_gate " << gate << ";\n";
   out << signature(info) << " {\n";
   out << "  purec_memo_word purec_key = " << id << ";\n";
   out << "  purec_memo_word purec_word;\n";
@@ -133,6 +141,10 @@ std::string memo_thunk_definition(const MemoFunctionInfo& info) {
       << (key_words == 0 ? std::size_t{1} : key_words) << "];\n";
   out << "  unsigned purec_kn = 0;\n";
   out << "  " << scalar_type_name(info.return_type) << " purec_result;\n";
+  out << "  if (purec_memo_gate_skip(&" << gate << ")) {\n";
+  out << "    PUREC_MEMO_STAT_INC(" << stats << ", bypassed);\n";
+  out << "    return " << call << ";\n";
+  out << "  }\n";
   for (std::size_t i = 0; i < info.param_types.size(); ++i) {
     out << key_line(info.param_types[i], "purec_a" + std::to_string(i));
   }
@@ -147,15 +159,12 @@ std::string memo_thunk_definition(const MemoFunctionInfo& info) {
   out << "    return " << unpack_expr(info.return_type, "purec_word")
       << ";\n";
   out << "  }\n";
+  out << "  " << gate << ".misses++;\n";
   out << "  PUREC_MEMO_STAT_INC(" << stats << ", misses);\n";
-  out << "  purec_result = " << info.name << "(";
-  for (std::size_t i = 0; i < info.param_types.size(); ++i) {
-    if (i != 0) out << ", ";
-    out << "purec_a" << i;
-  }
-  out << ");\n";
+  out << "  purec_result = " << call << ";\n";
   out << "  if (purec_memo_store(purec_key, purec_kw, purec_kn, "
-      << pack_expr(info.return_type, "purec_result") << "))\n";
+      << pack_expr(info.return_type, "purec_result") << ", " << gate
+      << ".backoff == 0))\n";
   out << "    PUREC_MEMO_STAT_INC(" << stats << ", evictions);\n";
   out << "  return purec_result;\n";
   out << "}\n";

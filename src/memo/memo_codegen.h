@@ -3,9 +3,11 @@
 // like poly::codegen_prelude), and per-function thunk text.
 //
 // A memoizable call site `f(a, b)` is rewritten to `purec_memo_f(a, b)`;
-// the thunk folds the argument bit patterns and the scalar global-read
-// snapshot into one 64-bit fingerprint, probes the table, and only falls
-// through to the real `f` on a miss. Values travel as bit patterns, so a
+// the thunk asks its per-thread gate whether the table has been paying
+// (calling `f` directly when it has not), then folds the argument bit
+// patterns and the scalar global-read snapshot into one 64-bit
+// fingerprint, probes the table, and only falls through to the real `f`
+// on a miss. Values travel as bit patterns, so a
 // hit returns exactly the bits a miss stored — memoized and unmemoized
 // binaries print identical checksums.
 //

@@ -302,17 +302,19 @@ MemoProfile parse_memo_profile(const std::string& text) {
     unsigned long long hits = 0;
     unsigned long long misses = 0;
     unsigned long long evictions = 0;
-    if (std::sscanf(line.c_str() + close + 1,
-                    " hits=%llu misses=%llu evictions=%llu", &hits, &misses,
-                    &evictions) != 3) {
-      continue;
-    }
+    unsigned long long bypassed = 0;
+    const int fields = std::sscanf(
+        line.c_str() + close + 1,
+        " hits=%llu misses=%llu evictions=%llu bypassed=%llu", &hits,
+        &misses, &evictions, &bypassed);
+    if (fields < 3) continue;
     // Sum rather than overwrite: a fleet run dumps one line per process
     // per thunk, and the observed reuse is their combined traffic.
     MemoProfileEntry& entry = profile[name];
     entry.hits += hits;
     entry.misses += misses;
     entry.evictions += evictions;
+    entry.bypassed += bypassed;
   }
   return profile;
 }

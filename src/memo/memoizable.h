@@ -38,13 +38,16 @@
 namespace purec {
 
 /// Observed per-thunk traffic, parsed back out of a PUREC_MEMO_STATS dump
-/// (`purec-memo[NAME] hits=H misses=M evictions=E` lines) and keyed by
-/// function name. Feeding it to the classifier via `--memoize-profile`
-/// replaces the shape-based cost gate with the profile-informed model.
+/// (`purec-memo[NAME] hits=H misses=M evictions=E bypassed=B` lines; dumps
+/// without the `bypassed` field read as 0) and keyed by function name.
+/// Feeding it to the classifier via `--memoize-profile` replaces the
+/// shape-based cost gate with the profile-informed model.
 struct MemoProfileEntry {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t evictions = 0;
+  /// Calls the thunk's run-time gate sent straight to the callee.
+  std::uint64_t bypassed = 0;
 };
 using MemoProfile = std::map<std::string, MemoProfileEntry>;
 

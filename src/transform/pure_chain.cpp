@@ -552,7 +552,8 @@ ChainArtifacts run_pure_chain(const std::string& source,
                                   scratch_options);
     const PurityResult scratch_purity = scratch_checker.check();
     artifacts.inlined_calls =
-        inline_pure_expression_functions(tu, scratch_purity.pure_functions);
+        inline_pure_expression_functions(tu, scratch_purity.pure_functions,
+                                         scratch_symbols);
   }
 
   const SymbolTable symbols = SymbolTable::build(tu, diags);

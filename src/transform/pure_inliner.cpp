@@ -3,6 +3,7 @@
 #include <map>
 
 #include "ast/walk.h"
+#include "sema/symbols.h"
 
 namespace purec {
 
@@ -22,18 +23,57 @@ constexpr int kMaxInlineRounds = 8;
   return ret->value.get();
 }
 
+/// Structural type equality that ignores `const` and `pure` at every
+/// level.
+[[nodiscard]] bool same_unqualified(const Type& a, const Type& b) {
+  if (a.kind != b.kind) return false;
+  switch (a.kind) {
+    case TypeKind::Builtin:
+      return a.builtin == b.builtin;
+    case TypeKind::Pointer:
+      return same_unqualified(*a.pointee, *b.pointee);
+    case TypeKind::Array:
+      return a.array_size == b.array_size &&
+             same_unqualified(*a.element, *b.element);
+    case TypeKind::Struct:
+    case TypeKind::Named:
+      return a.name == b.name;
+  }
+  return false;
+}
+
+/// The argument to substitute for a parameter: `x` itself when the
+/// argument is `(T)x` and the cast changes only qualifiers of x's declared
+/// type, e.g. `(pure float**)cur` for `float** cur`. Such a cast changes no
+/// value or layout, while SCoP extraction takes an access rooted in a cast
+/// for an unsupported (non `ident[...]`) shape.
+[[nodiscard]] const Expr& bare_argument(const Expr& arg,
+                                        const FunctionScopeInfo* scope) {
+  const auto* cast = expr_cast<CastExpr>(&arg);
+  if (cast == nullptr || scope == nullptr) return arg;
+  const auto* ident = expr_cast<IdentExpr>(cast->operand.get());
+  if (ident == nullptr) return arg;
+  const Symbol* symbol = scope->resolve(*ident);
+  if (symbol == nullptr || symbol->type == nullptr ||
+      !same_unqualified(*symbol->type, *cast->target_type)) {
+    return arg;
+  }
+  return *ident;
+}
+
 /// Builds the inlined expression: clone of `body` with each parameter
 /// identifier replaced by (a clone of) the matching argument.
 [[nodiscard]] ExprPtr instantiate(const Expr& body,
                                   const FunctionDecl& fn,
-                                  const std::vector<ExprPtr>& args) {
+                                  const std::vector<ExprPtr>& args,
+                                  const FunctionScopeInfo* scope) {
   ExprPtr cloned = body.clone();
   for_each_expr_slot(cloned, [&](ExprPtr& slot) -> bool {
     const auto* ident = expr_cast<IdentExpr>(slot.get());
     if (ident == nullptr) return false;
     for (std::size_t i = 0; i < fn.params.size() && i < args.size(); ++i) {
       if (fn.params[i].name == ident->name) {
-        slot = args[i]->clone();
+        slot = bare_argument(*args[i], scope).clone();
         return true;  // arguments are caller expressions: do not rescan
       }
     }
@@ -45,7 +85,8 @@ constexpr int kMaxInlineRounds = 8;
 }  // namespace
 
 std::size_t inline_pure_expression_functions(
-    TranslationUnit& tu, const std::set<std::string>& pure_functions) {
+    TranslationUnit& tu, const std::set<std::string>& pure_functions,
+    const SymbolTable& symbols) {
   // Collect inlinable definitions.
   std::map<std::string, const FunctionDecl*> inlinable;
   for (const FunctionDecl* fn : tu.functions()) {
@@ -60,6 +101,7 @@ std::size_t inline_pure_expression_functions(
   std::size_t total = 0;
   for (FunctionDecl* fn : tu.functions()) {
     if (!fn->body) continue;
+    const FunctionScopeInfo* scope = symbols.scope_for(*fn);
     // Fixpoint: inlined bodies may contain further inlinable calls
     // (e.g. a pure helper calling another pure helper).
     for (int round = 0; round < kMaxInlineRounds; ++round) {
@@ -74,7 +116,7 @@ std::size_t inline_pure_expression_functions(
         if (&target == fn) return false;
         if (call->args.size() != target.params.size()) return false;
         const Expr* body = expression_body(target);
-        slot = instantiate(*body, target, call->args);
+        slot = instantiate(*body, target, call->args, scope);
         ++inlined_this_round;
         return true;
       });

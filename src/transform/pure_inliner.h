@@ -19,11 +19,16 @@
 
 namespace purec {
 
+class SymbolTable;
+
 /// Inlines calls to expression-bodied pure functions (body == exactly one
 /// `return expr;`) everywhere in `tu`. Nested inlinable calls resolve via
-/// a fixpoint with a recursion cap. Returns the number of call sites
+/// a fixpoint with a recursion cap. An argument `(T)x` whose cast changes
+/// only qualifiers of x's type (resolved through `symbols`, built on
+/// `tu`) is substituted as plain `x`. Returns the number of call sites
 /// inlined.
 std::size_t inline_pure_expression_functions(
-    TranslationUnit& tu, const std::set<std::string>& pure_functions);
+    TranslationUnit& tu, const std::set<std::string>& pure_functions,
+    const SymbolTable& symbols);
 
 }  // namespace purec

@@ -76,7 +76,7 @@ static int store_i(purec_memo_word i, purec_memo_word value) {
   purec_memo_word kw[1];
   unsigned kn;
   purec_memo_word key = key_of(i, kw, &kn);
-  return purec_memo_store(key, kw, kn, value);
+  return purec_memo_store(key, kw, kn, value, 1);
 }
 
 typedef struct {
@@ -134,10 +134,10 @@ static void scenario_roundtrip(void) {
   PUREC_MEMO_KEY_F64(key, kw, kn, d);
   key = purec_memo_mix(key);
   CHECK(kn == 2);
-  CHECK(purec_memo_store(key, kw, kn, PUREC_MEMO_PACK_F64(d * f)) == 0);
+  CHECK(purec_memo_store(key, kw, kn, PUREC_MEMO_PACK_F64(d * f), 1) == 0);
   CHECK(purec_memo_lookup(key, kw, kn, &word));
   CHECK(PUREC_MEMO_UNPACK_F64(word) == d * f);
-  CHECK(purec_memo_store(key ^ 1, kw, kn, PUREC_MEMO_PACK_F32(f)) == 0);
+  CHECK(purec_memo_store(key ^ 1, kw, kn, PUREC_MEMO_PACK_F32(f), 1) == 0);
   CHECK(purec_memo_lookup(key ^ 1, kw, kn, &word));
   CHECK(PUREC_MEMO_UNPACK_F32(word) == f);
 }
@@ -267,12 +267,12 @@ static void scenario_verify_alias(void) {
   const purec_memo_word a[2] = {11, 12}, b[2] = {21, 22};
   CHECK(PUREC_MEMO_VERIFY);
   /* Two distinct tuples forced onto one fingerprint. */
-  CHECK(purec_memo_store(fp, a, 2, 100) == 0);
+  CHECK(purec_memo_store(fp, a, 2, 100, 1) == 0);
   CHECK(purec_memo_lookup(fp, a, 2, &out) && out == 100);
   CHECK(!purec_memo_lookup(fp, b, 2, &out)); /* the alias misses */
   /* Publishing the alias replaces the resident entry, so b does not miss
    * forever; a misses in turn. */
-  CHECK(purec_memo_store(fp, b, 2, 200) == 1);
+  CHECK(purec_memo_store(fp, b, 2, 200, 1) == 1);
   CHECK(purec_memo_lookup(fp, b, 2, &out) && out == 200);
   CHECK(!purec_memo_lookup(fp, a, 2, &out));
 }
@@ -286,7 +286,7 @@ static void scenario_verify_wide(void) {
   }
   key = purec_memo_mix(key);
   /* An unverifiable tuple is never cached: a permanent, safe miss. */
-  CHECK(purec_memo_store(key, wide, kn, 5) == 0);
+  CHECK(purec_memo_store(key, wide, kn, 5, 1) == 0);
   CHECK(!purec_memo_lookup(key, wide, kn, &out));
   CHECK(count_resident(key) == 0);
 }
@@ -297,7 +297,7 @@ static void scenario_verify_off(void) {
   const purec_memo_word fp = key_of(3, kw, &kn);
   const purec_memo_word a[1] = {1}, b[1] = {2};
   CHECK(!PUREC_MEMO_VERIFY);
-  CHECK(purec_memo_store(fp, a, 1, 33) == 0);
+  CHECK(purec_memo_store(fp, a, 1, 33, 1) == 0);
   /* Without verify the fingerprint is the whole key: b "hits". */
   CHECK(purec_memo_lookup(fp, b, 1, &out) && out == 33);
 }
@@ -386,21 +386,21 @@ static void scenario_second_chance(void) {
   CHECK(purec_memo_cap == 8);
   CHECK(purec_memo_probe == 8);
   for (j = 0; j < 8; j++) {
-    CHECK(purec_memo_store(slot_key(j, 0), 0, 0, j) == 0);
+    CHECK(purec_memo_store(slot_key(j, 0), 0, 0, j, 1) == 0);
   }
   CHECK(table_slots() == 8); /* at the cap: a full window evicts */
   CHECK(purec_memo_lookup(slot_key(0, 0), 0, 0, &out) && out == 0);
   CHECK(purec_memo_lookup(slot_key(4, 0), 0, 0, &out) && out == 4);
   /* The sweep from slot 0 spares the hit key 0 and evicts key 1. */
-  CHECK(purec_memo_store(slot_key(0, 1), 0, 0, 100) == 1);
+  CHECK(purec_memo_store(slot_key(0, 1), 0, 0, 100, 1) == 1);
   CHECK(count_resident(slot_key(0, 0)) == 1);
   CHECK(count_resident(slot_key(1, 0)) == 0);
   /* The sweep from slot 4 spares the hit key 4 and evicts key 5. */
-  CHECK(purec_memo_store(slot_key(4, 1), 0, 0, 104) == 1);
+  CHECK(purec_memo_store(slot_key(4, 1), 0, 0, 104, 1) == 1);
   CHECK(count_resident(slot_key(4, 0)) == 1);
   CHECK(count_resident(slot_key(5, 0)) == 0);
   /* Key 0 spent its second chance: the next sweep from slot 0 takes it. */
-  CHECK(purec_memo_store(slot_key(0, 2), 0, 0, 200) == 1);
+  CHECK(purec_memo_store(slot_key(0, 2), 0, 0, 200, 1) == 1);
   CHECK(count_resident(slot_key(0, 0)) == 0);
   CHECK(count_resident(slot_key(4, 0)) == 1);
   for (j = 2; j < 8; j++) {
@@ -579,33 +579,42 @@ static int count_of(const char* text, const char* needle) {
 
 static int square(int x) { return x * x; }
 
-static purec_memo_stats_entry purec_memo_stats_square = {.name = "square"};
-__attribute__((constructor)) static void purec_memo_stats_square_register(
-    void) {
-  purec_memo_stats_register(&purec_memo_stats_square);
-}
-
-/* The thunk shape purecc emits for `pure int square(int)`. */
-static int purec_memo_square(int purec_a0) {
-  purec_memo_word purec_key = 0x5151ULL;
-  purec_memo_word purec_word;
-  purec_memo_word purec_kw[1];
-  unsigned purec_kn = 0;
-  int purec_result;
-  PUREC_MEMO_KEY_INT(purec_key, purec_kw, purec_kn, purec_a0);
-  purec_key = purec_memo_mix(purec_key);
-  if (purec_key == 0) purec_key = 1;
-  if (purec_memo_lookup(purec_key, purec_kw, purec_kn, &purec_word)) {
-    PUREC_MEMO_STAT_INC(purec_memo_stats_square, hits);
-    return (int)(purec_word);
+/* The thunk shape purecc emits for `pure T fn(T)`. */
+#define THUNK(fn, T, id)                                                \
+  static purec_memo_stats_entry purec_memo_stats_##fn = {.name = #fn}; \
+  __attribute__((constructor)) static void                             \
+      purec_memo_stats_##fn##_register(void) {                         \
+    purec_memo_stats_register(&purec_memo_stats_##fn);                 \
+  }                                                                    \
+  static __thread purec_memo_gate purec_memo_gate_##fn;                \
+  static T purec_memo_##fn(T purec_a0) {                               \
+    purec_memo_word purec_key = id;                                    \
+    purec_memo_word purec_word;                                        \
+    purec_memo_word purec_kw[1];                                       \
+    unsigned purec_kn = 0;                                             \
+    T purec_result;                                                    \
+    if (purec_memo_gate_skip(&purec_memo_gate_##fn)) {                 \
+      PUREC_MEMO_STAT_INC(purec_memo_stats_##fn, bypassed);            \
+      return fn(purec_a0);                                             \
+    }                                                                  \
+    PUREC_MEMO_KEY_INT(purec_key, purec_kw, purec_kn, purec_a0);       \
+    purec_key = purec_memo_mix(purec_key);                             \
+    if (purec_key == 0) purec_key = 1;                                 \
+    if (purec_memo_lookup(purec_key, purec_kw, purec_kn, &purec_word)) { \
+      PUREC_MEMO_STAT_INC(purec_memo_stats_##fn, hits);                \
+      return (T)(purec_word);                                          \
+    }                                                                  \
+    purec_memo_gate_##fn.misses++;                                     \
+    PUREC_MEMO_STAT_INC(purec_memo_stats_##fn, misses);                \
+    purec_result = fn(purec_a0);                                       \
+    if (purec_memo_store(purec_key, purec_kw, purec_kn,                \
+                         (purec_memo_word)(purec_result),              \
+                         purec_memo_gate_##fn.backoff == 0))           \
+      PUREC_MEMO_STAT_INC(purec_memo_stats_##fn, evictions);           \
+    return purec_result;                                               \
   }
-  PUREC_MEMO_STAT_INC(purec_memo_stats_square, misses);
-  purec_result = square(purec_a0);
-  if (purec_memo_store(purec_key, purec_kw, purec_kn,
-                       (purec_memo_word)(purec_result)))
-    PUREC_MEMO_STAT_INC(purec_memo_stats_square, evictions);
-  return purec_result;
-}
+
+THUNK(square, int, 0x5151ULL)
 
 /* phase_stats: 100 calls over 10 arguments. */
 static void phase_stats(void) {
@@ -661,12 +670,13 @@ static void scenario_stats_threads(const char* path) {
                           0};
   unsigned long long hits = 0, misses = 0, evictions = 0;
   long size;
-  char* text;
+  char *text, *line;
   unlink(path);
   run_phase("phase_stats_threads", env_on);
   text = slurp(path, &size);
-  CHECK(text != 0 && count_of(text, "\n") == 1 &&
-        sscanf(text,
+  line = text == 0 ? 0 : strstr(text, "purec-memo[square]");
+  CHECK(count_of(text, "\n") == 2 && line != 0 &&
+        sscanf(line,
                "purec-memo[square] hits=%llu misses=%llu evictions=%llu",
                &hits, &misses, &evictions) == 3);
   CHECK(hits + misses == (unsigned long long)STATS_THREADS * STATS_CALLS);
@@ -686,15 +696,208 @@ static void scenario_stats_dump(const char* path) {
   char* text;
   unlink(path);
   run_phase("phase_stats", env_on);
+  /* One line per registered thunk: square and the idle gated. */
   text = slurp(path, &size);
-  CHECK(text != 0 &&
-        strcmp(text, "purec-memo[square] hits=90 misses=10 evictions=0\n") ==
-            0);
+  CHECK(count_of(text, "\n") == 2);
+  CHECK(count_of(text, "purec-memo[square] hits=90 misses=10 evictions=0 "
+                       "bypassed=0\n") == 1);
+  CHECK(count_of(text, "purec-memo[gated] hits=0 misses=0 evictions=0 "
+                       "bypassed=0\n") == 1);
   free(text);
   /* With the knob off the counters are dead branches: no dump at all. */
   unlink(path);
   run_phase("phase_stats", env_off);
   CHECK(file_size(path) == -1);
+}
+
+/* ------------------------------------------------------------------ */
+/* The admission gate                                                  */
+/* ------------------------------------------------------------------ */
+
+/* The gated callee: value_of, counting the calling thread's calls. */
+static __thread unsigned long long gated_calls;
+static purec_memo_word gated(purec_memo_word i) {
+  gated_calls++;
+  return value_of(i);
+}
+
+THUNK(gated, purec_memo_word, 0x6a7eULL)
+
+typedef struct {
+  unsigned long long calls, bypassed, wrong;
+  unsigned long long first_bypass; /* call index; ~0 before one */
+  unsigned backoff_max, backoff_steps_bad, windows_at_cap;
+} gate_log;
+
+/* Whether the calling thread's last thunk call skipped the table: a
+ * bypass stretch keeps `left` negative, and its last call sets it to
+ * PUREC_MEMO_WINDOW for the next window. */
+static int gate_bypassing(void) {
+  return purec_memo_gate_gated.left < 0 ||
+         purec_memo_gate_gated.left == (int)PUREC_MEMO_WINDOW;
+}
+
+/* One memoized call of gated(i), logged: the value must be exact, and
+ * backoff may only climb by one, at the start of a bypass stretch. */
+static void gate_call(purec_memo_word i, gate_log* log) {
+  const purec_memo_gate before = purec_memo_gate_gated;
+  const int was_probing =
+      before.left >= 0 && before.left < (int)PUREC_MEMO_WINDOW;
+  if (purec_memo_gated(i) != value_of(i)) log->wrong++;
+  if (gate_bypassing()) {
+    if (log->bypassed == 0) log->first_bypass = log->calls;
+    log->bypassed++;
+  }
+  if (purec_memo_gate_gated.backoff != before.backoff &&
+      purec_memo_gate_gated.backoff != 0 &&
+      purec_memo_gate_gated.backoff != before.backoff + 1)
+    log->backoff_steps_bad++;
+  if (was_probing && gate_bypassing() &&
+      before.backoff == PUREC_MEMO_BACKOFF_MAX)
+    log->windows_at_cap++;
+  if (purec_memo_gate_gated.backoff > log->backoff_max)
+    log->backoff_max = purec_memo_gate_gated.backoff;
+  log->calls++;
+}
+
+/* Calls until backoff has sat at the cap for two failed windows: the
+ * stretches W << 0 .. W << 9 that climb to it, two of W << 10 at it, and
+ * the 12 probe windows between them. */
+#define GATE_COLD_CALLS                                              \
+  (12ULL * PUREC_MEMO_WINDOW +                                       \
+   PUREC_MEMO_WINDOW * ((1ULL << PUREC_MEMO_BACKOFF_MAX) - 1) +      \
+   2ULL * (PUREC_MEMO_WINDOW << PUREC_MEMO_BACKOFF_MAX))
+
+/* All keys distinct: the first window earns no hit, so the call after it
+ * bypasses; backoff climbs by one per window to the cap and stays there;
+ * and no probation window grows the table past the first window's size. */
+static void scenario_gate_cold(void) {
+  gate_log log;
+  purec_memo_word i, first_slots = 0;
+  memset(&log, 0, sizeof log);
+  log.first_bypass = ~0ULL;
+  for (i = 0; i < GATE_COLD_CALLS; i++) {
+    gate_call(i, &log);
+    if (i + 1 == PUREC_MEMO_WINDOW) first_slots = table_slots();
+    if (i >= PUREC_MEMO_WINDOW && table_slots() != first_slots) {
+      CHECK(table_slots() == first_slots);
+      break;
+    }
+  }
+  CHECK(log.wrong == 0);
+  CHECK(first_slots >= PUREC_MEMO_WINDOW);
+  CHECK(log.first_bypass == PUREC_MEMO_WINDOW);
+  CHECK(log.backoff_steps_bad == 0);
+  CHECK(log.backoff_max == PUREC_MEMO_BACKOFF_MAX);
+  CHECK(purec_memo_gate_gated.backoff == PUREC_MEMO_BACKOFF_MAX);
+  CHECK(log.windows_at_cap == 2);
+  /* Only the 12 probe windows reach the callee through the table. */
+  CHECK(log.calls - log.bypassed == 12ULL * PUREC_MEMO_WINDOW);
+  CHECK(gated_calls == log.calls);
+}
+
+/* 64 repeating keys: the first window misses 64 times and hits the rest,
+ * and from then on every call hits, none bypasses. */
+static void scenario_gate_hot(void) {
+  gate_log log;
+  purec_memo_word i;
+  memset(&log, 0, sizeof log);
+  for (i = 0; i < 64 * PUREC_MEMO_WINDOW; i++) gate_call(i % 64, &log);
+  CHECK(log.wrong == 0);
+  CHECK(log.bypassed == 0);
+  CHECK(log.backoff_max == 0);
+  CHECK(gated_calls == 64);
+}
+
+/* `cold` distinct keys, then hot traffic over 64 keys. A switch inside
+ * a bypass stretch must see the first hit within the rest of that
+ * stretch plus one window, and the gate open for good after it. A switch
+ * inside a probe window may fail that window once more (its cold half
+ * earned nothing), which costs one more stretch. The probation window
+ * stored into a full table, so a hot key it evicted misses once more
+ * after the bound: at most 64 callee calls, each growing the table. */
+static void scenario_gate_phase(const char* cold_calls) {
+  gate_log log;
+  const purec_memo_word cold = strtoull(cold_calls, 0, 10);
+  purec_memo_word i, bound, first_hit = ~0ULL;
+  unsigned long long callee_before, bypassed_before;
+  unsigned long long late_misses = 0, late_bypasses = 0;
+  int left;
+  memset(&log, 0, sizeof log);
+  CHECK(cold > 0);
+  for (i = 0; i < cold; i++) gate_call((1ULL << 40) + i, &log);
+  CHECK(log.bypassed > 0);
+  CHECK(purec_memo_gate_gated.backoff > 0);
+  left = purec_memo_gate_gated.left;
+  if (left < 0) /* the rest of the stretch, then one window */
+    bound = (purec_memo_word)(left - PUREC_MEMO_BYPASS) + PUREC_MEMO_WINDOW;
+  else if (left == (int)PUREC_MEMO_WINDOW) /* the stretch just ended */
+    bound = PUREC_MEMO_WINDOW;
+  else
+    bound = 2 * PUREC_MEMO_WINDOW +
+            (PUREC_MEMO_WINDOW << purec_memo_gate_gated.backoff);
+  for (i = 0; i < bound + 4 * PUREC_MEMO_WINDOW; i++) {
+    callee_before = gated_calls;
+    bypassed_before = log.bypassed;
+    gate_call(i % 64, &log);
+    if (first_hit == ~0ULL && gated_calls == callee_before) first_hit = i;
+    if (i >= bound) {
+      late_bypasses += log.bypassed - bypassed_before;
+      late_misses += gated_calls - callee_before;
+    }
+  }
+  CHECK(log.wrong == 0);
+  CHECK(first_hit < bound);
+  CHECK(late_bypasses == 0);
+  CHECK(late_misses <= 64);
+  CHECK(purec_memo_gate_gated.backoff == 0);
+}
+
+typedef struct {
+  int hot;
+  gate_log log;
+  const purec_memo_gate* gate;
+  unsigned long long callee;
+} gate_worker;
+
+static void* gate_run(void* arg) {
+  gate_worker* w = (gate_worker*)arg;
+  purec_memo_word i;
+  for (i = 0; i < 16 * PUREC_MEMO_WINDOW; i++)
+    gate_call(w->hot ? i % 64 : i, &w->log);
+  w->gate = &purec_memo_gate_gated;
+  w->callee = gated_calls;
+  return 0;
+}
+
+/* Four threads, two with cold traffic and two with hot: each gate judges
+ * only its own thread's calls, and the main thread's stays untouched. */
+static void scenario_gate_threads(void) {
+  pthread_t threads[4];
+  gate_worker workers[4];
+  int t, u;
+  for (t = 0; t < 4; t++) {
+    memset(&workers[t], 0, sizeof workers[t]);
+    workers[t].hot = t % 2;
+    CHECK(pthread_create(&threads[t], 0, gate_run, &workers[t]) == 0);
+  }
+  for (t = 0; t < 4; t++) {
+    CHECK(pthread_join(threads[t], 0) == 0);
+    CHECK(workers[t].log.wrong == 0);
+    if (workers[t].hot) {
+      CHECK(workers[t].log.bypassed == 0);
+      CHECK(workers[t].callee == 64);
+    } else {
+      CHECK(workers[t].log.first_bypass == PUREC_MEMO_WINDOW);
+      CHECK(workers[t].log.bypassed > 8 * PUREC_MEMO_WINDOW);
+      CHECK(workers[t].log.backoff_max > 1);
+    }
+    for (u = 0; u < t; u++) CHECK(workers[t].gate != workers[u].gate);
+  }
+  CHECK(purec_memo_gate_gated.left == 0);
+  CHECK(purec_memo_gate_gated.misses == 0);
+  CHECK(purec_memo_gate_gated.backoff == 0);
+  CHECK(gated_calls == 0);
 }
 
 static purec_instr_region_t purec_instr_r0 = {.name = "demo:7", .id = 0u};
@@ -834,6 +1037,14 @@ int main(int argc, char** argv) {
     scenario_private();
   } else if (strcmp(name, "thread_exit") == 0) {
     scenario_thread_exit();
+  } else if (strcmp(name, "gate_cold") == 0) {
+    scenario_gate_cold();
+  } else if (strcmp(name, "gate_hot") == 0) {
+    scenario_gate_hot();
+  } else if (strcmp(name, "gate_phase") == 0) {
+    scenario_gate_phase(arg);
+  } else if (strcmp(name, "gate_threads") == 0) {
+    scenario_gate_threads();
   } else if (strcmp(name, "stats_dump") == 0) {
     scenario_stats_dump(arg);
   } else if (strcmp(name, "stats_threads") == 0) {

@@ -468,6 +468,46 @@ int main() {
 }
 )";
 
+/// kRunTabulate with phases: distinct keys for the first half of the
+/// calls, then 32 repeating keys. At 4 threads every thread crosses
+/// several of the memo gate's 1024-call windows, so the run covers
+/// bypass stretches, probation windows and the switch back to hits, and
+/// must print the unmemoized checksum.
+inline constexpr const char* kRunTabulatePhases = R"(
+#include <stdio.h>
+#include <stdlib.h>
+
+float gain;
+
+pure float shade(int v) {
+  float x = (float)v * 0.0625f + 1.0f;
+  float y = x;
+  for (int k = 0; k < 8; k++)
+    y = 0.5f * (y + x / y);
+  return y * gain;
+}
+
+void render(int* vals, float* out, int n) {
+  for (int p = 0; p < n; p++)
+    out[p] = shade(vals[p]);
+}
+
+int main() {
+  int n = 65536;
+  int* vals = (int*)malloc(n * sizeof(int));
+  float* out = (float*)malloc(n * sizeof(float));
+  gain = 0.75f;
+  for (int i = 0; i < n / 2; i++) vals[i] = i * 7 + 100;
+  for (int i = n / 2; i < n; i++) vals[i] = (i * 37 + 11) % 32;
+  for (int i = 0; i < n; i++) out[i] = 0.0f;
+  render(vals, out, n);
+  double checksum = 0.0;
+  for (int i = 0; i < n; i++) checksum += (double)out[i] * (i % 9);
+  printf("checksum %.6f\n", checksum);
+  return 0;
+}
+)";
+
 /// Non-unit stride coverage: `for (i = 1; i < n; i += 2)` normalizes to a
 /// trip-count domain variable, so the nest parallelizes with accesses
 /// rewritten to 2*t1 + 1 (first ROADMAP scop-coverage gap).
@@ -1142,6 +1182,9 @@ inline std::vector<Fixture> all_fixtures() {
        true, /*infer=*/false, /*schedule=*/nullptr, /*memoize=*/true},
       {"tabulate_memo", kRunTabulate, false, kRunTabulate, true, true,
        /*infer=*/false, /*schedule=*/nullptr, /*memoize=*/true},
+      {"tabulate_memo_phases", kRunTabulatePhases, false,
+       kRunTabulatePhases, true, true, /*infer=*/false,
+       /*schedule=*/nullptr, /*memoize=*/true},
       // Non-unit stride + guided-by-default coverage (ROADMAP gaps).
       {"stride2", kRunStride2, false, kRunStride2, true, true},
       {"triangular_guided", kRunTriangular, false, kRunTriangular, true,

@@ -1,3 +1,4 @@
+#include <omp.h>
 #ifndef PUREC_POLY_HELPERS
 #define PUREC_POLY_HELPERS
 #define floord(n, d) (((n) < 0) ? -((-(n) + (d) - 1) / (d)) : (n) / (d))
@@ -13,7 +14,14 @@ float stencil(float* const *g, int i, int j)
 }
 void step(int n)
 {
-  for (int i = 1; i < n - 1; i++)
-    for (int j = 1; j < n - 1; j++)
-      nxt[i][j] = 0.25f * (((float* const *)cur)[i - 1][j] + ((float* const *)cur)[i + 1][j] + ((float* const *)cur)[i][j - 1] + ((float* const *)cur)[i][j + 1]);
+  {
+#pragma omp parallel for collapse(2)
+    for (int t1t = 0; t1t <= floord(n - 2, 32); t1t++)
+      for (int t2t = 0; t2t <= floord(n - 2, 32); t2t++)
+        for (int t1 = purec_max(1, 32 * t1t); t1 <= purec_min(n - 2, 32 * t1t + 31); t1++)
+          for (int t2 = purec_max(1, 32 * t2t); t2 <= purec_min(n - 2, 32 * t2t + 31); t2++)
+          {
+            nxt[t1][t2] = 0.25f * (cur[t1 - 1][t2] + cur[t1 + 1][t2] + cur[t1][t2 - 1] + cur[t1][t2 + 1]);
+          }
+  }
 }

@@ -1,3 +1,4 @@
+#include <omp.h>
 #ifndef PUREC_POLY_HELPERS
 #define PUREC_POLY_HELPERS
 #define floord(n, d) (((n) < 0) ? -((-(n) + (d) - 1) / (d)) : (n) / (d))
@@ -13,7 +14,15 @@ float stencil(float* const *g, int i, int j)
 }
 void step(int n)
 {
-  for (int i = 1; i < n - 1; i++)
-    for (int j = 1; j < n - 1; j++)
-      nxt[i][j] = 0.25f * (((float* const *)cur)[i - 1][j] + ((float* const *)cur)[i + 1][j] + ((float* const *)cur)[i][j - 1] + ((float* const *)cur)[i][j + 1]);
+  {
+#pragma omp parallel for
+    for (int t1 = 1; t1 <= n - 2; t1++)
+    {
+#pragma omp simd
+      for (int t2 = 1; t2 <= n - 2; t2++)
+      {
+        nxt[t1][t2] = 0.25f * (cur[t1 - 1][t2] + cur[t1 + 1][t2] + cur[t1][t2 - 1] + cur[t1][t2 + 1]);
+      }
+    }
+  }
 }

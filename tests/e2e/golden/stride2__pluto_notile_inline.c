@@ -14,8 +14,13 @@ float avg2(const float* a, int j)
 }
 void downsample(float* out, float* in, int n)
 {
-  for (int i = 1; i < n; i += 2)
-    out[i] = 0.5f * (((const float*)in)[i] + ((const float*)in)[i + 1]);
+  {
+#pragma omp parallel for
+    for (int t1 = 0; t1 <= floord(n - 2, 2); t1++)
+    {
+      out[2 * t1 + 1] = 0.5f * (in[2 * t1 + 1] + in[2 * t1 + 1 + 1]);
+    }
+  }
 }
 int main()
 {

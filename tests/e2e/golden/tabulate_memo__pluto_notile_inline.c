@@ -38,14 +38,16 @@ static FILE* purec_stats_out(void) {
  * store finds its window full; at PUREC_MEMO_CAP slots (per thread,
  * default 65536, rounded down to a power of two) a full window evicts by
  * clock second chance. A hit on a warm slot only loads: the clock bit is
- * stored only when it reads clear. PUREC_MEMO_STATS=1 turns on per-thunk
- * hit/miss/eviction counters dumped at exit to the shared stats stream
- * (PUREC_STATS_FILE or stderr, see purec_stats_out()); they are dead
- * branches when the knob is off. Full-key verification is compile-time
- * only: PUREC_MEMO_VERIFY=1 (--memoize=verify emits it) stores the raw
- * key words next to each slot and compares them on a hit, so a
- * fingerprint alias degrades to a miss instead of a wrong value; at 0
- * every verify branch folds away. Needs <pthread.h>, <stdlib.h> and
+ * stored only when it reads clear. Each thunk first asks its per-thread
+ * gate (purec_memo_gate, below), which sends calls that do not hit
+ * straight to the callee. PUREC_MEMO_STATS=1 turns on per-thunk
+ * hit/miss/eviction/bypass counters dumped at exit to the shared stats
+ * stream (PUREC_STATS_FILE or stderr, see purec_stats_out()); they are
+ * dead branches when the knob is off. Full-key verification is
+ * compile-time only: PUREC_MEMO_VERIFY=1 (--memoize=verify emits it)
+ * stores the raw key words next to each slot and compares them on a hit,
+ * so a fingerprint alias degrades to a miss instead of a wrong value; at
+ * 0 every verify branch folds away. Needs <pthread.h>, <stdlib.h> and
  * <stdio.h>. */
 #ifndef PUREC_MEMO_VERIFY
 #define PUREC_MEMO_VERIFY 0
@@ -69,7 +71,7 @@ typedef union { double v; purec_memo_word b; } purec_memo_f64;
 #define PUREC_MEMO_STAT_CELLS 16u
 
 typedef struct {
-  purec_memo_word hits, misses, evictions;
+  purec_memo_word hits, misses, evictions, bypassed;
 } __attribute__((aligned(64))) purec_memo_stat_cell;
 
 typedef struct {
@@ -92,17 +94,19 @@ static void purec_memo_stats_dump(void) {
             purec_memo_stats_dropped);
   for (i = 0; i < purec_memo_stats_count; i++) {
     purec_memo_stats_entry* e = purec_memo_stats_tables[i];
-    purec_memo_word hits = 0, misses = 0, evictions = 0;
+    purec_memo_word hits = 0, misses = 0, evictions = 0, bypassed = 0;
     for (c = 0; c < PUREC_MEMO_STAT_CELLS; c++) {
       hits += __atomic_load_n(&e->cells[c].hits, __ATOMIC_RELAXED);
       misses += __atomic_load_n(&e->cells[c].misses, __ATOMIC_RELAXED);
       evictions +=
           __atomic_load_n(&e->cells[c].evictions, __ATOMIC_RELAXED);
+      bypassed += __atomic_load_n(&e->cells[c].bypassed, __ATOMIC_RELAXED);
     }
     fprintf(purec_stats_out(),
-            "purec-memo[%s] hits=%llu misses=%llu evictions=%llu\n",
+            "purec-memo[%s] hits=%llu misses=%llu evictions=%llu "
+            "bypassed=%llu\n",
             e->name, (unsigned long long)hits, (unsigned long long)misses,
-            (unsigned long long)evictions);
+            (unsigned long long)evictions, (unsigned long long)bypassed);
   }
 }
 
@@ -236,7 +240,7 @@ static void purec_memo_put(purec_memo_table* t, purec_memo_word idx,
 }
 
 static int purec_memo_store(purec_memo_word key, const purec_memo_word* kw,
-                            unsigned kn, purec_memo_word value);
+                            unsigned kn, purec_memo_word value, int grow);
 
 /* Gives the calling thread a new table, min(1024, cap) slots for its
  * first and twice the old size after that, and stores every old entry
@@ -271,7 +275,7 @@ __attribute__((noinline, cold)) static int purec_memo_grow(void) {
         PUREC_MEMO_VERIFY ? old->vwords + i * PUREC_MEMO_VREC : 0;
     if (old->slots[i].tag != 0)
       purec_memo_store(old->slots[i].tag, rec ? rec + 1 : 0,
-                       rec ? (unsigned)rec[0] : 0u, old->slots[i].value);
+                       rec ? (unsigned)rec[0] : 0u, old->slots[i].value, 1);
   }
   free(old);
   return 1;
@@ -294,9 +298,10 @@ static int purec_memo_lookup(purec_memo_word key,
 }
 
 /* Returns 1 when the store displaced a live entry (an eviction), 0 for
- * fresh/duplicate/failed stores — the stats counters want the split. */
+ * fresh/duplicate/failed stores — the stats counters want the split.
+ * With grow 0 a full window evicts even below the cap. */
 static int purec_memo_store(purec_memo_word key, const purec_memo_word* kw,
-                            unsigned kn, purec_memo_word value) {
+                            unsigned kn, purec_memo_word value, int grow) {
   purec_memo_table* t = purec_memo_self;
   purec_memo_word idx;
   unsigned i;
@@ -305,7 +310,7 @@ static int purec_memo_store(purec_memo_word key, const purec_memo_word* kw,
     if (!purec_memo_grow()) return 0;
     t = purec_memo_self;
   }
-  while ((idx = purec_memo_find(t, key)) == PUREC_MEMO_NONE &&
+  while ((idx = purec_memo_find(t, key)) == PUREC_MEMO_NONE && grow &&
          t->mask + 1 < purec_memo_cap && purec_memo_grow())
     t = purec_memo_self;
   if (idx != PUREC_MEMO_NONE) {
@@ -320,8 +325,8 @@ static int purec_memo_store(purec_memo_word key, const purec_memo_word* kw,
     purec_memo_put(t, idx, key, kw, kn, value);
     return 1;
   }
-  /* A full window at the cap: second chance clears a set bit and moves
-   * on; the first clear one is evicted. */
+  /* A full window at the cap (or one that may not grow): second chance
+   * clears a set bit and moves on; the first clear one is evicted. */
   for (i = 0; i < purec_memo_probe; i++) {
     idx = (key + i) & t->mask;
     if (t->ref[idx] != 0) {
@@ -332,6 +337,69 @@ static int purec_memo_store(purec_memo_word key, const purec_memo_word* kw,
     return 1;
   }
   purec_memo_put(t, key & t->mask, key, kw, kn, value);
+  return 1;
+}
+
+/* Admission gate, one per thunk per thread (a zeroed static __thread):
+ * the thunk asks it before building a key, and a call it turns away goes
+ * straight to the callee, which can never return a wrong value. Calls
+ * are judged in windows of PUREC_MEMO_WINDOW. A window with fewer than
+ * 1/PUREC_MEMO_HIT_DIV hits sends the next PUREC_MEMO_WINDOW << backoff
+ * calls past the table, backoff being the failed windows before this
+ * one in a row (capped at PUREC_MEMO_BACKOFF_MAX); the window after that
+ * stretch probes the table again, and one that earns hits resets
+ * backoff. A window with backoff > 0 is on probation: its misses store
+ * into the table but never double it, so only a thunk whose last window
+ * paid can grow the thread's table.
+ *
+ * `left` encodes the mode. In a probe window it counts the calls left in
+ * it, down to 0; in a bypass stretch it is INT_MIN plus the calls left in
+ * the stretch, and the stretch's last call opens the next window. So a
+ * hit pays one thread-local decrement and sign test: only a negative
+ * count leaves the hit path, for a bypassed call or, at -1 (a window's
+ * end, or the zeroed first call), for the out-of-line judge. Misses are
+ * counted by the thunk's miss path; a probe window's hits are the rest.
+ *
+ * The constants: a window of 1024 calls makes the judge's call rare
+ * (one per 1024) and matches the table's first size, so a first window
+ * of distinct keys fits without evicting. Below 1 hit in 8 calls, seven
+ * misses (key mixes, two probe windows, an insert) must be paid from one
+ * saved callee call, which loses unless the callee is many times dearer
+ * than a probe. Capping the backoff at 10 bounds a stretch at 2^20
+ * calls: a thunk whose traffic turns hot waits at most that long, and a
+ * cold one spends under 0.1% of its calls on probe windows. */
+#define PUREC_MEMO_WINDOW 1024u
+#define PUREC_MEMO_HIT_DIV 8u
+#define PUREC_MEMO_BACKOFF_MAX 10u
+#define PUREC_MEMO_BYPASS (-0x7fffffff - 1) /* INT_MIN: stretch's end */
+
+typedef struct {
+  int left;         /* see above */
+  unsigned misses;  /* in the current probe window */
+  unsigned backoff; /* failed windows in a row, capped */
+} purec_memo_gate;
+
+/* At the end of a probe window: 0 opens another probe window, 1 starts a
+ * bypass stretch with this call. */
+__attribute__((noinline, cold)) static int purec_memo_gate_judge(
+    purec_memo_gate* g) {
+  const unsigned hits = PUREC_MEMO_WINDOW - g->misses;
+  g->misses = 0;
+  if (hits >= PUREC_MEMO_WINDOW / PUREC_MEMO_HIT_DIV) {
+    g->backoff = 0;
+    g->left = PUREC_MEMO_WINDOW - 1;
+    return 0;
+  }
+  g->left = PUREC_MEMO_BYPASS + (int)(PUREC_MEMO_WINDOW << g->backoff) - 1;
+  if (g->backoff < PUREC_MEMO_BACKOFF_MAX) g->backoff++;
+  return 1;
+}
+
+/* 1 when this call skips the table. */
+static inline int purec_memo_gate_skip(purec_memo_gate* g) {
+  if (__builtin_expect(--g->left >= 0, 1)) return 0;
+  if (g->left == -1) return purec_memo_gate_judge(g);
+  if (g->left == PUREC_MEMO_BYPASS) g->left = PUREC_MEMO_WINDOW;
   return 1;
 }
 
@@ -418,12 +486,17 @@ static purec_memo_stats_entry purec_memo_stats_shade = {.name = "shade"};
 __attribute__((constructor)) static void purec_memo_stats_shade_register(void) {
   purec_memo_stats_register(&purec_memo_stats_shade);
 }
+static __thread purec_memo_gate purec_memo_gate_shade;
 static float purec_memo_shade(int purec_a0) {
   purec_memo_word purec_key = 0x6de592493a8ba3aaULL;
   purec_memo_word purec_word;
   purec_memo_word purec_kw[2];
   unsigned purec_kn = 0;
   float purec_result;
+  if (purec_memo_gate_skip(&purec_memo_gate_shade)) {
+    PUREC_MEMO_STAT_INC(purec_memo_stats_shade, bypassed);
+    return shade(purec_a0);
+  }
   PUREC_MEMO_KEY_INT(purec_key, purec_kw, purec_kn, purec_a0);
   PUREC_MEMO_KEY_F32(purec_key, purec_kw, purec_kn, gain);
   purec_key = purec_memo_mix(purec_key);
@@ -432,9 +505,10 @@ static float purec_memo_shade(int purec_a0) {
     PUREC_MEMO_STAT_INC(purec_memo_stats_shade, hits);
     return PUREC_MEMO_UNPACK_F32(purec_word);
   }
+  purec_memo_gate_shade.misses++;
   PUREC_MEMO_STAT_INC(purec_memo_stats_shade, misses);
   purec_result = shade(purec_a0);
-  if (purec_memo_store(purec_key, purec_kw, purec_kn, PUREC_MEMO_PACK_F32(purec_result)))
+  if (purec_memo_store(purec_key, purec_kw, purec_kn, PUREC_MEMO_PACK_F32(purec_result), purec_memo_gate_shade.backoff == 0))
     PUREC_MEMO_STAT_INC(purec_memo_stats_shade, evictions);
   return purec_result;
 }

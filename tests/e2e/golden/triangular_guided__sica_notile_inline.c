@@ -16,9 +16,17 @@ float combine(float* const *u, int i, int j)
 }
 void fold(int n)
 {
-  for (int i = 0; i < n; i++)
-    for (int j = 0; j <= i; j++)
-      L[i][j] = ((float* const *)U2)[i][j] + ((float* const *)U2)[j][i];
+  {
+#pragma omp parallel for schedule(guided,4)
+    for (int t1 = 0; t1 <= n - 1; t1++)
+    {
+#pragma omp simd
+      for (int t2 = 0; t2 <= t1; t2++)
+      {
+        L[t1][t2] = U2[t1][t2] + U2[t2][t1];
+      }
+    }
+  }
 }
 int main()
 {

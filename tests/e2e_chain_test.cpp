@@ -276,6 +276,40 @@ TEST_P(E2EChainTest, SerialVsParallelDifferential) {
   }
 }
 
+/// `#pragma omp parallel` lines in emitted C.
+std::size_t parallel_regions(const std::string& source) {
+  std::size_t count = 0;
+  for (std::size_t at = source.find("#pragma omp parallel");
+       at != std::string::npos;
+       at = source.find("#pragma omp parallel", at + 1)) {
+    ++count;
+  }
+  return count;
+}
+
+// Inlining an expression-bodied pure function hands SCoP extraction the
+// callee's real accesses; it must never cost a parallel region.
+TEST_P(E2EChainTest, InlinePureKeepsEveryParallelRegion) {
+  const Fixture& fixture = GetParam();
+  if (!fixture.expect_ok || !fixture.expect_ok_inlined) {
+    GTEST_SKIP() << fixture.name << " is rejected in some configuration";
+  }
+  const std::string source = chain_source_of(fixture);
+  for (const Config& config : kConfigs) {
+    if (config.inline_pure) continue;
+    SCOPED_TRACE(config.name);
+    Config inlined = config;
+    inlined.inline_pure = true;
+    const ChainArtifacts plain =
+        run_pure_chain(source, options_for(config, fixture));
+    const ChainArtifacts with_inline =
+        run_pure_chain(source, options_for(inlined, fixture));
+    ASSERT_TRUE(plain.ok && with_inline.ok);
+    EXPECT_GE(parallel_regions(with_inline.final_source),
+              parallel_regions(plain.final_source));
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllFixtures, E2EChainTest, ::testing::ValuesIn(all_fixtures()),
     [](const ::testing::TestParamInfo<Fixture>& info) {

@@ -5,6 +5,7 @@
 #include "emit/c_printer.h"
 #include "parser/parser.h"
 #include "purity/purity_checker.h"
+#include "sema/symbols.h"
 #include "transform/pure_chain.h"
 #include "transform/pure_inliner.h"
 
@@ -15,10 +16,13 @@ struct Fixture {
   SourceBuffer buf;
   DiagnosticEngine diags;
   TranslationUnit tu;
+  SymbolTable symbols;
   PurityResult purity;
 
   explicit Fixture(const std::string& src)
-      : buf(SourceBuffer::from_string(src)), tu(parse(buf, diags)) {
+      : buf(SourceBuffer::from_string(src)),
+        tu(parse(buf, diags)),
+        symbols(SymbolTable::build(tu, diags)) {
     PurityOptions options;
     options.listing5_violation_is_error = false;
     purity = check_purity(tu, diags, options);
@@ -32,7 +36,8 @@ TEST(PureInliner, InlinesSimpleExpressionFunction) {
       "void k(int n)\n"
       "{ for (int i = 0; i < n; i++) v[i] = mult(w[i], 2.0f); }\n");
   const std::size_t count =
-      inline_pure_expression_functions(fx.tu, fx.purity.pure_functions);
+      inline_pure_expression_functions(fx.tu, fx.purity.pure_functions,
+                                       fx.symbols);
   EXPECT_EQ(count, 1u);
   const std::string out = print_c(fx.tu);
   const std::size_t k_pos = out.find("void k(");
@@ -46,7 +51,8 @@ TEST(PureInliner, ArgumentsSubstitutedWithParens) {
   Fixture fx(
       "pure int mult(int a, int b) { return a * b; }\n"
       "int use(int x, int y) { return mult(x + 1, y); }\n");
-  (void)inline_pure_expression_functions(fx.tu, fx.purity.pure_functions);
+  (void)inline_pure_expression_functions(fx.tu, fx.purity.pure_functions,
+                                         fx.symbols);
   const std::string out = print_c(fx.tu);
   EXPECT_NE(out.find("(x + 1) * y"), std::string::npos) << out;
 }
@@ -63,9 +69,34 @@ TEST(PureInliner, LoopBodiedFunctionNotInlined) {
       "  for (int i = 0; i < n; i++)\n"
       "    C[i][0] = dot((pure float*)A[i], (pure float*)B[i], n);\n"
       "}\n");
-  EXPECT_EQ(inline_pure_expression_functions(fx.tu,
-                                             fx.purity.pure_functions),
+  EXPECT_EQ(inline_pure_expression_functions(
+                fx.tu, fx.purity.pure_functions, fx.symbols),
             0u);
+}
+
+TEST(PureInliner, QualifierOnlyCastArgumentIsSubstitutedBare) {
+  // `(pure float**)cur` only adds qualifiers to `float** cur`: the body
+  // must read `cur[...]`, which SCoP extraction accepts as an access. A
+  // cast that changes the type (`(float*)raw` for `int* raw`) stays.
+  Fixture fx(
+      "pure float north(pure float** g, int i, int j)\n"
+      "{ return g[i - 1][j]; }\n"
+      "pure float first(pure float* p) { return p[0]; }\n"
+      "float** cur; float** nxt; int* raw; float* out;\n"
+      "void k(int n) {\n"
+      "  for (int i = 1; i < n; i++)\n"
+      "    nxt[i][0] = north((pure float**)cur, i, 0);\n"
+      "  out[0] = first((pure float*)raw);\n"
+      "}\n");
+  EXPECT_EQ(inline_pure_expression_functions(
+                fx.tu, fx.purity.pure_functions, fx.symbols),
+            2u);
+  const std::string out = print_c(fx.tu);
+  const std::size_t k_pos = out.find("void k(");
+  ASSERT_NE(k_pos, std::string::npos);
+  EXPECT_NE(out.find("nxt[i][0] = cur[i - 1][0]", k_pos), std::string::npos)
+      << out;
+  EXPECT_NE(out.find("raw)[0]", k_pos), std::string::npos) << out;
 }
 
 TEST(PureInliner, NestedHelpersReachFixpoint) {
@@ -76,7 +107,8 @@ TEST(PureInliner, NestedHelpersReachFixpoint) {
       "void k(int n)\n"
       "{ for (int i = 0; i < n; i++) v[i] = avg(w[i], 1.0f); }\n");
   const std::size_t count =
-      inline_pure_expression_functions(fx.tu, fx.purity.pure_functions);
+      inline_pure_expression_functions(fx.tu, fx.purity.pure_functions,
+                                       fx.symbols);
   // avg at the call site + the two half() calls inside avg's body, plus
   // the half() calls inside avg's own definition stay (definitions are
   // functions too and get inlined as well).
@@ -94,8 +126,8 @@ TEST(PureInliner, ImpureFunctionsUntouched) {
       "float scaled(float x) { return x * 2.0f; }\n"  // not marked pure
       "float* v;\n"
       "void k(int n) { for (int i = 0; i < n; i++) v[i] = scaled(1.0f); }\n");
-  EXPECT_EQ(inline_pure_expression_functions(fx.tu,
-                                             fx.purity.pure_functions),
+  EXPECT_EQ(inline_pure_expression_functions(
+                fx.tu, fx.purity.pure_functions, fx.symbols),
             0u);
 }
 
@@ -105,7 +137,8 @@ TEST(PureInliner, RecursiveExpressionFunctionSkipped) {
       "int use(int n) { return f(n); }\n");
   // `use` can inline f once; f's own body must not explode.
   const std::size_t count =
-      inline_pure_expression_functions(fx.tu, fx.purity.pure_functions);
+      inline_pure_expression_functions(fx.tu, fx.purity.pure_functions,
+                                       fx.symbols);
   EXPECT_LE(count, 8u + 1u);  // bounded by the round cap
 }
 

@@ -249,6 +249,22 @@ TEST(MemoProfile, ParseSumsFleetDumps) {
   EXPECT_EQ(profile.at("cold").misses, 7u);
 }
 
+TEST(MemoProfile, ParseReadsTheOptionalBypassedField) {
+  // Dumps from before the run-time gate have three counters; the fourth,
+  // when present, is read, and both shapes sum into one entry.
+  const MemoProfile profile = parse_memo_profile(
+      "purec-memo[shade] hits=4 misses=6 evictions=1\n"
+      "purec-memo[shade] hits=1 misses=2 evictions=0 bypassed=900\n"
+      "purec-memo[other] hits=0 misses=1024 evictions=3 bypassed=7\n");
+  ASSERT_EQ(profile.size(), 2u);
+  EXPECT_EQ(profile.at("shade").hits, 5u);
+  EXPECT_EQ(profile.at("shade").misses, 8u);
+  EXPECT_EQ(profile.at("shade").evictions, 1u);
+  EXPECT_EQ(profile.at("shade").bypassed, 900u);
+  EXPECT_EQ(profile.at("other").misses, 1024u);
+  EXPECT_EQ(profile.at("other").bypassed, 7u);
+}
+
 TEST(Memoizable, ProfileGateKeepsDemonstratedReuseOnly) {
   MemoProfile profile;
   profile["heavy"] = {900, 100, 0};  // reuse 9x: survives
