@@ -37,6 +37,13 @@
 // function calls have already been substituted by `tmpConst_*`
 // identifiers when extraction runs, which is exactly why the paper's
 // chain can feed these nests to PluTo.
+//
+// Accesses are keyed on the base *name* (`Access::array`): two names are
+// two objects. Extraction does not know what a pointer points into; the
+// chain rebases accesses through resolvable local pointers before
+// dependence analysis and keeps nests with unresolvable writes serial
+// (transform/pure_chain.cpp). Pointer parameters and globals stay
+// distinct objects.
 #pragma once
 
 #include <cstdint>

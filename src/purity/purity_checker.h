@@ -15,7 +15,10 @@
 //  * loop nests are SCoP candidates when all calls inside are pure; a pure
 //    call argument that is also written in the nest is an error (§3.4,
 //    Listing 5). Alias-based evasion (Listing 6) is deliberately NOT
-//    detected — the paper documents this limitation and so do we.
+//    detected — the paper documents this limitation and so do we. The
+//    chain closes the hole after this pass: it resolves local pointers to
+//    the objects they point into and keeps such a loop serial with a
+//    `may-alias` reason (transform/pure_chain.cpp).
 #pragma once
 
 #include <map>

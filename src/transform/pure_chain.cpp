@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <functional>
+#include <initializer_list>
+#include <optional>
 
 #include "ast/walk.h"
 #include "emit/c_printer.h"
@@ -332,6 +334,394 @@ std::string escaping_iterator_use(const poly::Scop& scop,
     return global->var.type.get();
   }
   return nullptr;
+}
+
+// ---- Local pointer bases --------------------------------------------------
+//
+// Dependence analysis keys accesses on the base name, so `alias[i]` and
+// `array[i]` look like two objects even after `int* alias = array;`
+// (paper Listing 6). Before the analysis the chain maps each local pointer
+// back to the object it was set from — the simplest case of pointer
+// canonicalization — and rebases its accesses there. Pointer parameters,
+// globals and block-scope statics keep the distinct-base assumption.
+
+/// Where a resolved local pointer points: element `offset` of `root`.
+struct PointerTarget {
+  std::string root;
+  std::int64_t offset = 0;
+};
+
+/// What the chain knows about a function's non-static local pointers.
+/// Fresh ones (every definition a malloc/calloc result) are objects of
+/// their own and appear in neither map.
+struct LocalPointers {
+  /// Every definition is `= X`, `= X + k`, `= X - k` or `= &X[k]` (k an
+  /// integer constant) naming the same element, where X is an array, a
+  /// pointer never reassigned in the function, a fresh pointer, or
+  /// another resolved pointer.
+  std::map<std::string, PointerTarget> resolved;
+  /// Everything else: the pointer may point into any object.
+  std::set<std::string> unresolved;
+  /// Every pointer- or array-typed name the function mentions: what a
+  /// call argument can hand over by reference.
+  std::set<std::string> objects;
+};
+
+[[nodiscard]] std::optional<std::int64_t> int_constant(const Expr* e) {
+  if (const auto* lit = expr_cast<IntLiteralExpr>(e)) return lit->value;
+  const auto* neg = expr_cast<UnaryExpr>(e);
+  if (neg != nullptr && neg->op == UnaryOp::Minus) {
+    if (const auto* lit = expr_cast<IntLiteralExpr>(neg->operand.get())) {
+      return -lit->value;
+    }
+  }
+  return std::nullopt;
+}
+
+/// Matches one definition `X`, `X + k`, `k + X`, `X - k` or `&X[k]`.
+[[nodiscard]] std::optional<PointerTarget> match_pointer_definition(
+    const Expr* def) {
+  if (const auto* ident = expr_cast<IdentExpr>(def)) {
+    return PointerTarget{ident->name, 0};
+  }
+  if (const auto* bin = expr_cast<BinaryExpr>(def)) {
+    const auto* lhs = expr_cast<IdentExpr>(bin->lhs.get());
+    const auto* rhs = expr_cast<IdentExpr>(bin->rhs.get());
+    if (bin->op == BinaryOp::Add && lhs != nullptr) {
+      if (auto k = int_constant(bin->rhs.get())) {
+        return PointerTarget{lhs->name, *k};
+      }
+    }
+    if (bin->op == BinaryOp::Add && rhs != nullptr) {
+      if (auto k = int_constant(bin->lhs.get())) {
+        return PointerTarget{rhs->name, *k};
+      }
+    }
+    if (bin->op == BinaryOp::Sub && lhs != nullptr) {
+      if (auto k = int_constant(bin->rhs.get())) {
+        return PointerTarget{lhs->name, -*k};
+      }
+    }
+    return std::nullopt;
+  }
+  const auto* addr = expr_cast<UnaryExpr>(def);
+  const auto* index =
+      addr != nullptr && addr->op == UnaryOp::AddrOf
+          ? expr_cast<IndexExpr>(addr->operand.get())
+          : nullptr;
+  const auto* base =
+      index != nullptr ? expr_cast<IdentExpr>(index->base.get()) : nullptr;
+  if (base == nullptr) return std::nullopt;
+  if (auto k = int_constant(index->index.get())) {
+    return PointerTarget{base->name, *k};
+  }
+  return std::nullopt;
+}
+
+[[nodiscard]] bool is_allocation(const Expr* def) {
+  const auto* call = expr_cast<CallExpr>(strip_casts(def));
+  if (call == nullptr) return false;
+  const std::string callee = call->callee_name();
+  return callee == "malloc" || callee == "calloc";
+}
+
+[[nodiscard]] LocalPointers resolve_local_pointers(
+    const FunctionDecl& fn, const SymbolTable& symbols) {
+  LocalPointers out;
+  if (!fn.body) return out;
+  // Declarations per name (parameters count: a local of the same name
+  // makes every reference ambiguous), pointer-typed non-static locals,
+  // every `name = rhs` / initializer, and names whose value is changed
+  // any other way or whose address escapes.
+  std::map<std::string, std::size_t> declared;
+  std::set<std::string> pointers;
+  std::map<std::string, std::vector<const Expr*>> defs;
+  std::set<std::string> assigned;
+  std::set<std::string> unstable;
+  const auto is_object = [](const TypePtr& type) {
+    return type && (type->is_pointer() || type->is_array());
+  };
+  for (const ParamDecl& param : fn.params) {
+    ++declared[param.name];
+    if (is_object(param.type)) out.objects.insert(param.name);
+  }
+  for_each_stmt(*fn.body, [&](const Stmt& s) {
+    const auto* decl = stmt_cast<DeclStmt>(&s);
+    if (decl == nullptr) return;
+    for (const VarDecl& d : decl->decls) {
+      ++declared[d.name];
+      if (is_object(d.type)) out.objects.insert(d.name);
+      if (d.type && d.type->is_pointer() && !d.is_static) {
+        pointers.insert(d.name);
+      }
+      if (d.init) defs[d.name].push_back(d.init.get());
+    }
+  });
+  for_each_expr(*fn.body, [&](const Expr& e) {
+    if (const auto* ident = expr_cast<IdentExpr>(&e)) {
+      const GlobalVarDecl* global = declared.count(ident->name) == 0
+                                        ? symbols.find_global(ident->name)
+                                        : nullptr;
+      if (global != nullptr && is_object(global->var.type)) {
+        out.objects.insert(ident->name);
+      }
+      return;
+    }
+    if (const auto* assign = expr_cast<AssignExpr>(&e)) {
+      const auto* lhs = expr_cast<IdentExpr>(assign->lhs.get());
+      if (lhs == nullptr) return;
+      if (assign->op == AssignOp::Assign) {
+        defs[lhs->name].push_back(assign->rhs.get());
+        assigned.insert(lhs->name);
+      } else {
+        unstable.insert(lhs->name);
+      }
+      return;
+    }
+    const auto* unary = expr_cast<UnaryExpr>(&e);
+    const auto* operand =
+        unary != nullptr ? expr_cast<IdentExpr>(unary->operand.get())
+                         : nullptr;
+    if (operand != nullptr && unary->op != UnaryOp::Deref &&
+        unary->op != UnaryOp::Plus && unary->op != UnaryOp::Minus &&
+        unary->op != UnaryOp::Not && unary->op != UnaryOp::BitNot) {
+      unstable.insert(operand->name);  // &p, p++, --p, ...
+    }
+  });
+
+  const auto is_fresh = [&](const std::string& name) {
+    const auto it = defs.find(name);
+    return declared[name] == 1 && unstable.count(name) == 0 &&
+           it != defs.end() &&
+           std::all_of(it->second.begin(), it->second.end(), is_allocation);
+  };
+  // A root is an object the model may name: anything that is not a
+  // local pointer and is never reassigned here (arrays, parameters,
+  // globals), or a fresh local pointer.
+  const auto is_root = [&](const std::string& name) {
+    if (pointers.count(name) != 0) return is_fresh(name);
+    return unstable.count(name) == 0 && assigned.count(name) == 0;
+  };
+  std::function<std::optional<PointerTarget>(const std::string&, int)>
+      resolve = [&](const std::string& name,
+                    int depth) -> std::optional<PointerTarget> {
+    // The depth bound ends definition cycles (`p = q; q = p;`).
+    if (depth > 8 || declared[name] != 1 || unstable.count(name) != 0) {
+      return std::nullopt;
+    }
+    const auto it = defs.find(name);
+    if (it == defs.end()) return std::nullopt;
+    std::optional<PointerTarget> agreed;
+    for (const Expr* def : it->second) {
+      std::optional<PointerTarget> target = match_pointer_definition(def);
+      if (!target || target->root == name) return std::nullopt;
+      if (pointers.count(target->root) != 0 && !is_fresh(target->root)) {
+        const std::optional<PointerTarget> inner =
+            resolve(target->root, depth + 1);
+        if (!inner) return std::nullopt;
+        target = PointerTarget{inner->root, inner->offset + target->offset};
+      } else if (!is_root(target->root)) {
+        return std::nullopt;
+      }
+      if (agreed && (agreed->root != target->root ||
+                     agreed->offset != target->offset)) {
+        return std::nullopt;
+      }
+      agreed = target;
+    }
+    return agreed;
+  };
+  for (const std::string& name : pointers) {
+    if (is_fresh(name)) continue;
+    if (std::optional<PointerTarget> target = resolve(name, 0)) {
+      out.resolved.emplace(name, std::move(*target));
+    } else {
+      out.unresolved.insert(name);
+    }
+  }
+  return out;
+}
+
+/// An object a substituted pure call reads through its arguments (or, for
+/// an inferred-pure callee, as a global): the argument's name and callee.
+struct CallRead {
+  std::string via;
+  std::string callee;
+};
+
+/// Adds the roots the substituted `calls` read to `reads`, keyed by the
+/// object each argument's identifiers resolve to. The calls are hidden
+/// behind their `tmpConst_*` placeholders, so dependence analysis never
+/// sees these reads.
+void collect_call_reads(
+    const std::vector<SubstitutedCall>& calls, const LocalPointers& pointers,
+    const std::map<std::string, std::set<std::string>>& global_reads,
+    std::map<std::string, CallRead>& reads) {
+  for (const SubstitutedCall& call : calls) {
+    const auto* expr = expr_cast<CallExpr>(call.original.get());
+    if (expr == nullptr) continue;
+    for (const ExprPtr& arg : expr->args) {
+      for_each_expr(*arg, [&](const Expr& e) {
+        const auto* ident = expr_cast<IdentExpr>(&e);
+        if (ident == nullptr || pointers.objects.count(ident->name) == 0) {
+          return;
+        }
+        const auto it = pointers.resolved.find(ident->name);
+        const std::string& root =
+            it != pointers.resolved.end() ? it->second.root : ident->name;
+        reads.emplace(root, CallRead{ident->name, call.callee});
+      });
+    }
+    const auto globals = global_reads.find(call.callee);
+    if (globals == global_reads.end()) continue;
+    for (const std::string& global : globals->second) {
+      reads.emplace(global, CallRead{global, call.callee});
+    }
+  }
+}
+
+/// Why a nest must stay serial although its modeled dependences may allow
+/// more: set when a write can meet an access the model cannot see.
+struct AliasVerdict {
+  std::string reason;
+  SourceLocation loc;
+};
+
+/// Rebases the scop's accesses through resolved local pointers (`p[e]`
+/// with `p = &X[k]` becomes `X[e + k]`), then judges the writes. The nest
+/// must stay serial when it writes
+///  * an object a substituted pure call reads (directly or through a
+///    pointer: the call's accesses are hidden from the model);
+///  * through an unresolved local pointer while touching another object,
+///    or any object while touching an unresolved local pointer;
+///  * a pointer's object whose subscripts cannot be compared with the
+///    pointer's (different rank or delinearization).
+/// `calls` are the nest's substituted calls; `global_reads` the globals
+/// each inferred-pure callee reads.
+[[nodiscard]] AliasVerdict rebase_local_pointers(
+    poly::Scop& scop, const FunctionDecl& fn, const SymbolTable& symbols,
+    std::initializer_list<const std::vector<SubstitutedCall>*> calls,
+    const std::map<std::string, std::set<std::string>>& global_reads) {
+  const LocalPointers pointers = resolve_local_pointers(fn, symbols);
+  std::map<std::string, CallRead> call_reads;
+  for (const std::vector<SubstitutedCall>* nest_calls : calls) {
+    collect_call_reads(*nest_calls, pointers, global_reads, call_reads);
+  }
+  AliasVerdict verdict;
+  const auto judge = [&](const poly::ScopStatement& stmt, std::string why) {
+    if (!verdict.reason.empty()) return;
+    verdict.reason = std::move(why);
+    verdict.loc = stmt.ast != nullptr ? stmt.ast->loc : scop.root->loc;
+  };
+  const auto root_of = [&](const std::string& base) {
+    const auto it = pointers.resolved.find(base);
+    return it != pointers.resolved.end() ? it->second.root : base;
+  };
+  // Objects the nest touches, in first-access order, the calls' last.
+  std::vector<std::string> touched;
+  const auto touch = [&](const std::string& name) {
+    if (std::find(touched.begin(), touched.end(), name) == touched.end()) {
+      touched.push_back(name);
+    }
+  };
+  for (const poly::ScopStatement& stmt : scop.statements) {
+    for (const poly::Access& access : stmt.accesses) {
+      if (!access.subscripts.empty()) touch(access.array);
+    }
+  }
+  for (const auto& entry : call_reads) touch(entry.first);
+  const auto other_than = [&](const std::string& base, bool unresolved) {
+    for (const std::string& name : touched) {
+      if (name != base &&
+          (!unresolved || pointers.unresolved.count(name) != 0)) {
+        return name;
+      }
+    }
+    return std::string();
+  };
+
+  for (const poly::ScopStatement& stmt : scop.statements) {
+    for (const poly::Access& access : stmt.accesses) {
+      if (access.kind != poly::AccessKind::Write ||
+          access.subscripts.empty()) {
+        continue;
+      }
+      const std::string root = root_of(access.array);
+      const auto read = call_reads.find(root);
+      if (read != call_reads.end()) {
+        const std::string& pointer =
+            access.array != root ? access.array : read->second.via;
+        judge(stmt, pointer != root
+                        ? "may-alias: '" + pointer + "' points into '" +
+                              root + "', which the nest writes while the "
+                              "pure call '" + read->second.callee +
+                              "' reads it (the call's accesses are hidden "
+                              "from dependence analysis)"
+                        : "'" + root + "' is written in the nest and read "
+                              "by the pure call '" + read->second.callee +
+                              "' (Listing 5 rule)");
+      }
+      if (pointers.unresolved.count(access.array) != 0) {
+        const std::string other = other_than(access.array, false);
+        if (!other.empty()) {
+          judge(stmt, "may-alias: local pointer '" + access.array +
+                          "' does not resolve to one object and may point "
+                          "into '" + other + "'");
+        }
+      } else if (const std::string pointer = other_than(access.array, true);
+                 !pointer.empty()) {
+        judge(stmt, "may-alias: local pointer '" + pointer +
+                        "' does not resolve to one object and may point "
+                        "into '" + access.array + "', which the nest "
+                        "writes");
+      }
+    }
+  }
+
+  for (const auto& [pointer, target] : pointers.resolved) {
+    // Every subscripted access to the pointer or its object must agree on
+    // rank and delinearization, and an offset only shifts a plain first
+    // subscript; otherwise the two cannot be compared.
+    const poly::Access* first = nullptr;
+    const poly::ScopStatement* writer = nullptr;
+    bool comparable = true;
+    bool used = false;
+    for (const poly::ScopStatement& stmt : scop.statements) {
+      for (const poly::Access& a : stmt.accesses) {
+        if (a.subscripts.empty() ||
+            (a.array != pointer && a.array != target.root)) {
+          continue;
+        }
+        used = used || a.array == pointer;
+        if (a.kind == poly::AccessKind::Write && writer == nullptr) {
+          writer = &stmt;
+        }
+        if (first == nullptr) first = &a;
+        comparable = comparable &&
+                     a.subscripts.size() == first->subscripts.size() &&
+                     a.delinearized_by == first->delinearized_by &&
+                     (a.array != pointer || target.offset == 0 ||
+                      a.delinearized_by.empty());
+      }
+    }
+    if (!used) continue;
+    if (!comparable) {
+      if (writer != nullptr) {
+        judge(*writer, "may-alias: '" + pointer + "' points into '" +
+                           target.root + "', but their subscripts cannot "
+                           "be compared");
+      }
+      continue;
+    }
+    for (poly::ScopStatement& stmt : scop.statements) {
+      for (poly::Access& a : stmt.accesses) {
+        if (a.array != pointer || a.subscripts.empty()) continue;
+        a.array = target.root;
+        a.subscripts[0].constant += target.offset;
+      }
+    }
+  }
+  return verdict;
 }
 
 /// Inserts `#pragma scop` / `#pragma endscop` around each candidate loop.
@@ -709,6 +1099,17 @@ ChainArtifacts run_pure_chain(const std::string& source,
         reject("fused nest is not a SCoP: " + fused.failure_reason);
         continue;
       }
+      // The fused body may now write what one nest's pure call reads —
+      // a Listing-5 conflict the checker never saw, hidden from the
+      // dependences by the call's placeholder.
+      const AliasVerdict alias = rebase_local_pointers(
+          *fused.scop, *fn, symbols,
+          {&all_substitutions[i], &all_substitutions[i + 1]},
+          purity_options.assumed_global_reads);
+      if (!alias.reason.empty()) {
+        reject(alias.reason);
+        continue;
+      }
       const std::vector<poly::Dependence> deps =
           poly::analyze_dependences(*fused.scop);
       if (!poly::loop_is_parallel(deps, 0)) {
@@ -778,6 +1179,7 @@ ChainArtifacts run_pure_chain(const std::string& source,
     StmtPtr generated;
     std::vector<std::string> scop_iterators;
     bool region = false;
+    bool may_alias = false;
     try {
       poly::ExtractionResult extraction = poly::extract_scop(*loop);
       if (!extraction.ok()) {
@@ -846,11 +1248,28 @@ ChainArtifacts run_pure_chain(const std::string& source,
           undo();
           continue;
         }
+
+        // Local pointers: accesses through a resolved one are rebased onto
+        // the object it points into; a write the model still cannot vouch
+        // for keeps the nest serial, in source order (may-alias).
+        const AliasVerdict alias =
+            rebase_local_pointers(scop, *owner, symbols, {&calls},
+                                  purity_options.assumed_global_reads);
+        if (!alias.reason.empty()) {
+          may_alias = true;
+          report.failure_reason = alias.reason;
+          report.failure_loc = alias.loc;
+        }
       }
 
       std::vector<poly::Dependence> deps =
           poly::analyze_dependences(scop);
       report.dependences = deps.size();
+      if (may_alias && region) {
+        // Region nests are only ever annotated: left as written.
+        undo();
+        continue;
+      }
 
       // Scalar privatization candidates: the polyhedral layer's
       // structural written-before-read rule, filtered by what only the
@@ -886,8 +1305,8 @@ ChainArtifacts run_pure_chain(const std::string& source,
       }
 
       poly::CodegenOptions cg;
-      cg.parallelize = options.parallelize;
-      cg.tile = options.tile;
+      cg.parallelize = options.parallelize && !may_alias;
+      cg.tile = options.tile && !may_alias;
       cg.tile_size = options.tile_size;
       cg.simd = (options.mode == TransformMode::PlutoSica);
       cg.schedule = options.schedule;
@@ -930,16 +1349,21 @@ ChainArtifacts run_pure_chain(const std::string& source,
         poly::mark_private_dependences(deps, priv0);
         cg.privatized = priv0;
 
+        // A may-alias nest keeps its source order: identity schedule, no
+        // tiling band, no parallel dimension.
         const poly::Transform transform =
-            poly::compute_schedule(scop, deps);
+            may_alias ? poly::Transform{poly::IntMat::identity(scop.depth()),
+                                        0,
+                                        std::vector<bool>(scop.depth(),
+                                                          false)}
+                      : poly::compute_schedule(scop, deps);
         report.skewed = !transform.is_identity();
         scop_iterators = scop.iterators;
 
         generated = poly::generate_code(scop, transform, cg, &iter_subst,
                                         &report.collapse);
         if (generated) {
-          report.parallelized =
-              options.parallelize && transform.any_parallel();
+          report.parallelized = cg.parallelize && transform.any_parallel();
           if (report.parallelized) {
             report.parallel_loops = 1;
             report.privatized = priv0;
@@ -957,7 +1381,7 @@ ChainArtifacts run_pure_chain(const std::string& source,
             effective.chunk = 4;
           }
           report.schedule_clause = effective.clause();
-        } else if (options.parallelize) {
+        } else if (cg.parallelize) {
           // The hyperplane path left the nest serial: fall back to
           // statement-level fission — a partially parallel nest splits
           // into a serial loop plus a parallel loop instead of
@@ -1030,7 +1454,9 @@ ChainArtifacts run_pure_chain(const std::string& source,
       continue;
     }
     *slot = std::move(generated);
-    report.transformed = true;
+    // A may-alias nest was only reprinted in source order: it reports
+    // untransformed, with its located reason.
+    report.transformed = !may_alias;
     if (options.instrument && report.parallelized) {
       // Wrap the parallel nest in a timing envelope and plant the
       // per-worker chunk tally in every parallel loop body. The region's

@@ -119,6 +119,9 @@ struct ScopReport {
   SourceLocation failure_loc;
   std::size_t depth = 0;
   std::size_t dependences = 0;
+  /// The nest was replaced by scheduled code. False for a nest left as
+  /// written and for a `may-alias:` nest, which is reprinted in source
+  /// order with no pragma and carries its failure.
   bool transformed = false;
   bool parallelized = false;
   bool tiled = false;

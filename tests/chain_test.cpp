@@ -82,11 +82,159 @@ TEST(Chain, Listing5IsRejectedByChain) {
 }
 
 TEST(Chain, Listing6AliasSlipsThrough) {
-  // §3.4: the alias evasion is NOT caught — pinned behavior.
+  // §3.4: the checker's name-only rule "does not throw an error" on the
+  // alias evasion — pinned behavior. The chain still resolves `alias` to
+  // `array` and keeps the loop serial: the pure call reads `array[i-1]`
+  // behind its placeholder, so a parallel loop would race.
   ChainArtifacts a = run_pure_chain(testsrc::kListing6);
   EXPECT_TRUE(a.ok) << a.diagnostics.format();
-  EXPECT_NE(a.final_source.find("#pragma omp parallel for"),
-            std::string::npos);
+  EXPECT_FALSE(a.diagnostics.has_errors()) << a.diagnostics.format();
+  EXPECT_EQ(a.final_source.find("#pragma omp parallel"), std::string::npos)
+      << a.final_source;
+  bool main_scop = false;
+  for (const ScopReport& r : a.scops) {
+    if (r.function != "main") continue;
+    main_scop = true;
+    EXPECT_FALSE(r.parallelized);
+    EXPECT_EQ(r.failure_reason.rfind("may-alias", 0), 0u) << r.failure_reason;
+    EXPECT_NE(r.failure_reason.find("'alias'"), std::string::npos)
+        << r.failure_reason;
+    EXPECT_NE(r.failure_reason.find("'array'"), std::string::npos)
+        << r.failure_reason;
+    EXPECT_EQ(r.failure_loc.line, 10u);  // the `alias[i] = ...` write
+  }
+  EXPECT_TRUE(main_scop);
+}
+
+/// The report entry of the only scop in `a`.
+const ScopReport& only_scop(const ChainArtifacts& a) {
+  EXPECT_EQ(a.scops.size(), 1u) << a.final_source;
+  return a.scops.at(0);
+}
+
+TEST(Chain, ResolvedOffsetPointerExposesCarriedDependence) {
+  // `p[i]` is `a[i + 1]`: iteration i writes what iteration i + 1 reads.
+  // Resolution rebases p onto a, so the dependence itself keeps the loop
+  // serial (no may-alias fallback needed).
+  ChainArtifacts a = run_pure_chain(
+      "void k(int* a, int n) {\n"
+      "  int* p = &a[1];\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    p[i] = a[i] + 1;\n"
+      "}\n");
+  ASSERT_TRUE(a.ok) << a.diagnostics.format();
+  const ScopReport& r = only_scop(a);
+  EXPECT_FALSE(r.parallelized) << a.final_source;
+  EXPECT_GE(r.dependences, 1u);
+  EXPECT_TRUE(r.failure_reason.empty()) << r.failure_reason;
+  EXPECT_TRUE(r.transformed);
+}
+
+TEST(Chain, ResolvedOffsetsComposeThroughPointerChains) {
+  // q = p - 1 = a: `q[i] = a[i] + 1` touches one element per iteration
+  // and stays parallel; r = p = a + 1 carries a dependence and does not.
+  const auto chain = [](const char* def) {
+    return run_pure_chain(std::string("void k(int* a, int n) {\n"
+                                      "  int* p = a + 1;\n"
+                                      "  int* q = ") +
+                          def +
+                          ";\n"
+                          "  for (int i = 0; i < n; i++)\n"
+                          "    q[i] = a[i] + 1;\n"
+                          "}\n");
+  };
+  const ChainArtifacts same = chain("p - 1");
+  ASSERT_TRUE(same.ok) << same.diagnostics.format();
+  EXPECT_TRUE(only_scop(same).parallelized) << same.final_source;
+  const ChainArtifacts shifted = chain("p");
+  ASSERT_TRUE(shifted.ok) << shifted.diagnostics.format();
+  EXPECT_FALSE(only_scop(shifted).parallelized) << shifted.final_source;
+  EXPECT_TRUE(only_scop(shifted).failure_reason.empty())
+      << only_scop(shifted).failure_reason;
+}
+
+TEST(Chain, PointerWithTwoDefinitionsWrittenBesideAnotherBaseStaysSerial) {
+  // p is a or b depending on c: it cannot be resolved, and it may point
+  // into a, which the nest reads at another index.
+  ChainArtifacts a = run_pure_chain(
+      "void k(int* a, int* b, int n, int c) {\n"
+      "  int* p = a;\n"
+      "  if (c) p = b;\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    p[i + 1] = a[i] + 1;\n"
+      "}\n");
+  ASSERT_TRUE(a.ok) << a.diagnostics.format();
+  const ScopReport& r = only_scop(a);
+  EXPECT_FALSE(r.parallelized);
+  EXPECT_EQ(a.final_source.find("#pragma omp parallel"), std::string::npos)
+      << a.final_source;
+  EXPECT_EQ(r.failure_reason.rfind("may-alias", 0), 0u) << r.failure_reason;
+  EXPECT_NE(r.failure_reason.find("'p'"), std::string::npos)
+      << r.failure_reason;
+  EXPECT_NE(r.failure_reason.find("'a'"), std::string::npos)
+      << r.failure_reason;
+  EXPECT_EQ(r.failure_loc.line, 5u);
+
+  // Alone in its nest, the same pointer can only conflict with itself,
+  // and the model sees those accesses.
+  ChainArtifacts alone = run_pure_chain(
+      "void k(int* a, int* b, int n, int c) {\n"
+      "  int* p = a;\n"
+      "  if (c) p = b;\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    p[i] = i;\n"
+      "}\n");
+  ASSERT_TRUE(alone.ok) << alone.diagnostics.format();
+  EXPECT_TRUE(only_scop(alone).parallelized)
+      << only_scop(alone).failure_reason;
+}
+
+TEST(Chain, UnresolvedPointerReadBesideAWrittenBaseStaysSerial) {
+  // Reading q while writing a races exactly when q points into a.
+  ChainArtifacts a = run_pure_chain(
+      "void k(int* a, int* b, int n, int c) {\n"
+      "  int* q = b;\n"
+      "  if (c) q = a;\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    a[i + 1] = q[i] * 3;\n"
+      "}\n");
+  ASSERT_TRUE(a.ok) << a.diagnostics.format();
+  const ScopReport& r = only_scop(a);
+  EXPECT_FALSE(r.parallelized);
+  EXPECT_EQ(r.failure_reason.rfind("may-alias", 0), 0u) << r.failure_reason;
+  EXPECT_NE(r.failure_reason.find("'q'"), std::string::npos)
+      << r.failure_reason;
+  EXPECT_NE(r.failure_reason.find("'a'"), std::string::npos)
+      << r.failure_reason;
+  EXPECT_EQ(r.failure_loc.line, 5u);
+}
+
+TEST(Chain, MallocPointerWrittenBesideAnotherBaseStaysParallel) {
+  // Fresh storage from malloc aliases nothing the nest can name.
+  ChainArtifacts a = run_pure_chain(
+      "float* twice(float* x, int n) {\n"
+      "  float* p = (float*)malloc(n * sizeof(float));\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    p[i] = x[i] * 2.0f;\n"
+      "  return p;\n"
+      "}\n");
+  ASSERT_TRUE(a.ok) << a.diagnostics.format();
+  const ScopReport& r = only_scop(a);
+  EXPECT_TRUE(r.parallelized) << r.failure_reason;
+  EXPECT_TRUE(r.failure_reason.empty()) << r.failure_reason;
+}
+
+TEST(Chain, PointerParameterWrittenBesideAnotherBaseStaysParallel) {
+  // Pointer parameters keep the distinct-base assumption.
+  ChainArtifacts a = run_pure_chain(
+      "void k(float* p, float* x, int n) {\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    p[i] = x[i] * 2.0f;\n"
+      "}\n");
+  ASSERT_TRUE(a.ok) << a.diagnostics.format();
+  const ScopReport& r = only_scop(a);
+  EXPECT_TRUE(r.parallelized) << r.failure_reason;
+  EXPECT_TRUE(r.failure_reason.empty()) << r.failure_reason;
 }
 
 TEST(Chain, SystemIncludesAreRestored) {
@@ -426,6 +574,31 @@ TEST(Chain, CrossingDependenceBlocksFusionWithReason) {
   EXPECT_TRUE(a.scops[0].parallelized);
   EXPECT_TRUE(a.scops[1].parallelized);
   EXPECT_EQ(a.scops[0].fused_loops, 0u);
+}
+
+TEST(Chain, FusionNeverFeedsAWrittenArrayToAPureCall) {
+  // Fused, the first body's write of `a` would meet the second body's
+  // pure call reading `a[i + 1]` behind its placeholder: the Listing-5
+  // conflict the checker rejects in a written nest. Both loops stay
+  // apart, and each parallelizes on its own.
+  ChainArtifacts a = run_pure_chain(
+      "pure int peek(pure int* v, int i) { return v[i] + v[i + 1]; }\n"
+      "void k(int* a, int* b, int n) {\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    a[i] = 0;\n"
+      "  for (int j = 0; j < n; j++)\n"
+      "    b[j] = peek(a, j);\n"
+      "}\n");
+  ASSERT_TRUE(a.ok) << a.diagnostics.format();
+  ASSERT_EQ(a.fusion_decisions.size(), 1u);
+  EXPECT_FALSE(a.fusion_decisions[0].fused);
+  EXPECT_NE(a.fusion_decisions[0].reason.find("'a'"), std::string::npos)
+      << a.fusion_decisions[0].reason;
+  EXPECT_NE(a.fusion_decisions[0].reason.find("'peek'"), std::string::npos)
+      << a.fusion_decisions[0].reason;
+  ASSERT_EQ(a.scops.size(), 2u);
+  EXPECT_TRUE(a.scops[0].parallelized);
+  EXPECT_TRUE(a.scops[1].parallelized);
 }
 
 TEST(Chain, WrittenBeforeReadScalarIsPrivatized) {

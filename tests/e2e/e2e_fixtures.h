@@ -1148,6 +1148,30 @@ int main() {
 }
 )";
 
+// A local pointer one element into its array: `p[i]` is `a[i + 1]`, so
+// iteration i writes what iteration i + 1 reads. Resolving p onto a with
+// offset 1 exposes the carried dependence and keeps the loop serial; with
+// p and a taken for two objects the loop would race at every chunk
+// boundary.
+inline constexpr const char* kRunAliasOffset = R"(
+#include <stdio.h>
+
+int main() {
+  int a[32769];
+  for (int i = 0; i < 32769; i++) {
+    a[i] = (i * 7 + 3) % 13;
+  }
+  int* p = &a[1];
+  for (int i = 0; i < 32768; i++) {
+    p[i] = (a[i] * 3 + i) % 1009;
+  }
+  long checksum = 0;
+  for (int i = 0; i < 32769; i++) checksum += (long)a[i] * (i % 9);
+  printf("checksum %ld\n", checksum);
+  return 0;
+}
+)";
+
 /// The complete corpus: every fixture in tests/test_sources.h plus every
 /// paper listing checked in under assets/c/.
 inline std::vector<Fixture> all_fixtures() {
@@ -1226,6 +1250,8 @@ inline std::vector<Fixture> all_fixtures() {
       {"ell_fill", kRunEllFill, false, kRunEllFill, true, true},
       {"flat_overlap", kRunFlatOverlap, false, kRunFlatOverlap, true, true},
       {"flat_mixed", kRunFlatMixed, false, kRunFlatMixed, true, true},
+      // Local pointer resolution: `int* p = &a[1]` rebased onto a.
+      {"alias_offset", kRunAliasOffset, false, kRunAliasOffset, true, true},
       {"matmul_plain", testsrc::kMatmulPlain, false, kRunMatmulPlain, true,
        true, /*infer=*/true},
       {"heat_plain", testsrc::kHeatPlain, false, kRunHeatPlain, true, true,

@@ -123,9 +123,15 @@ std::map<std::string, std::string>& run_output_cache() {
   return *cache;
 }
 
-/// Compiles `source` with gcc -fopenmp and runs it; returns stdout+stderr.
-/// Returns an empty string (with test failures recorded) when the compile
-/// or run fails. Results are memoized on the source text.
+/// Every differential binary runs with this many OpenMP threads, whatever
+/// the host's core count: a missed dependence must race on a 1-core
+/// runner exactly as on a many-core one.
+constexpr const char* kRunThreads = "4";
+
+/// Compiles `source` with gcc -fopenmp and runs it at kRunThreads threads;
+/// returns stdout+stderr. Returns an empty string (with test failures
+/// recorded) when the compile or run fails. Results are memoized on the
+/// source text.
 std::string compile_and_run(const std::string& source,
                             const std::string& tag) {
   const auto cached = run_output_cache().find(source);
@@ -154,7 +160,10 @@ std::string compile_and_run(const std::string& source,
                            << source;
   if (compile_rc != 0) return {};
 
-  FILE* run = popen((shell_quote(bin_path) + " 2>&1").c_str(), "r");
+  FILE* run = popen((std::string("OMP_NUM_THREADS=") + kRunThreads + " " +
+                     shell_quote(bin_path) + " 2>&1")
+                        .c_str(),
+                    "r");
   EXPECT_NE(run, nullptr);
   if (run == nullptr) return {};
   std::string output;
@@ -487,17 +496,18 @@ TEST(E2EInstrument, CollapsedTileBandCompilesCleanAndMatchesSerial) {
   }
 }
 
-// tier1 smoke guard: the region-SCoP and delinearization fixtures must
-// stay in the corpus as *runnable* differentials — if one loses its runnable variant (or gets
-// dropped from the table), the checksum-identity contract above would
-// silently stop being checked for it.
+// tier1 smoke guard: the region-SCoP, delinearization and local-pointer
+// resolution fixtures must stay in the corpus as *runnable* differentials
+// — if one loses its runnable variant (or gets dropped from the table),
+// the checksum-identity contract above would silently stop being checked
+// for it.
 TEST(E2ECorpus, RegionFixturesKeepRunnableDifferentials) {
   const std::vector<Fixture> fixtures = all_fixtures();
   for (const char* name :
        {"guarded_update", "while_loop", "imperfect_nest", "strided_lower",
         "dot_reduce", "min_reduce", "guarded_reduce", "fission_split",
         "fused_siblings", "private_tmp", "disjunctive_guard", "flat_fill",
-        "ell_fill", "flat_overlap", "flat_mixed"}) {
+        "ell_fill", "flat_overlap", "flat_mixed", "alias_offset"}) {
     const auto it = std::find_if(
         fixtures.begin(), fixtures.end(),
         [&](const Fixture& f) { return std::string(f.name) == name; });
