@@ -47,7 +47,7 @@ enum class WordRepr { Float32, Float64, Integer };
     case WordRepr::Float64:
       return "PUREC_MEMO_UNPACK_F64(" + word + ")";
     case WordRepr::Integer:
-      return "(" + scalar_type_name(type) + ")(" + word + ")";
+      return '(' + scalar_type_name(type) + ")(" + word + ")";
   }
   return {};
 }

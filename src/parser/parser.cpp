@@ -983,7 +983,10 @@ ExprPtr Parser::parse_primary() {
       advance();
       std::string spelling = t.str();
       // Adjacent string literal concatenation.
-      while (at(TokenKind::StringLiteral)) spelling += " " + advance().str();
+      while (at(TokenKind::StringLiteral)) {
+        spelling += ' ';
+        spelling += advance().str();
+      }
       auto e = std::make_unique<StringLiteralExpr>(std::move(spelling));
       e->loc = loc;
       return e;

@@ -252,7 +252,7 @@ StmtPtr generate_code(const Scop& scop, const Transform& transform,
   // with parameters and arrays.
   std::vector<std::string> point_names;
   for (std::size_t i = 0; i < d; ++i) {
-    std::string name = "t" + std::to_string(i + 1);
+    std::string name = 't' + std::to_string(i + 1);
     while (std::find(scop.parameters.begin(), scop.parameters.end(), name) !=
                scop.parameters.end() ||
            std::find(scop.iterators.begin(), scop.iterators.end(), name) !=

@@ -17,7 +17,7 @@ std::string Constraint::to_string(
   for (std::size_t i = 0; i < coeffs.size(); ++i) {
     if (coeffs[i] == 0) continue;
     const std::string name =
-        i < var_names.size() ? var_names[i] : "x" + std::to_string(i);
+        i < var_names.size() ? var_names[i] : 'x' + std::to_string(i);
     if (first) {
       if (coeffs[i] == -1) {
         out << "-";

@@ -40,10 +40,11 @@
 //
 // Accesses are keyed on the base *name* (`Access::array`): two names are
 // two objects. Extraction does not know what a pointer points into; the
-// chain rebases accesses through resolvable local pointers before
-// dependence analysis and keeps nests with unresolvable writes serial
-// (transform/pure_chain.cpp). Pointer parameters and globals stay
-// distinct objects.
+// chain rebases accesses through the local pointers
+// purity/local_pointers.h resolves before dependence analysis and keeps
+// nests with unresolvable writes serial (transform/pure_chain.cpp).
+// Pointer parameters, globals and block-scope statics stay distinct
+// objects, unchecked.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,6 @@
 #include "purity/effects.h"
 
 #include <map>
-#include <vector>
 
 #include "ast/walk.h"
 
@@ -9,355 +8,38 @@ namespace purec {
 
 namespace {
 
-/// Provenance lattice for local pointers, strongest first. Heap: every
-/// source is malloc/calloc (free is legal). LocalStorage: every source is
-/// function-local memory (writes are thread-invisible). Foreign: anything
-/// else — the pointer may reach caller or global memory.
-enum class Provenance : std::uint8_t { Heap, LocalStorage, Foreign };
-
-[[nodiscard]] Provenance join(Provenance a, Provenance b) {
-  return a > b ? a : b;
-}
-
-/// One recorded assignment source for a local pointer.
-struct Source {
-  Provenance direct = Provenance::Foreign;
-  std::string local_ref;  // non-empty: provenance of that local, joined in
-};
-
-/// Computes per-local-pointer provenance by joining every assignment
-/// source (declaration initializers and bare reassignments), to a
-/// fixpoint so pointer-to-pointer chains resolve. Name-keyed: shadowed
-/// locals conflate, which only ever *lowers* the lattice value — safe.
-class ProvenanceMap {
- public:
-  ProvenanceMap(const FunctionDecl& fn, const FunctionScopeInfo& scope) {
-    // Pass 1: classification sets. Must be complete before any classify()
-    // call so `&s` / array decay see statics declared later in the body.
-    for_each_stmt(*fn.body, [&](const Stmt& s) {
-      const auto* decl = stmt_cast<DeclStmt>(&s);
-      if (decl == nullptr) return;
-      for (const VarDecl& d : decl->decls) {
-        if (d.is_static) {
-          // Persistent across calls: shared state, never local storage.
-          statics_.insert(d.name);
-        } else if (d.type->is_array()) {
-          arrays_.insert(d.name);
-        }
-      }
-    });
-    // Pass 2: assignment sources.
-    for_each_stmt(*fn.body, [&](const Stmt& s) {
-      const auto* decl = stmt_cast<DeclStmt>(&s);
-      if (decl == nullptr) return;
-      for (const VarDecl& d : decl->decls) {
-        if (d.is_static) continue;
-        if (d.type->is_pointer() && d.init) {
-          sources_[d.name].push_back(classify(d.init.get(), scope));
-        }
-      }
-    });
-    const auto local_pointer_name =
-        [&scope](const Expr& lhs) -> const std::string* {
-      const auto* ident = expr_cast<IdentExpr>(strip_casts(&lhs));
-      const Symbol* sym = ident ? scope.resolve(*ident) : nullptr;
-      if (sym == nullptr || sym->kind != SymbolKind::Local) return nullptr;
-      if (sym->type == nullptr || !sym->type->is_pointer()) return nullptr;
-      return &ident->name;
-    };
-    for_each_expr(static_cast<const Stmt&>(*fn.body), [&](const Expr& e) {
-      if (const auto* call = expr_cast<CallExpr>(&e)) {
-        // A WritesArg1 extern (strtol/strtod) stores a pointer *into its
-        // input string* through *endptr. When endptr is &local, that
-        // local now refers to foreign memory even though the call itself
-        // is harmless — record the callee-side store as a Foreign source
-        // so later writes through the local are rejected.
-        const ExternEffect* known = extern_effect(call->callee_name());
-        if (known == nullptr ||
-            known->kind != ExternEffectKind::WritesArg1 ||
-            call->args.size() < 2) {
-          return;
-        }
-        const auto* unary =
-            expr_cast<UnaryExpr>(strip_casts(call->args[1].get()));
-        if (unary == nullptr || unary->op != UnaryOp::AddrOf) return;
-        if (const std::string* name =
-                local_pointer_name(*unary->operand)) {
-          sources_[*name].push_back(Source{Provenance::Foreign, {}});
-        }
-        return;
-      }
-      if (const auto* assign = expr_cast<AssignExpr>(&e)) {
-        const std::string* name = local_pointer_name(*assign->lhs);
-        if (name == nullptr) return;
-        if (assign->op == AssignOp::Assign) {
-          sources_[*name].push_back(classify(assign->rhs.get(), scope));
-        } else {
-          // Compound mutation (p += k, ...): an interior pointer — still
-          // the same object (write-safe) but never free()-safe again.
-          sources_[*name].push_back(
-              Source{Provenance::LocalStorage, *name});
-        }
-        return;
-      }
-      if (const auto* unary = expr_cast<UnaryExpr>(&e)) {
-        if (unary->op != UnaryOp::PreInc && unary->op != UnaryOp::PreDec &&
-            unary->op != UnaryOp::PostInc &&
-            unary->op != UnaryOp::PostDec) {
-          return;
-        }
-        // p++ / p--: same interior-pointer demotion as p = p + 1.
-        if (const std::string* name = local_pointer_name(*unary->operand)) {
-          sources_[*name].push_back(
-              Source{Provenance::LocalStorage, *name});
-        }
-      }
-    });
-    solve();
-  }
-
-  /// Provenance of local variable `name` (arrays are LocalStorage; a
-  /// pointer with no recorded source is Foreign; statics are always
-  /// Foreign — their storage outlives the call).
-  [[nodiscard]] Provenance of(const std::string& name) const {
-    if (statics_.count(name) != 0) return Provenance::Foreign;
-    if (arrays_.count(name) != 0) return Provenance::LocalStorage;
-    const auto it = result_.find(name);
-    return it == result_.end() ? Provenance::Foreign : it->second;
-  }
-
-  /// Any same-named block-scope declaration carries `static`.
-  [[nodiscard]] bool is_static(const std::string& name) const {
-    return statics_.count(name) != 0;
-  }
-
- private:
-  [[nodiscard]] Source classify(const Expr* rhs,
-                                const FunctionScopeInfo& scope) const {
-    const Expr* core = strip_casts(rhs);
-    if (const auto* call = expr_cast<CallExpr>(core)) {
-      const std::string callee = call->callee_name();
-      if (callee == "malloc" || callee == "calloc") {
-        return Source{Provenance::Heap, {}};
-      }
-      return Source{Provenance::Foreign, {}};
-    }
-    if (const auto* unary = expr_cast<UnaryExpr>(core)) {
-      if (unary->op == UnaryOp::AddrOf) {
-        const auto* target =
-            expr_cast<IdentExpr>(strip_casts(unary->operand.get()));
-        const Symbol* sym = target ? scope.resolve(*target) : nullptr;
-        if (sym != nullptr && sym->kind == SymbolKind::Local &&
-            statics_.count(sym->name) == 0) {
-          return Source{Provenance::LocalStorage, {}};
-        }
-      }
-      return Source{Provenance::Foreign, {}};
-    }
-    if (const auto* ident = expr_cast<IdentExpr>(core)) {
-      const Symbol* sym = scope.resolve(*ident);
-      if (sym != nullptr && sym->kind == SymbolKind::Local && sym->type &&
-          statics_.count(sym->name) == 0) {
-        if (sym->type->is_array()) {
-          return Source{Provenance::LocalStorage, {}};
-        }
-        if (sym->type->is_pointer()) {
-          // Inherits the referenced local's provenance (Heap stays Heap,
-          // so free(alias) keeps verifying, mirroring the §3.2 checker).
-          return Source{Provenance::Heap, ident->name};
-        }
-      }
-      return Source{Provenance::Foreign, {}};
-    }
-    if (const auto* bin = expr_cast<BinaryExpr>(core)) {
-      // Pointer arithmetic stays within the base object (defined C), so
-      // `buf + i` carries the pointer operand's provenance — capped at
-      // LocalStorage: an interior pointer is write-safe but never
-      // free()-safe, even off a malloc'ed base.
-      if (bin->op == BinaryOp::Add || bin->op == BinaryOp::Sub) {
-        Source side = classify(bin->lhs.get(), scope);
-        if (side.direct == Provenance::Foreign && side.local_ref.empty()) {
-          side = classify(bin->rhs.get(), scope);
-        }
-        side.direct = join(side.direct, Provenance::LocalStorage);
-        return side;
-      }
-      return Source{Provenance::Foreign, {}};
-    }
-    return Source{Provenance::Foreign, {}};
-  }
-
-  void solve() {
-    // Optimistic start (Heap), monotone demotion to fixpoint.
-    for (const auto& [name, srcs] : sources_) {
-      result_[name] = Provenance::Heap;
-    }
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (const auto& [name, srcs] : sources_) {
-        Provenance p = Provenance::Heap;
-        for (const Source& src : srcs) {
-          Provenance s = src.direct;
-          if (!src.local_ref.empty()) {
-            // A pointer copied from another local: at best as strong as
-            // that local's provenance.
-            s = join(s, of(src.local_ref));
-          }
-          p = join(p, s);
-        }
-        if (p != result_[name]) {
-          result_[name] = p;
-          changed = true;
-        }
-      }
-    }
-  }
-
-  std::map<std::string, std::vector<Source>> sources_;
-  std::map<std::string, Provenance> result_;
-  std::set<std::string> arrays_;
-  std::set<std::string> statics_;
-};
-
-/// The pointer-escape reasoning both the effect scanner and the public
-/// WritesArg0Oracle share: per-local provenance plus the "could this
-/// expression yield a pointer into caller or global memory?" query.
-class PointerOracle {
- public:
-  PointerOracle(const FunctionDecl& fn, const FunctionScopeInfo& scope)
-      : scope_(scope), provenance_(fn, scope) {}
-
-  [[nodiscard]] Provenance of(const std::string& name) const {
-    return provenance_.of(name);
-  }
-
-  [[nodiscard]] bool is_static(const std::string& name) const {
-    return provenance_.is_static(name);
-  }
-
-  /// Static type of the slot an lvalue designates: the root's declared
-  /// type peeled once per index/deref level. Null when unresolvable
-  /// (members, casts) — callers must be conservative.
-  [[nodiscard]] TypePtr lvalue_slot_type(const Expr& lhs) const {
-    if (const auto* ident = expr_cast<IdentExpr>(&lhs)) {
-      const Symbol* sym = scope_.resolve(*ident);
-      return sym != nullptr ? sym->type : nullptr;
-    }
-    const TypePtr* base = nullptr;
-    TypePtr base_type;
-    if (const auto* index = expr_cast<IndexExpr>(&lhs)) {
-      base_type = lvalue_slot_type(*index->base);
-      base = &base_type;
-    } else if (const auto* unary = expr_cast<UnaryExpr>(&lhs)) {
-      if (unary->op != UnaryOp::Deref) return nullptr;
-      base_type = lvalue_slot_type(*unary->operand);
-      base = &base_type;
-    } else {
-      return nullptr;
-    }
-    if (*base == nullptr) return nullptr;
-    if ((*base)->is_array()) return (*base)->element;
-    if ((*base)->is_pointer()) return (*base)->pointee;
-    return nullptr;
-  }
-
-  /// Could evaluating `rhs` yield a pointer into caller or global memory?
-  [[nodiscard]] bool is_foreign_pointer_value(const Expr* rhs) const {
-    const Expr* core = strip_casts(rhs);
-    if (const auto* call = expr_cast<CallExpr>(core)) {
-      const std::string callee = call->callee_name();
-      // Fresh heap memory is fine; any other call could return a foreign
-      // pointer (we have no return types for externals).
-      return callee != "malloc" && callee != "calloc";
-    }
-    if (const auto* unary = expr_cast<UnaryExpr>(core)) {
-      if (unary->op == UnaryOp::AddrOf) {
-        const auto* target =
-            expr_cast<IdentExpr>(strip_casts(unary->operand.get()));
-        const Symbol* sym = target ? scope_.resolve(*target) : nullptr;
-        return sym == nullptr || sym->kind != SymbolKind::Local ||
-               provenance_.is_static(sym->name);
-      }
-      // Deref is a load: handled by the Through-shape branch below.
-      // Every other unary operator yields a scalar value.
-      if (unary->op != UnaryOp::Deref) return false;
-    }
-    if (const auto* bin = expr_cast<BinaryExpr>(core)) {
-      // Pointer arithmetic carries the pointer operand's object; the
-      // comma operator's value is its right side. Comparisons, logic,
-      // and bit operations yield integers.
-      if (bin->op == BinaryOp::Add || bin->op == BinaryOp::Sub) {
-        return is_foreign_pointer_value(bin->lhs.get()) ||
-               is_foreign_pointer_value(bin->rhs.get());
-      }
-      if (bin->op == BinaryOp::Comma) {
-        return is_foreign_pointer_value(bin->rhs.get());
-      }
-      return false;
-    }
-    if (const auto* cond = expr_cast<ConditionalExpr>(core)) {
-      return is_foreign_pointer_value(cond->then_expr.get()) ||
-             is_foreign_pointer_value(cond->else_expr.get());
-    }
-    if (const auto* assign = expr_cast<AssignExpr>(core)) {
-      // The value of `p = q` is q.
-      return is_foreign_pointer_value(assign->rhs.get());
-    }
-    if (const auto* ident = expr_cast<IdentExpr>(core)) {
-      const Symbol* sym = scope_.resolve(*ident);
-      if (sym == nullptr) return true;
-      if (sym->type == nullptr ||
-          !(sym->type->is_pointer() || sym->type->is_array())) {
-        return false;  // scalar value
-      }
-      switch (sym->kind) {
-        case SymbolKind::Param:
-        case SymbolKind::Global:
-        case SymbolKind::Unknown:
-        case SymbolKind::Function:
-          return true;
-        case SymbolKind::Local:
-          return provenance_.is_static(sym->name) ||
-                 (sym->type->is_pointer() &&
-                  provenance_.of(sym->name) == Provenance::Foreign);
-      }
-    }
-    if (lvalue_shape(*core) == LvalueShape::Through) {
-      // A load out of some storage (p[i], *p, s.f): foreign if the loaded
-      // slot can hold a pointer and the storage itself is not local.
-      const Symbol* root = scope_.lvalue_root(*core);
-      if (root == nullptr) return true;
-      const TypePtr slot = lvalue_slot_type(*core);
-      if (slot != nullptr && !slot->is_pointer() && !slot->is_array()) {
-        return false;  // scalar load
-      }
-      if (root->kind == SymbolKind::Local) {
-        return provenance_.of(root->name) == Provenance::Foreign;
-      }
-      return true;
-    }
-    return false;  // literals, arithmetic: scalar values
-  }
-
- private:
-  const FunctionScopeInfo& scope_;
-  ProvenanceMap provenance_;
-};
-
-/// The WritesArg0 verdict shared by the scanner and the declared-pure
-/// verifier: empty reason when the destination provably targets
-/// function-local storage.
-struct WritesArg0Verdict {
+/// The verdict on a writing extern call, shared by the scanner and the
+/// declared-pure verifier: empty reason when its destination provably
+/// targets function-local storage.
+struct ExternWriteVerdict {
   std::string reason;
   /// The rejection involves an untrackable pointer write (classification
   /// bit for EffectSummary, unused by the verifier).
   bool unknown_pointer = false;
 };
 
-[[nodiscard]] WritesArg0Verdict check_writes_arg0(const PointerOracle& oracle,
-                                                  const CallExpr& call,
-                                                  const std::string& name) {
+[[nodiscard]] ExternWriteVerdict check_extern_write(
+    const LocalPointers& pointers, const CallExpr& call,
+    const std::string& name, ExternEffectKind kind) {
+  if (kind == ExternEffectKind::WritesArg1) {
+    // The strtol/strtod family's only store is *endptr. A null constant
+    // endptr performs no write at all and an `&local` endptr lands in
+    // function-local storage — both fall out of the same foreign-pointer
+    // query (literals are scalar values, AddrOf of a non-static local is
+    // local provenance). errno on range errors is outside the modeled
+    // dialect; a body that read errno would already be rejected as an
+    // unknown-global read.
+    if (call.args.size() < 2) {
+      return {"calls '" + name + "' without an end-pointer argument", false};
+    }
+    if (pointers.may_be_foreign(call.args[1].get())) {
+      return {"calls '" + name +
+                  "' storing its end pointer where the caller or another "
+                  "thread may observe it",
+              true};
+    }
+    return {};
+  }
   if (call.args.empty()) {
     return {"calls '" + name + "' without a destination", false};
   }
@@ -379,32 +61,10 @@ struct WritesArg0Verdict {
               true};
     }
   }
-  if (oracle.is_foreign_pointer_value(call.args[0].get())) {
+  if (pointers.may_be_foreign(call.args[0].get())) {
     return {"calls '" + name +
                 "' writing through a pointer that may reference caller or "
                 "global memory",
-            true};
-  }
-  return {};
-}
-
-/// WritesArg1 (strtol/strtod family): the only store is *endptr. A null
-/// constant endptr performs no write at all and an `&local` endptr lands
-/// in function-local storage — both fall out of the same foreign-pointer
-/// query (literals are scalar values, AddrOf of a non-static local is
-/// local provenance). errno on range errors is outside the modeled
-/// dialect; a body that read errno would already be rejected as an
-/// unknown-global read.
-[[nodiscard]] WritesArg0Verdict check_writes_arg1(const PointerOracle& oracle,
-                                                  const CallExpr& call,
-                                                  const std::string& name) {
-  if (call.args.size() < 2) {
-    return {"calls '" + name + "' without an end-pointer argument", false};
-  }
-  if (oracle.is_foreign_pointer_value(call.args[1].get())) {
-    return {"calls '" + name +
-                "' storing its end pointer where the caller or another "
-                "thread may observe it",
             true};
   }
   return {};
@@ -417,7 +77,7 @@ class EffectScanner {
       : fn_(fn),
         scope_(scope),
         allow_malloc_free_(allow_malloc_free),
-        oracle_(fn, scope) {}
+        pointers_(fn, scope) {}
 
   [[nodiscard]] EffectSummary run() {
     summary_.function = fn_.name;
@@ -509,10 +169,8 @@ class EffectScanner {
                          const ExternEffect& effect) {
     summary_.extern_calls.insert(name);
     if (effect.kind == ExternEffectKind::ReadOnly) return;
-    const WritesArg0Verdict verdict =
-        effect.kind == ExternEffectKind::WritesArg1
-            ? check_writes_arg1(oracle_, call, name)
-            : check_writes_arg0(oracle_, call, name);
+    const ExternWriteVerdict verdict =
+        check_extern_write(pointers_, call, name, effect.kind);
     if (verdict.reason.empty()) return;
     if (verdict.unknown_pointer) summary_.writes_unknown_pointer = true;
     impure(call.loc, verdict.reason);
@@ -523,10 +181,7 @@ class EffectScanner {
       impure(call.loc, "calls free() with the wrong arity");
       return;
     }
-    const auto* ident = expr_cast<IdentExpr>(strip_casts(call.args[0].get()));
-    const Symbol* sym = ident ? scope_.resolve(*ident) : nullptr;
-    if (sym == nullptr || sym->kind != SymbolKind::Local ||
-        oracle_.of(sym->name) != Provenance::Heap) {
+    if (!pointers_.is_heap_local(call.args[0].get())) {
       impure(call.loc, "frees memory it did not allocate");
     }
   }
@@ -539,12 +194,12 @@ class EffectScanner {
     const Symbol* root = scope_.lvalue_root(*assign.lhs);
     if (root == nullptr || root->kind != SymbolKind::Local) return;
     if (lvalue_shape(*assign.lhs) != LvalueShape::Through) return;
-    if (oracle_.of(root->name) == Provenance::Foreign) return;  // flagged
-    const TypePtr slot = oracle_.lvalue_slot_type(*assign.lhs);
+    if (pointers_.of(root->name) == Provenance::Foreign) return;  // flagged
+    const TypePtr slot = scope_.slot_type(*assign.lhs);
     const bool slot_holds_pointer =
         slot == nullptr || slot->is_pointer() || slot->is_array();
     if (slot_holds_pointer &&
-        oracle_.is_foreign_pointer_value(assign.rhs.get())) {
+        pointers_.may_be_foreign(assign.rhs.get())) {
       impure(assign.loc, "stores a caller/global pointer into local "
                          "storage (writes through it would be untrackable)");
     }
@@ -577,13 +232,13 @@ class EffectScanner {
         // Bare: reassigning the by-value copy is invisible to the caller.
         return;
       case SymbolKind::Local:
-        if (oracle_.is_static(root->name)) {
+        if (pointers_.is_static(root->name)) {
           impure(loc, "writes to static local '" + root->name +
                           "' (state persists across calls)");
           return;
         }
         if (shape == LvalueShape::Through &&
-            oracle_.of(root->name) == Provenance::Foreign) {
+            pointers_.of(root->name) == Provenance::Foreign) {
           summary_.writes_unknown_pointer = true;
           impure(loc, "writes through pointer '" + root->name +
                           "' that may reference caller or global memory");
@@ -595,7 +250,7 @@ class EffectScanner {
   const FunctionDecl& fn_;
   const FunctionScopeInfo& scope_;
   const bool allow_malloc_free_;
-  PointerOracle oracle_;
+  const LocalPointers pointers_;
   EffectSummary summary_;
   std::set<const IdentExpr*> callee_idents_;
 };
@@ -664,25 +319,11 @@ const ExternEffect* extern_effect(const std::string& name) {
   return it == kDatabase.end() ? nullptr : &it->second;
 }
 
-struct WritesArg0Oracle::Impl {
-  Impl(const FunctionDecl& fn, const FunctionScopeInfo& scope)
-      : oracle(fn, scope) {}
-  PointerOracle oracle;
-};
-
-WritesArg0Oracle::WritesArg0Oracle(const FunctionDecl& fn,
-                                   const FunctionScopeInfo& scope)
-    : impl_(std::make_unique<Impl>(fn, scope)) {}
-
-WritesArg0Oracle::~WritesArg0Oracle() = default;
-
-std::string WritesArg0Oracle::violation(const CallExpr& call,
-                                        const std::string& name) const {
-  const ExternEffect* known = extern_effect(name);
-  if (known != nullptr && known->kind == ExternEffectKind::WritesArg1) {
-    return check_writes_arg1(impl_->oracle, call, name).reason;
-  }
-  return check_writes_arg0(impl_->oracle, call, name).reason;
+std::string extern_write_violation(const CallExpr& call,
+                                   const std::string& name,
+                                   ExternEffectKind kind,
+                                   const LocalPointers& pointers) {
+  return check_extern_write(pointers, call, name, kind).reason;
 }
 
 EffectSummary compute_effects(const FunctionDecl& fn,

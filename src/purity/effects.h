@@ -8,16 +8,17 @@
 //
 // The write rules are deliberately conservative. A store is locally
 // harmless only when its target provably lives in function-local storage:
-// a local scalar/array, or a pointer whose every assignment source is
-// fresh (malloc/calloc) or another local storage root. Anything that might
-// reach caller-owned or global memory is an effect.
+// a local scalar/array, or a pointer whose provenance (local_pointers.h,
+// the analysis the §3.2 verifier and the chain share) is Heap or
+// LocalStorage. Anything that might reach caller-owned or global memory
+// is an effect.
 #pragma once
 
-#include <memory>
 #include <set>
 #include <string>
 
 #include "ast/decl.h"
+#include "purity/local_pointers.h"
 #include "sema/symbols.h"
 #include "support/source_location.h"
 
@@ -50,28 +51,15 @@ struct ExternEffect {
 /// fall back to the pessimistic unknown-external rule).
 [[nodiscard]] const ExternEffect* extern_effect(const std::string& name);
 
-/// Destination-provenance oracle for writing externs (WritesArg0 and
-/// WritesArg1), shared with the declared-pure verifier (§3.2): answers
-/// whether a memcpy/memset/strtol/... call inside `fn` provably writes
-/// only into function-local storage. Backed by the same provenance
-/// reasoning compute_effects uses, so a body inference would accept
+/// Why a call to writing extern `name` (of `kind` WritesArg0 or
+/// WritesArg1) inside the function `pointers` was computed for may write
+/// where the caller or another thread can observe it; empty when its
+/// destination provably targets function-local storage. Shared with the
+/// declared-pure verifier (§3.2), so a body inference would accept
 /// verifies identically when it carries the `pure` keyword.
-class WritesArg0Oracle {
- public:
-  WritesArg0Oracle(const FunctionDecl& fn, const FunctionScopeInfo& scope);
-  ~WritesArg0Oracle();
-  WritesArg0Oracle(const WritesArg0Oracle&) = delete;
-  WritesArg0Oracle& operator=(const WritesArg0Oracle&) = delete;
-
-  /// Empty when the call's destination provably targets local storage;
-  /// otherwise the rejection reason (same wording inference reports).
-  [[nodiscard]] std::string violation(const CallExpr& call,
-                                      const std::string& name) const;
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
+[[nodiscard]] std::string extern_write_violation(
+    const CallExpr& call, const std::string& name, ExternEffectKind kind,
+    const LocalPointers& pointers);
 
 struct EffectSummary {
   std::string function;

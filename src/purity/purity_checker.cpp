@@ -68,12 +68,6 @@ PurityResult PurityChecker::check() {
 
 namespace {
 
-/// True if the expression is (possibly under casts) a call to `name`.
-[[nodiscard]] bool is_call_to(const Expr* e, std::string_view name) {
-  const auto* call = expr_cast<CallExpr>(strip_casts(e));
-  return call != nullptr && call->callee_name() == name;
-}
-
 /// True if the expression carries a `pure` cast at any level.
 [[nodiscard]] bool has_pure_cast(const Expr* e) {
   while (const auto* cast = expr_cast<CastExpr>(e)) {
@@ -115,7 +109,7 @@ class FunctionVerifier {
   }
 
   /// First pass over declarations: remember pure-pointer locals (for the
-  /// single-assignment rule) and malloc'ed locals (for the free rule).
+  /// single-assignment rule).
   void collect_locals() {
     for_each_stmt(*fn_.body, [this](const Stmt& s) {
       const auto* decl = stmt_cast<DeclStmt>(&s);
@@ -124,14 +118,15 @@ class FunctionVerifier {
         if (d.type->is_pointer() && d.type->any_level_pure() && d.init) {
           pure_ptr_assignments_[d.name] += 1;
         }
-        if (d.init && is_call_to(d.init.get(), "malloc")) {
-          malloced_locals_.insert(d.name);
-        }
-        if (d.init && is_call_to(d.init.get(), "calloc")) {
-          malloced_locals_.insert(d.name);
-        }
       }
     });
+  }
+
+  /// Local-pointer provenance, computed on the first free() or writing
+  /// extern call (most bodies have neither).
+  const LocalPointers& pointers() {
+    if (!pointers_) pointers_.emplace(fn_, scope_);
+    return *pointers_;
   }
 
   void check_stmt(const Stmt& s) {
@@ -143,7 +138,7 @@ class FunctionVerifier {
                          "' keeps state across calls (a pure function "
                          "may not have persistent state)");
       }
-      if (d.init) check_capture(d.name, d.type, d.init.get(), d.loc);
+      if (d.init) check_capture(d.type, d.init.get(), d.loc);
     }
   }
 
@@ -189,10 +184,8 @@ class FunctionVerifier {
       }
       if (known != nullptr && (known->kind == ExternEffectKind::WritesArg0 ||
                                known->kind == ExternEffectKind::WritesArg1)) {
-        if (!writes_arg0_oracle_) {
-          writes_arg0_oracle_.emplace(fn_, scope_);
-        }
-        std::string violation = writes_arg0_oracle_->violation(call, name);
+        std::string violation =
+            extern_write_violation(call, name, known->kind, pointers());
         if (!violation.empty()) error(call.loc, std::move(violation));
         return;
       }
@@ -207,12 +200,12 @@ class FunctionVerifier {
       error(call.loc, "free() takes exactly one argument");
       return;
     }
-    const Expr* arg = strip_casts(call.args[0].get());
-    const auto* ident = expr_cast<IdentExpr>(arg);
-    if (ident == nullptr || malloced_locals_.count(ident->name) == 0) {
+    // The rule inference applies: the argument's provenance is Heap
+    // (every definition a malloc/calloc result or a copy of one).
+    if (!pointers().is_heap_local(call.args[0].get())) {
       error(call.loc,
-            "free() may only release memory allocated by malloc in the "
-            "same pure function");
+            "frees memory it did not allocate: free() may only release "
+            "memory allocated by malloc in the same pure function");
     }
   }
 
@@ -278,14 +271,13 @@ class FunctionVerifier {
     const Symbol* lhs_sym = scope_.resolve(*lhs_ident);
     if (lhs_sym == nullptr || lhs_sym->kind != SymbolKind::Local) return;
     if (!lhs_sym->type || !lhs_sym->type->is_pointer()) return;
-    check_capture(lhs_sym->name, lhs_sym->type, assign.rhs.get(),
-                  assign.loc);
+    check_capture(lhs_sym->type, assign.rhs.get(), assign.loc);
   }
 
   /// Shared by declarations-with-init and plain assignments: is it legal
-  /// for local pointer `name` (of `type`) to capture `rhs`?
-  void check_capture(const std::string& name, const TypePtr& type,
-                     const Expr* rhs, SourceLocation loc) {
+  /// for a local pointer of `type` to capture `rhs`?
+  void check_capture(const TypePtr& type, const Expr* rhs,
+                     SourceLocation loc) {
     if (!type->is_pointer()) return;
     const bool lhs_pure = type->any_level_pure();
     const Expr* core = strip_casts(rhs);
@@ -293,10 +285,7 @@ class FunctionVerifier {
     // Fresh memory from malloc/calloc: assignable to any local pointer.
     if (const auto* call = expr_cast<CallExpr>(core)) {
       const std::string callee = call->callee_name();
-      if (callee == "malloc" || callee == "calloc") {
-        malloced_locals_.insert(name);
-        return;
-      }
+      if (callee == "malloc" || callee == "calloc") return;
       // Result of another pure function: must be captured pure-cast into a
       // pure pointer (Listing 2, extPtr3).
       if (!lhs_pure || !has_pure_cast(rhs)) {
@@ -312,11 +301,6 @@ class FunctionVerifier {
     switch (root->kind) {
       case SymbolKind::Local:
         // Local-to-local pointer flow carries no external capability.
-        // Propagate malloc provenance so free(alias) verifies.
-        if (malloced_locals_.count(root->name) != 0 &&
-            lvalue_shape(*core) == LvalueShape::Bare) {
-          malloced_locals_.insert(name);
-        }
         return;
       case SymbolKind::Param: {
         // Pure param -> pure local: fine without a cast (Listing 2, ptr).
@@ -347,10 +331,7 @@ class FunctionVerifier {
   const std::set<std::string>& pure_set_;
   DiagnosticEngine& diags_;
   std::map<std::string, int> pure_ptr_assignments_;
-  std::set<std::string> malloced_locals_;
-  /// Built on the first writing extern call (most bodies have none;
-  /// construction walks the whole body for pointer provenance).
-  std::optional<WritesArg0Oracle> writes_arg0_oracle_;
+  std::optional<LocalPointers> pointers_;
 };
 
 }  // namespace

@@ -11,14 +11,17 @@
 //  * pure pointers are single-assignment (§3.1);
 //  * external pointers may only be captured through a `pure` cast into a
 //    `pure` local pointer (§3.2, Listing 3);
-//  * `free` may only release memory malloc'ed in the same function (§3.2);
+//  * `free` may only release memory malloc'ed in the same function (§3.2):
+//    the argument's provenance must be Heap, the fact purity inference
+//    uses too (local_pointers.h);
 //  * loop nests are SCoP candidates when all calls inside are pure; a pure
 //    call argument that is also written in the nest is an error (§3.4,
 //    Listing 5). Alias-based evasion (Listing 6) is deliberately NOT
 //    detected — the paper documents this limitation and so do we. The
-//    chain closes the hole after this pass: it resolves local pointers to
-//    the objects they point into and keeps such a loop serial with a
-//    `may-alias` reason (transform/pure_chain.cpp).
+//    chain closes the hole after this pass: the same local-pointer
+//    analysis resolves local pointers to the objects they point into, and
+//    the chain keeps such a loop serial with a `may-alias` reason
+//    (transform/pure_chain.cpp).
 #pragma once
 
 #include <map>

@@ -186,6 +186,23 @@ const Symbol* FunctionScopeInfo::lvalue_root(const Expr& e) const {
   }
 }
 
+TypePtr FunctionScopeInfo::slot_type(const Expr& lvalue) const {
+  if (const auto* ident = expr_cast<IdentExpr>(&lvalue)) {
+    const Symbol* sym = resolve(*ident);
+    return sym != nullptr ? sym->type : nullptr;
+  }
+  TypePtr base;
+  if (const auto* index = expr_cast<IndexExpr>(&lvalue)) {
+    base = slot_type(*index->base);
+  } else if (const auto* unary = expr_cast<UnaryExpr>(&lvalue)) {
+    if (unary->op == UnaryOp::Deref) base = slot_type(*unary->operand);
+  }
+  if (base == nullptr) return nullptr;
+  if (base->is_array()) return base->element;
+  if (base->is_pointer()) return base->pointee;
+  return nullptr;
+}
+
 SymbolTable SymbolTable::build(const TranslationUnit& tu,
                                DiagnosticEngine& diags) {
   SymbolTable table;

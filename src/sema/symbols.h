@@ -49,6 +49,11 @@ class FunctionScopeInfo {
   /// `*p` -> `p`). Returns nullptr for unresolvable shapes.
   [[nodiscard]] const Symbol* lvalue_root(const Expr& e) const;
 
+  /// Static type of the slot an lvalue designates: the root's declared
+  /// type peeled once per index/deref level. Null when unresolvable
+  /// (members, casts) — callers must be conservative.
+  [[nodiscard]] TypePtr slot_type(const Expr& lvalue) const;
+
   std::unordered_map<const IdentExpr*, Symbol> resolutions_;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <functional>
 #include <initializer_list>
-#include <optional>
 
 #include "ast/walk.h"
 #include "emit/c_printer.h"
@@ -16,6 +15,7 @@
 #include "polyhedral/schedule.h"
 #include "preproc/include_stripper.h"
 #include "preproc/mini_cpp.h"
+#include "purity/local_pointers.h"
 #include "sema/symbols.h"
 #include "support/rational.h"
 #include "transform/call_substitution.h"
@@ -340,207 +340,8 @@ std::string escaping_iterator_use(const poly::Scop& scop,
 //
 // Dependence analysis keys accesses on the base name, so `alias[i]` and
 // `array[i]` look like two objects even after `int* alias = array;`
-// (paper Listing 6). Before the analysis the chain maps each local pointer
-// back to the object it was set from — the simplest case of pointer
-// canonicalization — and rebases its accesses there. Pointer parameters,
-// globals and block-scope statics keep the distinct-base assumption.
-
-/// Where a resolved local pointer points: element `offset` of `root`.
-struct PointerTarget {
-  std::string root;
-  std::int64_t offset = 0;
-};
-
-/// What the chain knows about a function's non-static local pointers.
-/// Fresh ones (every definition a malloc/calloc result) are objects of
-/// their own and appear in neither map.
-struct LocalPointers {
-  /// Every definition is `= X`, `= X + k`, `= X - k` or `= &X[k]` (k an
-  /// integer constant) naming the same element, where X is an array, a
-  /// pointer never reassigned in the function, a fresh pointer, or
-  /// another resolved pointer.
-  std::map<std::string, PointerTarget> resolved;
-  /// Everything else: the pointer may point into any object.
-  std::set<std::string> unresolved;
-  /// Every pointer- or array-typed name the function mentions: what a
-  /// call argument can hand over by reference.
-  std::set<std::string> objects;
-};
-
-[[nodiscard]] std::optional<std::int64_t> int_constant(const Expr* e) {
-  if (const auto* lit = expr_cast<IntLiteralExpr>(e)) return lit->value;
-  const auto* neg = expr_cast<UnaryExpr>(e);
-  if (neg != nullptr && neg->op == UnaryOp::Minus) {
-    if (const auto* lit = expr_cast<IntLiteralExpr>(neg->operand.get())) {
-      return -lit->value;
-    }
-  }
-  return std::nullopt;
-}
-
-/// Matches one definition `X`, `X + k`, `k + X`, `X - k` or `&X[k]`.
-[[nodiscard]] std::optional<PointerTarget> match_pointer_definition(
-    const Expr* def) {
-  if (const auto* ident = expr_cast<IdentExpr>(def)) {
-    return PointerTarget{ident->name, 0};
-  }
-  if (const auto* bin = expr_cast<BinaryExpr>(def)) {
-    const auto* lhs = expr_cast<IdentExpr>(bin->lhs.get());
-    const auto* rhs = expr_cast<IdentExpr>(bin->rhs.get());
-    if (bin->op == BinaryOp::Add && lhs != nullptr) {
-      if (auto k = int_constant(bin->rhs.get())) {
-        return PointerTarget{lhs->name, *k};
-      }
-    }
-    if (bin->op == BinaryOp::Add && rhs != nullptr) {
-      if (auto k = int_constant(bin->lhs.get())) {
-        return PointerTarget{rhs->name, *k};
-      }
-    }
-    if (bin->op == BinaryOp::Sub && lhs != nullptr) {
-      if (auto k = int_constant(bin->rhs.get())) {
-        return PointerTarget{lhs->name, -*k};
-      }
-    }
-    return std::nullopt;
-  }
-  const auto* addr = expr_cast<UnaryExpr>(def);
-  const auto* index =
-      addr != nullptr && addr->op == UnaryOp::AddrOf
-          ? expr_cast<IndexExpr>(addr->operand.get())
-          : nullptr;
-  const auto* base =
-      index != nullptr ? expr_cast<IdentExpr>(index->base.get()) : nullptr;
-  if (base == nullptr) return std::nullopt;
-  if (auto k = int_constant(index->index.get())) {
-    return PointerTarget{base->name, *k};
-  }
-  return std::nullopt;
-}
-
-[[nodiscard]] bool is_allocation(const Expr* def) {
-  const auto* call = expr_cast<CallExpr>(strip_casts(def));
-  if (call == nullptr) return false;
-  const std::string callee = call->callee_name();
-  return callee == "malloc" || callee == "calloc";
-}
-
-[[nodiscard]] LocalPointers resolve_local_pointers(
-    const FunctionDecl& fn, const SymbolTable& symbols) {
-  LocalPointers out;
-  if (!fn.body) return out;
-  // Declarations per name (parameters count: a local of the same name
-  // makes every reference ambiguous), pointer-typed non-static locals,
-  // every `name = rhs` / initializer, and names whose value is changed
-  // any other way or whose address escapes.
-  std::map<std::string, std::size_t> declared;
-  std::set<std::string> pointers;
-  std::map<std::string, std::vector<const Expr*>> defs;
-  std::set<std::string> assigned;
-  std::set<std::string> unstable;
-  const auto is_object = [](const TypePtr& type) {
-    return type && (type->is_pointer() || type->is_array());
-  };
-  for (const ParamDecl& param : fn.params) {
-    ++declared[param.name];
-    if (is_object(param.type)) out.objects.insert(param.name);
-  }
-  for_each_stmt(*fn.body, [&](const Stmt& s) {
-    const auto* decl = stmt_cast<DeclStmt>(&s);
-    if (decl == nullptr) return;
-    for (const VarDecl& d : decl->decls) {
-      ++declared[d.name];
-      if (is_object(d.type)) out.objects.insert(d.name);
-      if (d.type && d.type->is_pointer() && !d.is_static) {
-        pointers.insert(d.name);
-      }
-      if (d.init) defs[d.name].push_back(d.init.get());
-    }
-  });
-  for_each_expr(*fn.body, [&](const Expr& e) {
-    if (const auto* ident = expr_cast<IdentExpr>(&e)) {
-      const GlobalVarDecl* global = declared.count(ident->name) == 0
-                                        ? symbols.find_global(ident->name)
-                                        : nullptr;
-      if (global != nullptr && is_object(global->var.type)) {
-        out.objects.insert(ident->name);
-      }
-      return;
-    }
-    if (const auto* assign = expr_cast<AssignExpr>(&e)) {
-      const auto* lhs = expr_cast<IdentExpr>(assign->lhs.get());
-      if (lhs == nullptr) return;
-      if (assign->op == AssignOp::Assign) {
-        defs[lhs->name].push_back(assign->rhs.get());
-        assigned.insert(lhs->name);
-      } else {
-        unstable.insert(lhs->name);
-      }
-      return;
-    }
-    const auto* unary = expr_cast<UnaryExpr>(&e);
-    const auto* operand =
-        unary != nullptr ? expr_cast<IdentExpr>(unary->operand.get())
-                         : nullptr;
-    if (operand != nullptr && unary->op != UnaryOp::Deref &&
-        unary->op != UnaryOp::Plus && unary->op != UnaryOp::Minus &&
-        unary->op != UnaryOp::Not && unary->op != UnaryOp::BitNot) {
-      unstable.insert(operand->name);  // &p, p++, --p, ...
-    }
-  });
-
-  const auto is_fresh = [&](const std::string& name) {
-    const auto it = defs.find(name);
-    return declared[name] == 1 && unstable.count(name) == 0 &&
-           it != defs.end() &&
-           std::all_of(it->second.begin(), it->second.end(), is_allocation);
-  };
-  // A root is an object the model may name: anything that is not a
-  // local pointer and is never reassigned here (arrays, parameters,
-  // globals), or a fresh local pointer.
-  const auto is_root = [&](const std::string& name) {
-    if (pointers.count(name) != 0) return is_fresh(name);
-    return unstable.count(name) == 0 && assigned.count(name) == 0;
-  };
-  std::function<std::optional<PointerTarget>(const std::string&, int)>
-      resolve = [&](const std::string& name,
-                    int depth) -> std::optional<PointerTarget> {
-    // The depth bound ends definition cycles (`p = q; q = p;`).
-    if (depth > 8 || declared[name] != 1 || unstable.count(name) != 0) {
-      return std::nullopt;
-    }
-    const auto it = defs.find(name);
-    if (it == defs.end()) return std::nullopt;
-    std::optional<PointerTarget> agreed;
-    for (const Expr* def : it->second) {
-      std::optional<PointerTarget> target = match_pointer_definition(def);
-      if (!target || target->root == name) return std::nullopt;
-      if (pointers.count(target->root) != 0 && !is_fresh(target->root)) {
-        const std::optional<PointerTarget> inner =
-            resolve(target->root, depth + 1);
-        if (!inner) return std::nullopt;
-        target = PointerTarget{inner->root, inner->offset + target->offset};
-      } else if (!is_root(target->root)) {
-        return std::nullopt;
-      }
-      if (agreed && (agreed->root != target->root ||
-                     agreed->offset != target->offset)) {
-        return std::nullopt;
-      }
-      agreed = target;
-    }
-    return agreed;
-  };
-  for (const std::string& name : pointers) {
-    if (is_fresh(name)) continue;
-    if (std::optional<PointerTarget> target = resolve(name, 0)) {
-      out.resolved.emplace(name, std::move(*target));
-    } else {
-      out.unresolved.insert(name);
-    }
-  }
-  return out;
-}
+// (paper Listing 6). The chain rebases accesses through the local pointers
+// purity/local_pointers.h resolves onto the object they point into.
 
 /// An object a substituted pure call reads through its arguments (or, for
 /// an inferred-pure callee, as a global): the argument's name and callee.
@@ -554,7 +355,8 @@ struct CallRead {
 /// behind their `tmpConst_*` placeholders, so dependence analysis never
 /// sees these reads.
 void collect_call_reads(
-    const std::vector<SubstitutedCall>& calls, const LocalPointers& pointers,
+    const std::vector<SubstitutedCall>& calls, const FunctionScopeInfo& scope,
+    const PointerBases& pointers,
     const std::map<std::string, std::set<std::string>>& global_reads,
     std::map<std::string, CallRead>& reads) {
   for (const SubstitutedCall& call : calls) {
@@ -562,8 +364,11 @@ void collect_call_reads(
     if (expr == nullptr) continue;
     for (const ExprPtr& arg : expr->args) {
       for_each_expr(*arg, [&](const Expr& e) {
+        // Only a pointer or an array hands over an object by reference.
         const auto* ident = expr_cast<IdentExpr>(&e);
-        if (ident == nullptr || pointers.objects.count(ident->name) == 0) {
+        const Symbol* sym = ident ? scope.resolve(*ident) : nullptr;
+        if (sym == nullptr || sym->type == nullptr ||
+            !(sym->type->is_pointer() || sym->type->is_array())) {
           return;
         }
         const auto it = pointers.resolved.find(ident->name);
@@ -596,16 +401,17 @@ struct AliasVerdict {
 ///    or any object while touching an unresolved local pointer;
 ///  * a pointer's object whose subscripts cannot be compared with the
 ///    pointer's (different rank or delinearization).
-/// `calls` are the nest's substituted calls; `global_reads` the globals
-/// each inferred-pure callee reads.
+/// `calls` are the nest's substituted calls, whose arguments `scope`
+/// resolves; `global_reads` the globals each inferred-pure callee reads.
 [[nodiscard]] AliasVerdict rebase_local_pointers(
-    poly::Scop& scop, const FunctionDecl& fn, const SymbolTable& symbols,
+    poly::Scop& scop, const FunctionScopeInfo& scope,
+    const PointerBases& pointers,
     std::initializer_list<const std::vector<SubstitutedCall>*> calls,
     const std::map<std::string, std::set<std::string>>& global_reads) {
-  const LocalPointers pointers = resolve_local_pointers(fn, symbols);
   std::map<std::string, CallRead> call_reads;
   for (const std::vector<SubstitutedCall>* nest_calls : calls) {
-    collect_call_reads(*nest_calls, pointers, global_reads, call_reads);
+    collect_call_reads(*nest_calls, scope, pointers, global_reads,
+                       call_reads);
   }
   AliasVerdict verdict;
   const auto judge = [&](const poly::ScopStatement& stmt, std::string why) {
@@ -982,6 +788,23 @@ ChainArtifacts run_pure_chain(const std::string& source,
   artifacts.marked = print_c(tu, PrintOptions{PureHandling::Keep, 2});
   unmark_scops(tu);
 
+  // Local pointer bases, once per function on the AST `symbols` resolves
+  // (before substitution). A local set from a function that returns fresh
+  // memory is an object of its own.
+  std::map<std::string, LocalPointers> local_pointers;
+  std::set<std::string> fresh_callees;
+  for (const auto& [name, fn] : symbols.functions()) {
+    if (!fn->is_definition()) continue;
+    const LocalPointers& pointers =
+        local_pointers.try_emplace(name, *fn, *symbols.scope_for(*fn))
+            .first->second;
+    if (pointers.returns_fresh()) fresh_callees.insert(name);
+  }
+  std::map<std::string, PointerBases> pointer_bases;
+  for (const auto& [name, pointers] : local_pointers) {
+    pointer_bases.emplace(name, pointers.bases(fresh_callees));
+  }
+
   // ---- polycc: substitution + polyhedral transformation -------------------
   std::size_t placeholder_counter = 0;
   std::vector<ScopCandidate> scop_candidates = purity.scop_loops;
@@ -1103,7 +926,7 @@ ChainArtifacts run_pure_chain(const std::string& source,
       // a Listing-5 conflict the checker never saw, hidden from the
       // dependences by the call's placeholder.
       const AliasVerdict alias = rebase_local_pointers(
-          *fused.scop, *fn, symbols,
+          *fused.scop, *symbols.scope_for(*fn), pointer_bases.at(fn->name),
           {&all_substitutions[i], &all_substitutions[i + 1]},
           purity_options.assumed_global_reads);
       if (!alias.reason.empty()) {
@@ -1253,7 +1076,8 @@ ChainArtifacts run_pure_chain(const std::string& source,
         // the object it points into; a write the model still cannot vouch
         // for keeps the nest serial, in source order (may-alias).
         const AliasVerdict alias =
-            rebase_local_pointers(scop, *owner, symbols, {&calls},
+            rebase_local_pointers(scop, *symbols.scope_for(*owner),
+                                  pointer_bases.at(owner->name), {&calls},
                                   purity_options.assumed_global_reads);
         if (!alias.reason.empty()) {
           may_alias = true;

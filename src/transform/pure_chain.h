@@ -120,8 +120,10 @@ struct ScopReport {
   std::size_t depth = 0;
   std::size_t dependences = 0;
   /// The nest was replaced by scheduled code. False for a nest left as
-  /// written and for a `may-alias:` nest, which is reprinted in source
-  /// order with no pragma and carries its failure.
+  /// written and for a `may-alias:` nest (a write the local-pointer
+  /// analysis, purity/local_pointers.h, cannot separate from another
+  /// access), which is reprinted in source order with no pragma and
+  /// carries its failure.
   bool transformed = false;
   bool parallelized = false;
   bool tiled = false;

@@ -224,6 +224,65 @@ TEST(Chain, MallocPointerWrittenBesideAnotherBaseStaysParallel) {
   EXPECT_TRUE(r.failure_reason.empty()) << r.failure_reason;
 }
 
+TEST(Chain, ReturnsFreshCalleeResultsWrittenInOneLoopStayParallel) {
+  // alloc_vec returns its own malloc result and hands it to nobody else,
+  // so X and Y are fresh objects like two malloc results.
+  ChainArtifacts a = run_pure_chain(
+      "float* alloc_vec(int n) {\n"
+      "  float* v = (float*)malloc(n * sizeof(float));\n"
+      "  for (int i = 0; i < n; i++) v[i] = 0.0f;\n"
+      "  return v;\n"
+      "}\n"
+      "int main(void) {\n"
+      "  int n = 64;\n"
+      "  float* X = alloc_vec(n);\n"
+      "  float* Y = alloc_vec(n);\n"
+      "  for (int i = 0; i < n; i++) {\n"
+      "    X[i] = (float)i;\n"
+      "    Y[i] = (float)(2 * i);\n"
+      "  }\n"
+      "  return (int)(X[3] + Y[3]);\n"
+      "}\n");
+  ASSERT_TRUE(a.ok) << a.diagnostics.format();
+  const ScopReport* init = nullptr;
+  for (const ScopReport& r : a.scops) {
+    if (r.function == "main") init = &r;
+  }
+  ASSERT_NE(init, nullptr);
+  EXPECT_TRUE(init->parallelized) << init->failure_reason;
+  EXPECT_TRUE(init->failure_reason.empty()) << init->failure_reason;
+}
+
+TEST(Chain, CalleeThatAlsoStoresItsResultInAGlobalIsNotFresh) {
+  // keep_vec's result is also reachable through the global `kept`, so X
+  // may be any object: the loop writing X beside Y stays serial.
+  ChainArtifacts a = run_pure_chain(
+      "float* kept;\n"
+      "float* keep_vec(int n) {\n"
+      "  float* v = (float*)malloc(n * sizeof(float));\n"
+      "  kept = v;\n"
+      "  return v;\n"
+      "}\n"
+      "float* alloc_vec(int n) {\n"
+      "  return (float*)malloc(n * sizeof(float));\n"
+      "}\n"
+      "int main(void) {\n"
+      "  int n = 64;\n"
+      "  float* X = keep_vec(n);\n"
+      "  float* Y = alloc_vec(n);\n"
+      "  for (int i = 0; i < n; i++) {\n"
+      "    X[i] = (float)i;\n"
+      "    Y[i] = (float)(2 * i);\n"
+      "  }\n"
+      "  return (int)(X[3] + Y[3]);\n"
+      "}\n");
+  ASSERT_TRUE(a.ok) << a.diagnostics.format();
+  const ScopReport& r = only_scop(a);
+  EXPECT_FALSE(r.parallelized);
+  EXPECT_EQ(r.failure_reason.rfind("may-alias: local pointer 'X'", 0), 0u)
+      << r.failure_reason;
+}
+
 TEST(Chain, PointerParameterWrittenBesideAnotherBaseStaysParallel) {
   // Pointer parameters keep the distinct-base assumption.
   ChainArtifacts a = run_pure_chain(

@@ -115,7 +115,7 @@ INSTANTIATE_TEST_SUITE_P(Cases, StrideResidueSweep,
                                            StrideCase{4, 3},
                                            StrideCase{5, 2}),
                          [](const auto& info) {
-                           return "M" + std::to_string(info.param.m) + "R" +
+                           return 'M' + std::to_string(info.param.m) + "R" +
                                   std::to_string(info.param.r);
                          });
 

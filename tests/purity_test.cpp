@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "parser/parser.h"
+#include "purity/inference.h"
 #include "purity/purity_checker.h"
 #include "support/diagnostics.h"
 
@@ -332,6 +333,49 @@ TEST(Purity, FreeOfMallocAliasAllowed) {
       "  return 0;\n"
       "}\n");
   EXPECT_FALSE(out.diags.has_errors()) << out.diags.format();
+}
+
+/// Inference's verdict on `fn` in the keyword-free twin of `src`: empty
+/// when pure, else the rejection reason.
+std::string inferred_reason(const std::string& src, const std::string& fn) {
+  DiagnosticEngine diags;
+  SourceBuffer buf = SourceBuffer::from_string(src);
+  const TranslationUnit tu = parse(buf, diags);
+  const SymbolTable symbols = SymbolTable::build(tu, diags);
+  return infer_purity(tu, symbols).functions.at(fn).reason;
+}
+
+TEST(Purity, FreeOfPointerReassignedToStackArrayRejectedLikeInference) {
+  // p's last definition is a stack array: free(p) would release memory
+  // this function never allocated. The annotated body and its keyword-free
+  // twin are rejected with the same wording.
+  const std::string body =
+      " int f(int n) {\n"
+      "  int x[4];\n"
+      "  int* p = (int*)malloc(16);\n"
+      "  p = x;\n"
+      "  free(p);\n"
+      "  return n;\n"
+      "}\n";
+  const std::string wording = "frees memory it did not allocate";
+  auto out = check("pure" + body);
+  EXPECT_TRUE(out.diags.has_error_containing(wording)) << out.diags.format();
+  EXPECT_NE(inferred_reason(body, "f").find(wording), std::string::npos);
+}
+
+TEST(Purity, FreeOfSteppedHeapPointerRejectedLikeInference) {
+  // After p++ the pointer is interior to its block: free(p) is undefined.
+  const std::string body =
+      " int f(int n) {\n"
+      "  int* p = (int*)malloc(16);\n"
+      "  p++;\n"
+      "  free(p);\n"
+      "  return n;\n"
+      "}\n";
+  const std::string wording = "frees memory it did not allocate";
+  auto out = check("pure" + body);
+  EXPECT_TRUE(out.diags.has_error_containing(wording)) << out.diags.format();
+  EXPECT_NE(inferred_reason(body, "f").find(wording), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
