@@ -18,20 +18,17 @@
 //                          global snapshot) get thunks backed by one
 //                          table per thread in the output C, growing up
 //                          to PUREC_MEMO_CAP slots (PUREC_MEMO_CAP and
-//                          PUREC_MEMO_STATS at run time); trivially
-//                          small single-expression callees are skipped
-//                          by the cost gate
-//     --memoize=all        disable the cost gate (thunk every
+//                          PUREC_MEMO_STATS at run time). Two gates:
+//                          at compile time a single-`return` body of
+//                          fewer than 8 expression nodes gets no thunk;
+//                          at run time each thunk sends a thread's calls
+//                          past its table while fewer than 1 in 8 hit
+//     --memoize=all        disable the compile-time gate (thunk every
 //                          memoizable function, for measurement)
 //     --memoize=verify     memoize with full-key verification compiled
 //                          in: slots store the raw argument/global words
 //                          and compare them on a hit, so the 2^-25
 //                          fingerprint-aliasing bound no longer applies
-//     --memoize-profile=F  feed a PUREC_MEMO_STATS dump back into the
-//                          classifier: the shape-based cost gate is
-//                          replaced by the profile-informed model, keeping
-//                          only thunks whose observed reuse x callee cost
-//                          clears the table-trip bar (implies --memoize)
 //     --fp-reductions      allow +/-/* reductions on float/double
 //                          accumulators (OpenMP partials reassociate the
 //                          combination, so results may differ in the last
@@ -62,7 +59,7 @@
 //   purecc trace [--report report.json] trace.json
 //     Analyze a trace written by an --instrument build: per-region wall
 //     time, worker imbalance, dropped events; with --report, each region is
-//     joined (by region_id) to the compiler's schedule and memo decisions.
+//     joined (by region_id) to the compiler's schedule decisions.
 //
 //   purecc trace --diff baseline.json candidate.json [--threshold F]
 //     Region-by-region wall-time comparison; exits 1 when any region
@@ -91,8 +88,7 @@ int usage(const char* argv0) {
                "[--no-parallel]\n"
                "          [--inline-pure] [--infer-pure] "
                "[--memoize[=all|=verify]]\n"
-               "          [--memoize-profile=FILE] [--fp-reductions]\n"
-               "          [--gcc-attributes] [--instrument]\n"
+               "          [--fp-reductions] [--gcc-attributes] [--instrument]\n"
                "          [--stage NAME] [--report[=json[:FILE]]] input.c\n"
                "       %s trace [--report report.json] trace.json\n"
                "       %s trace --diff baseline.json candidate.json "
@@ -241,20 +237,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--memoize=verify") {
       options.memoize = true;
       options.memoize_verify = true;
-    } else if (arg.rfind("--memoize-profile=", 0) == 0) {
-      const std::string path = arg.substr(std::strlen("--memoize-profile="));
-      if (path.empty()) return usage(argv[0]);
-      std::ifstream pf(path);
-      if (!pf) {
-        std::fprintf(stderr, "purecc: cannot open %s\n", path.c_str());
-        return 2;
-      }
-      std::ostringstream ss;
-      ss << pf.rdbuf();
-      options.memoize_profile =
-          purec::parse_memo_profile(std::move(ss).str());
-      options.has_memoize_profile = true;
-      options.memoize = true;
     } else if (arg == "--fp-reductions") {
       options.fp_reductions = true;
     } else if (arg == "--gcc-attributes") {

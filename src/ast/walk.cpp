@@ -316,39 +316,6 @@ void walk_stmt_expr_slots(Stmt& s, const ExprSlotFn& fn) {
   }
 }
 
-void walk_stmt_slot(StmtPtr& slot, const StmtSlotFn& fn) {
-  if (!slot) return;
-  if (fn(slot)) return;
-  Stmt& s = *slot;
-  switch (s.kind()) {
-    case StmtKind::Compound:
-      for (auto& child : static_cast<CompoundStmt&>(s).stmts) {
-        walk_stmt_slot(child, fn);
-      }
-      return;
-    case StmtKind::If: {
-      auto& n = static_cast<IfStmt&>(s);
-      walk_stmt_slot(n.then_stmt, fn);
-      walk_stmt_slot(n.else_stmt, fn);
-      return;
-    }
-    case StmtKind::For: {
-      auto& n = static_cast<ForStmt&>(s);
-      walk_stmt_slot(n.init, fn);
-      walk_stmt_slot(n.body, fn);
-      return;
-    }
-    case StmtKind::While:
-      walk_stmt_slot(static_cast<WhileStmt&>(s).body, fn);
-      return;
-    case StmtKind::DoWhile:
-      walk_stmt_slot(static_cast<DoWhileStmt&>(s).body, fn);
-      return;
-    default:
-      return;
-  }
-}
-
 }  // namespace
 
 void for_each_expr(const Expr& e,
@@ -377,9 +344,6 @@ void for_each_expr_slot(Stmt& s, const ExprSlotFn& fn) {
 }
 void for_each_expr_slot(ExprPtr& e, const ExprSlotFn& fn) {
   walk_expr_slot(e, fn);
-}
-void for_each_stmt_slot(StmtPtr& root, const StmtSlotFn& fn) {
-  walk_stmt_slot(root, fn);
 }
 
 void for_each_call(const Stmt& s,

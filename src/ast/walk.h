@@ -62,10 +62,4 @@ using ExprSlotFn = std::function<bool(ExprPtr&)>;
 void for_each_expr_slot(Stmt& s, const ExprSlotFn& fn);
 void for_each_expr_slot(ExprPtr& e, const ExprSlotFn& fn);
 
-/// Mutating traversal over every owning statement slot under `root`
-/// (including slots inside compound statements). The callback may replace
-/// the statement; returning `true` stops descent into that slot.
-using StmtSlotFn = std::function<bool(StmtPtr&)>;
-void for_each_stmt_slot(StmtPtr& root, const StmtSlotFn& fn);
-
 }  // namespace purec

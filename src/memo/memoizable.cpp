@@ -1,8 +1,6 @@
 #include "memo/memoizable.h"
 
-#include <algorithm>
 #include <cstdio>
-#include <optional>
 #include <string_view>
 
 #include "ast/walk.h"
@@ -29,31 +27,25 @@ namespace {
          type->builtin != BuiltinKind::LongDouble;
 }
 
-/// Expression-node count of a single-`return` body; nullopt when the body
-/// has any other shape (declarations, loops, multiple statements).
-[[nodiscard]] std::optional<std::size_t> single_expression_size(
-    const FunctionDecl& fn) {
+/// True when the body is one `return` of a value (null statements and
+/// pragmas aside): the only shape the cost gate prices.
+[[nodiscard]] bool is_single_return(const FunctionDecl& fn) {
   const auto* block = stmt_cast<CompoundStmt>(fn.body.get());
-  if (block == nullptr) return std::nullopt;
+  if (block == nullptr) return false;
   const ReturnStmt* ret = nullptr;
   for (const StmtPtr& s : block->stmts) {
     if (s->kind() == StmtKind::Null || s->kind() == StmtKind::Pragma) {
       continue;
     }
-    if (ret != nullptr) return std::nullopt;
+    if (ret != nullptr) return false;
     ret = stmt_cast<ReturnStmt>(s.get());
-    if (ret == nullptr) return std::nullopt;
+    if (ret == nullptr) return false;
   }
-  if (ret == nullptr || !ret->value) return std::nullopt;
-  std::size_t nodes = 0;
-  for_each_expr(static_cast<const Expr&>(*ret->value),
-                [&](const Expr&) { ++nodes; });
-  return nodes;
+  return ret != nullptr && ret->value != nullptr;
 }
 
 /// Expression-node count over the whole body: the static callee-cost
-/// proxy. Unlike single_expression_size it accepts any body shape, so the
-/// profile gate can price multi-statement pipelines too.
+/// proxy, reported for every function.
 [[nodiscard]] std::size_t body_cost_nodes(const FunctionDecl& fn) {
   if (fn.body == nullptr) return 0;
   std::size_t nodes = 0;
@@ -66,12 +58,10 @@ class Classifier {
  public:
   Classifier(const TranslationUnit& tu, const SymbolTable& symbols,
              const std::set<std::string>& pure_functions,
-             const PurityOptions& options, bool cost_gate,
-             const MemoProfile* profile)
+             const PurityOptions& options, bool cost_gate)
       : symbols_(symbols),
         pure_functions_(pure_functions),
-        cost_gate_(cost_gate),
-        profile_(profile) {
+        cost_gate_(cost_gate) {
     for (const FunctionDecl* fn : tu.functions()) {
       if (!fn->is_definition() || pure_functions.count(fn->name) == 0) {
         continue;
@@ -136,16 +126,13 @@ class Classifier {
     }
 
     // Shape cost gate: for a mult-sized leaf the hash/probe round trip
-    // costs more than just recomputing the expression. A supplied profile
-    // supersedes this guess with measured reuse (gate at the end).
-    if (cost_gate_ && profile_ == nullptr) {
-      const std::optional<std::size_t> nodes = single_expression_size(fn);
-      if (nodes && *nodes < kMemoTrivialExprNodes) {
-        return reject("single-expression body of " +
-                      std::to_string(*nodes) +
-                      " node(s) below the cost gate (recompute beats the "
-                      "table trip; --memoize=all overrides)");
-      }
+    // costs more than just recomputing the expression.
+    if (cost_gate_ && is_single_return(fn) &&
+        info.cost_nodes < kMemoTrivialExprNodes) {
+      return reject("single-expression body of " +
+                    std::to_string(info.cost_nodes) +
+                    " node(s) below the cost gate (recompute beats the "
+                    "table trip; --memoize=all overrides)");
     }
 
     // Transitive closure over callees: every edge must stay inside the
@@ -230,39 +217,6 @@ class Classifier {
       info.global_snapshot.emplace_back(global, decl->var.type);
     }
 
-    // Profile-informed gate: only thunks with demonstrated reuse x callee
-    // cost above the table-trip bar survive. Runs last so a rejected
-    // function still reports its full key shape, and only under the cost
-    // gate (--memoize=all thunks everything but keeps the annotations).
-    if (profile_ != nullptr) {
-      const auto it = profile_->find(name);
-      if (it == profile_->end()) {
-        if (cost_gate_) {
-          return reject(
-              "no observed traffic in the profile (thunk never exercised)");
-        }
-      } else {
-        info.profiled = true;
-        info.profile_hits = it->second.hits;
-        info.profile_misses = it->second.misses;
-        const double reuse =
-            static_cast<double>(it->second.hits) /
-            static_cast<double>(std::max<std::uint64_t>(
-                std::uint64_t{1}, it->second.misses));
-        info.profile_score = reuse * static_cast<double>(info.cost_nodes);
-        if (cost_gate_ && it->second.hits == 0) {
-          return reject("profile shows no reuse (0 hits over " +
-                        std::to_string(it->second.misses) + " misses)");
-        }
-        if (cost_gate_ && info.profile_score < kMemoProfileScoreMin) {
-          return reject(
-              "profile score " + std::to_string(info.profile_score) +
-              " (reuse x " + std::to_string(info.cost_nodes) +
-              " cost nodes) below the gate; --memoize=all overrides");
-        }
-      }
-    }
-
     info.memoizable = true;
     return info;
   }
@@ -277,7 +231,6 @@ class Classifier {
   const SymbolTable& symbols_;
   const std::set<std::string>& pure_functions_;
   bool cost_gate_ = false;
-  const MemoProfile* profile_ = nullptr;
   std::map<std::string, EffectSummary> summaries_;
   std::map<std::string, const FunctionDecl*> definitions_;
 };
@@ -340,10 +293,8 @@ MemoizableResult classify_memoizable(const TranslationUnit& tu,
                                      const SymbolTable& symbols,
                                      const std::set<std::string>& pure_functions,
                                      const PurityOptions& options,
-                                     bool cost_gate,
-                                     const MemoProfile* profile) {
-  return Classifier(tu, symbols, pure_functions, options, cost_gate, profile)
-      .run();
+                                     bool cost_gate) {
+  return Classifier(tu, symbols, pure_functions, options, cost_gate).run();
 }
 
 }  // namespace purec

@@ -40,8 +40,8 @@ namespace purec {
 /// Observed per-thunk traffic, parsed back out of a PUREC_MEMO_STATS dump
 /// (`purec-memo[NAME] hits=H misses=M evictions=E bypassed=B` lines; dumps
 /// without the `bypassed` field read as 0) and keyed by function name.
-/// Feeding it to the classifier via `--memoize-profile` replaces the
-/// shape-based cost gate with the profile-informed model.
+/// The compiler does not read it; the e2e bench derives memo.hit_ratio
+/// from it.
 struct MemoProfileEntry {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -68,16 +68,9 @@ struct MemoFunctionInfo {
   /// Scalar globals whose values join the key (transitive reads, sorted
   /// by name so the key layout is deterministic).
   std::vector<std::pair<std::string, TypePtr>> global_snapshot;
-  /// Whole-body expression-node count — the static callee-cost proxy the
-  /// profile-informed gate multiplies against observed reuse.
+  /// Whole-body expression-node count: the static callee-cost proxy the
+  /// cost gate reads when the body is a single `return`.
   std::size_t cost_nodes = 0;
-  /// Profile-informed gate trail (set when a profile was supplied and the
-  /// function passed the base classification): observed traffic and the
-  /// reuse-per-miss x cost score it produced.
-  bool profiled = false;
-  std::uint64_t profile_hits = 0;
-  std::uint64_t profile_misses = 0;
-  double profile_score = 0.0;
 };
 
 struct MemoizableResult {
@@ -95,33 +88,21 @@ struct MemoizableResult {
 /// build would rival small callee bodies in cost.
 inline constexpr std::size_t kMemoMaxGlobalSnapshot = 8;
 
-/// Cost-gate threshold: a single-expression body below this many
+/// Cost-gate threshold: a single-`return` body below this many
 /// expression nodes is cheaper to recompute than the table trip (memoized,
 /// the 3-node matmul `mult` leaf measured 0.1x), so gated classification
-/// rejects it.
+/// rejects it. Whatever passes is gated again at run time, per thread, by
+/// the thunk's hit ratio (runtime/c/purec_memo.h).
 inline constexpr std::size_t kMemoTrivialExprNodes = 8;
-
-/// Profile-gate threshold on reuse-per-miss x body-cost-nodes: a thunk
-/// pays off when the work it saves per distinct key (observed reuse times
-/// callee cost) clears the same table-trip bar the shape gate uses. A
-/// 3-node `mult` needs ~3 reuses per key to survive; a 50-node pipeline
-/// stage survives on any demonstrated reuse.
-inline constexpr double kMemoProfileScoreMin =
-    static_cast<double>(kMemoTrivialExprNodes);
 
 /// Classifies every defined function in `pure_functions`. Must run on the
 /// *pre-transformation* AST (it re-derives effect summaries through
 /// `symbols`, whose resolutions are keyed on the original nodes).
 /// `cost_gate` enables the trivially-small-callee rejection (the chain
-/// passes true unless the user asked for `--memoize=all`). A non-null
-/// `profile` replaces that shape-based gate with the profile-informed
-/// model: only thunks whose observed reuse x callee cost clears
-/// kMemoProfileScoreMin survive (functions absent from the profile saw no
-/// traffic and are rejected).
+/// passes true unless the user asked for `--memoize=all`).
 [[nodiscard]] MemoizableResult classify_memoizable(
     const TranslationUnit& tu, const SymbolTable& symbols,
     const std::set<std::string>& pure_functions,
-    const PurityOptions& options = {}, bool cost_gate = false,
-    const MemoProfile* profile = nullptr);
+    const PurityOptions& options = {}, bool cost_gate = false);
 
 }  // namespace purec

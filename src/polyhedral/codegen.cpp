@@ -242,7 +242,8 @@ bool domain_is_imbalanced(const Scop& scop) {
 StmtPtr generate_code(const Scop& scop, const Transform& transform,
                       const CodegenOptions& options,
                       IteratorSubstitution* substitution_out,
-                      std::size_t* collapse_out) {
+                      std::size_t* collapse_out,
+                      std::string* schedule_out) {
   const std::size_t d = scop.depth();
   const std::size_t p = scop.parameters.size();
   const IntMat& T = transform.matrix;
@@ -398,6 +399,7 @@ StmtPtr generate_code(const Scop& scop, const Transform& transform,
   }
 
   // Build loops inside-out: points innermost-first, then tiles.
+  bool parallel_pragma = false;
   StmtPtr current = std::move(body);
   for (std::size_t k = d; k-- > 0;) {
     const VarBounds& vb = bounds[tiled_dims + k];
@@ -418,6 +420,7 @@ StmtPtr generate_code(const Scop& scop, const Transform& transform,
       wrapper->stmts.push_back(std::make_unique<PragmaStmt>(text));
     }
     if (k == inner_parallel_point && k != 0) {
+      parallel_pragma = true;
       std::string text = "#pragma omp parallel for";
       if (!schedule_clause.empty()) text += " " + schedule_clause;
       if (!reduction_clause.empty()) text += " " + reduction_clause;
@@ -462,6 +465,7 @@ StmtPtr generate_code(const Scop& scop, const Transform& transform,
   if (options.parallelize &&
       (parallel_outermost ||
        (inner_parallel_point == 0 && tiled_dims == 0))) {
+    parallel_pragma = true;
     std::string text = "#pragma omp parallel for";
     if (collapse != 0) text += " collapse(" + std::to_string(collapse) + ")";
     if (!schedule_clause.empty()) text += " " + schedule_clause;
@@ -470,6 +474,9 @@ StmtPtr generate_code(const Scop& scop, const Transform& transform,
     result->stmts.push_back(std::make_unique<PragmaStmt>(text));
   }
   result->stmts.push_back(std::move(current));
+  if (parallel_pragma && schedule_out != nullptr) {
+    *schedule_out = schedule_clause;
+  }
   return result;
 }
 
@@ -800,18 +807,6 @@ StmtPtr schedule_region(const Scop& scop,
   rs.fissioned = groups.size() > 1;
   if (!rs.fissioned) return single_nest;
   return fission_block;
-}
-
-StmtPtr annotate_region(const Scop& scop,
-                        const std::vector<Dependence>& deps,
-                        const CodegenOptions& options,
-                        std::vector<std::size_t>* parallel_loops_out) {
-  RegionSchedule rs;
-  StmtPtr out = schedule_region(scop, deps, options, {}, &rs);
-  if (parallel_loops_out != nullptr) {
-    *parallel_loops_out = rs.parallel_loops;
-  }
-  return out;
 }
 
 }  // namespace purec::poly

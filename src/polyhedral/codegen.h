@@ -66,13 +66,18 @@ struct IteratorSubstitution {
 /// band is tiled, parallel in both outer tile dimensions, and the second
 /// tile loop's bounds do not read the first tile iterator, the parallel
 /// pragma carries `collapse(2)`; `collapse_out` receives that count (0
-/// when the pragma has no collapse clause).
+/// when the pragma has no collapse clause). `schedule_out` receives the
+/// schedule clause printed on the parallel pragma: the user's spec, or
+/// `schedule(guided,4)` for an imbalanced domain when there is none;
+/// it is left untouched when no parallel pragma is printed or no nest is
+/// returned.
 [[nodiscard]] StmtPtr generate_code(const Scop& scop,
                                     const Transform& transform,
                                     const CodegenOptions& options,
                                     IteratorSubstitution* substitution_out =
                                         nullptr,
-                                    std::size_t* collapse_out = nullptr);
+                                    std::size_t* collapse_out = nullptr,
+                                    std::string* schedule_out = nullptr);
 
 /// What schedule_region decided, for the chain's report.
 struct RegionSchedule {
@@ -117,13 +122,6 @@ struct RegionSchedule {
     const CodegenOptions& options,
     const std::vector<std::string>& privatizable,
     RegionSchedule* result = nullptr);
-
-/// Back-compat wrapper: schedule_region with no privatizable scalars,
-/// returning only the pragma'd loop indices.
-[[nodiscard]] StmtPtr annotate_region(
-    const Scop& scop, const std::vector<Dependence>& deps,
-    const CodegenOptions& options,
-    std::vector<std::size_t>* parallel_loops_out = nullptr);
 
 /// Replaces occurrences of the old iterator identifiers in `stmt` with
 /// their affine replacements (exposed for the chain's call reinsertion).

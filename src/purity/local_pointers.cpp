@@ -192,6 +192,11 @@ bool LocalPointers::may_be_foreign(const Expr* value) const {
   }
   if (const auto* unary = expr_cast<UnaryExpr>(core)) {
     if (unary->op == UnaryOp::AddrOf) {
+      // `&B[e]` is `B + e`.
+      if (const auto* index = expr_cast<IndexExpr>(unary->operand.get())) {
+        return may_be_foreign(index->base.get()) ||
+               may_be_foreign(index->index.get());
+      }
       return local(unary->operand.get()) == nullptr;
     }
     // Deref is a load: handled by the Through-shape branch below.
@@ -264,6 +269,17 @@ LocalPointers::Definition LocalPointers::define(const Expr* value) const {
 }
 
 LocalPointers::Source LocalPointers::classify(const Expr* value) const {
+  // Pointer arithmetic stays within the base object (defined C), so
+  // `buf + i` and `&buf[i]` carry the pointer operand's provenance,
+  // capped at LocalStorage: an interior pointer is never free()-safe.
+  const auto interior = [this](const Expr* lhs, const Expr* rhs) {
+    Source side = classify(lhs);
+    if (side.direct == Provenance::Foreign && side.copy_of.empty()) {
+      side = classify(rhs);
+    }
+    side.direct = join(side.direct, Provenance::LocalStorage);
+    return side;
+  };
   const Expr* core = strip_casts(value);
   if (const auto* call = expr_cast<CallExpr>(core)) {
     return {is_allocator(call->callee_name()) ? Provenance::Heap
@@ -271,6 +287,10 @@ LocalPointers::Source LocalPointers::classify(const Expr* value) const {
             {}};
   }
   if (const auto* unary = expr_cast<UnaryExpr>(core)) {
+    const auto* index = expr_cast<IndexExpr>(unary->operand.get());
+    if (unary->op == UnaryOp::AddrOf && index != nullptr) {
+      return interior(index->base.get(), index->index.get());
+    }
     const bool local_address = unary->op == UnaryOp::AddrOf &&
                                local(unary->operand.get()) != nullptr;
     return {local_address ? Provenance::LocalStorage : Provenance::Foreign,
@@ -291,15 +311,7 @@ LocalPointers::Source LocalPointers::classify(const Expr* value) const {
   const auto* bin = expr_cast<BinaryExpr>(core);
   if (bin != nullptr &&
       (bin->op == BinaryOp::Add || bin->op == BinaryOp::Sub)) {
-    // Pointer arithmetic stays within the base object (defined C), so
-    // `buf + i` carries the pointer operand's provenance, capped at
-    // LocalStorage: an interior pointer is never free()-safe.
-    Source side = classify(bin->lhs.get());
-    if (side.direct == Provenance::Foreign && side.copy_of.empty()) {
-      side = classify(bin->rhs.get());
-    }
-    side.direct = join(side.direct, Provenance::LocalStorage);
-    return side;
+    return interior(bin->lhs.get(), bin->rhs.get());
   }
   return {Provenance::Foreign, {}};
 }

@@ -1,9 +1,6 @@
 #include "support/source_buffer.h"
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
-#include <stdexcept>
 #include <utility>
 
 namespace purec {
@@ -21,14 +18,6 @@ SourceBuffer::SourceBuffer(std::string name, std::string text)
       line_offsets_.push_back(i + 1);
     }
   }
-}
-
-SourceBuffer SourceBuffer::from_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open source file: " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return SourceBuffer(path, std::move(ss).str());
 }
 
 SourceBuffer SourceBuffer::from_string(std::string text, std::string name) {

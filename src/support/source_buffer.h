@@ -18,8 +18,6 @@ class SourceBuffer {
  public:
   SourceBuffer(std::string name, std::string text);
 
-  /// Reads `path` from disk. Throws std::runtime_error on I/O failure.
-  static SourceBuffer from_file(const std::string& path);
   static SourceBuffer from_string(std::string text,
                                   std::string name = "<string>");
 

@@ -85,29 +85,6 @@ void join_report(const json::Value& report, TraceSummary* summary) {
       region.decisions = decisions;
     }
   }
-  // v4 reports carry the memo cost model: static cost_nodes plus, when the
-  // compile consumed a --memoize-profile, the measured reuse and score.
-  const json::Value* memoization = report.find("memoization");
-  const json::Value* functions =
-      memoization != nullptr ? memoization->find("functions") : nullptr;
-  const std::vector<json::Value>* rows =
-      functions != nullptr ? functions->as_array() : nullptr;
-  if (rows == nullptr) return;
-  for (const json::Value& fn : *rows) {
-    MemoModelRow row;
-    row.function = find_string(fn, "function");
-    row.memoizable = find_bool(fn, "memoizable");
-    row.cost_nodes = find_int(fn, "cost_nodes");
-    row.reason = find_string(fn, "reason");
-    const json::Value* profile = fn.find("profile");
-    if (profile != nullptr && !profile->is_null()) {
-      row.profiled = true;
-      row.hits = static_cast<std::uint64_t>(find_int(*profile, "hits"));
-      row.misses = static_cast<std::uint64_t>(find_int(*profile, "misses"));
-      row.score = find_double(*profile, "score");
-    }
-    summary->memo_model.push_back(std::move(row));
-  }
 }
 
 [[nodiscard]] std::string format_fixed(double v) {
@@ -219,20 +196,6 @@ std::string render_trace_summary(const TraceSummary& s) {
       out += region.decisions;
       out += ")\n";
     }
-  }
-  for (const MemoModelRow& row : s.memo_model) {
-    out += "purecc-trace: memo-model " + row.function +
-           " cost_nodes=" + std::to_string(row.cost_nodes);
-    if (row.profiled) {
-      out += " hits=" + std::to_string(row.hits) +
-             " misses=" + std::to_string(row.misses) +
-             " score=" + format_fixed(row.score);
-    }
-    out += row.memoizable ? " -> memoized" : " -> rejected";
-    if (!row.memoizable && !row.reason.empty()) {
-      out += " (" + row.reason + ")";
-    }
-    out += "\n";
   }
   if (s.dropped > 0) {
     out += "purecc-trace: dropped events=" + std::to_string(s.dropped) +

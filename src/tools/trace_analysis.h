@@ -41,27 +41,10 @@ struct RegionTrace {
   std::string decisions;        ///< compact "fission=2g/1p fused=1 ..." tail
 };
 
-/// One function's memoization cost-model trail, lifted from a v4 report's
-/// memoization.functions[]: the static cost proxy plus (when the report
-/// came from a --memoize-profile run) the measured reuse and its score.
-struct MemoModelRow {
-  std::string function;
-  bool memoizable = false;
-  std::int64_t cost_nodes = 0;
-  bool profiled = false;
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  double score = 0.0;
-  std::string reason;  ///< rejection reason; empty when memoized
-};
-
 struct TraceSummary {
   std::map<std::string, RegionTrace> regions;  ///< keyed by region name
   std::uint64_t dropped = 0;  ///< summed args.dropped of overflow markers
   std::int64_t report_version = 0;  ///< 0 when no report was joined
-  /// Memo cost-model scores joined from the report (v4+); empty when the
-  /// report predates them or memoization was off.
-  std::vector<MemoModelRow> memo_model;
 };
 
 /// Aggregates a parsed trace array; `report` (nullable) joins compiler

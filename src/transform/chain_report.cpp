@@ -50,11 +50,12 @@ json::Value build_chain_report(const ChainArtifacts& artifacts,
   report.set("tool", "purecc");
   // v3: scops[] entries carry region_id, the stable join key the runtime
   // stamps on trace events (purecc trace joins the two by it).
-  // v4: memoization.functions[] entries carry the cost-model trail —
-  // cost_nodes plus the --memoize-profile decision (hits/misses/score) —
-  // and options echoes memoize_verify / memoize_profile. scops[] entries
-  // since gained `delinearized` and `collapse` (additive, still v4).
-  report.set("report_version", 4);
+  // v4: memoization.functions[] entries carry cost_nodes, and options
+  // echoes memoize_verify. scops[] entries since gained `delinearized`
+  // and `collapse` (additive, still v4).
+  // v5: the profile-scored memo gate is gone, so memoization.functions[]
+  // entries lose `profile` and options loses the gate's flag.
+  report.set("report_version", 5);
   report.set("ok", artifacts.ok);
 
   json::Value opts = json::Value::object();
@@ -68,7 +69,6 @@ json::Value build_chain_report(const ChainArtifacts& artifacts,
   opts.set("memoize", options.memoize);
   opts.set("memoize_all", options.memoize_all);
   opts.set("memoize_verify", options.memoize_verify);
-  opts.set("memoize_profile", options.has_memoize_profile);
   opts.set("fp_reductions", options.fp_reductions);
   opts.set("gcc_attributes", options.emit_gcc_attributes);
   opts.set("instrument", options.instrument);
@@ -175,18 +175,9 @@ json::Value build_chain_report(const ChainArtifacts& artifacts,
       snapshot.push(global);
     }
     entry.set("global_snapshot", std::move(snapshot));
-    // v4 cost-model trail: the static cost proxy always, the measured
-    // reuse + score only when a --memoize-profile run observed traffic.
+    // The node count the compile-time gate reads for a single-`return`
+    // body.
     entry.set("cost_nodes", static_cast<std::int64_t>(info.cost_nodes));
-    if (info.profiled) {
-      json::Value prof = json::Value::object();
-      prof.set("hits", static_cast<std::int64_t>(info.profile_hits));
-      prof.set("misses", static_cast<std::int64_t>(info.profile_misses));
-      prof.set("score", info.profile_score);
-      entry.set("profile", std::move(prof));
-    } else {
-      entry.set("profile", json::Value(nullptr));
-    }
     memo_fns.push(std::move(entry));
   }
   memo.set("functions", std::move(memo_fns));

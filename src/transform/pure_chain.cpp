@@ -696,6 +696,18 @@ void append_to_body(ForStmt& loop, StmtPtr extra) {
   }
 }
 
+/// Copies what schedule_region decided into the scop's report.
+void record_region_schedule(const poly::RegionSchedule& rs,
+                            ScopReport& report) {
+  report.parallelized = !rs.parallel_loops.empty();
+  report.parallel_loops = rs.parallel_loops.size();
+  report.fissioned = rs.fissioned;
+  report.fission_groups = rs.groups;
+  report.fission_parallel_groups = rs.parallel_groups;
+  report.privatized = rs.privatized;
+  report.schedule_clause = rs.schedule_clause;
+}
+
 }  // namespace
 
 ChainArtifacts run_pure_chain(const std::string& source,
@@ -780,8 +792,7 @@ ChainArtifacts run_pure_chain(const std::string& source,
   if (options.memoize) {
     artifacts.memoization = classify_memoizable(
         tu, symbols, purity.pure_functions, purity_options,
-        /*cost_gate=*/!options.memoize_all,
-        options.has_memoize_profile ? &options.memoize_profile : nullptr);
+        /*cost_gate=*/!options.memoize_all);
   }
 
   mark_scops(tu, purity.scop_loops);
@@ -1144,17 +1155,7 @@ ChainArtifacts run_pure_chain(const std::string& source,
         poly::RegionSchedule rs;
         generated = poly::schedule_region(scop, deps, cg, privatizable,
                                           &rs);
-        if (generated) {
-          report.parallelized = !rs.parallel_loops.empty();
-          report.parallel_loops = rs.parallel_loops.size();
-          report.fissioned = rs.fissioned;
-          report.fission_groups = rs.groups;
-          report.fission_parallel_groups = rs.parallel_groups;
-          report.privatized = rs.privatized;
-          if (report.parallelized) {
-            report.schedule_clause = rs.schedule_clause;
-          }
-        }
+        if (generated) record_region_schedule(rs, report);
       } else {
         // Privatized scalars' dependences are exempt from schedule
         // legality (each thread gets its own copy); generate_code emits
@@ -1185,7 +1186,8 @@ ChainArtifacts run_pure_chain(const std::string& source,
         scop_iterators = scop.iterators;
 
         generated = poly::generate_code(scop, transform, cg, &iter_subst,
-                                        &report.collapse);
+                                        &report.collapse,
+                                        &report.schedule_clause);
         if (generated) {
           report.parallelized = cg.parallelize && transform.any_parallel();
           if (report.parallelized) {
@@ -1195,17 +1197,7 @@ ChainArtifacts run_pure_chain(const std::string& source,
           report.tiled = options.tile && transform.band_size >= 2 &&
                          options.tile_size > 1;
         }
-        if (report.parallelized) {
-          // Mirror codegen's schedule policy for the report: the user's
-          // spec wins; with none, imbalanced (triangular) domains get
-          // the guided fallback (see poly::domain_is_imbalanced).
-          ScheduleSpec effective = options.schedule;
-          if (effective.empty() && poly::domain_is_imbalanced(scop)) {
-            effective.kind = OmpScheduleKind::Guided;
-            effective.chunk = 4;
-          }
-          report.schedule_clause = effective.clause();
-        } else if (cg.parallelize) {
+        if (!report.parallelized && cg.parallelize) {
           // The hyperplane path left the nest serial: fall back to
           // statement-level fission — a partially parallel nest splits
           // into a serial loop plus a parallel loop instead of
@@ -1218,13 +1210,7 @@ ChainArtifacts run_pure_chain(const std::string& source,
             generated = std::move(fissioned);
             scop_iterators.clear();
             iter_subst = poly::IteratorSubstitution{};
-            report.parallelized = true;
-            report.parallel_loops = rs.parallel_loops.size();
-            report.fissioned = true;
-            report.fission_groups = rs.groups;
-            report.fission_parallel_groups = rs.parallel_groups;
-            report.privatized = rs.privatized;
-            report.schedule_clause = rs.schedule_clause;
+            record_region_schedule(rs, report);
             report.skewed = false;
             report.tiled = false;
           }

@@ -76,12 +76,6 @@ struct ChainOptions {
   /// argument/global words and compare them on a hit, so the 2^-25
   /// fingerprint-aliasing bound no longer applies. Implies memoize.
   bool memoize_verify = false;
-  /// `--memoize-profile=FILE` (the CLI parses the PUREC_MEMO_STATS dump
-  /// into this map): when `has_memoize_profile`, the classifier swaps the
-  /// shape-based cost gate for the profile-informed model — only thunks
-  /// with demonstrated reuse x callee cost survive (memo/memoizable.h).
-  MemoProfile memoize_profile;
-  bool has_memoize_profile = false;
   /// `purecc --fp-reductions`: allow +/-/* reductions on float/double
   /// accumulators. Off by default because OpenMP's per-thread partials
   /// reassociate the combination, which changes FP rounding relative to

@@ -131,7 +131,7 @@ TEST(ChainReportSchema, EveryAcceptedFixtureCarriesTheFullDecisionTrail) {
     const json::Value report = build_chain_report(artifacts, options);
     ASSERT_EQ(report.kind(), json::Value::Kind::Object);
     EXPECT_EQ(report.find("tool")->as_string(), "purecc");
-    EXPECT_EQ(report.find("report_version")->as_int(), 4);
+    EXPECT_EQ(report.find("report_version")->as_int(), 5);
     EXPECT_TRUE(report.find("ok")->as_bool());
 
     // Options echo: every chain knob must be stated.

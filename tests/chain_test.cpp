@@ -345,6 +345,33 @@ TEST(Chain, GuidedScheduleRoundTripsThroughChain) {
             std::string::npos);
 }
 
+TEST(Chain, ReportsTheScheduleClauseCodegenPrinted) {
+  // A triangular classic nest gets the guided default; a user spec wins.
+  // The report states whichever clause the pragma carries.
+  const auto expect_clause = [](const ChainOptions& options,
+                                const std::string& clause) {
+    const ChainArtifacts a = run_pure_chain(
+        "float** L;\n"
+        "void k(int n) {\n"
+        "  for (int i = 0; i < n; i++)\n"
+        "    for (int j = 0; j <= i; j++)\n"
+        "      L[i][j] = 1.0f;\n"
+        "}\n",
+        options);
+    ASSERT_TRUE(a.ok) << a.diagnostics.format();
+    ASSERT_EQ(a.scops.size(), 1u);
+    EXPECT_FALSE(a.scops[0].region);
+    EXPECT_EQ(a.scops[0].schedule_clause, clause);
+    EXPECT_NE(a.final_source.find("#pragma omp parallel for " + clause),
+              std::string::npos)
+        << a.final_source;
+  };
+  ChainOptions options;
+  expect_clause(options, "schedule(guided,4)");
+  options.schedule = *ScheduleSpec::parse("dynamic,1");
+  expect_clause(options, "schedule(dynamic,1)");
+}
+
 TEST(Chain, SicaModeEmitsSimd) {
   ChainOptions options;
   options.mode = TransformMode::PlutoSica;

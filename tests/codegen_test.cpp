@@ -216,20 +216,35 @@ TEST(Codegen, TriangularNestDefaultsToGuidedSchedule) {
       "    for (int j = 0; j <= i; j++)\n"
       "      L[i][j] = 1.0f;\n"
       "}\n");
+  // The caller reads back the clause codegen printed instead of
+  // re-deriving the policy.
   CodegenOptions options;
   options.tile = false;
-  StmtPtr generated = generate_code(p.scop, p.transform, options);
+  std::string clause;
+  StmtPtr generated = generate_code(p.scop, p.transform, options, nullptr,
+                                    nullptr, &clause);
   ASSERT_NE(generated, nullptr);
   EXPECT_NE(print_c(*generated).find("schedule(guided,4)"),
             std::string::npos)
       << print_c(*generated);
+  EXPECT_EQ(clause, "schedule(guided,4)");
 
   // An explicit user spec always wins over the imbalance default.
   options.schedule = *ScheduleSpec::parse("dynamic,1");
-  StmtPtr user = generate_code(p.scop, p.transform, options);
+  StmtPtr user = generate_code(p.scop, p.transform, options, nullptr,
+                               nullptr, &clause);
   ASSERT_NE(user, nullptr);
   EXPECT_NE(print_c(*user).find("schedule(dynamic,1)"), std::string::npos);
   EXPECT_EQ(print_c(*user).find("guided"), std::string::npos);
+  EXPECT_EQ(clause, "schedule(dynamic,1)");
+
+  // No parallel pragma, no clause read back.
+  options.parallelize = false;
+  clause = "<untouched>";
+  ASSERT_NE(generate_code(p.scop, p.transform, options, nullptr, nullptr,
+                          &clause),
+            nullptr);
+  EXPECT_EQ(clause, "<untouched>");
 }
 
 TEST(Codegen, RectangularNestKeepsNoScheduleClause) {
@@ -242,10 +257,13 @@ TEST(Codegen, RectangularNestKeepsNoScheduleClause) {
       "}\n");
   CodegenOptions options;
   options.tile = false;
-  StmtPtr generated = generate_code(p.scop, p.transform, options);
+  std::string clause = "<untouched>";
+  StmtPtr generated = generate_code(p.scop, p.transform, options, nullptr,
+                                    nullptr, &clause);
   ASSERT_NE(generated, nullptr);
   EXPECT_EQ(print_c(*generated).find("schedule("), std::string::npos)
       << print_c(*generated);
+  EXPECT_EQ(clause, "");
 }
 
 TEST(Codegen, TimeStencilSkewedAndTiledIsEquivalent) {

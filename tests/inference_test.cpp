@@ -771,6 +771,42 @@ TEST(Inference, InfersTheUnannotatedMatmulHelpers) {
   EXPECT_NE(main_purity.reason.find("global 'C'"), std::string::npos);
 }
 
+TEST(Inference, WriteThroughAnElementAddressOfALocalArrayIsPure) {
+  // `&a[3]` is `a + 3`: local storage, the object the chain resolves p
+  // onto. The same shape over a parameter still writes caller memory.
+  auto out = infer(
+      "int e(int n) {\n"
+      "  int a[8];\n"
+      "  int* p = &a[3];\n"
+      "  *p = n;\n"
+      "  return a[3];\n"
+      "}\n"
+      "int q(int* x, int n) {\n"
+      "  int* p = &x[3];\n"
+      "  *p = n;\n"
+      "  return n;\n"
+      "}\n");
+  EXPECT_EQ(out.result.inferred_pure, (std::set<std::string>{"e"}));
+  EXPECT_NE(purity_of(out, "q").reason.find("'p'"), std::string::npos)
+      << purity_of(out, "q").reason;
+}
+
+TEST(ExternEffects, MemcpyIntoAnElementAddressFollowsItsBase) {
+  auto out = infer(
+      "int f(int* src, int n) {\n"
+      "  int buf[16];\n"
+      "  memcpy(&buf[2], src, n * sizeof(int));\n"
+      "  return buf[2];\n"
+      "}\n"
+      "int g(int* dst, int* src, int n) {\n"
+      "  memcpy(&dst[2], src, n * sizeof(int));\n"
+      "  return n;\n"
+      "}\n");
+  EXPECT_EQ(out.result.inferred_pure, (std::set<std::string>{"f"}));
+  EXPECT_NE(purity_of(out, "g").reason.find("'memcpy'"), std::string::npos)
+      << purity_of(out, "g").reason;
+}
+
 TEST(Inference, MutuallyRecursivePairConverges) {
   auto out = infer(
       "int is_odd(int n);\n"

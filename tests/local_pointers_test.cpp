@@ -69,13 +69,13 @@ const Row kRows[] = {
      "  int* p = h;\n"
      "  p[1] = n;\n",
      "p", Provenance::Heap, "h+0"},
-    // An element address resolves for the chain, but provenance does not
-    // look into `&X[k]` yet: a write through p would be rejected.
+    // `&X[k]` is `X + k`: the base's provenance, capped at LocalStorage,
+    // and the same base the chain resolves.
     {"element_address", "int n",
      "  int a[8];\n"
      "  int* p = &a[3];\n"
      "  int r = p[0];\n",
-     "p", Provenance::Foreign, "a+3"},
+     "p", Provenance::LocalStorage, "a+3"},
     {"strtol_end_pointer", "PURE char* s, int n",
      "  char buf[8];\n"
      "  char* end = buf;\n"

@@ -34,8 +34,7 @@ struct ClassifyOutcome {
 /// names assumed without verification), and classifies.
 ClassifyOutcome classify(const std::string& src,
                          std::set<std::string> extra_pure = {},
-                         bool cost_gate = false,
-                         const MemoProfile* profile = nullptr) {
+                         bool cost_gate = false) {
   ClassifyOutcome out;
   SourceBuffer buf = SourceBuffer::from_string(src);
   out.tu = std::make_unique<TranslationUnit>(parse(buf, out.diags));
@@ -49,7 +48,7 @@ ClassifyOutcome classify(const std::string& src,
   const PurityResult purity = checker.check();
   out.result = classify_memoizable(*out.tu, *out.symbols,
                                    purity.pure_functions, options,
-                                   cost_gate, profile);
+                                   cost_gate);
   return out;
 }
 
@@ -216,22 +215,36 @@ TEST(Memoizable, SummaryNamesBothSides) {
 }
 
 // ---------------------------------------------------------------------------
-// Profile-informed cost gate (--memoize-profile)
+// Compile-time cost gate
 // ---------------------------------------------------------------------------
 
-constexpr const char* kProfileFixture =
-    "pure float heavy(float a, float b) {\n"
-    "  float acc = a * b + a;\n"
-    "  acc = acc * acc + b * b;\n"
-    "  acc = acc * 0.5f + a * b;\n"
-    "  return acc * acc + 1.0f;\n"
-    "}\n"
-    "pure float cold(float a, float b) {\n"
-    "  float acc = a * b + a;\n"
-    "  acc = acc * acc + b * b;\n"
-    "  return acc;\n"
-    "}\n"
-    "pure float unseen(float a) { return a * 2.0f; }\n";
+TEST(Memoizable, CostGateReadsTheReportedNodeCount) {
+  // One node count both decides and is reported: the 3-node `mult` leaf
+  // (a * b) is rejected with that count, and cost_nodes says 3.
+  const ClassifyOutcome out =
+      classify(testsrc::kMatmul, {}, /*cost_gate=*/true);
+  const MemoFunctionInfo& mult = info_of(out, "mult");
+  EXPECT_FALSE(mult.memoizable);
+  EXPECT_NE(mult.reason.find("3 node(s)"), std::string::npos) << mult.reason;
+  EXPECT_EQ(mult.cost_nodes, 3u);
+}
+
+TEST(Memoizable, CostGatePricesOnlySingleReturnBodies) {
+  // A multi-statement body is not shape-gated, however few its nodes.
+  const ClassifyOutcome out = classify(
+      "pure int twice(int a) {\n"
+      "  int b = a;\n"
+      "  return b + b;\n"
+      "}\n",
+      {}, /*cost_gate=*/true);
+  const MemoFunctionInfo& twice = info_of(out, "twice");
+  EXPECT_TRUE(twice.memoizable) << twice.reason;
+  EXPECT_LT(twice.cost_nodes, kMemoTrivialExprNodes);
+}
+
+// ---------------------------------------------------------------------------
+// Stats-dump parsing
+// ---------------------------------------------------------------------------
 
 TEST(MemoProfile, ParseSumsFleetDumps) {
   // One PUREC_MEMO_STATS dump per process in a fleet: entries for the
@@ -263,59 +276,6 @@ TEST(MemoProfile, ParseReadsTheOptionalBypassedField) {
   EXPECT_EQ(profile.at("shade").bypassed, 900u);
   EXPECT_EQ(profile.at("other").misses, 1024u);
   EXPECT_EQ(profile.at("other").bypassed, 7u);
-}
-
-TEST(Memoizable, ProfileGateKeepsDemonstratedReuseOnly) {
-  MemoProfile profile;
-  profile["heavy"] = {900, 100, 0};  // reuse 9x: survives
-  profile["cold"] = {0, 500, 0};     // traffic but zero reuse: rejected
-  // "unseen" absent: the thunk was never exercised.
-  const ClassifyOutcome out =
-      classify(kProfileFixture, {}, /*cost_gate=*/true, &profile);
-
-  const MemoFunctionInfo& heavy = info_of(out, "heavy");
-  EXPECT_TRUE(heavy.memoizable) << heavy.reason;
-  EXPECT_TRUE(heavy.profiled);
-  EXPECT_EQ(heavy.profile_hits, 900u);
-  EXPECT_GT(heavy.cost_nodes, 0u);
-  EXPECT_GE(heavy.profile_score, kMemoProfileScoreMin);
-
-  const MemoFunctionInfo& cold = info_of(out, "cold");
-  EXPECT_FALSE(cold.memoizable);
-  EXPECT_NE(cold.reason.find("profile shows no reuse"), std::string::npos)
-      << cold.reason;
-
-  const MemoFunctionInfo& unseen = info_of(out, "unseen");
-  EXPECT_FALSE(unseen.memoizable);
-  EXPECT_NE(unseen.reason.find("no observed traffic"), std::string::npos)
-      << unseen.reason;
-}
-
-TEST(Memoizable, ProfileScoreBelowGateRejectsThinReuse) {
-  MemoProfile profile;
-  profile["heavy"] = {1, 1000, 0};  // reuse 0.001x: score under the gate
-  const ClassifyOutcome out =
-      classify(kProfileFixture, {}, /*cost_gate=*/true, &profile);
-  const MemoFunctionInfo& heavy = info_of(out, "heavy");
-  EXPECT_FALSE(heavy.memoizable);
-  EXPECT_NE(heavy.reason.find("profile score"), std::string::npos)
-      << heavy.reason;
-}
-
-TEST(Memoizable, MemoizeAllKeepsProfileAnnotationsWithoutRejecting) {
-  // --memoize=all (cost_gate off) still records the profile verdicts —
-  // the report shows the scores — but nothing is rejected by them.
-  MemoProfile profile;
-  profile["cold"] = {0, 500, 0};
-  const ClassifyOutcome out =
-      classify(kProfileFixture, {}, /*cost_gate=*/false, &profile);
-  const MemoFunctionInfo& cold = info_of(out, "cold");
-  EXPECT_TRUE(cold.memoizable) << cold.reason;
-  EXPECT_TRUE(cold.profiled);
-  EXPECT_EQ(cold.profile_hits, 0u);
-  const MemoFunctionInfo& unseen = info_of(out, "unseen");
-  EXPECT_TRUE(unseen.memoizable) << unseen.reason;
-  EXPECT_FALSE(unseen.profiled);
 }
 
 // ---------------------------------------------------------------------------

@@ -178,36 +178,6 @@ TEST(AnalyzeTrace, JoinsTheReportByRegionId) {
   EXPECT_NE(text.find("dropped events=5"), std::string::npos) << text;
 }
 
-TEST(AnalyzeTrace, RendersTheMemoCostModelFromAV4Report) {
-  const json::Value trace = parse_or_die(kEmittedTrace);
-  const json::Value report = parse_or_die(R"json({
-    "report_version": 4,
-    "scops": [],
-    "memoization": {
-      "functions": [
-        {"function": "shade", "memoizable": true, "cost_nodes": 41,
-         "reason": null,
-         "profile": {"hits": 900, "misses": 100, "score": 369.0}},
-        {"function": "cold", "memoizable": false, "cost_nodes": 12,
-         "reason": "profile shows no reuse (0 hits over 500 misses)",
-         "profile": null}
-      ]
-    }
-  })json");
-  const auto summary = analyze_trace(trace, &report);
-  ASSERT_TRUE(summary.has_value());
-  ASSERT_EQ(summary->memo_model.size(), 2u);
-  const std::string text = render_trace_summary(*summary);
-  EXPECT_NE(text.find("memo-model shade cost_nodes=41 hits=900 misses=100 "
-                      "score=369.000 -> memoized"),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("memo-model cold cost_nodes=12 -> rejected "
-                      "(profile shows no reuse (0 hits over 500 misses))"),
-            std::string::npos)
-      << text;
-}
-
 TEST(AnalyzeTrace, ImbalanceArithmetic) {
   RegionTrace region;
   EXPECT_DOUBLE_EQ(region_imbalance(region), 0.0);
