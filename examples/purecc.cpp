@@ -46,25 +46,22 @@
 //                          schedule, memoizability, inliner/instrument
 //                          decisions) to stderr or FILE; the plain
 //                          --report text is a renderer over the same
-//                          structure (transform/chain_report.h)
+//                          structure (transform/chain_report.h). A
+//                          rejected input still gets the document, with
+//                          "ok": false and an "errors" array in place of
+//                          the diagnostic text
 //     --instrument         emit self-contained observability counters into
 //                          the output C: per parallel region
-//                          invocations/wall-time, a log-bucketed
-//                          wall-time histogram (p50/p90/p99 in the
-//                          summary), and cache-line-padded
+//                          invocations/wall-time and cache-line-padded
 //                          per-worker chunk tallies, dumped at exit as a
 //                          human summary (PUREC_STATS_FILE or stderr) or as
 //                          Chrome trace-event JSON under PUREC_TRACE=FILE
 //
 //   purecc trace [--report report.json] trace.json
 //     Analyze a trace written by an --instrument build: per-region wall
-//     time, worker imbalance, dropped events; with --report, each region is
-//     joined (by region_id) to the compiler's schedule decisions.
-//
-//   purecc trace --diff baseline.json candidate.json [--threshold F]
-//     Region-by-region wall-time comparison; exits 1 when any region
-//     regressed by more than F (fractional, default 0.2 = 20%) — the CI
-//     perf gate.
+//     time, p50/p90/p99 execution time, worker imbalance, dropped events;
+//     with --report, each region is joined (by region_id) to the
+//     compiler's schedule decisions.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -90,86 +87,68 @@ int usage(const char* argv0) {
                "[--memoize[=all|=verify]]\n"
                "          [--fp-reductions] [--gcc-attributes] [--instrument]\n"
                "          [--stage NAME] [--report[=json[:FILE]]] input.c\n"
-               "       %s trace [--report report.json] trace.json\n"
-               "       %s trace --diff baseline.json candidate.json "
-               "[--threshold F]\n",
-               argv0, argv0, argv0);
+               "       %s trace [--report report.json] trace.json\n",
+               argv0, argv0);
   return 2;
+}
+
+/// Writes the --report=json document to `path` (stderr when empty);
+/// false, with a diagnostic, when the file cannot be written.
+bool write_json_report(const purec::json::Value& report,
+                       const std::string& path) {
+  const std::string serialized = report.dump(2) + "\n";
+  if (path.empty()) {
+    std::fputs(serialized.c_str(), stderr);
+    return true;
+  }
+  std::ofstream rf(path);
+  if (!rf) {
+    std::fprintf(stderr, "purecc: cannot write %s\n", path.c_str());
+    return false;
+  }
+  rf << serialized;
+  return true;
 }
 
 int trace_main(int argc, char** argv) {
   std::string report_path;
-  std::vector<std::string> trace_paths;
-  double threshold = 0.2;
-  bool diff = false;
+  std::string trace_path;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      return (i + 1 < argc) ? argv[++i] : nullptr;
-    };
-    if (arg == "--report") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      report_path = v;
-    } else if (arg == "--diff") {
-      diff = true;
-    } else if (arg == "--threshold") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      char* end = nullptr;
-      threshold = std::strtod(v, &end);
-      if (end == nullptr || *end != '\0' || threshold < 0.0) {
-        std::fprintf(stderr, "purecc: invalid --threshold '%s'\n", v);
-        return 2;
-      }
-    } else if (!arg.empty() && arg[0] == '-') {
+    if (arg == "--report" && i + 1 < argc) {
+      report_path = argv[++i];
+    } else if (arg.empty() || arg[0] == '-' || !trace_path.empty()) {
       return usage(argv[0]);
     } else {
-      trace_paths.push_back(arg);
+      trace_path = arg;
     }
   }
-  if (diff ? trace_paths.size() != 2 : trace_paths.size() != 1) {
-    return usage(argv[0]);
-  }
+  if (trace_path.empty()) return usage(argv[0]);
 
+  std::string error;
   std::optional<purec::json::Value> report;
   if (!report_path.empty()) {
-    std::string error;
     report = purec::tools::load_json_file(report_path, &error);
     if (!report.has_value()) {
       std::fprintf(stderr, "purecc: %s\n", error.c_str());
       return 2;
     }
   }
-
-  std::vector<purec::tools::TraceSummary> summaries;
-  for (const std::string& path : trace_paths) {
-    std::string error;
-    const std::optional<purec::json::Value> trace =
-        purec::tools::load_json_file(path, &error);
-    if (!trace.has_value()) {
-      std::fprintf(stderr, "purecc: %s\n", error.c_str());
-      return 2;
-    }
-    const std::optional<purec::tools::TraceSummary> summary =
-        purec::tools::analyze_trace(
-            *trace, report.has_value() ? &*report : nullptr, &error);
-    if (!summary.has_value()) {
-      std::fprintf(stderr, "purecc: %s: %s\n", path.c_str(),
-                   error.c_str());
-      return 2;
-    }
-    summaries.push_back(*summary);
+  const std::optional<purec::json::Value> trace =
+      purec::tools::load_json_file(trace_path, &error);
+  if (!trace.has_value()) {
+    std::fprintf(stderr, "purecc: %s\n", error.c_str());
+    return 2;
   }
-
-  if (diff) {
-    const purec::tools::TraceDiff result =
-        purec::tools::diff_traces(summaries[0], summaries[1], threshold);
-    std::fputs(result.text.c_str(), stdout);
-    return result.regression ? 1 : 0;
+  const std::optional<purec::tools::TraceSummary> summary =
+      purec::tools::analyze_trace(
+          *trace, report.has_value() ? &*report : nullptr, &error);
+  if (!summary.has_value()) {
+    std::fprintf(stderr, "purecc: %s: %s\n", trace_path.c_str(),
+                 error.c_str());
+    return 2;
   }
-  std::fputs(purec::tools::render_trace_summary(summaries[0]).c_str(),
-             stdout);
+  std::fputs(purec::tools::render_trace_summary(*summary).c_str(), stdout);
   return 0;
 }
 
@@ -282,7 +261,16 @@ int main(int argc, char** argv) {
 
   purec::ChainArtifacts artifacts = purec::run_pure_chain(source, options);
   if (!artifacts.ok) {
-    std::fputs(artifacts.diagnostics.format().c_str(), stderr);
+    // A rejected input still gets its JSON report (ok false, errors[]);
+    // on stderr that document replaces the diagnostic text.
+    if (!report_json || !report_path.empty()) {
+      std::fputs(artifacts.diagnostics.format().c_str(), stderr);
+    }
+    if (report_json &&
+        !write_json_report(purec::build_chain_report(artifacts, options),
+                           report_path)) {
+      return 2;
+    }
     return 1;
   }
 
@@ -311,18 +299,7 @@ int main(int argc, char** argv) {
     const purec::json::Value chain_report =
         purec::build_chain_report(artifacts, options);
     if (report_json) {
-      const std::string serialized = chain_report.dump(2) + "\n";
-      if (report_path.empty()) {
-        std::fputs(serialized.c_str(), stderr);
-      } else {
-        std::ofstream rf(report_path);
-        if (!rf) {
-          std::fprintf(stderr, "purecc: cannot write %s\n",
-                       report_path.c_str());
-          return 2;
-        }
-        rf << serialized;
-      }
+      if (!write_json_report(chain_report, report_path)) return 2;
     } else {
       std::fputs(purec::render_report_text(chain_report).c_str(), stderr);
     }

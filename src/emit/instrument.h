@@ -10,11 +10,15 @@
 // cost is bounded — one padded add per claimed outer iteration, one
 // clock_gettime pair per region execution — and there is no lock anywhere.
 //
-// The atexit sink writes a human summary to the shared stats stream
-// (purec_stats_out(): PUREC_STATS_FILE or stderr). Under PUREC_TRACE=FILE
-// it instead writes Chrome trace-event JSON — one "X" duration event per
-// region execution plus one "C" counter event per region carrying the
-// per-worker chunk tallies — loadable in chrome://tracing or Perfetto.
+// Each region's constructor-time registrar links it into one id-ordered
+// list, so any number of regions reach the dump. The atexit sink writes a
+// human summary (invocations, total wall time, per-worker tallies) to the
+// shared stats stream (purec_stats_out(): PUREC_STATS_FILE or stderr).
+// Under PUREC_TRACE=FILE it instead writes Chrome trace-event JSON — one
+// "X" duration event per region execution plus one "C" counter event per
+// region carrying the per-worker chunk tallies — loadable in
+// chrome://tracing or Perfetto. The "X" events are the only per-execution
+// latency record; `purecc trace` derives the percentiles from them.
 #pragma once
 
 #include <cstddef>

@@ -1,38 +1,35 @@
 
-/* --instrument runtime: per-region invocation/wall-time counters,
- * per-worker chunk tallies, and a log-bucketed wall-time histogram per
- * region (HdrHistogram-style: exact below 2^3 ns, then 8 linear
- * sub-buckets per power of two, so a cell is at most 1/8 of its lower
- * bound wide). Workers bump their own cache-line-padded cell with a relaxed
- * __atomic add (the per-CPU counter pattern), so the hot path is one
- * padded add per claimed outer iteration — no lock, no shared line. The
- * atexit dump writes a human summary (with p50/p90/p99) to
+/* --instrument runtime: per-region invocation/wall-time counters and
+ * per-worker chunk tallies. Workers bump their own cache-line-padded cell
+ * with a relaxed __atomic add (the per-CPU counter pattern), so the hot
+ * path is one padded add per claimed outer iteration — no lock, no shared
+ * line. Each region's registrar links it into one list, kept in region-id
+ * order, so no fixed table caps the region count. The atexit dump writes
+ * a human summary (invocations, total wall time, per-worker tallies) to
  * purec_stats_out(); with PUREC_TRACE=FILE set it instead writes Chrome
  * trace-event JSON (one "X" duration event per region execution carrying
  * the region's stable id in args, one "C" counter event per region with
  * the per-worker totals, "M" metadata naming process and thread) for
- * chrome://tracing or Perfetto. The trace file is a bare JSON array,
+ * chrome://tracing or Perfetto. The trace is the one per-execution
+ * latency record: `purecc trace` reads its percentiles from the "X"
+ * events. The trace file is a bare JSON array,
  * cooperatively appended: an existing array at the path (for example an
  * earlier run's dump) has its closing bracket replaced by a comma and the
  * new events spliced in, so any number of sequential dumps to one path
  * remain one valid timeline. */
 typedef unsigned long long purec_instr_u64;
 #define PUREC_INSTR_MAX_WORKERS 64
-#define PUREC_INSTR_MAX_REGIONS 64
 #define PUREC_INSTR_TRACE_CAP 65536
-#define PUREC_INSTR_HIST_SUB_BITS 3
-#define PUREC_INSTR_HIST_SUB 8
-#define PUREC_INSTR_HIST_CELLS 496
 typedef struct {
   purec_instr_u64 count;
   char purec_pad[56];
 } purec_instr_cell;
-typedef struct {
+typedef struct purec_instr_region {
   const char* name; /* "function:line" of the transformed nest */
   unsigned id;      /* stable region id; joins report scops[].region_id */
+  struct purec_instr_region* next; /* registry link, ascending id */
   purec_instr_u64 invocations;
   purec_instr_u64 total_ns;
-  purec_instr_u64 hist[PUREC_INSTR_HIST_CELLS]; /* wall time (ns) */
   purec_instr_cell chunks[PUREC_INSTR_MAX_WORKERS];
 } purec_instr_region_t;
 typedef struct {
@@ -41,8 +38,7 @@ typedef struct {
   purec_instr_u64 end_ns;
 } purec_instr_event;
 
-static purec_instr_region_t* purec_instr_regions[PUREC_INSTR_MAX_REGIONS];
-static unsigned purec_instr_region_count;
+static purec_instr_region_t* purec_instr_regions;
 static purec_instr_event* purec_instr_events;
 static unsigned long purec_instr_event_next;
 
@@ -67,59 +63,12 @@ static void purec_instr_chunk(purec_instr_region_t* purec_r) {
                      __ATOMIC_RELAXED);
 }
 
-/* Histogram cell math: cell i holds the values (upper(i - 1), upper(i)],
- * and the cells tile [0, 2^64) without gaps. A percentile reports the
- * upper bound of the cell it lands in. */
-static unsigned purec_instr_hist_index(purec_instr_u64 purec_v) {
-  int purec_msb, purec_shift;
-  if (purec_v < PUREC_INSTR_HIST_SUB) return (unsigned)purec_v;
-  purec_msb = 63 - __builtin_clzll(purec_v);
-  purec_shift = purec_msb - PUREC_INSTR_HIST_SUB_BITS;
-  return (unsigned)(((purec_shift + 1) << PUREC_INSTR_HIST_SUB_BITS) |
-                    (int)((purec_v >> purec_shift) &
-                          (PUREC_INSTR_HIST_SUB - 1)));
-}
-
-static purec_instr_u64 purec_instr_hist_upper(unsigned purec_i) {
-  int purec_shift;
-  purec_instr_u64 purec_lower;
-  if (purec_i < PUREC_INSTR_HIST_SUB) return purec_i;
-  purec_shift = (int)(purec_i >> PUREC_INSTR_HIST_SUB_BITS) - 1;
-  purec_lower = (purec_instr_u64)(PUREC_INSTR_HIST_SUB +
-                                  (purec_i & (PUREC_INSTR_HIST_SUB - 1)))
-                << purec_shift;
-  return purec_lower + ((1ULL << purec_shift) - 1ULL);
-}
-
-static purec_instr_u64 purec_instr_hist_pct(
-    const purec_instr_u64* purec_hist, purec_instr_u64 purec_count,
-    unsigned purec_percent) {
-  purec_instr_u64 purec_target, purec_cum;
-  unsigned purec_c;
-  if (purec_count == 0) return 0;
-  purec_target = (purec_count * purec_percent + 99) / 100;
-  if (purec_target == 0) purec_target = 1;
-  if (purec_target > purec_count) purec_target = purec_count;
-  purec_cum = 0;
-  for (purec_c = 0; purec_c < PUREC_INSTR_HIST_CELLS; purec_c++) {
-    purec_cum += purec_hist[purec_c];
-    if (purec_cum >= purec_target) {
-      return purec_instr_hist_upper(purec_c);
-    }
-  }
-  return purec_instr_hist_upper(PUREC_INSTR_HIST_CELLS - 1);
-}
-
 static void purec_instr_region_done(purec_instr_region_t* purec_r,
                                     purec_instr_u64 purec_begin_ns) {
   purec_instr_u64 purec_end_ns = purec_instr_now();
   __atomic_fetch_add(&purec_r->invocations, 1ULL, __ATOMIC_RELAXED);
   __atomic_fetch_add(&purec_r->total_ns, purec_end_ns - purec_begin_ns,
                      __ATOMIC_RELAXED);
-  __atomic_fetch_add(
-      &purec_r->hist[purec_instr_hist_index(purec_end_ns -
-                                            purec_begin_ns)],
-      1ULL, __ATOMIC_RELAXED);
   if (purec_instr_events != 0) {
     unsigned long purec_slot = __atomic_fetch_add(
         &purec_instr_event_next, 1UL, __ATOMIC_RELAXED);
@@ -131,10 +80,15 @@ static void purec_instr_region_done(purec_instr_region_t* purec_r,
   }
 }
 
+/* Links a region into the registry, which stays sorted by id whatever
+ * order the constructors run in. */
 static void purec_instr_register(purec_instr_region_t* purec_r) {
-  if (purec_instr_region_count < PUREC_INSTR_MAX_REGIONS) {
-    purec_instr_regions[purec_instr_region_count++] = purec_r;
+  purec_instr_region_t** purec_at = &purec_instr_regions;
+  while (*purec_at != 0 && (*purec_at)->id < purec_r->id) {
+    purec_at = &(*purec_at)->next;
   }
+  purec_r->next = *purec_at;
+  *purec_at = purec_r;
 }
 
 /* Opens the trace path for a cooperative array append: a fresh or empty
@@ -178,7 +132,8 @@ static FILE* purec_instr_trace_open(const char* purec_path,
 
 static void purec_instr_dump(void) {
   const char* purec_trace_path = getenv("PUREC_TRACE");
-  unsigned purec_i, purec_w;
+  const purec_instr_region_t* purec_r;
+  unsigned purec_w;
   if (purec_trace_path != 0 && purec_trace_path[0] != 0 &&
       purec_instr_events != 0) {
     int purec_first = 1;
@@ -211,9 +166,8 @@ static void purec_instr_dump(void) {
                 (double)(purec_e->end_ns - purec_e->begin_ns) / 1000.0,
                 purec_e->region->id);
       }
-      for (purec_i = 0; purec_i < purec_instr_region_count; purec_i++) {
-        const purec_instr_region_t* purec_r =
-            purec_instr_regions[purec_i];
+      for (purec_r = purec_instr_regions; purec_r != 0;
+           purec_r = purec_r->next) {
         int purec_any = 0;
         for (purec_w = 0; purec_w < PUREC_INSTR_MAX_WORKERS; purec_w++) {
           if (purec_r->chunks[purec_w].count != 0) purec_any = 1;
@@ -248,17 +202,12 @@ static void purec_instr_dump(void) {
       return;
     }
   }
-  for (purec_i = 0; purec_i < purec_instr_region_count; purec_i++) {
-    const purec_instr_region_t* purec_r = purec_instr_regions[purec_i];
+  for (purec_r = purec_instr_regions; purec_r != 0;
+       purec_r = purec_r->next) {
     if (purec_r->invocations == 0) continue;
     fprintf(purec_stats_out(),
-            "purec-instr[%s] invocations=%llu total_ns=%llu "
-            "p50_ns=%llu p90_ns=%llu p99_ns=%llu",
-            purec_r->name, purec_r->invocations, purec_r->total_ns,
-            purec_instr_hist_pct(purec_r->hist, purec_r->invocations, 50),
-            purec_instr_hist_pct(purec_r->hist, purec_r->invocations, 90),
-            purec_instr_hist_pct(purec_r->hist, purec_r->invocations,
-                                 99));
+            "purec-instr[%s] invocations=%llu total_ns=%llu",
+            purec_r->name, purec_r->invocations, purec_r->total_ns);
     for (purec_w = 0; purec_w < PUREC_INSTR_MAX_WORKERS; purec_w++) {
       if (purec_r->chunks[purec_w].count == 0) continue;
       fprintf(purec_stats_out(), " w%u=%llu", purec_w,

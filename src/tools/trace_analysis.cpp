@@ -93,12 +93,6 @@ void join_report(const json::Value& report, TraceSummary* summary) {
   return buf;
 }
 
-[[nodiscard]] std::string format_pct(double fraction) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%+.1f%%", fraction * 100.0);
-  return buf;
-}
-
 }  // namespace
 
 std::optional<TraceSummary> analyze_trace(const json::Value& trace,
@@ -150,9 +144,14 @@ std::optional<TraceSummary> analyze_trace(const json::Value& trace,
       }
     } else if (ph == "X" && find_string(event, "cat") == "region") {
       RegionTrace& region = region_for(name, region_id);
+      const double dur = find_double(event, "dur");
       region.executions += 1;
-      region.wall_us += find_double(event, "dur");
+      region.wall_us += dur;
+      region.durations_us.push_back(dur);
     }
+  }
+  for (auto& [name, region] : summary.regions) {
+    std::sort(region.durations_us.begin(), region.durations_us.end());
   }
   if (report != nullptr) join_report(*report, &summary);
   return summary;
@@ -173,6 +172,14 @@ double region_imbalance(const RegionTrace& region) {
          (static_cast<double>(total_chunks) / static_cast<double>(lanes));
 }
 
+double duration_percentile_us(const RegionTrace& region,
+                              unsigned percent) {
+  const std::size_t n = region.durations_us.size();
+  if (n == 0) return 0.0;
+  const std::size_t rank = (n * percent + 99) / 100;
+  return region.durations_us[std::clamp<std::size_t>(rank, 1, n) - 1];
+}
+
 std::string render_trace_summary(const TraceSummary& s) {
   std::string out;
   for (const auto& [name, region] : s.regions) {
@@ -187,6 +194,12 @@ std::string render_trace_summary(const TraceSummary& s) {
     if (region.chunks > 0) {
       out += " chunks=" + std::to_string(region.chunks);
     }
+    if (!region.durations_us.empty()) {
+      for (const unsigned percent : {50u, 90u, 99u}) {
+        out += " p" + std::to_string(percent) + "_us=" +
+               format_fixed(duration_percentile_us(region, percent));
+      }
+    }
     out += "\n";
     if (region.in_report) {
       out += "purecc-trace:   schedule: ";
@@ -199,60 +212,12 @@ std::string render_trace_summary(const TraceSummary& s) {
   }
   if (s.dropped > 0) {
     out += "purecc-trace: dropped events=" + std::to_string(s.dropped) +
-           " (raise the ring capacity or trace a shorter run)\n";
+           " (the run outgrew the trace buffer: executions, wall_ms and "
+           "percentiles cover only the recorded executions; trace a "
+           "shorter run)\n";
   }
   if (out.empty()) out = "purecc-trace: no events\n";
   return out;
-}
-
-TraceDiff diff_traces(const TraceSummary& a, const TraceSummary& b,
-                      double threshold) {
-  TraceDiff diff;
-  double total_a = 0.0;
-  double total_b = 0.0;
-  for (const auto& [name, region_a] : a.regions) {
-    total_a += region_a.wall_us;
-    const auto it = b.regions.find(name);
-    if (it == b.regions.end()) {
-      diff.text += "trace-diff: region " + name +
-                   " only in baseline (wall_ms=" +
-                   format_fixed(region_a.wall_us / 1000.0) + ")\n";
-      continue;
-    }
-    const RegionTrace& region_b = it->second;
-    if (region_a.wall_us <= 0.0) continue;
-    const double delta =
-        (region_b.wall_us - region_a.wall_us) / region_a.wall_us;
-    diff.worst_delta = std::max(diff.worst_delta, delta);
-    const bool flagged = delta > threshold;
-    if (flagged) diff.regression = true;
-    diff.text += "trace-diff: region " + name +
-                 " wall_ms " + format_fixed(region_a.wall_us / 1000.0) +
-                 " -> " + format_fixed(region_b.wall_us / 1000.0) + " (" +
-                 format_pct(delta) + ")" +
-                 (flagged ? " REGRESSION" : "") + "\n";
-  }
-  for (const auto& [name, region_b] : b.regions) {
-    total_b += region_b.wall_us;
-    if (a.regions.find(name) == a.regions.end()) {
-      diff.text += "trace-diff: region " + name +
-                   " only in candidate (wall_ms=" +
-                   format_fixed(region_b.wall_us / 1000.0) + ")\n";
-    }
-  }
-  if (total_a > 0.0) {
-    diff.text += "trace-diff: total wall_ms " +
-                 format_fixed(total_a / 1000.0) + " -> " +
-                 format_fixed(total_b / 1000.0) + " (" +
-                 format_pct((total_b - total_a) / total_a) + ")\n";
-  }
-  char verdict[128];
-  std::snprintf(verdict, sizeof(verdict),
-                "trace-diff: threshold %+.1f%% -> %s (worst %+.1f%%)\n",
-                threshold * 100.0, diff.regression ? "FAIL" : "OK",
-                diff.worst_delta * 100.0);
-  diff.text += verdict;
-  return diff;
 }
 
 std::optional<json::Value> load_json_file(const std::string& path,

@@ -6,13 +6,12 @@
 // JSON report (report_version >= 3), joining the two through the stable
 // `region_id` the compiler stamps on scops and the runtime stamps on
 // events. The result answers the questions a schedule experiment asks:
-// where did the wall time go, how unevenly were the outer iterations split
-// across workers, and which compiler decision (schedule clause, fission,
-// reduction) produced that behavior.
-//
-// `diff_traces` compares two analyses region-by-region and flags wall-time
-// regressions past a threshold — the CI perf gate behind
-// `purecc trace --diff A B`.
+// where did the wall time go, how long did one execution take (exact
+// nearest-rank percentiles over the "X" durations, the only per-execution
+// latency record an --instrument build keeps), how unevenly were the outer
+// iterations split across workers, and which compiler decision (schedule
+// clause, fission, reduction) produced that behavior. Comparing two
+// commits is bench/e2e's job, not this tool's.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +31,7 @@ struct RegionTrace {
   std::int64_t region_id = -1;   ///< args.region_id; -1 when absent
   std::uint64_t executions = 0;  ///< X events with cat "region"
   double wall_us = 0.0;          ///< summed duration of those events
+  std::vector<double> durations_us;  ///< each of those durations, ascending
   std::uint64_t chunks = 0;      ///< outer iterations claimed, all workers
   std::map<std::int64_t, std::uint64_t> workers;  ///< worker -> chunks
   // Joined from the report's scops[] entry (valid when in_report).
@@ -59,22 +59,14 @@ struct TraceSummary {
 /// any. 1.0 = perfectly balanced; 0 when no per-worker data exists.
 [[nodiscard]] double region_imbalance(const RegionTrace& region);
 
+/// The nearest-rank `percent`th percentile (1..100) of the region's
+/// execution durations: the sample at rank ceil(n * percent / 100).
+/// 0 when the region recorded no execution.
+[[nodiscard]] double duration_percentile_us(const RegionTrace& region,
+                                            unsigned percent);
+
 /// The human rendering of one analysis (the `purecc trace` output).
 [[nodiscard]] std::string render_trace_summary(const TraceSummary& s);
-
-struct TraceDiff {
-  bool regression = false;  ///< some region's wall time grew past threshold
-  double worst_delta = 0.0; ///< max (B-A)/A over matched regions
-  std::string text;         ///< per-region comparison + verdict line
-};
-
-/// Region-by-region wall-time comparison (A = baseline, B = candidate).
-/// `threshold` is fractional: 0.2 flags any region whose wall time grew
-/// more than 20%. Regions missing from either side are reported but never
-/// flagged (a disappeared region is a schedule change, not a regression).
-[[nodiscard]] TraceDiff diff_traces(const TraceSummary& a,
-                                    const TraceSummary& b,
-                                    double threshold);
 
 /// Reads and parses one JSON document from `path`.
 [[nodiscard]] std::optional<json::Value> load_json_file(

@@ -54,9 +54,25 @@ json::Value build_chain_report(const ChainArtifacts& artifacts,
   // echoes memoize_verify. scops[] entries since gained `delinearized`
   // and `collapse` (additive, still v4).
   // v5: the profile-scored memo gate is gone, so memoization.functions[]
-  // entries lose `profile` and options loses the gate's flag.
+  // entries lose `profile` and options loses the gate's flag. A rejected
+  // run's report since gained `errors` (additive, still v5).
   report.set("report_version", 5);
   report.set("ok", artifacts.ok);
+  if (!artifacts.ok) {
+    // A rejected input: the diagnostics that stopped the chain, in the
+    // order `DiagnosticEngine::format` prints them.
+    json::Value errors = json::Value::array();
+    for (const Diagnostic& d : artifacts.diagnostics.diagnostics()) {
+      json::Value entry = json::Value::object();
+      entry.set("line", static_cast<std::int64_t>(d.location.line));
+      entry.set("column", static_cast<std::int64_t>(d.location.column));
+      entry.set("severity", std::string(to_string(d.severity)));
+      entry.set("pass", d.pass);
+      entry.set("message", d.message);
+      errors.push(std::move(entry));
+    }
+    report.set("errors", std::move(errors));
+  }
 
   json::Value opts = json::Value::object();
   opts.set("mode", mode_name(options.mode));

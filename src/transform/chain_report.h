@@ -21,7 +21,10 @@
 
 namespace purec {
 
-/// Assembles the full decision trail of a finished chain run.
+/// Assembles the full decision trail of a finished chain run. A rejected
+/// run (`ok` false) reports what the chain reached, such as the purity
+/// verdicts, plus an `errors` array of its diagnostics (line, column,
+/// severity, pass, message); accepted runs carry no `errors` key.
 [[nodiscard]] json::Value build_chain_report(const ChainArtifacts& artifacts,
                                              const ChainOptions& options);
 

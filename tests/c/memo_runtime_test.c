@@ -927,9 +927,11 @@ static void scenario_instr_dump(const char* prefix) {
   unlink(trace);
   run_phase("phase_instr", env_summary);
   text = slurp(summary, &size);
+  /* One line: invocations, total wall time, then the worker tallies. */
   CHECK(count_of(text, "purec-instr[demo:7] invocations=3 total_ns=") == 1);
-  CHECK(count_of(text, " p50_ns=") == 1);
+  CHECK(count_of(text, "\n") == 1);
   CHECK(count_of(text, " w0=12\n") == 1);
+  CHECK(count_of(text, "_ns=") == 1);
   free(text);
   /* Two traced runs append cooperatively into one array. */
   run_phase("phase_instr", env_trace);
@@ -947,60 +949,65 @@ static void scenario_instr_dump(const char* prefix) {
   unlink(trace);
 }
 
-/* ------------------------------------------------------------------ */
-/* hist: the --instrument histogram cell math and percentiles           */
-/* ------------------------------------------------------------------ */
+/* instr_registry: 100 regions, past any fixed-size table, registered in
+ * a scrambled order; the dump must name each once, in id order. */
+#define INSTR_MANY 100
+static purec_instr_region_t instr_many[INSTR_MANY];
+static char instr_many_names[INSTR_MANY][16];
 
-/* Percentile `pct` of `n` samples, all of them `values[0..n)`. */
-static purec_instr_u64 pct_of(const purec_instr_u64* values, unsigned n,
-                              unsigned pct) {
-  purec_instr_u64 hist[PUREC_INSTR_HIST_CELLS];
-  unsigned i;
-  memset(hist, 0, sizeof hist);
-  for (i = 0; i < n; i++) hist[purec_instr_hist_index(values[i])]++;
-  return purec_instr_hist_pct(hist, n, pct);
+static void phase_instr_many(void) {
+  unsigned i, id;
+  for (i = 0; i < INSTR_MANY; i++) {
+    /* 37 is coprime to 100, so this visits every id exactly once. */
+    id = (i * 37u) % INSTR_MANY;
+    snprintf(instr_many_names[id], sizeof instr_many_names[id], "many:%u",
+             id);
+    instr_many[id].name = instr_many_names[id];
+    instr_many[id].id = id;
+    purec_instr_register(&instr_many[id]);
+  }
+  for (id = 0; id < INSTR_MANY; id++) {
+    unsigned long long purec_instr_t0 = purec_instr_now();
+    purec_instr_chunk(&instr_many[id]);
+    purec_instr_region_done(&instr_many[id], purec_instr_t0);
+  }
 }
 
-static void scenario_hist(void) {
-  static const purec_instr_u64 probes[3] = {100, 100000, 1ULL << 40};
-  const unsigned last = purec_instr_hist_index(~0ULL);
-  purec_instr_u64 v, values[101];
-  unsigned i;
-  /* Exact below PUREC_INSTR_HIST_SUB: value v lives in cell v. */
-  for (v = 0; v < PUREC_INSTR_HIST_SUB; v++) {
-    CHECK(purec_instr_hist_index(v) == v);
-    CHECK(purec_instr_hist_upper((unsigned)v) == v);
+static void scenario_instr_registry(const char* prefix) {
+  char summary[4096], trace[4096], needle[64];
+  const char* env_summary[] = {"PUREC_STATS_FILE", summary, 0};
+  const char* env_trace[] = {"PUREC_TRACE", trace, 0};
+  const char* at;
+  long size;
+  char* text;
+  unsigned id;
+  snprintf(summary, sizeof summary, "%s.txt", prefix);
+  snprintf(trace, sizeof trace, "%s.json", prefix);
+  unlink(summary);
+  unlink(trace);
+  run_phase("phase_instr_many", env_summary);
+  text = slurp(summary, &size);
+  CHECK(count_of(text, "purec-instr[") == INSTR_MANY);
+  at = text;
+  for (id = 0; id < INSTR_MANY && at != 0; id++) {
+    snprintf(needle, sizeof needle, "purec-instr[many:%u] invocations=1 ",
+             id);
+    CHECK(count_of(text, needle) == 1);
+    at = strstr(at, needle); /* ascending id: each line after the last */
+    CHECK(at != 0);
   }
-  /* The cells tile [0, 2^64) without gaps or overlaps. */
-  CHECK(last < PUREC_INSTR_HIST_CELLS);
-  CHECK(purec_instr_hist_upper(last) == ~0ULL);
-  for (i = 0; i < last; i++) {
-    CHECK(purec_instr_hist_index(purec_instr_hist_upper(i)) == i);
-    CHECK(purec_instr_hist_index(purec_instr_hist_upper(i) + 1) == i + 1);
+  free(text);
+  run_phase("phase_instr_many", env_trace);
+  text = slurp(trace, &size);
+  CHECK(count_of(text, "\"ph\":\"X\"") == INSTR_MANY);
+  CHECK(count_of(text, "\"ph\":\"C\"") == INSTR_MANY);
+  for (id = 0; id < INSTR_MANY; id++) {
+    snprintf(needle, sizeof needle, "\"many:%u chunks\"", id);
+    CHECK(count_of(text, needle) == 1);
   }
-  /* Relative error: a cell is at most a quarter of its lower bound wide. */
-  for (i = 0; i < 3; i++) {
-    unsigned cell = purec_instr_hist_index(probes[i]);
-    purec_instr_u64 lower = purec_instr_hist_upper(cell - 1) + 1;
-    CHECK(lower <= probes[i] && probes[i] <= purec_instr_hist_upper(cell));
-    CHECK(purec_instr_hist_upper(cell) - lower + 1 <= lower >> 2);
-  }
-  /* Percentile edges. */
-  CHECK(pct_of(0, 0, 50) == 0);
-  for (i = 0; i < 100; i++) values[i] = 5;
-  values[100] = 1000;
-  CHECK(pct_of(values, 101, 50) == 5);
-  CHECK(pct_of(values, 101, 99) == 5);
-  CHECK(pct_of(values, 101, 100) ==
-        purec_instr_hist_upper(purec_instr_hist_index(1000)));
-  values[0] = 42;
-  CHECK(pct_of(values, 1, 1) == 43);
-  CHECK(pct_of(values, 1, 100) == 43);
-  /* The rank rounds up: p50 of {1, 2, 3} is the 2nd sample, not the 1st. */
-  values[0] = 1;
-  values[1] = 2;
-  values[2] = 3;
-  CHECK(pct_of(values, 3, 50) == 2);
+  free(text);
+  unlink(summary);
+  unlink(trace);
 }
 
 int main(int argc, char** argv) {
@@ -1051,14 +1058,16 @@ int main(int argc, char** argv) {
     scenario_stats_threads(arg);
   } else if (strcmp(name, "instr_dump") == 0) {
     scenario_instr_dump(arg);
-  } else if (strcmp(name, "hist") == 0) {
-    scenario_hist();
+  } else if (strcmp(name, "instr_registry") == 0) {
+    scenario_instr_registry(arg);
   } else if (strcmp(name, "phase_stats") == 0) {
     phase_stats();
   } else if (strcmp(name, "phase_stats_threads") == 0) {
     phase_stats_threads();
   } else if (strcmp(name, "phase_instr") == 0) {
     phase_instr();
+  } else if (strcmp(name, "phase_instr_many") == 0) {
+    phase_instr_many();
   } else {
     fprintf(stderr, "memo_runtime_test: unknown scenario '%s'\n", name);
     return 2;

@@ -26,6 +26,7 @@
 #include <string>
 
 #include "e2e/e2e_fixtures.h"
+#include "tools/trace_analysis.h"
 #include "transform/pure_chain.h"
 
 #ifndef PUREC_REPO_DIR
@@ -190,6 +191,16 @@ std::string run_command(const std::string& cmd) {
   }
   EXPECT_EQ(pclose(p), 0) << cmd << "\n" << output;
   return output;
+}
+
+/// Non-overlapping occurrences of `needle` in `text`.
+std::size_t count_of(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + needle.size())) {
+    ++n;
+  }
+  return n;
 }
 
 class E2EChainTest : public ::testing::TestWithParam<Fixture> {};
@@ -401,6 +412,26 @@ TEST(E2EInstrument, InstrumentedDifferentialAndChromeTrace) {
   ASSERT_NE(last_bracket, std::string::npos);
   EXPECT_EQ(trace[last_bracket], ']')
       << "trace is not a closed JSON array";
+  // `purecc trace` reads every region's latency percentiles off the trace.
+  {
+    std::string error;
+    const std::optional<json::Value> doc =
+        tools::load_json_file(trace_path, &error);
+    ASSERT_TRUE(doc.has_value()) << error;
+    const std::optional<tools::TraceSummary> summary =
+        tools::analyze_trace(*doc, nullptr, &error);
+    ASSERT_TRUE(summary.has_value()) << error;
+    const std::string rendered = tools::render_trace_summary(*summary);
+    for (const std::string& region : instrumented.instrumented_regions) {
+      const std::size_t at =
+          rendered.find("purecc-trace: region " + region + " ");
+      ASSERT_NE(at, std::string::npos) << region << " in:\n" << rendered;
+      const std::string line =
+          rendered.substr(at, rendered.find('\n', at) - at);
+      EXPECT_NE(line.find(" p50_us="), std::string::npos) << line;
+      EXPECT_NE(line.find(" p99_us="), std::string::npos) << line;
+    }
+  }
 
   // A second traced run against the SAME path must append cooperatively:
   // still one valid array, now with both runs' events.
@@ -416,13 +447,7 @@ TEST(E2EInstrument, InstrumentedDifferentialAndChromeTrace) {
   EXPECT_EQ(merged[merged_last], ']')
       << "second dump corrupted the cooperative array";
   // Two dumps -> two process_name metadata events.
-  std::size_t meta_count = 0;
-  for (std::size_t at = merged.find("\"process_name\"");
-       at != std::string::npos;
-       at = merged.find("\"process_name\"", at + 1)) {
-    ++meta_count;
-  }
-  EXPECT_EQ(meta_count, 2u);
+  EXPECT_EQ(count_of(merged, "\"process_name\""), 2u);
 
   // PUREC_STATS_FILE is an append-mode sink: two runs dumping into one
   // file must interleave as whole summaries (every region line present
@@ -438,16 +463,67 @@ TEST(E2EInstrument, InstrumentedDifferentialAndChromeTrace) {
   const std::string stats_log = read_file(stats_path);
   ASSERT_FALSE(stats_log.empty()) << "PUREC_STATS_FILE wrote nothing";
   for (const std::string& region : instrumented.instrumented_regions) {
-    const std::string needle = "purec-instr[" + region + "]";
-    std::size_t line_count = 0;
-    for (std::size_t at = stats_log.find(needle); at != std::string::npos;
-         at = stats_log.find(needle, at + 1)) {
-      ++line_count;
-    }
-    EXPECT_EQ(line_count, 2u) << needle << " in:\n" << stats_log;
+    EXPECT_EQ(count_of(stats_log, "purec-instr[" + region + "]"), 2u)
+        << stats_log;
   }
-  // The histogram percentiles ride along in the summary lines.
-  EXPECT_NE(stats_log.find("p99_ns="), std::string::npos) << stats_log;
+  // The summary line carries counts and totals only (one `_ns=` field,
+  // total_ns); per-execution latency lives in the trace.
+  EXPECT_EQ(count_of(stats_log, "_ns="), count_of(stats_log, "purec-instr["))
+      << stats_log;
+}
+
+// The region registry has no fixed capacity: a translation unit with 70
+// parallel regions names every one of them once in the summary and once
+// among the trace's chunk counters.
+TEST(E2EInstrument, EveryRegionPastSixtyFourReachesTheDump) {
+  if (!gcc_available()) GTEST_SKIP() << "no system gcc";
+  constexpr int kRegions = 70;
+  std::string source = "float a[64];\n";
+  std::string calls;
+  for (int f = 0; f < kRegions; ++f) {
+    const std::string n = std::to_string(f);
+    source += "void fill" + n + "(void) {\n";
+    source += "  for (int i = 0; i < 64; i++) a[i] = a[i] + " + n + ".0f;\n";
+    source += "}\n";
+    calls += "  fill" + n + "();\n";
+  }
+  source += "int main(void) {\n" + calls + "  return 0;\n}\n";
+
+  ChainOptions options;
+  options.instrument = true;
+  options.tile = false;
+  const ChainArtifacts instrumented = run_pure_chain(source, options);
+  ASSERT_TRUE(instrumented.ok) << instrumented.diagnostics.format();
+  ASSERT_EQ(instrumented.instrumented_regions.size(),
+            static_cast<std::size_t>(kRegions));
+
+  const std::string dir = ::testing::TempDir();
+  const std::string c_path = dir + "/purec_e2e_instr_many.c";
+  const std::string bin_path = dir + "/purec_e2e_instr_many.bin";
+  const std::string trace_path = dir + "/purec_e2e_instr_many.json";
+  {
+    std::ofstream out(c_path);
+    out << instrumented.final_source;
+  }
+  run_command("gcc -O2 -fopenmp -Wall -Wextra -Werror -o " +
+              shell_quote(bin_path) + " " + shell_quote(c_path));
+  const std::string threads = std::string("OMP_NUM_THREADS=") + kRunThreads;
+  const std::string summary =
+      run_command(threads + " " + shell_quote(bin_path));
+  std::remove(trace_path.c_str());
+  run_command(threads + " PUREC_TRACE=" + shell_quote(trace_path) + " " +
+              shell_quote(bin_path));
+  const std::string trace = read_file(trace_path);
+  EXPECT_EQ(count_of(summary, "purec-instr["),
+            static_cast<std::size_t>(kRegions))
+      << summary;
+  EXPECT_EQ(count_of(trace, "\"ph\":\"C\""),
+            static_cast<std::size_t>(kRegions));
+  for (const std::string& region : instrumented.instrumented_regions) {
+    EXPECT_EQ(count_of(summary, "purec-instr[" + region + "] "), 1u)
+        << region;
+    EXPECT_EQ(count_of(trace, "\"" + region + " chunks\""), 1u) << region;
+  }
 }
 
 // Under collapse(2) the chunk tally must go into the innermost collapsed

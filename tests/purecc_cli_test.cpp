@@ -14,6 +14,10 @@
 
 #include "support/json.h"
 
+#ifndef PUREC_REPO_DIR
+#error "build must define PUREC_REPO_DIR (the repository root)"
+#endif
+
 namespace {
 
 const char* kInputProgram = R"(
@@ -231,6 +235,81 @@ TEST_F(PureccCliTest, ReportJsonGoesToStderrOrFile) {
                       std::istreambuf_iterator<char>());
   EXPECT_EQ(written, r.output)
       << "file report must hold exactly what stderr prints";
+}
+
+/// The --report=json document of an input the chain rejects, checked for
+/// what every rejection report carries; `pass` names the stage of the
+/// first error. Returns the parsed document.
+purec::json::Value rejected_report(const std::string& input,
+                                   const char* pass) {
+  const std::string path = std::string(PUREC_REPO_DIR) + "/" + input;
+  // On stderr the document replaces the diagnostic text: all of stderr
+  // parses as one JSON value.
+  const RunResult r =
+      run_purecc("--report=json -o /dev/null " + shell_quote(path));
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  std::string error;
+  const std::optional<purec::json::Value> doc =
+      purec::json::parse(r.output, &error);
+  EXPECT_TRUE(doc.has_value()) << error << "\n" << r.output;
+  if (!doc.has_value()) return purec::json::Value();
+  EXPECT_FALSE(doc->find("ok")->as_bool());
+  const purec::json::Value* errors = doc->find("errors");
+  if (errors == nullptr || errors->size() == 0) {
+    ADD_FAILURE() << "no errors[] in\n" << r.output;
+    return *doc;
+  }
+  const purec::json::Value& first = (*errors->as_array())[0];
+  EXPECT_GT(first.find("line")->as_int(), 0) << r.output;
+  EXPECT_GT(first.find("column")->as_int(), 0) << r.output;
+  EXPECT_FALSE(first.find("message")->as_string().empty()) << r.output;
+  EXPECT_EQ(first.find("pass")->as_string(), pass) << r.output;
+
+  // To a file: the same document, and stderr keeps the diagnostic text.
+  const std::string json_path =
+      ::testing::TempDir() + "/purecc_cli_rejected.json";
+  std::remove(json_path.c_str());
+  const RunResult filed = run_purecc("--report=json:" +
+                                     shell_quote(json_path) +
+                                     " -o /dev/null " + shell_quote(path));
+  EXPECT_EQ(filed.exit_code, 1) << filed.output;
+  EXPECT_NE(filed.output.find(first.find("message")->as_string()),
+            std::string::npos)
+      << filed.output;
+  std::ifstream in(json_path);
+  const std::string written((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  EXPECT_EQ(written, r.output);
+
+  // Plain --report and no report at all: the diagnostics only.
+  const RunResult bare = run_purecc("-o /dev/null " + shell_quote(path));
+  EXPECT_EQ(bare.exit_code, 1);
+  const RunResult text =
+      run_purecc("--report -o /dev/null " + shell_quote(path));
+  EXPECT_EQ(text.exit_code, 1);
+  EXPECT_EQ(text.output, bare.output);
+  EXPECT_EQ(bare.output.find("report_version"), std::string::npos)
+      << bare.output;
+  return *doc;
+}
+
+TEST_F(PureccCliTest, PurityRejectionStillWritesTheJsonReport) {
+  // Listing 2's invalid operations: the purity verdicts the chain reached
+  // ride along with the checker's errors.
+  const purec::json::Value doc =
+      rejected_report("assets/c/listing2_rules.c", "purity");
+  const purec::json::Value* purity = doc.find("purity");
+  ASSERT_NE(purity, nullptr);
+  EXPECT_GT(purity->size(), 0u);
+}
+
+TEST_F(PureccCliTest, ParseErrorStillWritesTheJsonReport) {
+  // The hand-blocked MKL stand-in is outside the parsed C subset.
+  const purec::json::Value doc =
+      rejected_report("bench/kernels/matmul_mkl.c", "parser");
+  const purec::json::Value* purity = doc.find("purity");
+  ASSERT_NE(purity, nullptr);
+  EXPECT_EQ(purity->size(), 0u);
 }
 
 TEST_F(PureccCliTest, MalformedReportJsonSuffixPrintsUsage) {
@@ -489,7 +568,9 @@ TEST_F(PureccCliTest, TraceSummarizesAnInstrumentedRun) {
                                         region_trace(2000.0))));
   ASSERT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("purecc-trace: region fill:24 id=0 executions=1 "
-                          "wall_ms=2.000 imbalance=1.000 chunks=16"),
+                          "wall_ms=2.000 imbalance=1.000 chunks=16 "
+                          "p50_us=2000.000 p90_us=2000.000 "
+                          "p99_us=2000.000\n"),
             std::string::npos)
       << r.output;
 }
@@ -515,16 +596,21 @@ TEST_F(PureccCliTest, TraceThatIsNotAnArrayFails) {
       << r.output;
 }
 
-TEST_F(PureccCliTest, TraceDiffFailsOnARegressionPastTheThreshold) {
+TEST_F(PureccCliTest, TraceHasNoDiffMode) {
+  // One trace, one reader: comparing runs across commits is the e2e
+  // benchmark's job, so `trace` takes exactly one trace and no mode flag.
   const std::string base =
       write_temp("purecc_cli_base.json", region_trace(1000.0));
   const std::string slow =
       write_temp("purecc_cli_slow.json", region_trace(10000.0));
-  const RunResult r = run_purecc("trace --diff " + shell_quote(base) + " " +
-                                 shell_quote(slow) + " --threshold 0.5");
-  EXPECT_EQ(r.exit_code, 1) << r.output;
-  EXPECT_NE(r.output.find("REGRESSION"), std::string::npos) << r.output;
-  EXPECT_NE(r.output.find("-> FAIL"), std::string::npos) << r.output;
+  for (const std::string& args :
+       {"trace --diff " + shell_quote(base) + " " + shell_quote(slow),
+        "trace " + shell_quote(base) + " " + shell_quote(slow)}) {
+    const RunResult r = run_purecc(args);
+    EXPECT_EQ(r.exit_code, 2) << args << "\n" << r.output;
+    EXPECT_NE(r.output.find("usage:"), std::string::npos) << r.output;
+    EXPECT_EQ(r.output.find("--diff"), std::string::npos) << r.output;
+  }
 }
 
 }  // namespace

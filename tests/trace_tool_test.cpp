@@ -1,13 +1,13 @@
 // The `purecc trace` machinery: the strict JSON parser it ingests traces
 // with, the event aggregation + report join in analyze_trace, and the
-// --diff regression gate's threshold arithmetic (the edges matter — a CI
-// gate that flags at-threshold noise or misses just-past-threshold
-// regressions is worse than none).
+// nearest-rank percentiles over each region's execution durations (the
+// rank edges matter: p50 of 100 samples is the 50th, not the 51st).
 #include "tools/trace_analysis.h"
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "support/json.h"
 
@@ -200,61 +200,86 @@ TEST(AnalyzeTrace, RejectsNonArrayInput) {
 }
 
 // ---------------------------------------------------------------------------
-// diff_traces
+// duration percentiles
 // ---------------------------------------------------------------------------
 
-TraceSummary summary_with(const char* name, double wall_us) {
-  TraceSummary s;
-  RegionTrace& r = s.regions[name];
-  r.name = name;
-  r.wall_us = wall_us;
-  return s;
+/// A trace of one region executed once per entry of `durations_us`.
+std::string trace_of(const std::vector<int>& durations_us) {
+  std::string text = "[";
+  for (std::size_t i = 0; i < durations_us.size(); ++i) {
+    if (i != 0) text += ",";
+    text += R"({"name":"heat:12","cat":"region","ph":"X","ts":0,"dur":)" +
+            std::to_string(durations_us[i]) + R"(,"args":{"region_id":0}})";
+  }
+  return text + "]";
 }
 
-TEST(TraceDiffGate, GrowthExactlyAtTheThresholdIsNotARegression) {
-  // 1000 -> 1200 at threshold 0.2: delta == threshold, must pass (the
-  // gate flags strictly-greater growth, so boundary noise never fails CI).
-  const TraceDiff diff = diff_traces(summary_with("heat:12", 1000.0),
-                                     summary_with("heat:12", 1200.0), 0.2);
-  EXPECT_FALSE(diff.regression);
-  EXPECT_DOUBLE_EQ(diff.worst_delta, 0.2);
-  EXPECT_NE(diff.text.find("-> OK"), std::string::npos) << diff.text;
+TEST(TracePercentiles, NearestRankOverOneToOneHundredMicroseconds) {
+  // Recorded out of order: the analysis sorts before ranking.
+  std::vector<int> durations;
+  for (int us = 100; us >= 1; --us) durations.push_back(us);
+  const auto summary =
+      analyze_trace(parse_or_die(trace_of(durations)), nullptr);
+  ASSERT_TRUE(summary.has_value());
+  const RegionTrace& region = summary->regions.at("heat:12");
+  EXPECT_DOUBLE_EQ(duration_percentile_us(region, 50), 50.0);
+  EXPECT_DOUBLE_EQ(duration_percentile_us(region, 90), 90.0);
+  EXPECT_DOUBLE_EQ(duration_percentile_us(region, 99), 99.0);
+  EXPECT_DOUBLE_EQ(duration_percentile_us(region, 100), 100.0);
+  const std::string text = render_trace_summary(*summary);
+  EXPECT_NE(text.find(" p50_us=50.000 p90_us=90.000 p99_us=99.000\n"),
+            std::string::npos)
+      << text;
 }
 
-TEST(TraceDiffGate, GrowthJustPastTheThresholdFails) {
-  const TraceDiff diff = diff_traces(summary_with("heat:12", 1000.0),
-                                     summary_with("heat:12", 1201.0), 0.2);
-  EXPECT_TRUE(diff.regression);
-  EXPECT_NE(diff.text.find("REGRESSION"), std::string::npos) << diff.text;
-  EXPECT_NE(diff.text.find("-> FAIL"), std::string::npos) << diff.text;
+TEST(TracePercentiles, OneExecutionIsEveryPercentile) {
+  const auto summary = analyze_trace(parse_or_die(trace_of({42})), nullptr);
+  ASSERT_TRUE(summary.has_value());
+  const RegionTrace& region = summary->regions.at("heat:12");
+  EXPECT_DOUBLE_EQ(duration_percentile_us(region, 50), 42.0);
+  EXPECT_DOUBLE_EQ(duration_percentile_us(region, 99), 42.0);
+  EXPECT_NE(render_trace_summary(*summary).find(
+                "p50_us=42.000 p90_us=42.000 p99_us=42.000"),
+            std::string::npos);
 }
 
-TEST(TraceDiffGate, ImprovementsNeverFlag) {
-  const TraceDiff diff = diff_traces(summary_with("heat:12", 1000.0),
-                                     summary_with("heat:12", 400.0), 0.0);
-  EXPECT_FALSE(diff.regression);
-  // worst_delta tracks the worst *growth* and is floored at zero.
-  EXPECT_DOUBLE_EQ(diff.worst_delta, 0.0);
-  EXPECT_NE(diff.text.find("-60.0%"), std::string::npos) << diff.text;
+TEST(TracePercentiles, RankRoundsUp) {
+  // p50 of {1, 2, 3} is rank ceil(1.5) = 2, the middle sample.
+  const auto summary =
+      analyze_trace(parse_or_die(trace_of({3, 1, 2})), nullptr);
+  ASSERT_TRUE(summary.has_value());
+  EXPECT_DOUBLE_EQ(
+      duration_percentile_us(summary->regions.at("heat:12"), 50), 2.0);
 }
 
-TEST(TraceDiffGate, RegionsMissingFromEitherSideAreReportedNotFlagged) {
-  TraceSummary a = summary_with("gone:1", 1000.0);
-  TraceSummary b = summary_with("new:2", 9000.0);
-  const TraceDiff diff = diff_traces(a, b, 0.2);
-  EXPECT_FALSE(diff.regression);
-  EXPECT_NE(diff.text.find("only in baseline"), std::string::npos)
-      << diff.text;
-  EXPECT_NE(diff.text.find("only in candidate"), std::string::npos)
-      << diff.text;
+TEST(TracePercentiles, RegionWithoutExecutionsPrintsNone) {
+  // Chunk counters alone (no X event): nothing to rank.
+  const auto summary = analyze_trace(
+      parse_or_die(R"([{"name":"heat:12 chunks","ph":"C","ts":0,)"
+                   R"("args":{"w0":4}}])"),
+      nullptr);
+  ASSERT_TRUE(summary.has_value());
+  EXPECT_DOUBLE_EQ(
+      duration_percentile_us(summary->regions.at("heat:12"), 50), 0.0);
+  const std::string text = render_trace_summary(*summary);
+  EXPECT_EQ(text.find("p50_us"), std::string::npos) << text;
 }
 
-TEST(TraceDiffGate, ZeroBaselineRegionsAreSkipped) {
-  // A region that recorded no wall time in the baseline cannot produce a
-  // meaningful ratio; it must not divide by zero or flag.
-  const TraceDiff diff = diff_traces(summary_with("heat:12", 0.0),
-                                     summary_with("heat:12", 500.0), 0.2);
-  EXPECT_FALSE(diff.regression);
+TEST(TracePercentiles, OverflowSaysTheyCoverOnlyRecordedExecutions) {
+  const auto summary = analyze_trace(parse_or_die(kEmittedTrace), nullptr);
+  ASSERT_TRUE(summary.has_value());
+  const std::string text = render_trace_summary(*summary);
+  // Two recorded executions, 2000 and 500 us; five more were dropped.
+  EXPECT_NE(text.find("executions=2 "), std::string::npos) << text;
+  EXPECT_NE(text.find("p50_us=500.000 p90_us=2000.000 p99_us=2000.000"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("dropped events=5"), std::string::npos) << text;
+  EXPECT_NE(text.find("percentiles cover only the recorded executions"),
+            std::string::npos)
+      << text;
+  // The trace buffer has a fixed capacity; no knob raises it.
+  EXPECT_EQ(text.find("raise"), std::string::npos) << text;
 }
 
 TEST(TraceTool, LoadJsonFileReportsOpenAndParseErrors) {
