@@ -17,8 +17,10 @@
 //                          functions (by-value scalar params, scalar
 //                          global snapshot) get thunks backed by one
 //                          table per thread in the output C, growing up
-//                          to PUREC_MEMO_CAP slots (PUREC_MEMO_CAP and
-//                          PUREC_MEMO_STATS at run time). Two gates:
+//                          to PUREC_MEMO_CAP slots (read at run time).
+//                          With --instrument, per-thunk hit/miss/
+//                          eviction/bypass counters join its exit
+//                          summary; without, there are none. Two gates:
 //                          at compile time a single-`return` body of
 //                          fewer than 8 expression nodes gets no thunk;
 //                          at run time each thunk sends a thread's calls
@@ -53,9 +55,11 @@
 //     --instrument         emit self-contained observability counters into
 //                          the output C: per parallel region
 //                          invocations/wall-time and cache-line-padded
-//                          per-worker chunk tallies, dumped at exit as a
-//                          human summary (PUREC_STATS_FILE or stderr) or as
-//                          Chrome trace-event JSON under PUREC_TRACE=FILE
+//                          per-worker chunk tallies (and, under
+//                          --memoize, the memo counters), dumped at exit
+//                          as a human summary (PUREC_STATS_FILE or stderr)
+//                          or as Chrome trace-event JSON under
+//                          PUREC_TRACE=FILE
 //
 //   purecc trace [--report report.json] trace.json
 //     Analyze a trace written by an --instrument build: per-region wall

@@ -14,6 +14,9 @@
 // list, so any number of regions reach the dump. The atexit sink writes a
 // human summary (invocations, total wall time, per-worker tallies) to the
 // shared stats stream (purec_stats_out(): PUREC_STATS_FILE or stderr).
+// Under --memoize the memo runtime's per-thunk counters are compiled in
+// too (PUREC_MEMO_STATS 1, memo/memo_codegen.h) and dump their lines to
+// the same stream; an --instrument build is the only one that has them.
 // Under PUREC_TRACE=FILE it instead writes Chrome trace-event JSON — one
 // "X" duration event per region execution plus one "C" counter event per
 // region carrying the per-worker chunk tallies — loadable in
@@ -30,9 +33,9 @@ namespace purec {
 
 /// The shared stats-stream resolver (purec_stats_out): PUREC_STATS_FILE
 /// names an append-mode destination, unset/unopenable falls back to
-/// stderr. Emitted once whenever any runtime subsystem (memo stats,
-/// --instrument) dumps at exit, so their lines share one stream and never
-/// interleave with program stdout. The bytes of
+/// stderr. Emitted once in an --instrument build that dumps anything at
+/// exit (region summaries, memo counters), so their lines share one
+/// stream and never interleave with program stdout. The bytes of
 /// runtime/c/purec_stats_sink.h.
 [[nodiscard]] const std::string& stats_sink_snippet();
 

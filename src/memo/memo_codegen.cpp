@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string_view>
 
 namespace purec {
 
@@ -84,11 +85,21 @@ enum class WordRepr { Float32, Float64, Integer };
 
 }  // namespace
 
-const std::string& memo_runtime_prelude() {
-  static const std::string text =
+const std::string& memo_runtime_prelude(bool stats) {
+  static const std::string header =
 #include "purec_memo.inc"
       ;
-  return text;
+  static const std::string with_stats =
+      "#define PUREC_MEMO_STATS 1\n" + header;
+  // Without stats the counters' block is cut out of the text, so gcc
+  // does not even read it.
+  static const std::string without_stats = [] {
+    constexpr std::string_view kEnd = "#endif /* PUREC_MEMO_STATS */\n";
+    const std::size_t begin = header.find("#if PUREC_MEMO_STATS\n");
+    const std::size_t end = header.find(kEnd, begin) + kEnd.size();
+    return header.substr(0, begin).append(header, end);
+  }();
+  return stats ? with_stats : without_stats;
 }
 
 std::string memo_thunk_name(const std::string& function) {
@@ -112,27 +123,37 @@ std::string memo_thunk_prototype(const MemoFunctionInfo& info) {
   return signature(info) + ";\n";
 }
 
-std::string memo_thunk_definition(const MemoFunctionInfo& info) {
+std::string memo_thunk_definition(const MemoFunctionInfo& info,
+                                  bool stats) {
   std::ostringstream out;
   char id[32];
   std::snprintf(id, sizeof(id), "0x%016llxULL",
                 static_cast<unsigned long long>(
                     memo_function_id(info.name)));
   const std::size_t key_words = memo_key_words(info);
-  const std::string stats = "purec_memo_stats_" + info.name;
+  const std::string entry = "purec_memo_stats_" + info.name;
   const std::string gate = "purec_memo_gate_" + info.name;
+  // With stats, the thunk counts every call into its registered entry.
+  const auto count = [&](const char* indent, const char* counter) {
+    if (stats) {
+      out << indent << "PUREC_MEMO_STAT_INC(" << entry << ", " << counter
+          << ");\n";
+    }
+  };
   std::string call = info.name + "(";
   for (std::size_t i = 0; i < info.param_types.size(); ++i) {
     if (i != 0) call += ", ";
     call += "purec_a" + std::to_string(i);
   }
   call += ")";
-  out << "static purec_memo_stats_entry " << stats << " = {.name = \""
-      << info.name << "\"};\n";
-  out << "__attribute__((constructor)) static void " << stats
-      << "_register(void) {\n";
-  out << "  purec_memo_stats_register(&" << stats << ");\n";
-  out << "}\n";
+  if (stats) {
+    out << "static purec_memo_stats_entry " << entry << " = {.name = \""
+        << info.name << "\"};\n";
+    out << "__attribute__((constructor)) static void " << entry
+        << "_register(void) {\n";
+    out << "  purec_memo_stats_register(&" << entry << ");\n";
+    out << "}\n";
+  }
   out << "static __thread purec_memo_gate " << gate << ";\n";
   out << signature(info) << " {\n";
   out << "  purec_memo_word purec_key = " << id << ";\n";
@@ -142,7 +163,7 @@ std::string memo_thunk_definition(const MemoFunctionInfo& info) {
   out << "  unsigned purec_kn = 0;\n";
   out << "  " << scalar_type_name(info.return_type) << " purec_result;\n";
   out << "  if (purec_memo_gate_skip(&" << gate << ")) {\n";
-  out << "    PUREC_MEMO_STAT_INC(" << stats << ", bypassed);\n";
+  count("    ", "bypassed");
   out << "    return " << call << ";\n";
   out << "  }\n";
   for (std::size_t i = 0; i < info.param_types.size(); ++i) {
@@ -155,17 +176,18 @@ std::string memo_thunk_definition(const MemoFunctionInfo& info) {
   out << "  if (purec_key == 0) purec_key = 1;\n";
   out << "  if (purec_memo_lookup(purec_key, purec_kw, purec_kn, "
          "&purec_word)) {\n";
-  out << "    PUREC_MEMO_STAT_INC(" << stats << ", hits);\n";
+  count("    ", "hits");
   out << "    return " << unpack_expr(info.return_type, "purec_word")
       << ";\n";
   out << "  }\n";
   out << "  " << gate << ".misses++;\n";
-  out << "  PUREC_MEMO_STAT_INC(" << stats << ", misses);\n";
+  count("  ", "misses");
   out << "  purec_result = " << call << ";\n";
-  out << "  if (purec_memo_store(purec_key, purec_kw, purec_kn, "
+  out << "  " << (stats ? "if (" : "")
+      << "purec_memo_store(purec_key, purec_kw, purec_kn, "
       << pack_expr(info.return_type, "purec_result") << ", " << gate
-      << ".backoff == 0))\n";
-  out << "    PUREC_MEMO_STAT_INC(" << stats << ", evictions);\n";
+      << ".backoff == 0)" << (stats ? ")\n" : ";\n");
+  count("    ", "evictions");
   out << "  return purec_result;\n";
   out << "}\n";
   return std::move(out).str();

@@ -27,9 +27,10 @@
 namespace purec {
 
 /// The per-thread memo tables in plain C: the bytes of
-/// runtime/c/purec_memo.h, embedded at configure time. Requires
-/// stats_sink_snippet() earlier in the same file.
-[[nodiscard]] const std::string& memo_runtime_prelude();
+/// runtime/c/purec_memo.h, embedded at configure time. With `stats` they
+/// follow `#define PUREC_MEMO_STATS 1` and need stats_sink_snippet()
+/// earlier in the same file; without, the counters' block is cut out.
+[[nodiscard]] const std::string& memo_runtime_prelude(bool stats);
 
 /// "purec_memo_" + fn. The prefix is reserved: user identifiers never
 /// collide (the mini dialect has no way to spell it accidentally without
@@ -45,6 +46,9 @@ namespace purec {
 [[nodiscard]] std::size_t memo_key_words(const MemoFunctionInfo& info);
 
 [[nodiscard]] std::string memo_thunk_prototype(const MemoFunctionInfo& info);
-[[nodiscard]] std::string memo_thunk_definition(const MemoFunctionInfo& info);
+/// The thunk; with `stats` (PUREC_MEMO_STATS 1 in the runtime) also its
+/// counter entry, the entry's registrar and the counting statements.
+[[nodiscard]] std::string memo_thunk_definition(const MemoFunctionInfo& info,
+                                                bool stats);
 
 }  // namespace purec

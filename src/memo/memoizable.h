@@ -37,7 +37,8 @@
 
 namespace purec {
 
-/// Observed per-thunk traffic, parsed back out of a PUREC_MEMO_STATS dump
+/// Observed per-thunk traffic, parsed back out of the memo counter dump
+/// of a `--memoize --instrument` binary
 /// (`purec-memo[NAME] hits=H misses=M evictions=E bypassed=B` lines; dumps
 /// without the `bypassed` field read as 0) and keyed by function name.
 /// The compiler does not read it; the e2e bench derives memo.hit_ratio

@@ -1,5 +1,6 @@
 #include "preproc/include_stripper.h"
 
+#include <set>
 #include <sstream>
 
 #include "support/string_utils.h"
@@ -8,15 +9,19 @@ namespace purec {
 
 namespace {
 
-[[nodiscard]] bool is_system_include(std::string_view line) {
+/// The `<...>` header a system include line names ("# include <a.h>"
+/// gives "<a.h>"); empty for any other line.
+[[nodiscard]] std::string_view system_header(std::string_view line) {
   std::string_view t = trim(line);
-  if (t.empty() || t.front() != '#') return false;
+  if (t.empty() || t.front() != '#') return {};
   t.remove_prefix(1);
   t = trim(t);
-  if (!starts_with(t, "include")) return false;
+  if (!starts_with(t, "include")) return {};
   t.remove_prefix(7);
   t = trim(t);
-  return !t.empty() && t.front() == '<';
+  if (t.empty() || t.front() != '<') return {};
+  const std::size_t close = t.find('>');
+  return close == std::string_view::npos ? t : t.substr(0, close + 1);
 }
 
 }  // namespace
@@ -25,7 +30,7 @@ StrippedSource strip_system_includes(const std::string& source) {
   StrippedSource out;
   std::ostringstream kept;
   for (std::string_view line : split_lines(source)) {
-    if (is_system_include(line)) {
+    if (!system_header(line).empty()) {
       out.system_includes.emplace_back(line);
       // Keep the line count stable for diagnostics: leave an empty line.
       kept << "\n";
@@ -42,8 +47,14 @@ std::string restore_system_includes(
     const std::vector<std::string>& system_includes,
     const std::vector<std::string>& extra_includes) {
   std::ostringstream out;
-  for (const std::string& inc : system_includes) out << inc << "\n";
-  for (const std::string& inc : extra_includes) out << inc << "\n";
+  std::set<std::string_view> headers;
+  for (const std::string& inc : system_includes) {
+    out << inc << "\n";
+    headers.insert(system_header(inc));
+  }
+  for (const std::string& inc : extra_includes) {
+    if (headers.count(system_header(inc)) == 0) out << inc << "\n";
+  }
   out << source;
   return std::move(out).str();
 }

@@ -20,7 +20,8 @@ struct StrippedSource {
 
 /// PC-PosPro: puts the removed includes back at the top of the file (the
 /// paper re-adds them before the final GCC compile). `extra_includes` lets
-/// the chain append e.g. `#include <omp.h>` and the floord/ceild helpers.
+/// the chain append e.g. `#include <omp.h>`; one naming a header the
+/// source already includes is skipped.
 [[nodiscard]] std::string restore_system_includes(
     const std::string& source,
     const std::vector<std::string>& system_includes,

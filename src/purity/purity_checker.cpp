@@ -339,8 +339,16 @@ class FunctionVerifier {
 void PurityChecker::verify_function(const FunctionDecl& fn) {
   const FunctionScopeInfo* scope = symbols_.scope_for(fn);
   if (scope == nullptr) return;
+  const std::size_t before = diags_.diagnostics().size();
   FunctionVerifier verifier(fn, *scope, result_.pure_functions, diags_);
   verifier.run();
+  for (std::size_t i = before; i < diags_.diagnostics().size(); ++i) {
+    const Diagnostic& d = diags_.diagnostics()[i];
+    if (d.severity == Severity::Error) {
+      result_.rejected.emplace(fn.name, d.message);
+      break;
+    }
+  }
 }
 
 namespace {

@@ -68,6 +68,8 @@ struct PurityResult {
   std::set<std::string> pure_functions;
   /// Outermost for-loops eligible for #pragma scop / #pragma endscop.
   std::vector<ScopCandidate> scop_loops;
+  /// Pure definitions the verifier refused, each with its first error.
+  std::map<std::string, std::string> rejected;
 
   [[nodiscard]] bool is_pure(const std::string& name) const {
     return pure_functions.count(name) != 0;

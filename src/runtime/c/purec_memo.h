@@ -11,15 +11,12 @@
  * clock second chance. A hit on a warm slot only loads: the clock bit is
  * stored only when it reads clear. Each thunk first asks its per-thread
  * gate (purec_memo_gate, below), which sends calls that do not hit
- * straight to the callee. PUREC_MEMO_STATS=1 turns on per-thunk
- * hit/miss/eviction/bypass counters dumped at exit to the shared stats
- * stream (PUREC_STATS_FILE or stderr, see purec_stats_out()); they are
- * dead branches when the knob is off. Full-key verification is
- * compile-time only: PUREC_MEMO_VERIFY=1 (--memoize=verify emits it)
+ * straight to the callee. Per-thunk counters are compiled in only for
+ * --instrument builds; other output carries none. Full-key verification
+ * is compile-time only: PUREC_MEMO_VERIFY=1 (--memoize=verify emits it)
  * stores the raw key words next to each slot and compares them on a hit,
  * so a fingerprint alias degrades to a miss instead of a wrong value; at
- * 0 every verify branch folds away. Needs <pthread.h>, <stdlib.h> and
- * <stdio.h>. */
+ * 0 every verify branch folds away. Needs <pthread.h> and <stdlib.h>. */
 #ifndef PUREC_MEMO_VERIFY
 #define PUREC_MEMO_VERIFY 0
 #endif
@@ -35,36 +32,37 @@ typedef union { double v; purec_memo_word b; } purec_memo_f64;
 #endif
 #define PUREC_MEMO_VREC (1u + PUREC_MEMO_VWORDS) /* [count, words...] */
 
-/* Stats counters are striped: each thunk owns PUREC_MEMO_STAT_CELLS
- * cache-line cells, a thread counts into the cell its first count picked,
- * and the dump sums the cells. Threads share a cell only past that many
- * threads, so the adds stay atomic. */
+#if PUREC_MEMO_STATS
+/* Per-thunk hit/miss/eviction/bypass counters, compiled in only when
+ * PUREC_MEMO_STATS is 1 (purecc emits it under --memoize --instrument,
+ * and leaves this block out of any other output). They need <stdio.h>
+ * and the shared stats stream, purec_stats_out(), earlier in the file.
+ * The counters are striped: each thunk owns PUREC_MEMO_STAT_CELLS
+ * cache-line cells, a thread counts into the cell its first count
+ * picked, and the dump sums the cells. Threads share a cell only past
+ * that many threads, so the adds stay atomic. Each thunk's registrar
+ * links its entry into one list, kept in name order, and the atexit dump
+ * writes one line per thunk. */
 #define PUREC_MEMO_STAT_CELLS 16u
 
 typedef struct {
   purec_memo_word hits, misses, evictions, bypassed;
 } __attribute__((aligned(64))) purec_memo_stat_cell;
 
-typedef struct {
+typedef struct purec_memo_stats_entry {
   const char* name;
+  struct purec_memo_stats_entry* next; /* registry link, ascending name */
   purec_memo_stat_cell cells[PUREC_MEMO_STAT_CELLS];
 } purec_memo_stats_entry;
 
-static purec_memo_stats_entry* purec_memo_stats_tables[64];
-static unsigned purec_memo_stats_count;
-static unsigned purec_memo_stats_dropped;
-static int purec_memo_stats_on; /* PUREC_MEMO_STATS=1 */
+static purec_memo_stats_entry* purec_memo_stats_list;
 static unsigned purec_memo_stat_threads;
 static __thread unsigned purec_memo_stat_ticket; /* 0 until first count */
 
 static void purec_memo_stats_dump(void) {
-  unsigned i, c;
-  if (purec_memo_stats_dropped != 0)
-    fprintf(purec_stats_out(),
-            "purec-memo: %u thunk counter(s) not shown (registry full)\n",
-            purec_memo_stats_dropped);
-  for (i = 0; i < purec_memo_stats_count; i++) {
-    purec_memo_stats_entry* e = purec_memo_stats_tables[i];
+  const purec_memo_stats_entry* e;
+  unsigned c;
+  for (e = purec_memo_stats_list; e != 0; e = e->next) {
     purec_memo_word hits = 0, misses = 0, evictions = 0, bypassed = 0;
     for (c = 0; c < PUREC_MEMO_STAT_CELLS; c++) {
       hits += __atomic_load_n(&e->cells[c].hits, __ATOMIC_RELAXED);
@@ -81,15 +79,18 @@ static void purec_memo_stats_dump(void) {
   }
 }
 
-/* Thunk registrars run as constructors too; registration is
- * unconditional (the env gate lives on the counting and the dump) so
- * constructor order cannot drop a table. */
+__attribute__((constructor)) static void purec_memo_stats_init(void) {
+  atexit(purec_memo_stats_dump);
+}
+
+/* Links a thunk's entry into the registry, which stays sorted by name
+ * whatever order the constructors run in. */
 static void purec_memo_stats_register(purec_memo_stats_entry* e) {
-  if (purec_memo_stats_count <
-      sizeof(purec_memo_stats_tables) / sizeof(purec_memo_stats_tables[0]))
-    purec_memo_stats_tables[purec_memo_stats_count++] = e;
-  else
-    purec_memo_stats_dropped++;
+  purec_memo_stats_entry** at = &purec_memo_stats_list;
+  while (*at != 0 && __builtin_strcmp((*at)->name, e->name) < 0)
+    at = &(*at)->next;
+  e->next = *at;
+  *at = e;
 }
 
 /* The calling thread's cell index, assigned on its first count. */
@@ -100,13 +101,14 @@ static unsigned purec_memo_stat_index(void) {
   return purec_memo_stat_ticket % PUREC_MEMO_STAT_CELLS;
 }
 
-#define PUREC_MEMO_STAT_INC(entry, counter)                            \
-  do {                                                                 \
-    if (purec_memo_stats_on)                                           \
-      __atomic_fetch_add(                                              \
-          &(entry).cells[purec_memo_stat_index()].counter, 1ULL,       \
-          __ATOMIC_RELAXED);                                           \
-  } while (0)
+#define PUREC_MEMO_STAT_INC(entry, counter)                             \
+  ((void)__atomic_fetch_add(                                            \
+      &(entry).cells[purec_memo_stat_index()].counter, 1ULL,            \
+      __ATOMIC_RELAXED))
+#endif /* PUREC_MEMO_STATS */
+#ifndef PUREC_MEMO_STAT_INC /* no counters: counting is a no-op */
+#define PUREC_MEMO_STAT_INC(entry, counter) ((void)0)
+#endif
 
 typedef struct {
   purec_memo_word tag; /* key fingerprint; 0 = empty */
@@ -160,9 +162,6 @@ static void purec_memo_thread_exit(void* table) {
 }
 
 __attribute__((constructor)) static void purec_memo_init(void) {
-  const char* stats = getenv("PUREC_MEMO_STATS");
-  purec_memo_stats_on = stats != 0 && stats[0] == '1';
-  if (purec_memo_stats_on) atexit(purec_memo_stats_dump);
   purec_memo_cap = purec_memo_pow2(purec_memo_env("PUREC_MEMO_CAP", 65536));
   if (purec_memo_probe > purec_memo_cap)
     purec_memo_probe = (unsigned)purec_memo_cap;

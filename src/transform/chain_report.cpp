@@ -32,13 +32,15 @@ namespace {
   return arr;
 }
 
-/// The purity verdict label: annotation wins; an unannotated function the
-/// fixpoint proves pure is "inferred" when --infer-pure applied it and
-/// "inferable" when the default chain left it opaque (the paper's rule).
+/// The purity verdict label: a function the fixpoint or the verifier
+/// refused is "rejected"; otherwise annotation wins; an unannotated
+/// function the fixpoint proves pure is "inferred" when --infer-pure
+/// applied it and "inferable" when the default chain left it opaque (the
+/// paper's rule).
 [[nodiscard]] const char* purity_status(const FunctionPurity& fn,
                                         bool inference_applied) {
-  if (fn.annotated) return "declared";
   if (!fn.pure) return "rejected";
+  if (fn.annotated) return "declared";
   return inference_applied ? "inferred" : "inferable";
 }
 

@@ -782,6 +782,14 @@ ChainArtifacts run_pure_chain(const std::string& source,
   }
   PurityChecker checker(tu, symbols, diags, purity_options);
   const PurityResult purity = checker.check();
+  // The trail takes annotations on trust; a definition the verifier
+  // refused is rejected, with its first error as the reason.
+  for (const auto& [name, error] : purity.rejected) {
+    const auto fn = artifacts.purity_trail.functions.find(name);
+    if (fn == artifacts.purity_trail.functions.end()) continue;
+    fn->second.pure = false;
+    fn->second.reason = error;
+  }
   if (diags.has_errors()) return artifacts;
 
   // Memoizability classification runs on the pre-transformation AST: it
@@ -1350,21 +1358,25 @@ ChainArtifacts run_pure_chain(const std::string& source,
   if (uses_omp) extra.push_back("#include <omp.h>");
 
   const bool instrumented = !artifacts.instrumented_regions.empty();
+  // Memo counters exist only in --instrument builds: everywhere else no
+  // one reads them, and gcc would compile them on every build.
+  const bool memo_stats = !memo_used.empty() && options.instrument;
   std::string prelude = poly::codegen_prelude();
   std::string epilogue;
-  if (!memo_used.empty() || instrumented) {
+  if (memo_stats || instrumented) {
     // Both exit-time dumps (memo counters, instrument summaries) resolve
     // their destination through one purec_stats_out(), emitted first so
     // either runtime can reference it.
+    add_include("#include <stdlib.h>");
+    add_include("#include <stdio.h>");
     prelude += stats_sink_snippet();
   }
   if (!memo_used.empty()) {
     // Table + prototypes before the program (call sites reference the
     // thunks), definitions after it (they reference the wrapped functions
-    // and the snapshot globals). stdio feeds the PUREC_MEMO_STATS atexit
-    // dump; pthread frees a thread's table when the thread exits.
+    // and the snapshot globals). pthread frees a thread's table when the
+    // thread exits.
     add_include("#include <stdlib.h>");
-    add_include("#include <stdio.h>");
     add_include("#include <pthread.h>");
     if (options.memoize_verify) {
       // Compiles full-key verification into the table; nothing turns it
@@ -1378,21 +1390,20 @@ ChainArtifacts run_pure_chain(const std::string& source,
       prelude += "#define PUREC_MEMO_VERIFY 1\n#define PUREC_MEMO_VWORDS " +
                  std::to_string(widest) + "u\n";
     }
-    prelude += memo_runtime_prelude();
+    prelude += memo_runtime_prelude(memo_stats);
     for (const std::string& name : memo_used) {
       prelude +=
           memo_thunk_prototype(artifacts.memoization.functions.at(name));
     }
     for (const std::string& name : memo_used) {
       epilogue += "\n" + memo_thunk_definition(
-                             artifacts.memoization.functions.at(name));
+                             artifacts.memoization.functions.at(name),
+                             memo_stats);
     }
   }
   if (instrumented) {
     // Counter runtime + one region struct per instrumented nest; the
     // wrapped nests in `lowered` reference these by name.
-    add_include("#include <stdlib.h>");
-    add_include("#include <stdio.h>");
     add_include("#include <time.h>");
     prelude += instrument_runtime_snippet();
     for (std::size_t i = 0; i < artifacts.instrumented_regions.size();

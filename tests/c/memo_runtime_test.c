@@ -10,9 +10,12 @@
  * program, so each configuration is one process: tests/CMakeLists.txt
  * registers every scenario as its own CTest entry with the knobs in
  * ENVIRONMENT, and the exit-dump scenarios re-run this binary as a
- * "phase" with the knobs that process needs. The file is built twice:
- * memo_runtime_verify_test defines PUREC_MEMO_VERIFY=1, as
- * --memoize=verify emits it.
+ * "phase" with the knobs that process needs. The file is built twice.
+ * memo_runtime_test defines PUREC_MEMO_STATS=1, as --memoize --instrument
+ * emits it: the memo counters, the stats sink and the --instrument
+ * runtime. memo_runtime_verify_test defines PUREC_MEMO_VERIFY=1 and
+ * leaves stats at 0, as plain --memoize=verify emits it: no sink, no
+ * counters, and the scenarios that read them are not compiled.
  *
  *   memo_runtime_test <scenario> [args...]    exit status 0 = pass
  */
@@ -29,9 +32,13 @@
 #include <time.h>
 #include <unistd.h>
 
+#if PUREC_MEMO_STATS
 #include "purec_stats_sink.h"
+#endif
 #include "purec_memo.h"
+#if PUREC_MEMO_STATS
 #include "purec_instr.h"
+#endif
 
 static int failures;
 
@@ -520,9 +527,14 @@ static void scenario_thread_exit(void) {
 /* Process and file helpers                                            */
 /* ------------------------------------------------------------------ */
 
-/* Runs this binary as `phase` with NAME, VALUE pairs from the
- * null-terminated `env` added to its environment; the phase must pass. */
-static void run_phase(const char* phase, const char* const* env) {
+/* Only the exit-dump scenarios, which need the counters and the stats
+ * sink, run phases and read files. */
+#if PUREC_MEMO_STATS
+
+/* Runs `exe` as `phase` with NAME, VALUE pairs from the null-terminated
+ * `env` added to its environment; the phase must pass. */
+static void run_exe_phase(const char* exe, const char* phase,
+                          const char* const* env) {
   int status = 0;
   pid_t pid;
   fflush(stdout);
@@ -530,7 +542,7 @@ static void run_phase(const char* phase, const char* const* env) {
   pid = fork();
   if (pid == 0) {
     for (; env[0] != 0; env += 2) setenv(env[0], env[1], 1);
-    execl(self_exe, self_exe, phase, (char*)0);
+    execl(exe, exe, phase, (char*)0);
     _exit(127);
   }
   if (pid < 0 || waitpid(pid, &status, 0) != pid || !WIFEXITED(status) ||
@@ -538,6 +550,10 @@ static void run_phase(const char* phase, const char* const* env) {
     fprintf(stderr, "phase %s failed (status %d)\n", phase, status);
     failures++;
   }
+}
+
+static void run_phase(const char* phase, const char* const* env) {
+  run_exe_phase(self_exe, phase, env);
 }
 
 static long file_size(const char* path) {
@@ -572,20 +588,28 @@ static int count_of(const char* text, const char* needle) {
   }
   return n;
 }
+#endif
 
 /* ------------------------------------------------------------------ */
-/* Exit-time dumps: PUREC_MEMO_STATS and --instrument                  */
+/* Exit-time dumps: memo counters and --instrument                     */
 /* ------------------------------------------------------------------ */
 
 static int square(int x) { return x * x; }
 
-/* The thunk shape purecc emits for `pure T fn(T)`. */
-#define THUNK(fn, T, id)                                                \
+/* The thunk shape purecc emits for `pure T fn(T)`: with counters, their
+ * entry and its registrar come first. */
+#if PUREC_MEMO_STATS
+#define THUNK_ENTRY(fn)                                                 \
   static purec_memo_stats_entry purec_memo_stats_##fn = {.name = #fn}; \
   __attribute__((constructor)) static void                             \
       purec_memo_stats_##fn##_register(void) {                         \
     purec_memo_stats_register(&purec_memo_stats_##fn);                 \
-  }                                                                    \
+  }
+#else
+#define THUNK_ENTRY(fn)
+#endif
+#define THUNK(fn, T, id)                                                \
+  THUNK_ENTRY(fn)                                                      \
   static __thread purec_memo_gate purec_memo_gate_##fn;                \
   static T purec_memo_##fn(T purec_a0) {                               \
     purec_memo_word purec_key = id;                                    \
@@ -624,6 +648,7 @@ static void phase_stats(void) {
   }
 }
 
+#if PUREC_MEMO_STATS
 /* phase_stats_threads: STATS_THREADS pthreads make STATS_CALLS memoized
  * calls each over 64 arguments, each thread counting into its own cell. */
 #define STATS_THREADS 4
@@ -666,8 +691,7 @@ static void phase_stats_threads(void) {
 /* The striped counters lose no count: the dumped hits + misses equal the
  * calls the threads made. */
 static void scenario_stats_threads(const char* path) {
-  const char* env_on[] = {"PUREC_MEMO_STATS", "1", "PUREC_STATS_FILE", path,
-                          0};
+  const char* env_on[] = {"PUREC_STATS_FILE", path, 0};
   unsigned long long hits = 0, misses = 0, evictions = 0;
   long size;
   char *text, *line;
@@ -687,10 +711,55 @@ static void scenario_stats_threads(const char* path) {
   unlink(path);
 }
 
-static void scenario_stats_dump(const char* path) {
-  const char* env_on[] = {"PUREC_MEMO_STATS", "1", "PUREC_STATS_FILE", path,
-                          0};
-  const char* env_off[] = {"PUREC_MEMO_STATS", "0", "PUREC_STATS_FILE",
+/* stats_registry: 100 counter entries, past any fixed-size table,
+ * registered in a scrambled order; the dump must name each once, in name
+ * order. */
+#define STATS_MANY 100
+static purec_memo_stats_entry stats_many[STATS_MANY];
+static char stats_many_names[STATS_MANY][16];
+
+static void phase_stats_many(void) {
+  unsigned i, k;
+  for (i = 0; i < STATS_MANY; i++) {
+    /* 37 is coprime to 100, so this visits every entry exactly once. */
+    k = (i * 37u) % STATS_MANY;
+    snprintf(stats_many_names[k], sizeof stats_many_names[k], "many%03u",
+             k);
+    stats_many[k].name = stats_many_names[k];
+    purec_memo_stats_register(&stats_many[k]);
+  }
+  for (k = 0; k < STATS_MANY; k++) PUREC_MEMO_STAT_INC(stats_many[k], hits);
+}
+
+static void scenario_stats_registry(const char* path) {
+  const char* env[] = {"PUREC_STATS_FILE", path, 0};
+  const char* at;
+  char needle[64];
+  long size;
+  char* text;
+  unsigned k;
+  unlink(path);
+  run_phase("phase_stats_many", env);
+  text = slurp(path, &size);
+  /* The many entries, square and gated. */
+  CHECK(count_of(text, "purec-memo[") == STATS_MANY + 2);
+  at = text;
+  for (k = 0; k < STATS_MANY && at != 0; k++) {
+    snprintf(needle, sizeof needle, "purec-memo[many%03u] hits=1 ", k);
+    CHECK(count_of(text, needle) == 1);
+    at = strstr(at, needle); /* ascending name: after the last */
+    CHECK(at != 0);
+  }
+  free(text);
+  unlink(path);
+}
+
+/* With counters compiled in, one dump line per registered thunk, with
+ * no knob set; the same phase run by `plain_exe`, built without them,
+ * dumps nothing, even with the old PUREC_MEMO_STATS=1 knob set. */
+static void scenario_stats_dump(const char* path, const char* plain_exe) {
+  const char* env_on[] = {"PUREC_STATS_FILE", path, 0};
+  const char* env_off[] = {"PUREC_MEMO_STATS", "1", "PUREC_STATS_FILE",
                            path, 0};
   long size;
   char* text;
@@ -704,11 +773,12 @@ static void scenario_stats_dump(const char* path) {
   CHECK(count_of(text, "purec-memo[gated] hits=0 misses=0 evictions=0 "
                        "bypassed=0\n") == 1);
   free(text);
-  /* With the knob off the counters are dead branches: no dump at all. */
+  /* Compiled out: no dump. */
   unlink(path);
-  run_phase("phase_stats", env_off);
+  run_exe_phase(plain_exe, "phase_stats", env_off);
   CHECK(file_size(path) == -1);
 }
+#endif
 
 /* ------------------------------------------------------------------ */
 /* The admission gate                                                  */
@@ -900,6 +970,7 @@ static void scenario_gate_threads(void) {
   CHECK(gated_calls == 0);
 }
 
+#if PUREC_MEMO_STATS
 static purec_instr_region_t purec_instr_r0 = {.name = "demo:7", .id = 0u};
 __attribute__((constructor)) static void purec_instr_r0_register(void) {
   purec_instr_register(&purec_instr_r0);
@@ -927,9 +998,11 @@ static void scenario_instr_dump(const char* prefix) {
   unlink(trace);
   run_phase("phase_instr", env_summary);
   text = slurp(summary, &size);
-  /* One line: invocations, total wall time, then the worker tallies. */
+  /* One line: invocations, total wall time, then the worker tallies. The
+   * memo counters' lines (square, gated) share the stream. */
   CHECK(count_of(text, "purec-instr[demo:7] invocations=3 total_ns=") == 1);
-  CHECK(count_of(text, "\n") == 1);
+  CHECK(count_of(text, "\n") == 3);
+  CHECK(count_of(text, "purec-memo[") == 2);
   CHECK(count_of(text, " w0=12\n") == 1);
   CHECK(count_of(text, "_ns=") == 1);
   free(text);
@@ -1009,6 +1082,7 @@ static void scenario_instr_registry(const char* prefix) {
   unlink(summary);
   unlink(trace);
 }
+#endif
 
 int main(int argc, char** argv) {
   const char* name = argc > 1 ? argv[1] : "";
@@ -1052,22 +1126,28 @@ int main(int argc, char** argv) {
     scenario_gate_phase(arg);
   } else if (strcmp(name, "gate_threads") == 0) {
     scenario_gate_threads();
+  } else if (strcmp(name, "phase_stats") == 0) {
+    phase_stats();
+#if PUREC_MEMO_STATS
   } else if (strcmp(name, "stats_dump") == 0) {
-    scenario_stats_dump(arg);
+    scenario_stats_dump(arg, argc > 3 ? argv[3] : "");
   } else if (strcmp(name, "stats_threads") == 0) {
     scenario_stats_threads(arg);
+  } else if (strcmp(name, "stats_registry") == 0) {
+    scenario_stats_registry(arg);
   } else if (strcmp(name, "instr_dump") == 0) {
     scenario_instr_dump(arg);
   } else if (strcmp(name, "instr_registry") == 0) {
     scenario_instr_registry(arg);
-  } else if (strcmp(name, "phase_stats") == 0) {
-    phase_stats();
   } else if (strcmp(name, "phase_stats_threads") == 0) {
     phase_stats_threads();
+  } else if (strcmp(name, "phase_stats_many") == 0) {
+    phase_stats_many();
   } else if (strcmp(name, "phase_instr") == 0) {
     phase_instr();
   } else if (strcmp(name, "phase_instr_many") == 0) {
     phase_instr_many();
+#endif
   } else {
     fprintf(stderr, "memo_runtime_test: unknown scenario '%s'\n", name);
     return 2;

@@ -273,6 +273,32 @@ TEST(ChainReportSchema, InstrumentedRunListsItsRegions) {
   }
 }
 
+TEST(ChainReportSchema, CheckerRejectionIsThePurityVerdict) {
+  // Listing 2's `func2` is annotated pure but breaks two rules: its
+  // verdict must agree with the errors, not with the annotation.
+  const std::vector<Fixture> all = e2e::all_fixtures();
+  const Fixture* fixture = find_fixture(all, "asset_listing2_rules");
+  ASSERT_NE(fixture, nullptr);
+  const ChainOptions options = fixture_options(*fixture);
+  const ChainArtifacts artifacts =
+      run_pure_chain(fixture_source(*fixture), options);
+  ASSERT_FALSE(artifacts.ok);
+  const json::Value report = build_chain_report(artifacts, options);
+  const auto* errors = report.find("errors")->as_array();
+  ASSERT_NE(errors, nullptr);
+  ASSERT_EQ(errors->size(), 2u);
+  const auto* purity = report.find("purity")->as_array();
+  ASSERT_NE(purity, nullptr);
+  ASSERT_EQ(purity->size(), 1u);
+  const json::Value& func2 = purity->front();
+  EXPECT_EQ(func2.find("function")->as_string(), "func2");
+  EXPECT_EQ(func2.find("status")->as_string(), "rejected");
+  EXPECT_FALSE(func2.find("pure")->as_bool());
+  EXPECT_TRUE(func2.find("annotated")->as_bool());
+  EXPECT_EQ(func2.find("reason")->as_string(),
+            errors->front().find("message")->as_string());
+}
+
 /// The report entry for the nest in `function`, or nullptr.
 const json::Value* scop_entry(const json::Value& report,
                               const std::string& function) {

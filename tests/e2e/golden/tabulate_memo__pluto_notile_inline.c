@@ -1,8 +1,6 @@
 #include <stdio.h>
 #include <stdlib.h>
 #include <omp.h>
-#include <stdlib.h>
-#include <stdio.h>
 #include <pthread.h>
 #ifndef PUREC_POLY_HELPERS
 #define PUREC_POLY_HELPERS
@@ -11,22 +9,6 @@
 #define purec_max(a, b) (((a) > (b)) ? (a) : (b))
 #define purec_min(a, b) (((a) < (b)) ? (a) : (b))
 #endif
-
-/* Shared stats stream: every exit-time dump (memo counters, --instrument
- * region summaries) resolves its destination here, so the lines land on
- * one stream and never interleave with program stdout. PUREC_STATS_FILE
- * names an append-mode file; unset or unopenable falls back to stderr. */
-static FILE* purec_stats_out(void) {
-  static FILE* purec_stats_stream;
-  const char* purec_stats_path;
-  if (purec_stats_stream != 0) return purec_stats_stream;
-  purec_stats_path = getenv("PUREC_STATS_FILE");
-  if (purec_stats_path != 0 && purec_stats_path[0] != 0) {
-    purec_stats_stream = fopen(purec_stats_path, "a");
-  }
-  if (purec_stats_stream == 0) purec_stats_stream = stderr;
-  return purec_stats_stream;
-}
 #ifndef PUREC_MEMO_RUNTIME
 #define PUREC_MEMO_RUNTIME
 /* Memoization table for pure-call results, one per thread: a thread's
@@ -40,15 +22,12 @@ static FILE* purec_stats_out(void) {
  * clock second chance. A hit on a warm slot only loads: the clock bit is
  * stored only when it reads clear. Each thunk first asks its per-thread
  * gate (purec_memo_gate, below), which sends calls that do not hit
- * straight to the callee. PUREC_MEMO_STATS=1 turns on per-thunk
- * hit/miss/eviction/bypass counters dumped at exit to the shared stats
- * stream (PUREC_STATS_FILE or stderr, see purec_stats_out()); they are
- * dead branches when the knob is off. Full-key verification is
- * compile-time only: PUREC_MEMO_VERIFY=1 (--memoize=verify emits it)
+ * straight to the callee. Per-thunk counters are compiled in only for
+ * --instrument builds; other output carries none. Full-key verification
+ * is compile-time only: PUREC_MEMO_VERIFY=1 (--memoize=verify emits it)
  * stores the raw key words next to each slot and compares them on a hit,
  * so a fingerprint alias degrades to a miss instead of a wrong value; at
- * 0 every verify branch folds away. Needs <pthread.h>, <stdlib.h> and
- * <stdio.h>. */
+ * 0 every verify branch folds away. Needs <pthread.h> and <stdlib.h>. */
 #ifndef PUREC_MEMO_VERIFY
 #define PUREC_MEMO_VERIFY 0
 #endif
@@ -64,78 +43,9 @@ typedef union { double v; purec_memo_word b; } purec_memo_f64;
 #endif
 #define PUREC_MEMO_VREC (1u + PUREC_MEMO_VWORDS) /* [count, words...] */
 
-/* Stats counters are striped: each thunk owns PUREC_MEMO_STAT_CELLS
- * cache-line cells, a thread counts into the cell its first count picked,
- * and the dump sums the cells. Threads share a cell only past that many
- * threads, so the adds stay atomic. */
-#define PUREC_MEMO_STAT_CELLS 16u
-
-typedef struct {
-  purec_memo_word hits, misses, evictions, bypassed;
-} __attribute__((aligned(64))) purec_memo_stat_cell;
-
-typedef struct {
-  const char* name;
-  purec_memo_stat_cell cells[PUREC_MEMO_STAT_CELLS];
-} purec_memo_stats_entry;
-
-static purec_memo_stats_entry* purec_memo_stats_tables[64];
-static unsigned purec_memo_stats_count;
-static unsigned purec_memo_stats_dropped;
-static int purec_memo_stats_on; /* PUREC_MEMO_STATS=1 */
-static unsigned purec_memo_stat_threads;
-static __thread unsigned purec_memo_stat_ticket; /* 0 until first count */
-
-static void purec_memo_stats_dump(void) {
-  unsigned i, c;
-  if (purec_memo_stats_dropped != 0)
-    fprintf(purec_stats_out(),
-            "purec-memo: %u thunk counter(s) not shown (registry full)\n",
-            purec_memo_stats_dropped);
-  for (i = 0; i < purec_memo_stats_count; i++) {
-    purec_memo_stats_entry* e = purec_memo_stats_tables[i];
-    purec_memo_word hits = 0, misses = 0, evictions = 0, bypassed = 0;
-    for (c = 0; c < PUREC_MEMO_STAT_CELLS; c++) {
-      hits += __atomic_load_n(&e->cells[c].hits, __ATOMIC_RELAXED);
-      misses += __atomic_load_n(&e->cells[c].misses, __ATOMIC_RELAXED);
-      evictions +=
-          __atomic_load_n(&e->cells[c].evictions, __ATOMIC_RELAXED);
-      bypassed += __atomic_load_n(&e->cells[c].bypassed, __ATOMIC_RELAXED);
-    }
-    fprintf(purec_stats_out(),
-            "purec-memo[%s] hits=%llu misses=%llu evictions=%llu "
-            "bypassed=%llu\n",
-            e->name, (unsigned long long)hits, (unsigned long long)misses,
-            (unsigned long long)evictions, (unsigned long long)bypassed);
-  }
-}
-
-/* Thunk registrars run as constructors too; registration is
- * unconditional (the env gate lives on the counting and the dump) so
- * constructor order cannot drop a table. */
-static void purec_memo_stats_register(purec_memo_stats_entry* e) {
-  if (purec_memo_stats_count <
-      sizeof(purec_memo_stats_tables) / sizeof(purec_memo_stats_tables[0]))
-    purec_memo_stats_tables[purec_memo_stats_count++] = e;
-  else
-    purec_memo_stats_dropped++;
-}
-
-/* The calling thread's cell index, assigned on its first count. */
-static unsigned purec_memo_stat_index(void) {
-  if (purec_memo_stat_ticket == 0)
-    purec_memo_stat_ticket =
-        __atomic_add_fetch(&purec_memo_stat_threads, 1u, __ATOMIC_RELAXED);
-  return purec_memo_stat_ticket % PUREC_MEMO_STAT_CELLS;
-}
-
-#define PUREC_MEMO_STAT_INC(entry, counter)                            \
-  do {                                                                 \
-    if (purec_memo_stats_on)                                           \
-      __atomic_fetch_add(                                              \
-          &(entry).cells[purec_memo_stat_index()].counter, 1ULL,       \
-          __ATOMIC_RELAXED);                                           \
-  } while (0)
+#ifndef PUREC_MEMO_STAT_INC /* no counters: counting is a no-op */
+#define PUREC_MEMO_STAT_INC(entry, counter) ((void)0)
+#endif
 
 typedef struct {
   purec_memo_word tag; /* key fingerprint; 0 = empty */
@@ -189,9 +99,6 @@ static void purec_memo_thread_exit(void* table) {
 }
 
 __attribute__((constructor)) static void purec_memo_init(void) {
-  const char* stats = getenv("PUREC_MEMO_STATS");
-  purec_memo_stats_on = stats != 0 && stats[0] == '1';
-  if (purec_memo_stats_on) atexit(purec_memo_stats_dump);
   purec_memo_cap = purec_memo_pow2(purec_memo_env("PUREC_MEMO_CAP", 65536));
   if (purec_memo_probe > purec_memo_cap)
     purec_memo_probe = (unsigned)purec_memo_cap;
@@ -482,10 +389,6 @@ int main()
   return 0;
 }
 
-static purec_memo_stats_entry purec_memo_stats_shade = {.name = "shade"};
-__attribute__((constructor)) static void purec_memo_stats_shade_register(void) {
-  purec_memo_stats_register(&purec_memo_stats_shade);
-}
 static __thread purec_memo_gate purec_memo_gate_shade;
 static float purec_memo_shade(int purec_a0) {
   purec_memo_word purec_key = 0x6de592493a8ba3aaULL;
@@ -494,7 +397,6 @@ static float purec_memo_shade(int purec_a0) {
   unsigned purec_kn = 0;
   float purec_result;
   if (purec_memo_gate_skip(&purec_memo_gate_shade)) {
-    PUREC_MEMO_STAT_INC(purec_memo_stats_shade, bypassed);
     return shade(purec_a0);
   }
   PUREC_MEMO_KEY_INT(purec_key, purec_kw, purec_kn, purec_a0);
@@ -502,13 +404,10 @@ static float purec_memo_shade(int purec_a0) {
   purec_key = purec_memo_mix(purec_key);
   if (purec_key == 0) purec_key = 1;
   if (purec_memo_lookup(purec_key, purec_kw, purec_kn, &purec_word)) {
-    PUREC_MEMO_STAT_INC(purec_memo_stats_shade, hits);
     return PUREC_MEMO_UNPACK_F32(purec_word);
   }
   purec_memo_gate_shade.misses++;
-  PUREC_MEMO_STAT_INC(purec_memo_stats_shade, misses);
   purec_result = shade(purec_a0);
-  if (purec_memo_store(purec_key, purec_kw, purec_kn, PUREC_MEMO_PACK_F32(purec_result), purec_memo_gate_shade.backoff == 0))
-    PUREC_MEMO_STAT_INC(purec_memo_stats_shade, evictions);
+  purec_memo_store(purec_key, purec_kw, purec_kn, PUREC_MEMO_PACK_F32(purec_result), purec_memo_gate_shade.backoff == 0);
   return purec_result;
 }

@@ -475,6 +475,29 @@ TEST(E2EInstrument, InstrumentedDifferentialAndChromeTrace) {
 // The region registry has no fixed capacity: a translation unit with 70
 // parallel regions names every one of them once in the summary and once
 // among the trace's chunk counters.
+/// Writes `source` under TempDir as `tag`.c, compiles it warning-free with
+/// gcc -fopenmp, and returns the binary's path.
+std::string build_clean(const std::string& source, const std::string& tag) {
+  const std::string dir = ::testing::TempDir();
+  const std::string c_path = dir + "/purec_e2e_" + tag + ".c";
+  const std::string bin_path = dir + "/purec_e2e_" + tag + ".bin";
+  {
+    std::ofstream out(c_path);
+    out << source;
+  }
+  run_command("gcc -O2 -fopenmp -Wall -Wextra -Werror -o " +
+              shell_quote(bin_path) + " " + shell_quote(c_path));
+  return bin_path;
+}
+
+/// Runs `bin` at kRunThreads threads with no stats or trace variable set.
+std::string run_bare(const std::string& bin) {
+  return run_command(
+      std::string("env -u PUREC_STATS_FILE -u PUREC_TRACE -u "
+                  "PUREC_MEMO_STATS OMP_NUM_THREADS=") +
+      kRunThreads + " " + shell_quote(bin));
+}
+
 TEST(E2EInstrument, EveryRegionPastSixtyFourReachesTheDump) {
   if (!gcc_available()) GTEST_SKIP() << "no system gcc";
   constexpr int kRegions = 70;
@@ -497,16 +520,10 @@ TEST(E2EInstrument, EveryRegionPastSixtyFourReachesTheDump) {
   ASSERT_EQ(instrumented.instrumented_regions.size(),
             static_cast<std::size_t>(kRegions));
 
-  const std::string dir = ::testing::TempDir();
-  const std::string c_path = dir + "/purec_e2e_instr_many.c";
-  const std::string bin_path = dir + "/purec_e2e_instr_many.bin";
-  const std::string trace_path = dir + "/purec_e2e_instr_many.json";
-  {
-    std::ofstream out(c_path);
-    out << instrumented.final_source;
-  }
-  run_command("gcc -O2 -fopenmp -Wall -Wextra -Werror -o " +
-              shell_quote(bin_path) + " " + shell_quote(c_path));
+  const std::string bin_path =
+      build_clean(instrumented.final_source, "instr_many");
+  const std::string trace_path =
+      ::testing::TempDir() + "/purec_e2e_instr_many.json";
   const std::string threads = std::string("OMP_NUM_THREADS=") + kRunThreads;
   const std::string summary =
       run_command(threads + " " + shell_quote(bin_path));
@@ -523,6 +540,92 @@ TEST(E2EInstrument, EveryRegionPastSixtyFourReachesTheDump) {
     EXPECT_EQ(count_of(summary, "purec-instr[" + region + "] "), 1u)
         << region;
     EXPECT_EQ(count_of(trace, "\"" + region + " chunks\""), 1u) << region;
+  }
+}
+
+// Memo counters exist only in --instrument builds, and there they need no
+// knob: the dump accounts for every call the program made.
+TEST(E2EInstrument, MemoCountersComeWithInstrumentAndCountEveryCall) {
+  if (!gcc_available()) GTEST_SKIP() << "no system gcc";
+  constexpr int kCalls = 4096;
+  const std::string n = std::to_string(kCalls);
+  const std::string source =
+      "#include <stdio.h>\n"
+      "int out[" + n + "];\n"
+      "pure int sq(int x) {\n"
+      "  return x * x + 1;\n"
+      "}\n"
+      "void fill(void) {\n"
+      "  for (int i = 0; i < " + n + "; i++) out[i] = sq(i % 64);\n"
+      "}\n"
+      "int main(void) {\n"
+      "  long s = 0;\n"
+      "  fill();\n"
+      "  for (int i = 0; i < " + n + "; i++) s += out[i];\n"
+      "  printf(\"checksum %ld\\n\", s);\n"
+      "  return 0;\n"
+      "}\n";
+  ChainOptions options;
+  options.memoize = true;
+  options.memoize_all = true;
+  options.tile = false;
+  const ChainArtifacts plain = run_pure_chain(source, options);
+  ASSERT_TRUE(plain.ok) << plain.diagnostics.format();
+  options.instrument = true;
+  const ChainArtifacts counted = run_pure_chain(source, options);
+  ASSERT_TRUE(counted.ok) << counted.diagnostics.format();
+  ASSERT_EQ(counted.memoized_calls, 1u);
+
+  const std::string plain_out = run_bare(build_clean(plain.final_source,
+                                                     "memo_plain"));
+  const std::string counted_out = run_bare(build_clean(counted.final_source,
+                                                       "memo_counted"));
+  EXPECT_EQ(count_of(plain_out, "purec-memo["), 0u) << plain_out;
+  EXPECT_NE(plain_out.find("checksum"), std::string::npos) << plain_out;
+  EXPECT_NE(counted_out.find(plain_out), std::string::npos) << counted_out;
+  const std::size_t line = counted_out.find("purec-memo[sq] ");
+  ASSERT_NE(line, std::string::npos) << counted_out;
+  unsigned long long hits = 0, misses = 0, evictions = 0, bypassed = 0;
+  ASSERT_EQ(std::sscanf(counted_out.c_str() + line,
+                        "purec-memo[sq] hits=%llu misses=%llu "
+                        "evictions=%llu bypassed=%llu",
+                        &hits, &misses, &evictions, &bypassed),
+            4);
+  EXPECT_EQ(hits + misses + bypassed,
+            static_cast<unsigned long long>(kCalls));
+  EXPECT_GE(misses, 64u);
+}
+
+TEST(E2EInstrument, EveryMemoCounterPastSixtyFourReachesTheDump) {
+  if (!gcc_available()) GTEST_SKIP() << "no system gcc";
+  constexpr int kFunctions = 70;
+  std::string source = "#include <stdio.h>\n";
+  std::string calls;
+  for (int f = 0; f < kFunctions; ++f) {
+    const std::string n = std::to_string(f);
+    source += "pure int g" + n + "(int x) {\n  return x * " + n +
+              " + 1;\n}\n";
+    calls += "  s += g" + n + "(s % 7);\n";
+  }
+  source += "int main(void) {\n  int s = 0;\n" + calls +
+            "  printf(\"checksum %d\\n\", s);\n  return 0;\n}\n";
+
+  ChainOptions options;
+  options.memoize = true;
+  options.memoize_all = true;
+  options.instrument = true;
+  const ChainArtifacts counted = run_pure_chain(source, options);
+  ASSERT_TRUE(counted.ok) << counted.diagnostics.format();
+  ASSERT_EQ(counted.memoized_calls, static_cast<std::size_t>(kFunctions));
+  const std::string out = run_bare(build_clean(counted.final_source,
+                                               "memo_many"));
+  EXPECT_EQ(count_of(out, "purec-memo["),
+            static_cast<std::size_t>(kFunctions))
+      << out;
+  for (int f = 0; f < kFunctions; ++f) {
+    const std::string g = 'g' + std::to_string(f);
+    EXPECT_EQ(count_of(out, "purec-memo[" + g + "] hits=0 misses=1 "), 1u)
+        << g;
   }
 }
 

@@ -291,7 +291,7 @@ TEST(MemoCodegen, ThunkPrototypeShape) {
   EXPECT_EQ(memo_thunk_prototype(info),
             "static float purec_memo_mult(float purec_a0, "
             "float purec_a1);\n");
-  const std::string def = memo_thunk_definition(info);
+  const std::string def = memo_thunk_definition(info, false);
   EXPECT_NE(
       def.find("PUREC_MEMO_KEY_F32(purec_key, purec_kw, purec_kn, "
                "purec_a0);"),
@@ -300,6 +300,27 @@ TEST(MemoCodegen, ThunkPrototypeShape) {
   EXPECT_NE(def.find("purec_result = mult(purec_a0, purec_a1);"),
             std::string::npos)
       << def;
+}
+
+TEST(MemoCodegen, CountersOnlyWithStats) {
+  MemoFunctionInfo info;
+  info.name = "f";
+  info.return_type = Type::make_builtin(BuiltinKind::Int);
+  info.param_types = {Type::make_builtin(BuiltinKind::Int)};
+  const std::string plain = memo_thunk_definition(info, false);
+  EXPECT_EQ(plain.find("purec_memo_stats"), std::string::npos) << plain;
+  EXPECT_EQ(plain.find("PUREC_MEMO_STAT_INC"), std::string::npos) << plain;
+  EXPECT_NE(plain.find("  purec_memo_store("), std::string::npos) << plain;
+  const std::string counted = memo_thunk_definition(info, true);
+  EXPECT_NE(counted.find("purec_memo_stats_register(&purec_memo_stats_f);"),
+            std::string::npos)
+      << counted;
+  for (const char* counter : {"bypassed", "hits", "misses", "evictions"}) {
+    EXPECT_NE(counted.find("PUREC_MEMO_STAT_INC(purec_memo_stats_f, " +
+                           std::string(counter) + ");"),
+              std::string::npos)
+        << counter;
+  }
 }
 
 TEST(MemoCodegen, FunctionIdsDiffer) {
@@ -314,7 +335,7 @@ TEST(MemoCodegen, IntegerAndDoubleKeyLines) {
   info.param_types = {Type::make_builtin(BuiltinKind::Int)};
   info.global_snapshot.emplace_back(
       "g", Type::make_builtin(BuiltinKind::Double));
-  const std::string def = memo_thunk_definition(info);
+  const std::string def = memo_thunk_definition(info, false);
   EXPECT_NE(
       def.find("PUREC_MEMO_KEY_INT(purec_key, purec_kw, purec_kn, "
                "purec_a0);"),
@@ -365,14 +386,22 @@ TEST(MemoChain, MemoizeAllRewritesCallSitesAndEmitsRuntime) {
             std::string::npos);
   EXPECT_NE(artifacts.final_source.find("#include <stdlib.h>"),
             std::string::npos);
-  // The PUREC_MEMO_STATS instrumentation rides along: per-thunk counter
-  // registration plus the atexit dump in the emitted runtime.
-  EXPECT_NE(artifacts.final_source.find("purec_memo_stats_mult"),
-            std::string::npos);
-  EXPECT_NE(artifacts.final_source.find("purec_memo_stats_dump"),
-            std::string::npos);
-  EXPECT_NE(artifacts.final_source.find("#include <stdio.h>"),
-            std::string::npos);
+  // No one reads memo counters outside --instrument builds, so plain
+  // --memoize output carries none of them, nor the stats sink.
+  for (const char* stats :
+       {"purec_memo_stats", "purec_stats_out", "PUREC_MEMO_STATS"}) {
+    EXPECT_EQ(artifacts.final_source.find(stats), std::string::npos)
+        << stats;
+  }
+  options.instrument = true;
+  const ChainArtifacts counted = run_pure_chain(testsrc::kMatmul, options);
+  ASSERT_TRUE(counted.ok) << counted.diagnostics.format();
+  for (const char* stats : {"purec_memo_stats_mult", "purec_stats_out",
+                            "#define PUREC_MEMO_STATS 1\n",
+                            "#include <stdio.h>"}) {
+    EXPECT_NE(counted.final_source.find(stats), std::string::npos)
+        << stats;
+  }
   // Intermediate stages stay memo-free (the rewrite is a PosPro concern).
   EXPECT_EQ(artifacts.transformed.find("purec_memo"), std::string::npos);
 }

@@ -44,6 +44,17 @@ TEST(IncludeStripper, RestorePutsIncludesOnTop) {
             "#include <stdio.h>\n#include <omp.h>\nint x;\n");
 }
 
+TEST(IncludeStripper, RestoreSkipsExtraIncludesTheSourceHas) {
+  // The source's own spelling is kept; an extra naming the same header
+  // (whatever its spacing) is dropped, and a new one is still added.
+  const std::string restored = restore_system_includes(
+      "int x;\n", {"#include <stdlib.h>", "#  include<stdio.h>"},
+      {"#include <stdio.h>", "#include <omp.h>", "#include <stdlib.h>"});
+  EXPECT_EQ(restored,
+            "#include <stdlib.h>\n#  include<stdio.h>\n#include <omp.h>\n"
+            "int x;\n");
+}
+
 TEST(IncludeStripper, RoundTrip) {
   const std::string src = "#include <m.h>\nint y;\n";
   StrippedSource stripped = strip_system_includes(src);
