@@ -76,6 +76,18 @@ TypePtr Type::with_const(bool constant) const {
   return t;
 }
 
+TypePtr Type::with_volatile(bool is_volatile) const {
+  auto t = std::make_shared<Type>(*this);
+  t->is_volatile = is_volatile;
+  return t;
+}
+
+TypePtr Type::with_restrict(bool is_restrict) const {
+  auto t = std::make_shared<Type>(*this);
+  t->is_restrict = is_restrict;
+  return t;
+}
+
 bool Type::is_integer() const noexcept {
   if (kind != TypeKind::Builtin) return false;
   switch (builtin) {
@@ -110,9 +122,17 @@ bool Type::any_level_pure() const noexcept {
   return false;
 }
 
+bool Type::any_level_volatile() const noexcept {
+  if (is_volatile) return true;
+  if (pointee != nullptr) return pointee->any_level_volatile();
+  if (element != nullptr) return element->any_level_volatile();
+  return false;
+}
+
 bool Type::equals(const Type& other) const noexcept {
   if (kind != other.kind || is_const != other.is_const ||
-      is_pure != other.is_pure) {
+      is_pure != other.is_pure || is_volatile != other.is_volatile ||
+      is_restrict != other.is_restrict) {
     return false;
   }
   switch (kind) {
@@ -134,6 +154,7 @@ std::string Type::to_string() const {
   std::string quals;
   if (is_pure) quals += "pure ";
   if (is_const) quals += "const ";
+  if (is_volatile) quals += "volatile ";
   switch (kind) {
     case TypeKind::Builtin:
       return quals + purec::to_string(builtin);
@@ -141,6 +162,8 @@ std::string Type::to_string() const {
       std::string s = pointee->to_string() + "*";
       if (is_pure) s += " pure";
       if (is_const) s += " const";
+      if (is_volatile) s += " volatile";
+      if (is_restrict) s += " restrict";
       return s;
     }
     case TypeKind::Array: {

@@ -52,6 +52,12 @@ class Type {
   bool is_const = false;
   /// The paper's qualifier: single-assignment, never written through.
   bool is_pure = false;
+  /// Every access happens as written: a nest that touches a volatile
+  /// object is never reordered or parallelized.
+  bool is_volatile = false;
+  /// C99 `restrict` (pointer levels only): kept so the printed C carries
+  /// the programmer's no-alias promise to the backend compiler.
+  bool is_restrict = false;
 
   TypePtr pointee;                        // Pointer
   TypePtr element;                        // Array
@@ -70,9 +76,12 @@ class Type {
   [[nodiscard]] static TypePtr make_struct(std::string tag);
   [[nodiscard]] static TypePtr make_named(std::string typedef_name);
 
-  /// Same type with `is_pure` / `is_const` replaced on the top level.
+  /// Same type with `is_pure` / `is_const` / `is_volatile` /
+  /// `is_restrict` replaced on the top level.
   [[nodiscard]] TypePtr with_pure(bool pure) const;
   [[nodiscard]] TypePtr with_const(bool constant) const;
+  [[nodiscard]] TypePtr with_volatile(bool is_volatile) const;
+  [[nodiscard]] TypePtr with_restrict(bool is_restrict) const;
 
   // -- queries -------------------------------------------------------------
   [[nodiscard]] bool is_pointer() const noexcept {
@@ -91,6 +100,8 @@ class Type {
   }
   /// True if this type or any pointee/element level carries `pure`.
   [[nodiscard]] bool any_level_pure() const noexcept;
+  /// True if this type or any pointee/element level is volatile.
+  [[nodiscard]] bool any_level_volatile() const noexcept;
 
   /// Structural equality including qualifiers.
   [[nodiscard]] bool equals(const Type& other) const noexcept;

@@ -87,6 +87,7 @@ class Printer {
       case TypeKind::Named: {
         std::string spec;
         if (type->is_const) spec += "const ";
+        if (type->is_volatile) spec += "volatile ";
         if (type->kind == TypeKind::Struct) spec += "struct ";
         spec += (type->kind == TypeKind::Builtin)
                     ? std::string(purec::to_string(type->builtin))
@@ -103,6 +104,8 @@ class Printer {
       case TypeKind::Pointer: {
         std::string stars = "*";
         if (type->is_const) stars += "const ";
+        if (type->is_volatile) stars += "volatile ";
+        if (type->is_restrict) stars += "restrict ";
         return declaration(type->pointee, stars + inner);
       }
       case TypeKind::Array: {

@@ -239,9 +239,12 @@ Parser::DeclSpecifiers Parser::parse_decl_specifiers() {
       case TokenKind::KwExtern: specs.is_extern = true; advance(); continue;
       case TokenKind::KwConst: specs.is_const = true; advance(); continue;
       case TokenKind::KwPure: specs.is_pure = true; advance(); continue;
+      case TokenKind::KwVolatile:
+        specs.is_volatile = true;
+        advance();
+        continue;
       case TokenKind::KwInline:
       case TokenKind::KwRegister:
-      case TokenKind::KwVolatile:
       case TokenKind::KwRestrict:
         advance();  // accepted and ignored (no semantic effect in this chain)
         continue;
@@ -314,6 +317,9 @@ Parser::DeclSpecifiers Parser::parse_decl_specifiers() {
     specs.base_type = Type::make_builtin(k);
   }
   if (specs.is_const) specs.base_type = specs.base_type->with_const(true);
+  if (specs.is_volatile) {
+    specs.base_type = specs.base_type->with_volatile(true);
+  }
   return specs;
 }
 
@@ -323,13 +329,19 @@ TypePtr Parser::parse_pointer_suffix(TypePtr base, bool decl_pure) {
     advance();
     bool ptr_const = false;
     bool ptr_pure = false;
+    bool ptr_volatile = false;
+    bool ptr_restrict = false;
     while (at(TokenKind::KwConst) || at(TokenKind::KwPure) ||
            at(TokenKind::KwRestrict) || at(TokenKind::KwVolatile)) {
       if (at(TokenKind::KwConst)) ptr_const = true;
       if (at(TokenKind::KwPure)) ptr_pure = true;
+      if (at(TokenKind::KwVolatile)) ptr_volatile = true;
+      if (at(TokenKind::KwRestrict)) ptr_restrict = true;
       advance();
     }
     type = Type::make_pointer(std::move(type), ptr_const, ptr_pure);
+    if (ptr_volatile) type = type->with_volatile(true);
+    if (ptr_restrict) type = type->with_restrict(true);
   }
   // The paper's prefix `pure` on a pointer declaration marks the pointer
   // itself: `pure int* p` == pointer that is single-assignment and

@@ -51,6 +51,7 @@ class Parser {
     bool is_static = false;
     bool is_extern = false;
     bool is_const = false;
+    bool is_volatile = false;
     bool is_pure = false;  // leading `pure` — meaning depends on declarator
     SourceLocation loc;
   };

@@ -243,7 +243,8 @@ StmtPtr generate_code(const Scop& scop, const Transform& transform,
                       const CodegenOptions& options,
                       IteratorSubstitution* substitution_out,
                       std::size_t* collapse_out,
-                      std::string* schedule_out) {
+                      std::string* schedule_out,
+                      std::size_t* simd_loops_out) {
   const std::size_t d = scop.depth();
   const std::size_t p = scop.parameters.size();
   const IntMat& T = transform.matrix;
@@ -392,11 +393,18 @@ StmtPtr generate_code(const Scop& scop, const Transform& transform,
           ? outer_parallel
           : Transform::npos;
 
-  // Innermost parallel point dimension for the SICA simd pragma.
+  // Innermost parallel point dimension for the simd pragma. The
+  // outermost point loop never takes it, nor does the loop that takes the
+  // parallel pragma (gcc wants a loop right after `omp simd`).
   std::size_t simd_dim = Transform::npos;
-  if (options.simd && d > 0 && transform.parallel[d - 1]) {
+  if (d > 1 && transform.parallel[d - 1] &&
+      d - 1 != inner_parallel_point) {
     simd_dim = d - 1;
   }
+  if (simd_loops_out != nullptr) {
+    *simd_loops_out = simd_dim == Transform::npos ? 0 : 1;
+  }
+  if (!options.simd) simd_dim = Transform::npos;
 
   // Build loops inside-out: points innermost-first, then tiles.
   bool parallel_pragma = false;
@@ -413,7 +421,7 @@ StmtPtr generate_code(const Scop& scop, const Transform& transform,
     StmtPtr loop = make_loop(point_names[k], std::move(lower),
                              std::move(upper), std::move(current));
     auto wrapper = std::make_unique<CompoundStmt>();
-    if (k == simd_dim && k != 0) {
+    if (k == simd_dim) {
       std::string text = "#pragma omp simd";
       if (!reduction_clause.empty()) text += " " + reduction_clause;
       if (!private_clause.empty()) text += " " + private_clause;
@@ -576,10 +584,11 @@ StmtPtr schedule_region(const Scop& scop,
       selected[j] = !under_selected;
     }
 
-    // SICA mode: parallel leaf loops (within this group's pruned nest)
-    // that did not take the parallel pragma get the vectorization hint.
-    // Only plainly parallel loops qualify — a privatization-dependent
-    // loop would need its own private clause on the simd pragma.
+    // Parallel leaf loops (within this group's pruned nest) that did not
+    // take the parallel pragma qualify for the vectorization hint, which
+    // they carry under options.simd. Only plainly parallel loops qualify —
+    // a privatization-dependent loop would need its own private clause
+    // on the simd pragma.
     std::vector<bool> has_child(d, false);
     for (std::size_t j = 0; j < d; ++j) {
       if (relevant[j] && scop.loop_parents[j] != Scop::npos) {
@@ -587,12 +596,13 @@ StmtPtr schedule_region(const Scop& scop,
       }
     }
     std::vector<bool> simd(d, false);
-    if (options.simd) {
-      for (std::size_t j = 0; j < d; ++j) {
-        simd[j] = relevant[j] && !has_child[j] && parallel_plain[j] &&
-                  !selected[j];
-      }
+    for (std::size_t j = 0; j < d; ++j) {
+      simd[j] = relevant[j] && !has_child[j] && parallel_plain[j] &&
+                !selected[j];
     }
+    const std::size_t group_simd_loops = static_cast<std::size_t>(
+        std::count(simd.begin(), simd.end(), true));
+    if (!options.simd) simd.assign(d, false);
 
     // Effective schedule, per pragma'd loop: the user's spec wins; with
     // no spec, a loop whose in-group statements have iterator-coupled
@@ -780,6 +790,7 @@ StmtPtr schedule_region(const Scop& scop,
       }
     };
     if (!prune(cloned)) continue;
+    rs.simd_loops += group_simd_loops;
 
     bool group_selected = false;
     for (std::size_t j = 0; j < d; ++j) {

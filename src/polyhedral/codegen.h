@@ -1,8 +1,8 @@
 // Loop code generation for a transformed scop (the CLooG counterpart):
 // produces a new AST loop nest scanning the transformed domain, with
 // rectangular tiling of the permutable band, `floord`/`ceild`/min/max
-// bounds, OpenMP pragma on the outermost parallel loop, and (SICA mode) a
-// SIMD pragma on the innermost parallel loop.
+// bounds, OpenMP pragma on the outermost parallel loop, and (under
+// CodegenOptions::simd) a SIMD pragma on the innermost parallel loop.
 #pragma once
 
 #include <cstdint>
@@ -21,8 +21,9 @@ struct CodegenOptions {
   /// Tile the permutable band when its size is >= 2.
   bool tile = true;
   std::int64_t tile_size = 32;
-  /// SICA mode: emit `#pragma omp simd` on the innermost parallel point
-  /// loop (the vectorization PluTo-SICA enforces).
+  /// Emit `#pragma omp simd` on the innermost parallel point loop (the
+  /// vectorization PluTo-SICA enforces; the chain also sets it in the
+  /// default mode when the nest's pure callees are loop-free).
   bool simd = false;
   /// Schedule for the parallel pragma, normalized into clause text here
   /// (e.g. schedule(dynamic,1), the satellite fix in §4.3.3). Default =
@@ -70,14 +71,18 @@ struct IteratorSubstitution {
 /// schedule clause printed on the parallel pragma: the user's spec, or
 /// `schedule(guided,4)` for an imbalanced domain when there is none;
 /// it is left untouched when no parallel pragma is printed or no nest is
-/// returned.
+/// returned. `simd_loops_out` receives the number of loops that qualify
+/// for `#pragma omp simd` (0 or 1: the innermost point loop, when it is
+/// parallel, not the outermost point loop, and not the loop that takes
+/// the parallel pragma); they carry it only under `options.simd`.
 [[nodiscard]] StmtPtr generate_code(const Scop& scop,
                                     const Transform& transform,
                                     const CodegenOptions& options,
                                     IteratorSubstitution* substitution_out =
                                         nullptr,
                                     std::size_t* collapse_out = nullptr,
-                                    std::string* schedule_out = nullptr);
+                                    std::string* schedule_out = nullptr,
+                                    std::size_t* simd_loops_out = nullptr);
 
 /// What schedule_region decided, for the chain's report.
 struct RegionSchedule {
@@ -94,6 +99,10 @@ struct RegionSchedule {
   std::vector<std::string> privatized;
   /// Schedule clause on the first parallel pragma ("" = none).
   std::string schedule_clause;
+  /// Parallel leaf loops (in the emitted groups) that did not take the
+  /// parallel pragma: they qualify for `#pragma omp simd` and carry it
+  /// only under `options.simd`.
+  std::size_t simd_loops = 0;
 };
 
 /// Region scheduling for `Scop::region_shaped` scops (guards, imperfect
@@ -102,8 +111,8 @@ struct RegionSchedule {
 /// no reordering, no tiling — but the nest is restructured:
 ///
 ///  * Loops whose non-exempt dependences all vanish get `#pragma omp
-///    parallel for` at the outermost legal position; SICA mode marks
-///    parallel leaf loops `#pragma omp simd`.
+///    parallel for` at the outermost legal position; under
+///    `options.simd` parallel leaf loops get `#pragma omp simd`.
 ///  * A loop serialized only by a written-before-read function-scope
 ///    scalar in `privatizable` (the chain has already proven it dead
 ///    after the nest) parallelizes with the scalar in `private(...)`.

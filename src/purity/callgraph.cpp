@@ -1,6 +1,7 @@
 #include "purity/callgraph.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "ast/walk.h"
 
@@ -124,6 +125,37 @@ class TarjanScc {
 
 std::vector<std::vector<const CallGraphNode*>> CallGraph::sccs() const {
   return TarjanScc(nodes_).run();
+}
+
+std::map<std::string, LoopWitness> loop_witnesses(const CallGraph& graph) {
+  std::map<std::string, LoopWitness> witnesses;
+  // Callees before callers: every callee outside the component already
+  // has its verdict.
+  for (const std::vector<const CallGraphNode*>& scc : graph.sccs()) {
+    std::optional<LoopWitness> found;
+    const CallGraphNode& first = *scc.front();
+    if (scc.size() > 1 || first.callees.count(first.name) != 0) {
+      found = LoopWitness{first.name, true};
+    }
+    for (const CallGraphNode* node : scc) {
+      if (found) break;
+      for_each_stmt(*node->definition->body, [&](const Stmt& s) {
+        if (!found && (s.kind() == StmtKind::For ||
+                       s.kind() == StmtKind::While ||
+                       s.kind() == StmtKind::DoWhile)) {
+          found = LoopWitness{node->name, false};
+        }
+      });
+      for (const std::string& callee : node->callees) {
+        if (found) break;
+        const auto it = witnesses.find(callee);
+        if (it != witnesses.end()) found = it->second;
+      }
+    }
+    if (!found) continue;
+    for (const CallGraphNode* node : scc) witnesses[node->name] = *found;
+  }
+  return witnesses;
 }
 
 }  // namespace purec

@@ -60,4 +60,19 @@ class CallGraph {
   std::map<std::string, CallGraphNode> nodes_;
 };
 
+/// Where a call to a defined function runs a loop: `function` is the
+/// function itself or a defined function it reaches whose body holds a
+/// `for`, `while` or `do` statement; `recursive` marks a call cycle
+/// instead (recursion repeats work the way a loop does).
+struct LoopWitness {
+  std::string function;
+  bool recursive = false;
+};
+
+/// The loop witness of every defined function that reaches a loop or a
+/// call cycle through its defined callees (itself included); functions
+/// that reach neither are absent. External callees count as loop-free.
+[[nodiscard]] std::map<std::string, LoopWitness> loop_witnesses(
+    const CallGraph& graph);
+
 }  // namespace purec

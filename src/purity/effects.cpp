@@ -127,6 +127,12 @@ class EffectScanner {
     if (const auto* ident = expr_cast<IdentExpr>(&e)) {
       if (callee_idents_.count(ident) != 0) return;
       const Symbol* sym = scope_.resolve(*ident);
+      if (sym != nullptr && sym->type != nullptr &&
+          sym->type->any_level_volatile()) {
+        // Each access is an event of its own: two calls with the same
+        // arguments may read different values.
+        impure(ident->loc, "accesses volatile '" + ident->name + "'");
+      }
       if (sym != nullptr && (sym->kind == SymbolKind::Global ||
                              sym->kind == SymbolKind::Unknown)) {
         summary_.global_reads.insert(ident->name);

@@ -161,6 +161,17 @@ class FunctionVerifier {
       }
       return;
     }
+    if (const auto* ident = expr_cast<IdentExpr>(&e)) {
+      // C counts every access to a volatile object as a side effect.
+      const Symbol* sym = scope_.resolve(*ident);
+      if (sym != nullptr && sym->type != nullptr &&
+          sym->type->any_level_volatile() &&
+          volatile_reported_.insert(ident->name).second) {
+        error(ident->loc, "access to volatile '" + ident->name +
+                              "' (accessing a volatile object is a side "
+                              "effect)");
+      }
+    }
   }
 
   void check_call(const CallExpr& call) {
@@ -331,6 +342,7 @@ class FunctionVerifier {
   const std::set<std::string>& pure_set_;
   DiagnosticEngine& diags_;
   std::map<std::string, int> pure_ptr_assignments_;
+  std::set<std::string> volatile_reported_;
   std::optional<LocalPointers> pointers_;
 };
 

@@ -18,6 +18,9 @@
  * new events spliced in, so any number of sequential dumps to one path
  * remain one valid timeline. */
 typedef unsigned long long purec_instr_u64;
+/* Threads 0..62 each count in a lane of their own; every thread from 63
+ * up shares the last lane, shown as "w63+" in the summary and the trace
+ * (purecc trace leaves it out of the imbalance). */
 #define PUREC_INSTR_MAX_WORKERS 64
 #define PUREC_INSTR_TRACE_CAP 65536
 typedef struct {
@@ -56,8 +59,10 @@ static purec_instr_u64 purec_instr_now(void) {
 static void purec_instr_chunk(purec_instr_region_t* purec_r) {
   unsigned purec_w = 0;
 #ifdef _OPENMP
-  purec_w = (unsigned)omp_get_thread_num() &
-            (PUREC_INSTR_MAX_WORKERS - 1);
+  purec_w = (unsigned)omp_get_thread_num();
+  if (purec_w > PUREC_INSTR_MAX_WORKERS - 1) {
+    purec_w = PUREC_INSTR_MAX_WORKERS - 1;
+  }
 #endif
   __atomic_fetch_add(&purec_r->chunks[purec_w].count, 1ULL,
                      __ATOMIC_RELAXED);
@@ -182,8 +187,9 @@ static void purec_instr_dump(void) {
           for (purec_w = 0; purec_w < PUREC_INSTR_MAX_WORKERS;
                purec_w++) {
             if (purec_r->chunks[purec_w].count == 0) continue;
-            fprintf(purec_out, "%s\"w%u\":%llu",
+            fprintf(purec_out, "%s\"w%u%s\":%llu",
                     purec_first_arg ? "" : ",", purec_w,
+                    purec_w == PUREC_INSTR_MAX_WORKERS - 1 ? "+" : "",
                     purec_r->chunks[purec_w].count);
             purec_first_arg = 0;
           }
@@ -210,7 +216,8 @@ static void purec_instr_dump(void) {
             purec_r->name, purec_r->invocations, purec_r->total_ns);
     for (purec_w = 0; purec_w < PUREC_INSTR_MAX_WORKERS; purec_w++) {
       if (purec_r->chunks[purec_w].count == 0) continue;
-      fprintf(purec_stats_out(), " w%u=%llu", purec_w,
+      fprintf(purec_stats_out(), " w%u%s=%llu", purec_w,
+              purec_w == PUREC_INSTR_MAX_WORKERS - 1 ? "+" : "",
               purec_r->chunks[purec_w].count);
     }
     fprintf(purec_stats_out(), "\n");

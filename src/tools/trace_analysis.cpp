@@ -132,14 +132,19 @@ std::optional<TraceSummary> analyze_trace(const json::Value& trace,
       }
     } else if (ph == "C") {
       // Per-worker chunk totals: "<region> chunks" with one "wN" arg per
-      // worker that claimed outer iterations.
+      // worker that claimed outer iterations, "wN+" for the lane every
+      // thread from N up shares.
       const auto* members = args != nullptr ? args->as_object() : nullptr;
       if (members == nullptr || !strip_suffix(&name, " chunks")) continue;
       RegionTrace& region = region_for(name, region_id);
       for (const auto& [key, value] : *members) {
         if (key.size() < 2 || key[0] != 'w') continue;
         const auto count = static_cast<std::uint64_t>(value.as_int());
-        region.workers[std::atoll(key.c_str() + 1)] += count;
+        if (key.back() == '+') {
+          region.shared_lane_chunks += count;
+        } else {
+          region.workers[std::atoll(key.c_str() + 1)] += count;
+        }
         region.chunks += count;
       }
     } else if (ph == "X" && find_string(event, "cat") == "region") {
@@ -201,6 +206,11 @@ std::string render_trace_summary(const TraceSummary& s) {
       }
     }
     out += "\n";
+    if (region.shared_lane_chunks > 0) {
+      out += "purecc-trace:   shared lane: " +
+             std::to_string(region.shared_lane_chunks) +
+             " chunks of threads 63 and up, left out of the imbalance\n";
+    }
     if (region.in_report) {
       out += "purecc-trace:   schedule: ";
       out += region.schedule_clause.empty() ? "default"

@@ -34,6 +34,10 @@ struct RegionTrace {
   std::vector<double> durations_us;  ///< each of those durations, ascending
   std::uint64_t chunks = 0;      ///< outer iterations claimed, all workers
   std::map<std::int64_t, std::uint64_t> workers;  ///< worker -> chunks
+  /// Chunks of the shared last lane ("w63+": every thread from 63 up),
+  /// counted in `chunks` but not in `workers`: one lane for many threads
+  /// says nothing about balance.
+  std::uint64_t shared_lane_chunks = 0;
   // Joined from the report's scops[] entry (valid when in_report).
   bool in_report = false;
   bool parallelized = false;
@@ -56,7 +60,8 @@ struct TraceSummary {
     std::string* error = nullptr);
 
 /// max(worker chunks) / mean(worker chunks) over workers that claimed
-/// any. 1.0 = perfectly balanced; 0 when no per-worker data exists.
+/// any, the shared last lane left out. 1.0 = perfectly balanced; 0 when
+/// no per-worker data exists.
 [[nodiscard]] double region_imbalance(const RegionTrace& region);
 
 /// The nearest-rank `percent`th percentile (1..100) of the region's

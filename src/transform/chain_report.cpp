@@ -58,7 +58,8 @@ json::Value build_chain_report(const ChainArtifacts& artifacts,
   // v5: the profile-scored memo gate is gone, so memoization.functions[]
   // entries lose `profile` and options loses the gate's flag. A rejected
   // run's report since gained `errors` (additive, still v5).
-  report.set("report_version", 5);
+  // v6: scops[] entries carry `simd` and `simd_withheld`.
+  report.set("report_version", 6);
   report.set("ok", artifacts.ok);
   if (!artifacts.ok) {
     // A rejected input: the diagnostics that stopped the chain, in the
@@ -143,6 +144,10 @@ json::Value build_chain_report(const ChainArtifacts& artifacts,
     entry.set("fused_loops", static_cast<std::int64_t>(r.fused_loops));
     entry.set("delinearized", string_array(r.delinearized));
     entry.set("collapse", static_cast<std::int64_t>(r.collapse));
+    entry.set("simd", r.simd);
+    entry.set("simd_withheld", r.simd_withheld.empty()
+                                   ? json::Value(nullptr)
+                                   : json::Value(r.simd_withheld));
     entry.set("region_id", r.region_id < 0 ? json::Value(nullptr)
                                            : json::Value(r.region_id));
     entry.set("reductions", string_array(r.reductions));
@@ -357,6 +362,7 @@ std::string render_report_text(const json::Value& report) {
         if (get_int("collapse") > 0) {
           scheduling += " collapse=" + std::to_string(get_int("collapse"));
         }
+        if (get_bool("simd")) scheduling += " simd";
         std::string reason;
         if (const auto* failure = entry.find("failure")) {
           if (!failure->is_null() && failure->find("reason") != nullptr) {
@@ -391,6 +397,11 @@ std::string render_report_text(const json::Value& report) {
               out += "purecc:   note: " + note.as_string() + "\n";
             }
           }
+        }
+        if (const auto* withheld = entry.find("simd_withheld");
+            withheld != nullptr && !withheld->is_null()) {
+          out += "purecc:   note: simd withheld: " + withheld->as_string() +
+                 "\n";
         }
       }
     }

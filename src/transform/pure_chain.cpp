@@ -15,6 +15,7 @@
 #include "polyhedral/schedule.h"
 #include "preproc/include_stripper.h"
 #include "preproc/mini_cpp.h"
+#include "purity/callgraph.h"
 #include "purity/local_pointers.h"
 #include "sema/symbols.h"
 #include "support/rational.h"
@@ -386,8 +387,9 @@ void collect_call_reads(
 }
 
 /// Why a nest must stay serial although its modeled dependences may allow
-/// more: set when a write can meet an access the model cannot see.
-struct AliasVerdict {
+/// more: set when a write can meet an access the model cannot see, or
+/// when the nest touches a volatile object.
+struct SerialVerdict {
   std::string reason;
   SourceLocation loc;
 };
@@ -403,7 +405,7 @@ struct AliasVerdict {
 ///    pointer's (different rank or delinearization).
 /// `calls` are the nest's substituted calls, whose arguments `scope`
 /// resolves; `global_reads` the globals each inferred-pure callee reads.
-[[nodiscard]] AliasVerdict rebase_local_pointers(
+[[nodiscard]] SerialVerdict rebase_local_pointers(
     poly::Scop& scop, const FunctionScopeInfo& scope,
     const PointerBases& pointers,
     std::initializer_list<const std::vector<SubstitutedCall>*> calls,
@@ -413,7 +415,7 @@ struct AliasVerdict {
     collect_call_reads(*nest_calls, scope, pointers, global_reads,
                        call_reads);
   }
-  AliasVerdict verdict;
+  SerialVerdict verdict;
   const auto judge = [&](const poly::ScopStatement& stmt, std::string why) {
     if (!verdict.reason.empty()) return;
     verdict.reason = std::move(why);
@@ -528,6 +530,86 @@ struct AliasVerdict {
     }
   }
   return verdict;
+}
+
+/// Visits every expression of a nest: the loop's own and those of the
+/// calls substitution moved out of it.
+void for_each_nest_expr(
+    const ForStmt& loop,
+    std::initializer_list<const std::vector<SubstitutedCall>*> calls,
+    const std::function<void(const Expr&)>& fn) {
+  for_each_expr(static_cast<const Stmt&>(loop), fn);
+  for (const std::vector<SubstitutedCall>* nest_calls : calls) {
+    for (const SubstitutedCall& call : *nest_calls) {
+      if (call.original) {
+        for_each_expr(static_cast<const Expr&>(*call.original), fn);
+      }
+    }
+  }
+}
+
+/// The first access in a nest to a volatile object: an identifier whose
+/// declared type is volatile at some level, or a cast to such a type.
+/// Every such access must happen as written, in order, so the nest may be
+/// neither reordered nor split over threads.
+[[nodiscard]] SerialVerdict volatile_access(
+    const ForStmt& loop, const FunctionScopeInfo& scope,
+    std::initializer_list<const std::vector<SubstitutedCall>*> calls) {
+  SerialVerdict verdict;
+  const auto judge = [&](const Expr& e) {
+    if (!verdict.reason.empty()) return;
+    const Type* type = nullptr;
+    std::string what;
+    if (const auto* ident = expr_cast<IdentExpr>(&e)) {
+      const Symbol* sym = scope.resolve(*ident);
+      type = sym != nullptr ? sym->type.get() : nullptr;
+      what = "'" + ident->name + "' is volatile";
+    } else if (const auto* cast = expr_cast<CastExpr>(&e)) {
+      type = cast->target_type.get();
+      what = "cast to '" + cast->target_type->to_string() + "'";
+    }
+    if (type == nullptr || !type->any_level_volatile()) return;
+    verdict.reason =
+        "volatile: " + what + " (its accesses stay as written, in order)";
+    verdict.loc = e.loc;
+  };
+  for_each_nest_expr(loop, calls, judge);
+  return verdict;
+}
+
+/// Why the default mode puts `#pragma omp simd` on no loop of this nest
+/// ("" when it may). A callee that runs a loop (in its body, in a callee
+/// or by recursion) hands each SIMD lane an inner loop of its own:
+/// vectorized around matmul's `dot`, whose lanes then read different rows,
+/// the nest ran at 0.72x of the plain-gcc reference where it ran at 0.98x
+/// unvectorized (n = 320, 1 thread). A memoized callee's thunk probes its
+/// table in a loop and updates it.
+[[nodiscard]] std::string simd_blocker(
+    const ForStmt& loop, const std::vector<SubstitutedCall>& calls,
+    const std::map<std::string, LoopWitness>& callee_loops,
+    const std::set<std::string>& memoized) {
+  std::string reason;
+  const auto judge = [&](const Expr& e) {
+    const auto* call = expr_cast<CallExpr>(&e);
+    if (call == nullptr || !reason.empty()) return;
+    const std::string callee = call->callee_name();
+    const auto it = callee_loops.find(callee);
+    if (it != callee_loops.end()) {
+      const LoopWitness& w = it->second;
+      reason = "callee '" + callee + "' ";
+      if (w.function == callee) {
+        reason += w.recursive ? "is recursive" : "contains a loop";
+      } else {
+        reason += w.recursive ? "calls recursive '" + w.function + "'"
+                              : "contains a loop (in '" + w.function + "')";
+      }
+    } else if (memoized.count(callee) != 0) {
+      reason = "callee '" + callee +
+               "' is memoized (its thunk probes and updates a table)";
+    }
+  };
+  for_each_nest_expr(loop, {&calls}, judge);
+  return reason;
 }
 
 /// Inserts `#pragma scop` / `#pragma endscop` around each candidate loop.
@@ -824,6 +906,13 @@ ChainArtifacts run_pure_chain(const std::string& source,
     pointer_bases.emplace(name, pointers.bases(fresh_callees));
   }
 
+  // Which callees run a loop, for the default mode's simd gate (taken on
+  // the AST the nests call into, before substitution hides their calls).
+  const std::map<std::string, LoopWitness> callee_loops =
+      options.mode == TransformMode::Pluto && options.parallelize
+          ? loop_witnesses(CallGraph::build(tu))
+          : std::map<std::string, LoopWitness>{};
+
   // ---- polycc: substitution + polyhedral transformation -------------------
   std::size_t placeholder_counter = 0;
   std::vector<ScopCandidate> scop_candidates = purity.scop_loops;
@@ -918,6 +1007,17 @@ ChainArtifacts run_pure_chain(const std::string& source,
         continue;
       }
 
+      // Volatile accesses keep their order: no fusion reorders them.
+      const FunctionScopeInfo& scope = *symbols.scope_for(*fn);
+      const SerialVerdict touched = volatile_access(
+          *loop1, scope, {&all_substitutions[i]});
+      const SerialVerdict touched2 = volatile_access(
+          *loop2, scope, {&all_substitutions[i + 1]});
+      if (!touched.reason.empty() || !touched2.reason.empty()) {
+        reject(!touched.reason.empty() ? touched.reason : touched2.reason);
+        continue;
+      }
+
       // Trial merge on clones: the fused nest must extract as one scop
       // and its outer loop must stay parallel.
       std::size_t boundary = 0;
@@ -944,8 +1044,8 @@ ChainArtifacts run_pure_chain(const std::string& source,
       // The fused body may now write what one nest's pure call reads —
       // a Listing-5 conflict the checker never saw, hidden from the
       // dependences by the call's placeholder.
-      const AliasVerdict alias = rebase_local_pointers(
-          *fused.scop, *symbols.scope_for(*fn), pointer_bases.at(fn->name),
+      const SerialVerdict alias = rebase_local_pointers(
+          *fused.scop, scope, pointer_bases.at(fn->name),
           {&all_substitutions[i], &all_substitutions[i + 1]},
           purity_options.assumed_global_reads);
       if (!alias.reason.empty()) {
@@ -1079,6 +1179,14 @@ ChainArtifacts run_pure_chain(const std::string& source,
       report.reduction_notes = scop.reduction_notes;
 
       if (owner != nullptr) {
+        const SerialVerdict touched =
+            volatile_access(*loop, *symbols.scope_for(*owner), {&calls});
+        if (!touched.reason.empty()) {
+          report.failure_reason = touched.reason;
+          report.failure_loc = touched.loc;
+          undo();
+          continue;
+        }
         const std::string escapee =
             escaping_iterator_use(scop, *owner, *loop, symbols);
         if (!escapee.empty()) {
@@ -1094,7 +1202,7 @@ ChainArtifacts run_pure_chain(const std::string& source,
         // Local pointers: accesses through a resolved one are rebased onto
         // the object it points into; a write the model still cannot vouch
         // for keeps the nest serial, in source order (may-alias).
-        const AliasVerdict alias =
+        const SerialVerdict alias =
             rebase_local_pointers(scop, *symbols.scope_for(*owner),
                                   pointer_bases.at(owner->name), {&calls},
                                   purity_options.assumed_global_reads);
@@ -1151,8 +1259,17 @@ ChainArtifacts run_pure_chain(const std::string& source,
       cg.parallelize = options.parallelize && !may_alias;
       cg.tile = options.tile && !may_alias;
       cg.tile_size = options.tile_size;
-      cg.simd = (options.mode == TransformMode::PlutoSica);
       cg.schedule = options.schedule;
+      // PluTo-SICA vectorizes every innermost parallel loop; the default
+      // mode only a parallel nest whose callees are loop-free.
+      std::string simd_withheld;
+      if (options.mode == TransformMode::Pluto && cg.parallelize) {
+        simd_withheld = simd_blocker(*loop, calls, callee_loops,
+                                     artifacts.memoization.memoizable);
+      }
+      cg.simd = options.mode == TransformMode::PlutoSica ||
+                (cg.parallelize && simd_withheld.empty());
+      std::size_t simd_loops = 0;
 
       if (region) {
         // Region path (guards / imperfect nests / iterator-dependent
@@ -1164,6 +1281,7 @@ ChainArtifacts run_pure_chain(const std::string& source,
         generated = poly::schedule_region(scop, deps, cg, privatizable,
                                           &rs);
         if (generated) record_region_schedule(rs, report);
+        simd_loops = rs.simd_loops;
       } else {
         // Privatized scalars' dependences are exempt from schedule
         // legality (each thread gets its own copy); generate_code emits
@@ -1195,7 +1313,8 @@ ChainArtifacts run_pure_chain(const std::string& source,
 
         generated = poly::generate_code(scop, transform, cg, &iter_subst,
                                         &report.collapse,
-                                        &report.schedule_clause);
+                                        &report.schedule_clause,
+                                        &simd_loops);
         if (generated) {
           report.parallelized = cg.parallelize && transform.any_parallel();
           if (report.parallelized) {
@@ -1221,8 +1340,13 @@ ChainArtifacts run_pure_chain(const std::string& source,
             record_region_schedule(rs, report);
             report.skewed = false;
             report.tiled = false;
+            simd_loops = rs.simd_loops;
           }
         }
+      }
+      if (generated && simd_loops > 0) {
+        report.simd = cg.simd;
+        if (!cg.simd) report.simd_withheld = simd_withheld;
       }
     } catch (const ArithmeticOverflow&) {
       // Exact analysis would overflow int64 (gigantic bounds or
@@ -1268,6 +1392,8 @@ ChainArtifacts run_pure_chain(const std::string& source,
       report.parallelized = false;
       report.tiled = false;
       report.collapse = 0;
+      report.simd = false;
+      report.simd_withheld.clear();
       undo();
       continue;
     }

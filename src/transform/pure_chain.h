@@ -25,10 +25,11 @@
 namespace purec {
 
 enum class TransformMode {
-  /// Plain PluTo: tiling + OpenMP parallelization.
+  /// Plain PluTo: tiling + OpenMP parallelization, plus SIMD pragmas on
+  /// the innermost parallel loop of nests whose pure callees run no loop.
   Pluto,
-  /// PluTo-SICA: additionally emits SIMD pragmas on the innermost parallel
-  /// loop (the vectorization/cache mode of §2.2).
+  /// PluTo-SICA: SIMD pragmas on the innermost parallel loop of every
+  /// nest (the vectorization/cache mode of §2.2).
   PlutoSica,
 };
 
@@ -163,6 +164,14 @@ struct ScopReport {
   /// Tile loops folded into the parallel pragma's `collapse(N)` clause (0
   /// when the pragma has none).
   std::size_t collapse = 0;
+  /// The emitted nest carries `#pragma omp simd` (poly::CodegenOptions::
+  /// simd): always in sica mode, in the default mode only when the
+  /// nest's pure callees are loop-free.
+  bool simd = false;
+  /// Why the default mode left a loop that qualifies for `omp simd`
+  /// unvectorized ("" when it did not), naming the callee, e.g.
+  /// "callee 'dot' contains a loop".
+  std::string simd_withheld;
   /// Stable instrumentation region id (-1 when the scop was not
   /// instrumented: no --instrument, or a nest left serial): the join key between this report entry and the
   /// runtime's trace events (`args.region_id`). Assigned in emission

@@ -131,7 +131,7 @@ TEST(ChainReportSchema, EveryAcceptedFixtureCarriesTheFullDecisionTrail) {
     const json::Value report = build_chain_report(artifacts, options);
     ASSERT_EQ(report.kind(), json::Value::Kind::Object);
     EXPECT_EQ(report.find("tool")->as_string(), "purecc");
-    EXPECT_EQ(report.find("report_version")->as_int(), 5);
+    EXPECT_EQ(report.find("report_version")->as_int(), 6);
     EXPECT_TRUE(report.find("ok")->as_bool());
 
     // Options echo: every chain knob must be stated.
@@ -192,6 +192,16 @@ TEST(ChainReportSchema, EveryAcceptedFixtureCarriesTheFullDecisionTrail) {
       ASSERT_NE(delinearized, nullptr) << where;
       ASSERT_NE(delinearized->as_array(), nullptr) << where;
       ASSERT_NE(scop.find("collapse"), nullptr) << where;
+      // v6: the simd verdict is always stated; a withheld reason only
+      // on a nest that carries none, and only in the default mode.
+      ASSERT_NE(scop.find("simd"), nullptr) << where;
+      const json::Value* withheld = scop.find("simd_withheld");
+      ASSERT_NE(withheld, nullptr) << where;
+      if (!withheld->is_null()) {
+        EXPECT_FALSE(scop.find("simd")->as_bool()) << where;
+        EXPECT_EQ(withheld->as_string().rfind("callee '", 0), 0u) << where;
+        EXPECT_EQ(options.mode, TransformMode::Pluto) << where;
+      }
       if (scop.find("fissioned")->as_bool()) {
         EXPECT_GE(scop.find("fission_groups")->as_int(), 2) << where;
       }

@@ -380,6 +380,245 @@ TEST(Chain, SicaModeEmitsSimd) {
   EXPECT_NE(a.final_source.find("#pragma omp simd"), std::string::npos);
 }
 
+// The default mode vectorizes the innermost parallel loop of a nest
+// whose pure callees run no loop; sica vectorizes every nest.
+const ScopReport* scop_in(const ChainArtifacts& a, const std::string& fn) {
+  for (const ScopReport& r : a.scops) {
+    if (r.function == fn) return &r;
+  }
+  return nullptr;
+}
+
+TEST(ChainSimd, StraightLineCalleeGetsSimdInDefaultMode) {
+  const ChainArtifacts a = run_pure_chain(testsrc::kHeat);
+  ASSERT_TRUE(a.ok) << a.diagnostics.format();
+  const ScopReport* step = scop_in(a, "step");
+  ASSERT_NE(step, nullptr);
+  EXPECT_TRUE(step->simd);
+  EXPECT_EQ(step->simd_withheld, "");
+  // Inside the parallel tile loops, on the innermost point loop.
+  const std::size_t parallel = a.final_source.find("#pragma omp parallel");
+  const std::size_t simd = a.final_source.find("#pragma omp simd\n");
+  ASSERT_NE(simd, std::string::npos) << a.final_source;
+  EXPECT_LT(parallel, simd) << a.final_source;
+  EXPECT_NE(a.final_source.find("stencil(", simd), std::string::npos);
+}
+
+TEST(ChainSimd, LoopingCalleeWithholdsSimdAndSaysWhy) {
+  // `dot` runs a loop: each SIMD lane would walk its own row.
+  const ChainArtifacts a = run_pure_chain(testsrc::kMatmul);
+  ASSERT_TRUE(a.ok) << a.diagnostics.format();
+  EXPECT_EQ(a.final_source.find("#pragma omp simd"), std::string::npos)
+      << a.final_source;
+  const ScopReport* nest = scop_in(a, "main");
+  ASSERT_NE(nest, nullptr);
+  EXPECT_TRUE(nest->parallelized);
+  EXPECT_FALSE(nest->simd);
+  EXPECT_EQ(nest->simd_withheld, "callee 'dot' contains a loop");
+
+  // sica keeps the paper's configuration: simd whatever the callee does.
+  ChainOptions sica;
+  sica.mode = TransformMode::PlutoSica;
+  const ChainArtifacts s = run_pure_chain(testsrc::kMatmul, sica);
+  ASSERT_TRUE(s.ok);
+  EXPECT_TRUE(scop_in(s, "main")->simd);
+  EXPECT_EQ(scop_in(s, "main")->simd_withheld, "");
+}
+
+TEST(ChainSimd, LoopReachedThroughACalleeOrRecursionWithholdsSimd) {
+  const std::string callees =
+      "float** A; float** B; float** C;\n"
+      "pure float dot(pure float* a, pure float* b, int n) {\n"
+      "  float r = 0.0f;\n"
+      "  for (int k = 0; k < n; k++) r += a[k] * b[k];\n"
+      "  return r;\n"
+      "}\n"
+      "pure float wrap(pure float* a, pure float* b, int n) {\n"
+      "  return dot(a, b, n) + 1.0f;\n"
+      "}\n"
+      "pure int steps(int x) {\n"
+      "  return x <= 1 ? 0 : 1 + steps(x / 2);\n"
+      "}\n";
+  const ChainArtifacts through = run_pure_chain(
+      callees +
+      "void k(int n) {\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    for (int j = 0; j < n; j++)\n"
+      "      C[i][j] = wrap((pure float*)A[i], (pure float*)B[j], n);\n"
+      "}\n");
+  ASSERT_TRUE(through.ok) << through.diagnostics.format();
+  EXPECT_EQ(through.final_source.find("#pragma omp simd"),
+            std::string::npos);
+  EXPECT_EQ(scop_in(through, "k")->simd_withheld,
+            "callee 'wrap' contains a loop (in 'dot')");
+
+  const ChainArtifacts recursive = run_pure_chain(
+      callees +
+      "void k(int n) {\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    for (int j = 0; j < n; j++)\n"
+      "      C[i][j] = (float)steps(i + j);\n"
+      "}\n");
+  ASSERT_TRUE(recursive.ok) << recursive.diagnostics.format();
+  EXPECT_EQ(recursive.final_source.find("#pragma omp simd"),
+            std::string::npos);
+  EXPECT_EQ(scop_in(recursive, "k")->simd_withheld,
+            "callee 'steps' is recursive");
+}
+
+TEST(ChainSimd, MemoizedCalleeWithholdsSimd) {
+  ChainOptions options;
+  options.memoize = true;
+  options.memoize_all = true;
+  options.tile = false;
+  const ChainArtifacts a = run_pure_chain(
+      "int** T;\n"
+      "pure int sq(int x) {\n"
+      "  return x * x + 1;\n"
+      "}\n"
+      "void k(int n) {\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    for (int j = 0; j < n; j++)\n"
+      "      T[i][j] = sq(i + j);\n"
+      "}\n",
+      options);
+  ASSERT_TRUE(a.ok) << a.diagnostics.format();
+  ASSERT_EQ(a.memoized_calls, 1u);
+  EXPECT_EQ(a.final_source.find("#pragma omp simd"), std::string::npos)
+      << a.final_source;
+  EXPECT_EQ(scop_in(a, "k")->simd_withheld,
+            "callee 'sq' is memoized (its thunk probes and updates a "
+            "table)");
+}
+
+TEST(ChainSimd, IntegerReductionGetsTheSimdReductionClause) {
+  const ChainArtifacts a = run_pure_chain(
+      "int** M;\n"
+      "int total(int n) {\n"
+      "  int s = 0;\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    for (int j = 0; j < n; j++)\n"
+      "      s += M[i][j];\n"
+      "  return s;\n"
+      "}\n");
+  ASSERT_TRUE(a.ok) << a.diagnostics.format();
+  EXPECT_NE(a.final_source.find("#pragma omp simd reduction(+:s)\n"),
+            std::string::npos)
+      << a.final_source;
+  EXPECT_TRUE(scop_in(a, "total")->simd);
+}
+
+TEST(ChainSimd, FloatAccumulatorWithoutFpReductionsGetsNoSimd) {
+  const std::string source =
+      "float** M;\n"
+      "float total(int n) {\n"
+      "  float s = 0.0f;\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    for (int j = 0; j < n; j++)\n"
+      "      s += M[i][j];\n"
+      "  return s;\n"
+      "}\n";
+  const ChainArtifacts a = run_pure_chain(source);
+  ASSERT_TRUE(a.ok) << a.diagnostics.format();
+  EXPECT_EQ(a.final_source.find("#pragma omp simd"), std::string::npos)
+      << a.final_source;
+  EXPECT_FALSE(scop_in(a, "total")->simd);
+
+  ChainOptions fp;
+  fp.fp_reductions = true;
+  const ChainArtifacts b = run_pure_chain(source, fp);
+  ASSERT_TRUE(b.ok);
+  EXPECT_NE(b.final_source.find("#pragma omp simd reduction(+:s)\n"),
+            std::string::npos)
+      << b.final_source;
+}
+
+TEST(ChainSimd, NoParallelMeansNoSimd) {
+  ChainOptions options;
+  options.parallelize = false;
+  const ChainArtifacts a = run_pure_chain(testsrc::kHeat, options);
+  ASSERT_TRUE(a.ok) << a.diagnostics.format();
+  EXPECT_EQ(a.final_source.find("#pragma omp"), std::string::npos)
+      << a.final_source;
+  EXPECT_FALSE(scop_in(a, "step")->simd);
+  EXPECT_EQ(scop_in(a, "step")->simd_withheld, "");
+}
+
+TEST(ChainSimd, RegionLeafLoopGetsSimdBesidePrivatization) {
+  // The private_tmp shape: the outer loop takes private(t), the leaf loop
+  // is parallel on its own and vectorizes.
+  const ChainArtifacts a = run_pure_chain(
+      "pure float half(float x) {\n"
+      "  return 0.5f * x;\n"
+      "}\n"
+      "void sweep(float** out, float* in, float* w, int n, int m) {\n"
+      "  float t;\n"
+      "  for (int i = 0; i < n; i++) {\n"
+      "    t = half(in[i]);\n"
+      "    for (int j = 0; j < m; j++)\n"
+      "      out[i][j] = t * w[j];\n"
+      "  }\n"
+      "}\n");
+  ASSERT_TRUE(a.ok) << a.diagnostics.format();
+  const ScopReport* sweep = scop_in(a, "sweep");
+  ASSERT_NE(sweep, nullptr);
+  EXPECT_TRUE(sweep->region);
+  EXPECT_TRUE(sweep->simd);
+  EXPECT_NE(a.final_source.find("#pragma omp parallel for private(t)"),
+            std::string::npos)
+      << a.final_source;
+  EXPECT_NE(a.final_source.find("#pragma omp simd\n"), std::string::npos)
+      << a.final_source;
+}
+
+TEST(ChainVolatile, NestTouchingAVolatileObjectStaysSerialWithAReason) {
+  const ChainArtifacts a = run_pure_chain(
+      "volatile int ticks;\n"
+      "float* out;\n"
+      "void k(int n) {\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    out[i] = (float)ticks;\n"
+      "}\n");
+  ASSERT_TRUE(a.ok) << a.diagnostics.format();
+  EXPECT_EQ(a.final_source.find("#pragma omp"), std::string::npos)
+      << a.final_source;
+  EXPECT_NE(a.final_source.find("volatile int ticks;"), std::string::npos)
+      << a.final_source;
+  const ScopReport* k = scop_in(a, "k");
+  ASSERT_NE(k, nullptr);
+  EXPECT_FALSE(k->transformed);
+  EXPECT_EQ(k->failure_reason,
+            "volatile: 'ticks' is volatile (its accesses stay as written, "
+            "in order)");
+  EXPECT_EQ(k->failure_loc.line, 5u);
+
+  // Through a pointer to volatile, and through a cast that adds it.
+  const ChainArtifacts cast = run_pure_chain(
+      "float* out; float* dev;\n"
+      "void k(int n) {\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    out[i] = ((volatile float*)dev)[i];\n"
+      "}\n");
+  ASSERT_TRUE(cast.ok) << cast.diagnostics.format();
+  EXPECT_EQ(cast.final_source.find("#pragma omp"), std::string::npos)
+      << cast.final_source;
+}
+
+TEST(ChainVolatile, NoFusionAcrossAVolatileNest) {
+  const ChainArtifacts a = run_pure_chain(
+      "volatile float* port;\n"
+      "float* a; float* b;\n"
+      "void k(int n) {\n"
+      "  for (int i = 0; i < n; i++) a[i] = 1.0f;\n"
+      "  for (int i = 0; i < n; i++) port[i] = a[i];\n"
+      "}\n");
+  ASSERT_TRUE(a.ok) << a.diagnostics.format();
+  ASSERT_EQ(a.fusion_decisions.size(), 1u);
+  EXPECT_FALSE(a.fusion_decisions[0].fused);
+  EXPECT_EQ(a.fusion_decisions[0].reason.rfind("volatile: 'port'", 0), 0u)
+      << a.fusion_decisions[0].reason;
+}
+
 TEST(Chain, EllAndHeatTransform) {
   for (const char* src : {testsrc::kEll, testsrc::kHeat}) {
     ChainArtifacts a = run_pure_chain(src);

@@ -422,6 +422,52 @@ TEST(Codegen, InnerParallelLoopGetsPragma) {
   EXPECT_GT(pragma_pos, text.find("for (")) << text;
 }
 
+TEST(Codegen, SimdNeverSharesTheLoopOfTheParallelPragma) {
+  // Only the innermost loop is parallel, so it takes `parallel for`;
+  // `#pragma omp simd` stacked on top of that would not compile.
+  Prepared p = prepare(
+      "float** a; float* b;\n"
+      "void k(int n) {\n"
+      "  for (int i = 1; i < n; i++)\n"
+      "    for (int j = 0; j < n; j++)\n"
+      "      a[i][j] = a[i - 1][j] + b[j];\n"
+      "}\n");
+  ASSERT_FALSE(p.transform.parallel[0]);
+  ASSERT_TRUE(p.transform.parallel[1]);
+  CodegenOptions o = untiled();
+  o.simd = true;
+  std::size_t simd_loops = 7;
+  StmtPtr generated = generate_code(p.scop, p.transform, o, nullptr,
+                                    nullptr, nullptr, &simd_loops);
+  ASSERT_NE(generated, nullptr);
+  const std::string text = print_c(*generated);
+  EXPECT_NE(text.find("#pragma omp parallel for"), std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("#pragma omp simd"), std::string::npos) << text;
+  EXPECT_EQ(simd_loops, 0u);
+}
+
+TEST(Codegen, SimdLoopsCountedWhetherOrNotEmitted) {
+  Prepared p = prepare(
+      "float** C;\n"
+      "void k(int n) {\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    for (int j = 0; j < n; j++) C[i][j] = 0.0f;\n"
+      "}\n");
+  for (const bool simd : {false, true}) {
+    CodegenOptions o = tiled(8);
+    o.simd = simd;
+    std::size_t simd_loops = 7;
+    StmtPtr generated = generate_code(p.scop, p.transform, o, nullptr,
+                                      nullptr, nullptr, &simd_loops);
+    ASSERT_NE(generated, nullptr);
+    EXPECT_EQ(simd_loops, 1u);
+    EXPECT_EQ(print_c(*generated).find("#pragma omp simd") !=
+                  std::string::npos,
+              simd);
+  }
+}
+
 TEST(Codegen, InPlaceStencilStaysSequentialButTiled) {
   // The Fig. 2 in-place stencil: skewed + tiled, but no point-parallel
   // dimension exists, so no OpenMP pragma may be emitted (emitting one

@@ -17,10 +17,13 @@ void fill(float* A, int nb, int n)
   {
 #pragma omp parallel for
     for (int t1 = 0; t1 <= nb - 1; t1++)
+    {
+#pragma omp simd
       for (int t2 = 0; t2 <= n - 1; t2++)
       {
         A[t1 * n + t2] = (float)((t1 * 31 + t2 * 7) % 13) * 0.125f;
       }
+    }
   }
 }
 int main()

@@ -19,10 +19,13 @@ void fill(float* A, int nb, int n)
     for (int t1t = 0; t1t <= floord(nb - 1, 32); t1t++)
       for (int t2t = 0; t2t <= floord(n - 1, 32); t2t++)
         for (int t1 = purec_max(0, 32 * t1t); t1 <= purec_min(nb - 1, 32 * t1t + 31); t1++)
+        {
+#pragma omp simd
           for (int t2 = purec_max(0, 32 * t2t); t2 <= purec_min(n - 1, 32 * t2t + 31); t2++)
           {
             A[t1 * n + t2] = haze(t1, t2);
           }
+        }
   }
 }
 int main()

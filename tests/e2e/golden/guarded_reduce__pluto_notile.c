@@ -23,11 +23,14 @@ void fold(int n, int cut)
     for (int i = 0; i < n; i++)
     {
       h[i] = g[i][0];
-      for (int j = 0; j < n; j++)
       {
-        if (j < i + cut)
+#pragma omp simd reduction(+:total)
+        for (int j = 0; j < n; j++)
         {
-          total = total + weight(g[i][j]);
+          if (j < i + cut)
+          {
+            total = total + weight(g[i][j]);
+          }
         }
       }
     }
@@ -40,10 +43,13 @@ int main()
   {
 #pragma omp parallel for
     for (int t1 = 0; t1 <= n - 1; t1++)
+    {
+#pragma omp simd
       for (int t2 = 0; t2 <= n - 1; t2++)
       {
         g[t1][t2] = (t1 * 5 + t2 * 3) % 17;
       }
+    }
   }
   fold(n, 8);
   long checksum = (long)res[0];

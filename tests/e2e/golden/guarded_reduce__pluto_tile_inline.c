@@ -23,11 +23,14 @@ void fold(int n, int cut)
     for (int i = 0; i < n; i++)
     {
       h[i] = g[i][0];
-      for (int j = 0; j < n; j++)
       {
-        if (j < i + cut)
+#pragma omp simd reduction(+:total)
+        for (int j = 0; j < n; j++)
         {
-          total = total + (g[i][j] * g[i][j] + 1);
+          if (j < i + cut)
+          {
+            total = total + (g[i][j] * g[i][j] + 1);
+          }
         }
       }
     }
@@ -42,10 +45,13 @@ int main()
     for (int t1t = 0; t1t <= floord(n - 1, 32); t1t++)
       for (int t2t = 0; t2t <= floord(n - 1, 32); t2t++)
         for (int t1 = purec_max(0, 32 * t1t); t1 <= purec_min(n - 1, 32 * t1t + 31); t1++)
+        {
+#pragma omp simd
           for (int t2 = purec_max(0, 32 * t2t); t2 <= purec_min(n - 1, 32 * t2t + 31); t2++)
           {
             g[t1][t2] = (t1 * 5 + t2 * 3) % 17;
           }
+        }
   }
   fold(n, 8);
   long checksum = (long)res[0];

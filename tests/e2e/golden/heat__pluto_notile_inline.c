@@ -17,9 +17,12 @@ void step(int n)
   {
 #pragma omp parallel for
     for (int t1 = 1; t1 <= n - 2; t1++)
+    {
+#pragma omp simd
       for (int t2 = 1; t2 <= n - 2; t2++)
       {
         nxt[t1][t2] = 0.25f * (cur[t1 - 1][t2] + cur[t1 + 1][t2] + cur[t1][t2 - 1] + cur[t1][t2 + 1]);
       }
+    }
   }
 }

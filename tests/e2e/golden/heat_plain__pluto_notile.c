@@ -17,9 +17,12 @@ void step(int n)
   {
 #pragma omp parallel for
     for (int t1 = 1; t1 <= n - 2; t1++)
+    {
+#pragma omp simd
       for (int t2 = 1; t2 <= n - 2; t2++)
       {
         nxt[t1][t2] = stencil(cur, t1, t2);
       }
+    }
   }
 }

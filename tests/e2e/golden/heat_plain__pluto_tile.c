@@ -19,9 +19,12 @@ void step(int n)
     for (int t1t = 0; t1t <= floord(n - 2, 32); t1t++)
       for (int t2t = 0; t2t <= floord(n - 2, 32); t2t++)
         for (int t1 = purec_max(1, 32 * t1t); t1 <= purec_min(n - 2, 32 * t1t + 31); t1++)
+        {
+#pragma omp simd
           for (int t2 = purec_max(1, 32 * t2t); t2 <= purec_min(n - 2, 32 * t2t + 31); t2++)
           {
             nxt[t1][t2] = stencil(cur, t1, t2);
           }
+        }
   }
 }

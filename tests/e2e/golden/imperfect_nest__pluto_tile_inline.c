@@ -37,8 +37,11 @@ int main()
     {
       s[i] = 0.0f;
       g[i] = (float*)malloc(m * sizeof(float));
-      for (int j = 0; j < m; j++)
-        g[i][j] = (float)((i * 13 + j * 5) % 11) * 0.0625f;
+      {
+#pragma omp simd
+        for (int j = 0; j < m; j++)
+          g[i][j] = (float)((i * 13 + j * 5) % 11) * 0.0625f;
+      }
     }
   }
   row_scan(s, g, n, m);

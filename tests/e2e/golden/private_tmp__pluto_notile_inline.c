@@ -20,8 +20,11 @@ void sweep(float** out, float* in, float* w, int n, int m)
     for (int i = 0; i < n; i++)
     {
       t = 0.5f * in[i];
-      for (int j = 0; j < m; j++)
-        out[i][j] = t * w[j];
+      {
+#pragma omp simd
+        for (int j = 0; j < m; j++)
+          out[i][j] = t * w[j];
+      }
     }
   }
 }

@@ -17,8 +17,11 @@ void halfband(float** w, float** r, int n)
   {
 #pragma omp parallel for schedule(guided,4)
     for (int i = 0; i < n; i++)
+    {
+#pragma omp simd
       for (int j = i; j < n; j += 2)
         w[i][j] = 0.75f * r[i][j] + 0.125f;
+    }
   }
 }
 int main()
@@ -32,10 +35,13 @@ int main()
     {
       w[i] = (float*)malloc(n * sizeof(float));
       r[i] = (float*)malloc(n * sizeof(float));
-      for (int j = 0; j < n; j++)
       {
-        w[i][j] = 0.0f;
-        r[i][j] = (float)((i * 17 + j * 3) % 29) * 0.0625f;
+#pragma omp simd
+        for (int j = 0; j < n; j++)
+        {
+          w[i][j] = 0.0f;
+          r[i][j] = (float)((i * 17 + j * 3) % 29) * 0.0625f;
+        }
       }
     }
   }

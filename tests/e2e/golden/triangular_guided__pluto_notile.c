@@ -19,10 +19,13 @@ void fold(int n)
   {
 #pragma omp parallel for schedule(guided,4)
     for (int t1 = 0; t1 <= n - 1; t1++)
+    {
+#pragma omp simd
       for (int t2 = 0; t2 <= t1; t2++)
       {
         L[t1][t2] = combine((float* const *)U2, t1, t2);
       }
+    }
   }
 }
 int main()
@@ -36,10 +39,13 @@ int main()
     {
       L[i] = (float*)malloc(n * sizeof(float));
       U2[i] = (float*)malloc(n * sizeof(float));
-      for (int j = 0; j < n; j++)
       {
-        L[i][j] = 0.0f;
-        U2[i][j] = (float)((i * 11 + j * 5) % 17) * 0.125f;
+#pragma omp simd
+        for (int j = 0; j < n; j++)
+        {
+          L[i][j] = 0.0f;
+          U2[i][j] = (float)((i * 11 + j * 5) % 17) * 0.125f;
+        }
       }
     }
   }

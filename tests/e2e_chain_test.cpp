@@ -19,9 +19,11 @@
 #include <array>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -330,6 +332,59 @@ TEST_P(E2EChainTest, InlinePureKeepsEveryParallelRegion) {
   }
 }
 
+/// The `#pragma omp simd` lines of emitted C, each keyed by its position
+/// in the rest of the text, plus that rest: the lines that are neither a
+/// simd pragma nor a lone brace (a pragma comes wrapped in a block of its
+/// own), trimmed.
+struct SimdPlacement {
+  std::string rest;
+  std::set<std::pair<std::size_t, std::string>> pragmas;
+};
+
+SimdPlacement simd_placement(const std::string& source) {
+  SimdPlacement out;
+  std::istringstream lines(source);
+  std::size_t index = 0;
+  for (std::string line; std::getline(lines, line);) {
+    line.erase(0, line.find_first_not_of(' '));
+    if (line.rfind("#pragma omp simd", 0) == 0) {
+      out.pragmas.emplace(index, line);
+    } else if (line != "{" && line != "}") {
+      out.rest += line + "\n";
+      ++index;
+    }
+  }
+  return out;
+}
+
+// The default mode vectorizes a subset of what sica vectorizes, and the
+// two modes differ in nothing else.
+TEST_P(E2EChainTest, PlutoSimdIsASubsetOfSica) {
+  const Fixture& fixture = GetParam();
+  for (const Config& config : kConfigs) {
+    if (config.mode != TransformMode::Pluto ||
+        !fixture.ok_with(config.inline_pure)) {
+      continue;
+    }
+    SCOPED_TRACE(config.name);
+    const std::string twin =
+        "sica" + std::string(config.name).substr(std::strlen("pluto"));
+    const std::string pluto_path = golden_path(fixture, config);
+    const std::string sica_path = std::string(PUREC_REPO_DIR) +
+                                  "/tests/e2e/golden/" + fixture.name +
+                                  "__" + twin + ".c";
+    const SimdPlacement pluto = simd_placement(read_file(pluto_path));
+    const SimdPlacement sica = simd_placement(read_file(sica_path));
+    ASSERT_FALSE(pluto.rest.empty()) << pluto_path;
+    EXPECT_EQ(pluto.rest, sica.rest) << pluto_path << " vs " << sica_path;
+    for (const auto& pragma : pluto.pragmas) {
+      EXPECT_EQ(sica.pragmas.count(pragma), 1u)
+          << pluto_path << ": '" << pragma.second << "' before line "
+          << pragma.first << " is not in " << sica_path;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllFixtures, E2EChainTest, ::testing::ValuesIn(all_fixtures()),
     [](const ::testing::TestParamInfo<Fixture>& info) {
@@ -541,6 +596,66 @@ TEST(E2EInstrument, EveryRegionPastSixtyFourReachesTheDump) {
         << region;
     EXPECT_EQ(count_of(trace, "\"" + region + " chunks\""), 1u) << region;
   }
+}
+
+// Threads from 63 up share the last counter lane, "w63+". At 66 threads
+// a 132-iteration loop claims 2 iterations per thread: lanes w0..w62 read
+// 2 each and w63+ reads 6, which `purecc trace` leaves out of the
+// imbalance. (Masking the thread number folded threads 64 and 65 onto w0
+// and w1, which then read 4: an imbalance of 1.94 on a balanced loop.)
+TEST(E2EInstrument, ThreadsPastSixtyThreeShareTheLastLane) {
+  if (!gcc_available()) GTEST_SKIP() << "no system gcc";
+  ChainOptions options;
+  options.instrument = true;
+  options.tile = false;
+  const ChainArtifacts instrumented = run_pure_chain(
+      "float a[132];\n"
+      "void fill(void) {\n"
+      "  for (int i = 0; i < 132; i++) a[i] = a[i] + 1.0f;\n"
+      "}\n"
+      "int main(void) {\n"
+      "  fill();\n"
+      "  return 0;\n"
+      "}\n",
+      options);
+  ASSERT_TRUE(instrumented.ok) << instrumented.diagnostics.format();
+  ASSERT_EQ(instrumented.instrumented_regions.size(), 1u);
+  const std::string region = instrumented.instrumented_regions[0];
+
+  const std::string bin_path =
+      build_clean(instrumented.final_source, "instr_lanes");
+  const std::string threads =
+      "env -u PUREC_STATS_FILE -u PUREC_TRACE OMP_NUM_THREADS=66 "
+      "OMP_DYNAMIC=false OMP_SCHEDULE=static ";
+  const std::string summary = run_command(threads + shell_quote(bin_path));
+  EXPECT_NE(summary.find(" w0=2 "), std::string::npos) << summary;
+  EXPECT_NE(summary.find(" w62=2 "), std::string::npos) << summary;
+  EXPECT_NE(summary.find(" w63+=6\n"), std::string::npos) << summary;
+  EXPECT_EQ(summary.find(" w0=4 "), std::string::npos) << summary;
+
+  const std::string trace_path =
+      ::testing::TempDir() + "/purec_e2e_instr_lanes.json";
+  std::remove(trace_path.c_str());
+  run_command(threads + "PUREC_TRACE=" + shell_quote(trace_path) + " " +
+              shell_quote(bin_path));
+  std::string error;
+  const std::optional<json::Value> doc =
+      tools::load_json_file(trace_path, &error);
+  ASSERT_TRUE(doc.has_value()) << error;
+  const std::optional<tools::TraceSummary> traced =
+      tools::analyze_trace(*doc, nullptr, &error);
+  ASSERT_TRUE(traced.has_value()) << error;
+  const tools::RegionTrace& lanes = traced->regions.at(region);
+  EXPECT_EQ(lanes.chunks, 132u);
+  EXPECT_EQ(lanes.shared_lane_chunks, 6u);
+  EXPECT_EQ(lanes.workers.size(), 63u);
+  EXPECT_DOUBLE_EQ(tools::region_imbalance(lanes), 1.0);
+  const std::string rendered = tools::render_trace_summary(*traced);
+  EXPECT_NE(rendered.find(" imbalance=1.000 chunks=132"), std::string::npos)
+      << rendered;
+  EXPECT_NE(rendered.find("shared lane: 6 chunks of threads 63 and up"),
+            std::string::npos)
+      << rendered;
 }
 
 // Memo counters exist only in --instrument builds, and there they need no

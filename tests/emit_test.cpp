@@ -129,6 +129,29 @@ TEST(Emit, CharAndStringLiteralsVerbatim) {
   EXPECT_NE(out.find("\"a\\nb\""), std::string::npos);
 }
 
+TEST(Emit, VolatileAndRestrictSurviveTheRoundTrip) {
+  // Dropping `volatile` lets gcc hoist the read out of the spin loop;
+  // dropping `restrict` loses the programmer's no-alias promise.
+  const std::string out = reprint(
+      "volatile int flag;\n"
+      "int* volatile slot;\n"
+      "void copy(float* restrict dst, const float* restrict src, int n) {\n"
+      "  int spin = 0;\n"
+      "  while (flag) spin++;\n"
+      "  volatile float* p = (volatile float*)dst;\n"
+      "  for (int i = 0; i < n; i++) dst[i] = src[i] + p[0];\n"
+      "}\n",
+      PureHandling::Lower);
+  EXPECT_NE(out.find("volatile int flag;"), std::string::npos) << out;
+  EXPECT_NE(out.find("int* volatile slot;"), std::string::npos) << out;
+  EXPECT_NE(out.find("float* restrict dst"), std::string::npos) << out;
+  EXPECT_NE(out.find("const float* restrict src"), std::string::npos)
+      << out;
+  EXPECT_NE(out.find("volatile float* p = (volatile float*)dst;"),
+            std::string::npos)
+      << out;
+}
+
 TEST(Emit, FormatDeclarationHelper) {
   TypePtr t = Type::make_pointer(Type::make_builtin(BuiltinKind::Float),
                                  false, true);

@@ -91,6 +91,38 @@ TEST(CallGraph, SccsComeCalleesFirstAndGroupCycles) {
   EXPECT_EQ(sccs[pair_index][1]->name, "is_odd");
 }
 
+TEST(CallGraph, LoopWitnessesReachThroughCalleesAndCycles) {
+  DiagnosticEngine diags;
+  SourceBuffer buf = SourceBuffer::from_string(
+      "int sum(int* a, int n) {\n"
+      "  int s = 0;\n"
+      "  for (int i = 0; i < n; i++) s += a[i];\n"
+      "  return s;\n"
+      "}\n"
+      "int spin(int n) { while (n > 1) n = n / 2; return n; }\n"
+      "int wrap(int* a, int n) { return sum(a, n) + ext(n); }\n"
+      "int is_odd(int n);\n"
+      "int is_even(int n) { return n == 0 ? 1 : is_odd(n - 1); }\n"
+      "int is_odd(int n) { return n == 0 ? 0 : is_even(n - 1); }\n"
+      "int straight(int a) { return ext(a) * 2; }\n");
+  TranslationUnit tu = parse(buf, diags);
+  ASSERT_FALSE(diags.has_errors());
+  const std::map<std::string, LoopWitness> loops =
+      loop_witnesses(CallGraph::build(tu));
+
+  ASSERT_EQ(loops.count("sum"), 1u);
+  EXPECT_EQ(loops.at("sum").function, "sum");
+  EXPECT_FALSE(loops.at("sum").recursive);
+  EXPECT_EQ(loops.at("spin").function, "spin");
+  EXPECT_EQ(loops.at("wrap").function, "sum");
+  EXPECT_FALSE(loops.at("wrap").recursive);
+  EXPECT_TRUE(loops.at("is_even").recursive);
+  EXPECT_TRUE(loops.at("is_odd").recursive);
+  // Straight-line code and external callees run no loop.
+  EXPECT_EQ(loops.count("straight"), 0u);
+  EXPECT_EQ(loops.count("ext"), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Effect summaries
 // ---------------------------------------------------------------------------
@@ -143,6 +175,23 @@ TEST(Effects, GlobalWriteAndReadAreTracked) {
   EXPECT_TRUE(s.writes_global);
   EXPECT_NE(s.impurity_reason.find("global 'counter'"), std::string::npos);
   EXPECT_EQ(s.global_reads.count("bias"), 1u);
+}
+
+TEST(Effects, VolatileAccessIsAnEffect) {
+  // Reading a volatile global is an event: the same arguments may meet a
+  // different value, so the function is not inferably pure.
+  EffectsOutcome out;
+  const EffectSummary s = effects_of(
+      out, "volatile int ticks;\n"
+           "int f(int a) { return a + ticks; }\n",
+      "f");
+  EXPECT_FALSE(s.pure_locally);
+  EXPECT_EQ(s.impurity_reason, "accesses volatile 'ticks'");
+  EffectsOutcome through;
+  const EffectSummary p = effects_of(
+      through, "int g(volatile int* port) { return port[0]; }\n", "g");
+  EXPECT_FALSE(p.pure_locally);
+  EXPECT_EQ(p.impurity_reason, "accesses volatile 'port'");
 }
 
 TEST(Effects, MallocedLocalIsWritableAndFreeable) {

@@ -153,6 +153,22 @@ TEST(Purity, GlobalScalarReadAllowed) {
   EXPECT_FALSE(out.diags.has_errors()) << out.diags.format();
 }
 
+TEST(Purity, VolatileAccessRejected) {
+  // Reading a volatile object is a side effect in C: a nest calling
+  // `get` would otherwise read `ticks` from every thread in any order.
+  auto out = check(
+      "volatile int ticks;\n"
+      "pure int get(int i) { return ticks + i + ticks; }\n"
+      "pure int peek(pure volatile int* p) { return p[0]; }\n");
+  EXPECT_TRUE(out.diags.has_error_containing(
+      "in pure function 'get': access to volatile 'ticks'"))
+      << out.diags.format();
+  EXPECT_TRUE(out.diags.has_error_containing(
+      "in pure function 'peek': access to volatile 'p'"))
+      << out.diags.format();
+  EXPECT_EQ(out.diags.error_count(), 2u) << out.diags.format();
+}
+
 TEST(Purity, ScalarParamReassignmentAllowed) {
   // Parameters are copies; overwriting them has no external effect.
   auto out = check("pure int f(int a) { a = a + 1; return a; }\n");

@@ -190,6 +190,28 @@ TEST(AnalyzeTrace, ImbalanceArithmetic) {
   EXPECT_DOUBLE_EQ(region_imbalance(region), 1.5);
 }
 
+TEST(AnalyzeTrace, SharedLastLaneIsLeftOutOfTheImbalance) {
+  // Threads 63 and up share the runtime's last lane ("w63+"): two lanes
+  // of 2 chunks plus a shared lane of 6 is balanced, and says so.
+  const std::optional<TraceSummary> summary = analyze_trace(
+      parse_or_die(R"([{"name":"k:3 chunks","ph":"C","pid":1,"ts":1,)"
+                   R"("args":{"w0":2,"w62":2,"w63+":6}}])"),
+      nullptr);
+  ASSERT_TRUE(summary.has_value());
+  const RegionTrace& region = summary->regions.at("k:3");
+  EXPECT_EQ(region.chunks, 10u);
+  EXPECT_EQ(region.shared_lane_chunks, 6u);
+  EXPECT_EQ(region.workers.count(63), 0u);
+  EXPECT_DOUBLE_EQ(region_imbalance(region), 1.0);
+  const std::string text = render_trace_summary(*summary);
+  EXPECT_NE(text.find("imbalance=1.000 chunks=10"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("shared lane: 6 chunks of threads 63 and up, left "
+                      "out of the imbalance"),
+            std::string::npos)
+      << text;
+}
+
 TEST(AnalyzeTrace, RejectsNonArrayInput) {
   std::string error;
   EXPECT_FALSE(analyze_trace(parse_or_die("{}"), nullptr, &error)
