@@ -16,8 +16,8 @@
 //     --memoize            cache pure-call results: memoizable pure
 //                          functions (by-value scalar params, scalar
 //                          global snapshot) get thunks backed by one
-//                          table per thread in the output C, growing up
-//                          to PUREC_MEMO_CAP slots (read at run time).
+//                          table per thread in the output C, of
+//                          PUREC_MEMO_CAP slots (read at run time).
 //                          With --instrument, per-thunk hit/miss/
 //                          eviction/bypass counters join its exit
 //                          summary; without, there are none. Two gates:

@@ -27,13 +27,13 @@ enum class WordRepr { Float32, Float64, Integer };
                                    const std::string& expr) {
   switch (word_repr(type)) {
     case WordRepr::Float32:
-      return "  PUREC_MEMO_KEY_F32(purec_key, purec_kw, purec_kn, " + expr +
+      return "    PUREC_MEMO_KEY_F32(purec_key, purec_kw, purec_kn, " + expr +
              ");\n";
     case WordRepr::Float64:
-      return "  PUREC_MEMO_KEY_F64(purec_key, purec_kw, purec_kn, " + expr +
+      return "    PUREC_MEMO_KEY_F64(purec_key, purec_kw, purec_kn, " + expr +
              ");\n";
     case WordRepr::Integer:
-      return "  PUREC_MEMO_KEY_INT(purec_key, purec_kw, purec_kn, " + expr +
+      return "    PUREC_MEMO_KEY_INT(purec_key, purec_kw, purec_kn, " + expr +
              ");\n";
   }
   return {};
@@ -162,31 +162,34 @@ std::string memo_thunk_definition(const MemoFunctionInfo& info,
       << (key_words == 0 ? std::size_t{1} : key_words) << "];\n";
   out << "  unsigned purec_kn = 0;\n";
   out << "  " << scalar_type_name(info.return_type) << " purec_result;\n";
+  // The callee has one call site, shared by the bypass and miss paths;
+  // a zero key (never a real fingerprint) marks a bypassed call.
   out << "  if (purec_memo_gate_skip(&" << gate << ")) {\n";
   count("    ", "bypassed");
-  out << "    return " << call << ";\n";
-  out << "  }\n";
+  out << "    purec_key = 0;\n";
+  out << "  } else {\n";
   for (std::size_t i = 0; i < info.param_types.size(); ++i) {
     out << key_line(info.param_types[i], "purec_a" + std::to_string(i));
   }
   for (const auto& [global, type] : info.global_snapshot) {
     out << key_line(type, global);
   }
-  out << "  purec_key = purec_memo_mix(purec_key);\n";
-  out << "  if (purec_key == 0) purec_key = 1;\n";
-  out << "  if (purec_memo_lookup(purec_key, purec_kw, purec_kn, "
+  out << "    purec_key = purec_memo_mix(purec_key);\n";
+  out << "    if (purec_key == 0) purec_key = 1;\n";
+  out << "    if (purec_memo_lookup(purec_key, purec_kw, purec_kn, "
          "&purec_word)) {\n";
-  count("    ", "hits");
-  out << "    return " << unpack_expr(info.return_type, "purec_word")
+  count("      ", "hits");
+  out << "      return " << unpack_expr(info.return_type, "purec_word")
       << ";\n";
+  out << "    }\n";
+  out << "    " << gate << ".misses++;\n";
+  count("    ", "misses");
   out << "  }\n";
-  out << "  " << gate << ".misses++;\n";
-  count("  ", "misses");
   out << "  purec_result = " << call << ";\n";
-  out << "  " << (stats ? "if (" : "")
+  out << "  if (purec_key != 0" << (stats ? " &&\n      " : ")\n    ")
       << "purec_memo_store(purec_key, purec_kw, purec_kn, "
-      << pack_expr(info.return_type, "purec_result") << ", " << gate
-      << ".backoff == 0)" << (stats ? ")\n" : ";\n");
+      << pack_expr(info.return_type, "purec_result")
+      << (stats ? "))\n" : ");\n");
   count("    ", "evictions");
   out << "  return purec_result;\n";
   out << "}\n";

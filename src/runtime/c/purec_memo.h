@@ -1,19 +1,20 @@
 #ifndef PUREC_MEMO_RUNTIME
 #define PUREC_MEMO_RUNTIME
 /* Memoization table for pure-call results, one per thread: a thread's
- * first store creates its table, and the table is freed when the thread
+ * first store allocates its table, and the table is freed when the thread
  * exits. Only its own thread reads or writes a table, so it needs no
  * atomics or locks; threads do not share results, so a key misses at most
- * once per thread. Open addressing within an 8-slot probe window. A table
- * starts at min(1024, PUREC_MEMO_CAP) slots and doubles, rehashing, when a
- * store finds its window full; at PUREC_MEMO_CAP slots (per thread,
- * default 65536, rounded down to a power of two) a full window evicts by
- * clock second chance. A hit on a warm slot only loads: the clock bit is
- * stored only when it reads clear. Each thunk first asks its per-thread
- * gate (purec_memo_gate, below), which sends calls that do not hit
- * straight to the callee. Per-thunk counters are compiled in only for
- * --instrument builds; other output carries none. Full-key verification
- * is compile-time only: PUREC_MEMO_VERIFY=1 (--memoize=verify emits it)
+ * once per thread. The table never grows: it holds PUREC_MEMO_CAP slots
+ * (per thread, default 4096 = 64 KiB, rounded down to a power of two and
+ * up to one bucket) in buckets of 4 slots, one 64-byte cache line each.
+ * A key belongs to one bucket. A lookup scans only that bucket, and a hit
+ * only loads. A store takes the key's own slot or the bucket's first empty
+ * one; in a full bucket it overwrites the slot the key's bits pick, which
+ * counts as an eviction. Each thunk first asks its per-thread gate
+ * (purec_memo_gate, below), which sends calls that do not hit straight to
+ * the callee. Per-thunk counters are compiled in only for --instrument
+ * builds; other output carries none. Full-key verification is
+ * compile-time only: PUREC_MEMO_VERIFY=1 (--memoize=verify emits it)
  * stores the raw key words next to each slot and compares them on a hit,
  * so a fingerprint alias degrades to a miss instead of a wrong value; at
  * 0 every verify branch folds away. Needs <pthread.h> and <stdlib.h>. */
@@ -115,19 +116,13 @@ typedef struct {
   purec_memo_word value;
 } purec_memo_slot;
 
-typedef struct {
-  purec_memo_slot* slots;
-  purec_memo_word* vwords; /* PUREC_MEMO_VREC words per slot */
-  unsigned char* ref;      /* clock second-chance bit per slot */
-  purec_memo_word mask;    /* slot count - 1 */
-} purec_memo_table;
+#define PUREC_MEMO_WAYS 4u /* slots per bucket: one 64-byte line */
 
-#define PUREC_MEMO_NONE (~0ULL) /* purec_memo_find: window full */
-
-static __thread purec_memo_table* purec_memo_self; /* 0 until a store */
+/* The calling thread's slots, 0 until its first store; the verify
+ * records, PUREC_MEMO_VREC words per slot, follow them. */
+static __thread purec_memo_slot* purec_memo_self;
 static pthread_key_t purec_memo_exit_key; /* frees a table at thread exit */
-static purec_memo_word purec_memo_cap = 1; /* per-thread slot bound */
-static unsigned purec_memo_probe = 8u;
+static purec_memo_word purec_memo_cap = PUREC_MEMO_WAYS; /* slots, pow2 */
 static int purec_memo_ready; /* 0 until init creates the exit key */
 
 static purec_memo_word purec_memo_mix(purec_memo_word x) {
@@ -150,8 +145,9 @@ static purec_memo_word purec_memo_env(const char* name,
   return parsed > (1ULL << 24) ? (1ULL << 24) : parsed;
 }
 
+/* v rounded down to a power of two, and up to one bucket. */
 static purec_memo_word purec_memo_pow2(purec_memo_word v) {
-  purec_memo_word p = 1;
+  purec_memo_word p = PUREC_MEMO_WAYS;
   while (p <= v / 2) p *= 2;
   return p;
 }
@@ -162,32 +158,21 @@ static void purec_memo_thread_exit(void* table) {
 }
 
 __attribute__((constructor)) static void purec_memo_init(void) {
-  purec_memo_cap = purec_memo_pow2(purec_memo_env("PUREC_MEMO_CAP", 65536));
-  if (purec_memo_probe > purec_memo_cap)
-    purec_memo_probe = (unsigned)purec_memo_cap;
+  purec_memo_cap = purec_memo_pow2(purec_memo_env("PUREC_MEMO_CAP", 4096));
   purec_memo_ready =
       pthread_key_create(&purec_memo_exit_key, purec_memo_thread_exit) == 0;
 }
 
-/* The slot in key's window that holds key or, failing that, the first
- * empty one; PUREC_MEMO_NONE when the window is full of other keys.
- * Slots never empty again, so a resident key sits before any empty slot
- * of its window. */
-static purec_memo_word purec_memo_find(const purec_memo_table* t,
-                                       purec_memo_word key) {
-  unsigned i;
-  for (i = 0; i < purec_memo_probe; i++) {
-    purec_memo_word idx = (key + i) & t->mask;
-    purec_memo_word tag = t->slots[idx].tag;
-    if (tag == key || tag == 0) return idx;
-  }
-  return PUREC_MEMO_NONE;
+/* The first slot of key's bucket. */
+static purec_memo_word purec_memo_bucket(purec_memo_word key) {
+  return key & (purec_memo_cap - PUREC_MEMO_WAYS);
 }
 
 /* Under verify: slot idx holds exactly the key words kw[0..kn). */
-static int purec_memo_same(const purec_memo_table* t, purec_memo_word idx,
+static int purec_memo_same(const purec_memo_slot* t, purec_memo_word idx,
                            const purec_memo_word* kw, unsigned kn) {
-  const purec_memo_word* rec = t->vwords + idx * PUREC_MEMO_VREC;
+  const purec_memo_word* rec = (const purec_memo_word*)(t + purec_memo_cap) +
+                               idx * PUREC_MEMO_VREC;
   unsigned w;
   if (rec[0] != kn) return 0;
   for (w = 0; w < kn; w++)
@@ -195,119 +180,79 @@ static int purec_memo_same(const purec_memo_table* t, purec_memo_word idx,
   return 1;
 }
 
-static void purec_memo_put(purec_memo_table* t, purec_memo_word idx,
-                           purec_memo_word key, const purec_memo_word* kw,
-                           unsigned kn, purec_memo_word value) {
-  unsigned w;
-  t->slots[idx].tag = key;
-  t->slots[idx].value = value;
-  t->ref[idx] = 0;
-  if (PUREC_MEMO_VERIFY) {
-    purec_memo_word* rec = t->vwords + idx * PUREC_MEMO_VREC;
-    rec[0] = kn;
-    for (w = 0; w < kn; w++) rec[1 + w] = kw[w];
-  }
-}
-
-static int purec_memo_store(purec_memo_word key, const purec_memo_word* kw,
-                            unsigned kn, purec_memo_word value, int grow);
-
-/* Gives the calling thread a new table, min(1024, cap) slots for its
- * first and twice the old size after that, and stores every old entry
- * into it again with its verify record. A window that overflows there
- * doubles the table again, so below the cap no entry is lost; at the cap
- * the overflow evicts. Returns 0, keeping the old table, when memory runs
- * out. The table is one allocation: the header, the slots, the verify
- * records (none when PUREC_MEMO_VERIFY is 0) and the clock bits. */
-__attribute__((noinline, cold)) static int purec_memo_grow(void) {
+/* Gives the calling thread its table: purec_memo_cap zeroed slots, aligned
+ * so that each bucket is one cache line, then the verify records (none
+ * when PUREC_MEMO_VERIFY is 0), in one allocation that the exit key frees.
+ * 0 when memory runs out. */
+__attribute__((noinline, cold)) static purec_memo_slot* purec_memo_alloc(
+    void) {
   const size_t per_slot =
-      sizeof(purec_memo_slot) + 1 +
+      sizeof(purec_memo_slot) +
       (PUREC_MEMO_VERIFY ? PUREC_MEMO_VREC * sizeof(purec_memo_word) : 0);
-  purec_memo_table* old = purec_memo_self;
-  purec_memo_word n = purec_memo_cap < 1024 ? purec_memo_cap : 1024, i;
-  purec_memo_table* t;
+  char* raw;
   if (!purec_memo_ready) return 0;
-  if (old != 0) n = 2 * (old->mask + 1);
-  t = (purec_memo_table*)calloc(1, sizeof(purec_memo_table) + n * per_slot);
-  if (t == 0) return 0;
-  if (pthread_setspecific(purec_memo_exit_key, t) != 0) {
-    free(t);
+  raw = (char*)calloc(1, purec_memo_cap * per_slot + 63);
+  if (raw == 0) return 0;
+  if (pthread_setspecific(purec_memo_exit_key, raw) != 0) {
+    free(raw);
     return 0;
   }
-  t->slots = (purec_memo_slot*)(t + 1);
-  t->vwords = (purec_memo_word*)(t->slots + n);
-  t->ref = (unsigned char*)(t->vwords +
-                            (PUREC_MEMO_VERIFY ? n * PUREC_MEMO_VREC : 0));
-  t->mask = n - 1;
-  purec_memo_self = t;
-  for (i = 0; old != 0 && i <= old->mask; i++) {
-    const purec_memo_word* rec =
-        PUREC_MEMO_VERIFY ? old->vwords + i * PUREC_MEMO_VREC : 0;
-    if (old->slots[i].tag != 0)
-      purec_memo_store(old->slots[i].tag, rec ? rec + 1 : 0,
-                       rec ? (unsigned)rec[0] : 0u, old->slots[i].value, 1);
-  }
-  free(old);
-  return 1;
+  purec_memo_self = (purec_memo_slot*)(raw + (-(size_t)raw & 63u));
+  return purec_memo_self;
 }
 
 static int purec_memo_lookup(purec_memo_word key,
                              const purec_memo_word* kw, unsigned kn,
                              purec_memo_word* value) {
-  purec_memo_table* t = purec_memo_self;
+  const purec_memo_slot* t = purec_memo_self;
   purec_memo_word idx;
+  unsigned i;
   if (t == 0) return 0;
-  idx = purec_memo_find(t, key);
-  if (idx == PUREC_MEMO_NONE || t->slots[idx].tag != key) return 0;
-  /* A fingerprint alias recomputes. A tuple too wide to store never
-   * matches a record's count. */
-  if (PUREC_MEMO_VERIFY && !purec_memo_same(t, idx, kw, kn)) return 0;
-  *value = t->slots[idx].value;
-  if (t->ref[idx] == 0) t->ref[idx] = 1;
-  return 1;
+  idx = purec_memo_bucket(key);
+  for (i = 0; i < PUREC_MEMO_WAYS; i++, idx++) {
+    if (t[idx].tag != key) continue;
+    /* A fingerprint alias recomputes. A tuple too wide to store never
+     * matches a record's count. */
+    if (PUREC_MEMO_VERIFY && !purec_memo_same(t, idx, kw, kn)) return 0;
+    *value = t[idx].value;
+    return 1;
+  }
+  return 0;
 }
 
 /* Returns 1 when the store displaced a live entry (an eviction), 0 for
  * fresh/duplicate/failed stores — the stats counters want the split.
- * With grow 0 a full window evicts even below the cap. */
+ * Slots never empty again, so a bucket fills front to back. */
 static int purec_memo_store(purec_memo_word key, const purec_memo_word* kw,
-                            unsigned kn, purec_memo_word value, int grow) {
-  purec_memo_table* t = purec_memo_self;
-  purec_memo_word idx;
-  unsigned i;
+                            unsigned kn, purec_memo_word value) {
+  purec_memo_slot* t = purec_memo_self;
+  purec_memo_word idx = purec_memo_bucket(key);
+  unsigned i, w;
+  int evicted;
   if (PUREC_MEMO_VERIFY && kn > PUREC_MEMO_VWORDS) return 0; /* too wide */
-  if (t == 0) {
-    if (!purec_memo_grow()) return 0;
-    t = purec_memo_self;
-  }
-  while ((idx = purec_memo_find(t, key)) == PUREC_MEMO_NONE && grow &&
-         t->mask + 1 < purec_memo_cap && purec_memo_grow())
-    t = purec_memo_self;
-  if (idx != PUREC_MEMO_NONE) {
-    if (t->slots[idx].tag == 0) {
-      purec_memo_put(t, idx, key, kw, kn, value);
-      return 0;
-    }
+  if (t == 0 && (t = purec_memo_alloc()) == 0) return 0;
+  for (i = 0; i < PUREC_MEMO_WAYS; i++, idx++) {
+    if (t[idx].tag == 0) break;
+    if (t[idx].tag != key) continue;
     /* Resident: the value is identical, unless under verify the resident
      * entry is a fingerprint alias, which must be replaced or this key
      * would miss forever. */
     if (!PUREC_MEMO_VERIFY || purec_memo_same(t, idx, kw, kn)) return 0;
-    purec_memo_put(t, idx, key, kw, kn, value);
-    return 1;
+    break;
   }
-  /* A full window at the cap (or one that may not grow): second chance
-   * clears a set bit and moves on; the first clear one is evicted. */
-  for (i = 0; i < purec_memo_probe; i++) {
-    idx = (key + i) & t->mask;
-    if (t->ref[idx] != 0) {
-      t->ref[idx] = 0;
-      continue;
-    }
-    purec_memo_put(t, idx, key, kw, kn, value);
-    return 1;
+  /* A full bucket: the key's top two bits pick the slot it takes over
+   * (the bucket index uses the low bits). */
+  if (i == PUREC_MEMO_WAYS) idx = purec_memo_bucket(key) + (key >> 62);
+  evicted = t[idx].tag != 0;
+  t[idx].tag = key;
+  t[idx].value = value;
+  if (PUREC_MEMO_VERIFY) {
+    purec_memo_word* rec =
+        (purec_memo_word*)(t + purec_memo_cap) + idx * PUREC_MEMO_VREC;
+    rec[0] = kn;
+    for (w = 0; w < kn; w++) rec[1 + w] = kw[w];
   }
-  purec_memo_put(t, key & t->mask, key, kw, kn, value);
-  return 1;
+  return evicted;
 }
 
 /* Admission gate, one per thunk per thread (a zeroed static __thread):
@@ -318,9 +263,7 @@ static int purec_memo_store(purec_memo_word key, const purec_memo_word* kw,
  * calls past the table, backoff being the failed windows before this
  * one in a row (capped at PUREC_MEMO_BACKOFF_MAX); the window after that
  * stretch probes the table again, and one that earns hits resets
- * backoff. A window with backoff > 0 is on probation: its misses store
- * into the table but never double it, so only a thunk whose last window
- * paid can grow the thread's table.
+ * backoff.
  *
  * `left` encodes the mode. In a probe window it counts the calls left in
  * it, down to 0; in a bypass stretch it is INT_MIN plus the calls left in
@@ -331,9 +274,9 @@ static int purec_memo_store(purec_memo_word key, const purec_memo_word* kw,
  * counted by the thunk's miss path; a probe window's hits are the rest.
  *
  * The constants: a window of 1024 calls makes the judge's call rare
- * (one per 1024) and matches the table's first size, so a first window
- * of distinct keys fits without evicting. Below 1 hit in 8 calls, seven
- * misses (key mixes, two probe windows, an insert) must be paid from one
+ * (one per 1024) and fills at most a quarter of the default table, so a
+ * window of distinct keys evicts little. Below 1 hit in 8 calls, seven
+ * misses (key mixes, two bucket scans, an insert) must be paid from one
  * saved callee call, which loses unless the callee is many times dearer
  * than a probe. Capping the backoff at 10 bounds a stretch at 2^20
  * calls: a thunk whose traffic turns hot waits at most that long, and a

@@ -58,7 +58,8 @@ json::Value build_chain_report(const ChainArtifacts& artifacts,
   // v5: the profile-scored memo gate is gone, so memoization.functions[]
   // entries lose `profile` and options loses the gate's flag. A rejected
   // run's report since gained `errors` (additive, still v5).
-  // v6: scops[] entries carry `simd` and `simd_withheld`.
+  // v6: scops[] entries carry `simd` and `simd_withheld`, and since
+  // `tile_withheld` (additive, still v6).
   report.set("report_version", 6);
   report.set("ok", artifacts.ok);
   if (!artifacts.ok) {
@@ -148,6 +149,9 @@ json::Value build_chain_report(const ChainArtifacts& artifacts,
     entry.set("simd_withheld", r.simd_withheld.empty()
                                    ? json::Value(nullptr)
                                    : json::Value(r.simd_withheld));
+    entry.set("tile_withheld", r.tile_withheld.empty()
+                                   ? json::Value(nullptr)
+                                   : json::Value(r.tile_withheld));
     entry.set("region_id", r.region_id < 0 ? json::Value(nullptr)
                                            : json::Value(r.region_id));
     entry.set("reductions", string_array(r.reductions));
@@ -402,6 +406,11 @@ std::string render_report_text(const json::Value& report) {
             withheld != nullptr && !withheld->is_null()) {
           out += "purecc:   note: simd withheld: " + withheld->as_string() +
                  "\n";
+        }
+        if (const auto* withheld = entry.find("tile_withheld");
+            withheld != nullptr && !withheld->is_null()) {
+          out += "purecc:   note: tiling withheld: " +
+                 withheld->as_string() + "\n";
         }
       }
     }

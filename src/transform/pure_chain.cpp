@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <functional>
 #include <initializer_list>
+#include <optional>
+#include <set>
 
 #include "ast/walk.h"
 #include "emit/c_printer.h"
@@ -609,6 +611,113 @@ void for_each_nest_expr(
     }
   };
   for_each_nest_expr(loop, {&calls}, judge);
+  return reason;
+}
+
+/// How far subscript `e` moves when each source iterator in `step` moves
+/// by its entry; nullopt when that is not a constant (`k * rows` along
+/// `k`, or an iterator inside a call or a nested subscript).
+[[nodiscard]] std::optional<std::int64_t> subscript_step(
+    const Expr& e, const std::map<std::string, std::int64_t>& step) {
+  if (const auto* ident = expr_cast<IdentExpr>(&e)) {
+    const auto it = step.find(ident->name);
+    return it == step.end() ? 0 : it->second;
+  }
+  if (expr_cast<IntLiteralExpr>(&e) != nullptr) return 0;
+  if (const auto* cast = expr_cast<CastExpr>(&e)) {
+    return subscript_step(*cast->operand, step);
+  }
+  const auto* unary = expr_cast<UnaryExpr>(&e);
+  if (unary != nullptr && unary->op == UnaryOp::Plus) {
+    return subscript_step(*unary->operand, step);
+  }
+  if (unary != nullptr && unary->op == UnaryOp::Minus) {
+    const auto s = subscript_step(*unary->operand, step);
+    if (s) return -*s;
+    return std::nullopt;
+  }
+  const auto* binary = expr_cast<BinaryExpr>(&e);
+  if (binary != nullptr &&
+      (binary->op == BinaryOp::Add || binary->op == BinaryOp::Sub ||
+       binary->op == BinaryOp::Mul)) {
+    const auto l = subscript_step(*binary->lhs, step);
+    const auto r = subscript_step(*binary->rhs, step);
+    if (!l || !r) return std::nullopt;
+    if (binary->op == BinaryOp::Add) return *l + *r;
+    if (binary->op == BinaryOp::Sub) return *l - *r;
+    if (*l == 0 && *r == 0) return 0;
+    // A moving factor times a literal moves by a constant; times anything
+    // else (a parameter, another moving factor) it does not.
+    const auto* lit = expr_cast<IntLiteralExpr>(
+        *l == 0 ? binary->lhs.get() : binary->rhs.get());
+    if (lit != nullptr && (*l == 0 || *r == 0)) return lit->value * (*l + *r);
+    return std::nullopt;
+  }
+  bool moves = false;
+  for_each_expr(e, [&](const Expr& sub) {
+    const auto* ident = expr_cast<IdentExpr>(&sub);
+    if (ident == nullptr) return;
+    const auto it = step.find(ident->name);
+    if (it != step.end() && it->second != 0) moves = true;
+  });
+  if (moves) return std::nullopt;
+  return 0;
+}
+
+/// A loop that takes `#pragma omp simd` when the nest gets it: how it is
+/// named in a reason, and how far one of its trips moves each source
+/// iterator.
+struct SimdLoop {
+  std::string name;
+  std::map<std::string, std::int64_t> step;
+};
+
+/// Why the default mode puts `#pragma omp simd` on no loop of this nest
+/// although its callees allow it ("" when it may): a simd loop that moves
+/// any subscript of an access but the last (a transposed `M[j][i]` along
+/// `j`), or the last by a stride other than 0 or +-1 (ell's column-major
+/// `values[k * rows + row]` along `k`), makes every lane load or store
+/// its own cache line, which the pragma forces gcc to gather and scatter.
+/// Calls' arguments count: their accesses are hidden from the model, not
+/// from the lanes.
+[[nodiscard]] std::string stride_blocker(
+    const ForStmt& loop, const std::vector<SubstitutedCall>& calls,
+    const std::vector<SimdLoop>& simd_loops) {
+  // An access is the outermost IndexExpr of a chain; its base chain
+  // holds the earlier subscripts.
+  std::set<const Expr*> bases;
+  for_each_nest_expr(loop, {&calls}, [&](const Expr& e) {
+    if (const auto* index = expr_cast<IndexExpr>(&e)) {
+      bases.insert(index->base.get());
+    }
+  });
+  std::string reason;
+  for (const SimdLoop& simd : simd_loops) {
+    for_each_nest_expr(loop, {&calls}, [&](const Expr& e) {
+      const auto* access = expr_cast<IndexExpr>(&e);
+      if (access == nullptr || !reason.empty() || bases.count(&e) != 0) {
+        return;
+      }
+      const std::string where =
+          "loop " + simd.name + " strides '" + print_c(e) + "' by ";
+      for (const auto* earlier = expr_cast<IndexExpr>(access->base.get());
+           earlier != nullptr;
+           earlier = expr_cast<IndexExpr>(earlier->base.get())) {
+        const auto moved = subscript_step(*earlier->index, simd.step);
+        if (!moved || *moved != 0) {
+          reason = where + "a whole row (it moves a subscript other than "
+                           "the last)";
+          return;
+        }
+      }
+      const auto last = subscript_step(*access->index, simd.step);
+      if (!last) {
+        reason = where + "a non-constant factor";
+      } else if (*last > 1 || *last < -1) {
+        reason = where + std::to_string(*last) + " elements";
+      }
+    });
+  }
   return reason;
 }
 
@@ -1261,14 +1370,40 @@ ChainArtifacts run_pure_chain(const std::string& source,
       cg.tile_size = options.tile_size;
       cg.schedule = options.schedule;
       // PluTo-SICA vectorizes every innermost parallel loop; the default
-      // mode only a parallel nest whose callees are loop-free.
+      // mode only a parallel nest whose callees are loop-free and whose
+      // simd loops walk every access with a unit stride.
+      const bool gate_simd =
+          options.mode == TransformMode::Pluto && cg.parallelize;
+      const std::string callee_blocker =
+          gate_simd ? simd_blocker(*loop, calls, callee_loops,
+                                   artifacts.memoization.memoizable)
+                    : std::string();
       std::string simd_withheld;
-      if (options.mode == TransformMode::Pluto && cg.parallelize) {
-        simd_withheld = simd_blocker(*loop, calls, callee_loops,
-                                     artifacts.memoization.memoizable);
-      }
-      cg.simd = options.mode == TransformMode::PlutoSica ||
-                (cg.parallelize && simd_withheld.empty());
+      const auto decide_simd = [&](const std::vector<SimdLoop>& loops) {
+        simd_withheld = callee_blocker;
+        if (gate_simd && simd_withheld.empty()) {
+          simd_withheld = stride_blocker(*loop, calls, loops);
+        }
+        cg.simd = options.mode == TransformMode::PlutoSica ||
+                  (cg.parallelize && simd_withheld.empty());
+      };
+      // Region codegen vectorizes leaf loops, which keep their source
+      // iterators and steps.
+      const auto leaf_loops = [&] {
+        std::vector<bool> parent(scop.depth(), false);
+        for (const std::size_t up : scop.loop_parents) {
+          if (up != poly::Scop::npos) parent[up] = true;
+        }
+        std::vector<SimdLoop> leaves;
+        for (std::size_t j = 0; j < scop.depth(); ++j) {
+          if (parent[j]) continue;
+          leaves.push_back(SimdLoop{
+              "'" + scop.iterators[j] + "'",
+              {{scop.iterators[j],
+                j < scop.strides.size() ? scop.strides[j] : 1}}});
+        }
+        return leaves;
+      };
       std::size_t simd_loops = 0;
 
       if (region) {
@@ -1278,6 +1413,7 @@ ChainArtifacts run_pure_chain(const std::string& source,
         // scalar privatization). Iterators keep their source names, so
         // the reinserted calls need no substitution.
         poly::RegionSchedule rs;
+        decide_simd(leaf_loops());
         generated = poly::schedule_region(scop, deps, cg, privatizable,
                                           &rs);
         if (generated) record_region_schedule(rs, report);
@@ -1311,6 +1447,44 @@ ChainArtifacts run_pure_chain(const std::string& source,
         report.skewed = !transform.is_identity();
         scop_iterators = scop.iterators;
 
+        // The innermost point loop takes the simd pragma; one of its trips
+        // moves source iterator j by strides[j] * Tinv(j, d - 1).
+        {
+          const std::size_t d = scop.depth();
+          const poly::IntMat inverse = transform.matrix.inverse_unimodular();
+          SimdLoop innermost{"", {}};
+          for (std::size_t j = 0; j < d; ++j) {
+            const std::int64_t moved =
+                (j < scop.strides.size() ? scop.strides[j] : 1) *
+                inverse.at(j, d - 1);
+            if (moved == 0) continue;
+            innermost.name = innermost.step.empty()
+                                 ? "'" + scop.iterators[j] + "'"
+                                 : "'t" + std::to_string(d) + "'";
+            innermost.step[scop.iterators[j]] = moved;
+          }
+          decide_simd({innermost});
+        }
+        // A tile keeps what the nest reads in cache; a nest that reads no
+        // array (a write-only fill) only gains tile loops and short inner
+        // trips. Substituted calls may read memory the model cannot see.
+        const bool tiles = cg.tile && transform.band_size >= 2 &&
+                           options.tile_size > 1;
+        if (tiles && calls.empty() &&
+            std::none_of(scop.statements.begin(), scop.statements.end(),
+                         [](const poly::ScopStatement& stmt) {
+                           return std::any_of(
+                               stmt.accesses.begin(), stmt.accesses.end(),
+                               [](const poly::Access& a) {
+                                 return a.kind == poly::AccessKind::Read &&
+                                        !a.subscripts.empty();
+                               });
+                         })) {
+          cg.tile = false;
+          report.tile_withheld =
+              "the nest reads no array (a tile would keep nothing in cache)";
+        }
+
         generated = poly::generate_code(scop, transform, cg, &iter_subst,
                                         &report.collapse,
                                         &report.schedule_clause,
@@ -1321,7 +1495,7 @@ ChainArtifacts run_pure_chain(const std::string& source,
             report.parallel_loops = 1;
             report.privatized = priv0;
           }
-          report.tiled = options.tile && transform.band_size >= 2 &&
+          report.tiled = cg.tile && transform.band_size >= 2 &&
                          options.tile_size > 1;
         }
         if (!report.parallelized && cg.parallelize) {
@@ -1331,6 +1505,7 @@ ChainArtifacts run_pure_chain(const std::string& source,
           // serializing whole. Iterators keep their names (no
           // substitution).
           poly::RegionSchedule rs;
+          decide_simd(leaf_loops());
           StmtPtr fissioned = poly::schedule_region(scop, deps, cg,
                                                     privatizable, &rs);
           if (fissioned && rs.fissioned && !rs.parallel_loops.empty()) {
@@ -1394,6 +1569,7 @@ ChainArtifacts run_pure_chain(const std::string& source,
       report.collapse = 0;
       report.simd = false;
       report.simd_withheld.clear();
+      report.tile_withheld.clear();
       undo();
       continue;
     }

@@ -170,8 +170,11 @@ struct ScopReport {
   bool simd = false;
   /// Why the default mode left a loop that qualifies for `omp simd`
   /// unvectorized ("" when it did not), naming the callee, e.g.
-  /// "callee 'dot' contains a loop".
+  /// "callee 'dot' contains a loop", or the strided access.
   std::string simd_withheld;
+  /// Why a nest that tiling applies to was left untiled ("" otherwise),
+  /// e.g. a write-only fill that reads no array.
+  std::string tile_withheld;
   /// Stable instrumentation region id (-1 when the scop was not
   /// instrumented: no --instrument, or a nest left serial): the join key between this report entry and the
   /// runtime's trace events (`args.region_id`). Assigned in emission

@@ -83,7 +83,7 @@ static int store_i(purec_memo_word i, purec_memo_word value) {
   purec_memo_word kw[1];
   unsigned kn;
   purec_memo_word key = key_of(i, kw, &kn);
-  return purec_memo_store(key, kw, kn, value, 1);
+  return purec_memo_store(key, kw, kn, value);
 }
 
 typedef struct {
@@ -104,20 +104,56 @@ static purec_memo_word serve(purec_memo_word i, tally* t) {
   return value_of(i);
 }
 
+/* Every key first..last hits with its exact value. */
+static void expect_resident_from(purec_memo_word first,
+                                 purec_memo_word last) {
+  purec_memo_word i, out;
+  int missing = 0;
+  for (i = first; i <= last; i++) {
+    out = 0;
+    if (!lookup_i(i, &out)) {
+      missing++;
+    } else {
+      CHECK(out == value_of(i));
+    }
+  }
+  CHECK(missing == 0);
+}
+
+static void expect_resident(purec_memo_word n) {
+  expect_resident_from(0, n - 1);
+}
+
 /* Slots of the calling thread's table whose tag is `key`. */
 static int count_resident(purec_memo_word key) {
-  const purec_memo_table* t = purec_memo_self;
+  const purec_memo_slot* t = purec_memo_self;
   purec_memo_word i;
   int n = 0;
-  for (i = 0; t != 0 && i <= t->mask; i++) {
-    if (t->slots[i].tag == key) n++;
+  for (i = 0; t != 0 && i < purec_memo_cap; i++) {
+    if (t[i].tag == key) n++;
   }
   return n;
 }
 
 /* Slots in the calling thread's table; 0 before its first store. */
 static purec_memo_word table_slots(void) {
-  return purec_memo_self == 0 ? 0 : purec_memo_self->mask + 1;
+  return purec_memo_self == 0 ? 0 : purec_memo_cap;
+}
+
+/* The most keys of 0..n-1 that share one bucket. */
+static unsigned bucket_load_max(purec_memo_word n) {
+  const purec_memo_word buckets = purec_memo_cap / PUREC_MEMO_WAYS;
+  unsigned* load = (unsigned*)calloc(buckets, sizeof(unsigned));
+  purec_memo_word kw[1], i;
+  unsigned kn, most = 0;
+  if (load == 0) return ~0u;
+  for (i = 0; i < n; i++) {
+    unsigned* l = &load[purec_memo_bucket(key_of(i, kw, &kn)) /
+                        PUREC_MEMO_WAYS];
+    if (++*l > most) most = *l;
+  }
+  free(load);
+  return most;
 }
 
 /* ------------------------------------------------------------------ */
@@ -141,10 +177,10 @@ static void scenario_roundtrip(void) {
   PUREC_MEMO_KEY_F64(key, kw, kn, d);
   key = purec_memo_mix(key);
   CHECK(kn == 2);
-  CHECK(purec_memo_store(key, kw, kn, PUREC_MEMO_PACK_F64(d * f), 1) == 0);
+  CHECK(purec_memo_store(key, kw, kn, PUREC_MEMO_PACK_F64(d * f)) == 0);
   CHECK(purec_memo_lookup(key, kw, kn, &word));
   CHECK(PUREC_MEMO_UNPACK_F64(word) == d * f);
-  CHECK(purec_memo_store(key ^ 1, kw, kn, PUREC_MEMO_PACK_F32(f), 1) == 0);
+  CHECK(purec_memo_store(key ^ 1, kw, kn, PUREC_MEMO_PACK_F32(f)) == 0);
   CHECK(purec_memo_lookup(key ^ 1, kw, kn, &word));
   CHECK(PUREC_MEMO_UNPACK_F32(word) == f);
 }
@@ -159,17 +195,25 @@ static void scenario_idempotent(void) {
   CHECK(count_resident(key) == 1);
 }
 
+/* PUREC_MEMO_CAP=1 rounds up to one bucket: four keys fit, and each
+ * key after them recycles one slot; a hit is never wrong. */
 static void scenario_capacity_one(void) {
-  purec_memo_word out = 0;
-  CHECK(purec_memo_cap == 1);
-  CHECK(purec_memo_probe == 1);
-  CHECK(store_i(1, 11) == 0);
-  CHECK(table_slots() == 1);
-  CHECK(lookup_i(1, &out) && out == 11);
-  /* The single slot is recycled: the old key is gone, never wrong. */
-  CHECK(store_i(2, 22) == 1);
-  CHECK(lookup_i(2, &out) && out == 22);
-  CHECK(!lookup_i(1, &out));
+  purec_memo_word out = 0, i;
+  int resident = 0;
+  CHECK(purec_memo_cap == PUREC_MEMO_WAYS);
+  for (i = 1; i <= 4; i++) CHECK(store_i(i, value_of(i)) == 0);
+  CHECK(table_slots() == 4);
+  expect_resident_from(1, 4);
+  CHECK(store_i(5, value_of(5)) == 1);
+  CHECK(lookup_i(5, &out) && out == value_of(5));
+  for (i = 1; i <= 4; i++) {
+    out = 0;
+    if (lookup_i(i, &out)) {
+      resident++;
+      CHECK(out == value_of(i));
+    }
+  }
+  CHECK(resident == 3);
 }
 
 static void expect_cap_knob(const char* value, purec_memo_word want) {
@@ -190,10 +234,15 @@ static void scenario_env_parse(void) {
   expect_cap_knob("", 65536);
   unsetenv("PUREC_MEMO_CAP");
   CHECK(purec_memo_env("PUREC_MEMO_CAP", 65536) == 65536);
-  /* The constructor saw no knob: the default per-thread bound. */
-  CHECK(purec_memo_cap == 65536);
-  CHECK(purec_memo_probe == 8);
-  CHECK(purec_memo_pow2(1) == 1);
+  /* The constructor saw no knob: the default table, 64 KiB. */
+  CHECK(purec_memo_cap == 4096);
+  CHECK(purec_memo_cap * sizeof(purec_memo_slot) == 65536);
+  CHECK(PUREC_MEMO_WAYS * sizeof(purec_memo_slot) == 64);
+  /* Below one bucket a cap rounds up to it. */
+  CHECK(purec_memo_pow2(1) == 4);
+  CHECK(purec_memo_pow2(3) == 4);
+  CHECK(purec_memo_pow2(7) == 4);
+  CHECK(purec_memo_pow2(8) == 8);
   CHECK(purec_memo_pow2(100) == 64); /* PUREC_MEMO_CAP=100: 64 slots */
   CHECK(purec_memo_pow2(1ULL << 24) == 1ULL << 24);
   CHECK(purec_memo_pow2(~0ULL) == 1ULL << 63);
@@ -274,12 +323,12 @@ static void scenario_verify_alias(void) {
   const purec_memo_word a[2] = {11, 12}, b[2] = {21, 22};
   CHECK(PUREC_MEMO_VERIFY);
   /* Two distinct tuples forced onto one fingerprint. */
-  CHECK(purec_memo_store(fp, a, 2, 100, 1) == 0);
+  CHECK(purec_memo_store(fp, a, 2, 100) == 0);
   CHECK(purec_memo_lookup(fp, a, 2, &out) && out == 100);
   CHECK(!purec_memo_lookup(fp, b, 2, &out)); /* the alias misses */
   /* Publishing the alias replaces the resident entry, so b does not miss
    * forever; a misses in turn. */
-  CHECK(purec_memo_store(fp, b, 2, 200, 1) == 1);
+  CHECK(purec_memo_store(fp, b, 2, 200) == 1);
   CHECK(purec_memo_lookup(fp, b, 2, &out) && out == 200);
   CHECK(!purec_memo_lookup(fp, a, 2, &out));
 }
@@ -293,7 +342,7 @@ static void scenario_verify_wide(void) {
   }
   key = purec_memo_mix(key);
   /* An unverifiable tuple is never cached: a permanent, safe miss. */
-  CHECK(purec_memo_store(key, wide, kn, 5, 1) == 0);
+  CHECK(purec_memo_store(key, wide, kn, 5) == 0);
   CHECK(!purec_memo_lookup(key, wide, kn, &out));
   CHECK(count_resident(key) == 0);
 }
@@ -304,28 +353,13 @@ static void scenario_verify_off(void) {
   const purec_memo_word fp = key_of(3, kw, &kn);
   const purec_memo_word a[1] = {1}, b[1] = {2};
   CHECK(!PUREC_MEMO_VERIFY);
-  CHECK(purec_memo_store(fp, a, 1, 33, 1) == 0);
+  CHECK(purec_memo_store(fp, a, 1, 33) == 0);
   /* Without verify the fingerprint is the whole key: b "hits". */
   CHECK(purec_memo_lookup(fp, b, 1, &out) && out == 33);
 }
 
-/* Every key 0..n-1 hits with its exact value. */
-static void expect_resident(purec_memo_word n) {
-  purec_memo_word i, out;
-  int missing = 0;
-  for (i = 0; i < n; i++) {
-    out = 0;
-    if (!lookup_i(i, &out)) {
-      missing++;
-    } else {
-      CHECK(out == value_of(i));
-    }
-  }
-  CHECK(missing == 0);
-}
-
 /* ------------------------------------------------------------------ */
-/* Read-mostly hits and clock eviction order                           */
+/* Read-only hits and buckets                                          */
 /* ------------------------------------------------------------------ */
 
 static void wrote_sealed(int sig) {
@@ -335,39 +369,33 @@ static void wrote_sealed(int sig) {
   _exit(1);
 }
 
-/* Warm hits write nothing. Once a first round of hits has set every clock
- * bit, the thread's table (header, slots, verify records and clock bits,
- * one allocation) moves into a mapping sealed read-only: a second round
- * of hits must neither fault nor change a byte of it, so even a store of
- * an unchanged value fails the scenario. */
+/* Hits write nothing. After the stores, the thread's table (slots and
+ * verify records, one allocation) moves into a mapping sealed read-only:
+ * a round of hits must neither fault nor change a byte of it, so even a
+ * store of an unchanged value fails the scenario. */
 static void scenario_hit_readonly(void) {
-  purec_memo_table* table;
-  purec_memo_table* copy;
-  unsigned char *base, *sealed, *snapshot;
-  size_t bytes;
+  purec_memo_slot* table;
+  unsigned char *sealed, *snapshot;
+  const size_t bytes =
+      purec_memo_cap *
+      (sizeof(purec_memo_slot) +
+       (PUREC_MEMO_VERIFY ? PUREC_MEMO_VREC * sizeof(purec_memo_word) : 0));
   tally t = {0, 0, 0, 0};
   purec_memo_word i;
   for (i = 0; i < 256; i++) serve(i, &t);
   CHECK(t.misses == 256);
+  CHECK(bucket_load_max(256) <= PUREC_MEMO_WAYS);
   expect_resident(256);
   table = purec_memo_self;
-  base = (unsigned char*)table;
-  bytes = (size_t)((table->ref + table->mask + 1) - base);
   sealed = (unsigned char*)mmap(0, bytes, PROT_READ | PROT_WRITE,
                                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   CHECK(sealed != MAP_FAILED);
   if (sealed == MAP_FAILED) return;
   memcpy(sealed, table, bytes);
-  copy = (purec_memo_table*)sealed;
-  copy->slots =
-      (purec_memo_slot*)(sealed + ((unsigned char*)table->slots - base));
-  copy->vwords =
-      (purec_memo_word*)(sealed + ((unsigned char*)table->vwords - base));
-  copy->ref = sealed + (table->ref - base);
   snapshot = (unsigned char*)malloc(bytes);
   CHECK(snapshot != 0);
   if (snapshot != 0) memcpy(snapshot, sealed, bytes);
-  purec_memo_self = copy;
+  purec_memo_self = (purec_memo_slot*)sealed;
   CHECK(mprotect(sealed, bytes, PROT_READ) == 0);
   signal(SIGSEGV, wrote_sealed);
   expect_resident(256);
@@ -378,76 +406,93 @@ static void scenario_hit_readonly(void) {
   free(snapshot);
 }
 
-/* A fingerprint that lands in slot `slot` of an 8-slot table; `gen`
- * tells apart keys for the same slot. */
-static purec_memo_word slot_key(purec_memo_word slot, purec_memo_word gen) {
-  return (gen + 1) * 8 + slot;
+/* A fingerprint in bucket `bucket` whose top two bits are `way`; `gen`
+ * tells apart keys for the same bucket. */
+static purec_memo_word bucket_key(purec_memo_word bucket, purec_memo_word way,
+                                  purec_memo_word gen) {
+  return way << 62 | (gen + 1) * purec_memo_cap |
+         bucket * PUREC_MEMO_WAYS;
 }
 
-/* Clock second chance in an 8-slot table (one probe window):
- * a key hit since its insert survives the next eviction that sweeps past
- * it, the unhit neighbour after it is evicted instead, and the spent bit
- * leaves the key evictable by the sweep after that. */
-static void scenario_second_chance(void) {
-  purec_memo_word j, out = 0;
+/* Two buckets of four slots. Four keys fill bucket 0 without evicting,
+ * and storing a resident key again changes nothing. A fifth key replaces
+ * exactly one entry, the slot its top bits pick, and counts one eviction;
+ * bucket 1 is untouched. */
+static void scenario_bucket_evict(void) {
+  purec_memo_word g, out = 0;
   CHECK(purec_memo_cap == 8);
-  CHECK(purec_memo_probe == 8);
-  for (j = 0; j < 8; j++) {
-    CHECK(purec_memo_store(slot_key(j, 0), 0, 0, j, 1) == 0);
+  for (g = 0; g < 4; g++) {
+    CHECK(purec_memo_store(bucket_key(0, 0, g), 0, 0, g) == 0);
   }
-  CHECK(table_slots() == 8); /* at the cap: a full window evicts */
-  CHECK(purec_memo_lookup(slot_key(0, 0), 0, 0, &out) && out == 0);
-  CHECK(purec_memo_lookup(slot_key(4, 0), 0, 0, &out) && out == 4);
-  /* The sweep from slot 0 spares the hit key 0 and evicts key 1. */
-  CHECK(purec_memo_store(slot_key(0, 1), 0, 0, 100, 1) == 1);
-  CHECK(count_resident(slot_key(0, 0)) == 1);
-  CHECK(count_resident(slot_key(1, 0)) == 0);
-  /* The sweep from slot 4 spares the hit key 4 and evicts key 5. */
-  CHECK(purec_memo_store(slot_key(4, 1), 0, 0, 104, 1) == 1);
-  CHECK(count_resident(slot_key(4, 0)) == 1);
-  CHECK(count_resident(slot_key(5, 0)) == 0);
-  /* Key 0 spent its second chance: the next sweep from slot 0 takes it. */
-  CHECK(purec_memo_store(slot_key(0, 2), 0, 0, 200, 1) == 1);
-  CHECK(count_resident(slot_key(0, 0)) == 0);
-  CHECK(count_resident(slot_key(4, 0)) == 1);
-  for (j = 2; j < 8; j++) {
-    if (j == 4 || j == 5) continue;
-    CHECK(purec_memo_lookup(slot_key(j, 0), 0, 0, &out) && out == j);
+  CHECK(purec_memo_store(bucket_key(1, 0, 0), 0, 0, 10) == 0);
+  CHECK(purec_memo_store(bucket_key(0, 0, 2), 0, 0, 2) == 0);
+  CHECK(purec_memo_store(bucket_key(0, 2, 4), 0, 0, 4) == 1);
+  CHECK(count_resident(bucket_key(0, 0, 2)) == 0); /* slot 2 taken over */
+  for (g = 0; g < 4; g++) {
+    if (g == 2) continue;
+    CHECK(purec_memo_lookup(bucket_key(0, 0, g), 0, 0, &out) && out == g);
   }
-  CHECK(purec_memo_lookup(slot_key(0, 1), 0, 0, &out) && out == 100);
-  CHECK(purec_memo_lookup(slot_key(4, 1), 0, 0, &out) && out == 104);
-  CHECK(purec_memo_lookup(slot_key(0, 2), 0, 0, &out) && out == 200);
+  CHECK(purec_memo_lookup(bucket_key(0, 2, 4), 0, 0, &out) && out == 4);
+  CHECK(purec_memo_lookup(bucket_key(1, 0, 0), 0, 0, &out) && out == 10);
+  CHECK(count_resident(bucket_key(0, 2, 4)) == 1);
 }
 
-/* ------------------------------------------------------------------ */
-/* Per-thread tables: growth, privacy, thread exit                     */
-/* ------------------------------------------------------------------ */
-
-/* A table starts at 1024 slots and doubles while a store finds its
- * window full, up to the cap (4096 in tests/CMakeLists.txt). Every entry,
- * with its verify record under verify, survives each doubling; at the
- * cap a full window evicts instead. */
-static void scenario_growth(void) {
+/* cap/4 keys, which land at most four to a bucket: the first pass misses
+ * each once and evicts nothing, the second hits every one. */
+static void* fill_run(void* arg) {
   tally t = {0, 0, 0, 0};
-  purec_memo_word i, slots = 1024;
-  unsigned doublings = 0;
-  CHECK(purec_memo_cap == 4096);
-  for (i = 0; i < 16384; i++) {
-    serve(i, &t);
-    if (table_slots() != slots) {
-      CHECK(table_slots() == 2 * slots);
-      slots = table_slots();
-      doublings++;
-      /* Until the cap nothing was evicted: every key so far hits. */
-      CHECK(t.evictions == 0);
-      expect_resident(i + 1);
-    }
-  }
-  CHECK(doublings == 2);
-  CHECK(slots == 4096);
-  CHECK(t.evictions > 0);
-  CHECK(t.wrong == 0);
+  const purec_memo_word n = purec_memo_cap / 4;
+  purec_memo_word i;
+  int* bad = (int*)arg;
+  for (i = 0; i < n; i++) serve(i, &t);
+  *bad = t.misses != n || t.evictions != 0;
+  for (i = 0; i < n; i++) serve(i, &t);
+  *bad |= t.hits != n || t.wrong != 0;
+  return 0;
 }
+
+/* The same fill at 1 thread and at 4, each thread in its own table. */
+static void scenario_bucket_fill(void) {
+  pthread_t threads[4];
+  int bad[4];
+  int t;
+  CHECK(bucket_load_max(purec_memo_cap / 4) <= PUREC_MEMO_WAYS);
+  fill_run(&bad[0]);
+  CHECK(bad[0] == 0);
+  for (t = 0; t < 4; t++) {
+    bad[t] = 1;
+    CHECK(pthread_create(&threads[t], 0, fill_run, &bad[t]) == 0);
+  }
+  for (t = 0; t < 4; t++) {
+    CHECK(pthread_join(threads[t], 0) == 0);
+    CHECK(bad[t] == 0);
+  }
+}
+
+/* Under verify, a tuple that shares a resident key's fingerprint misses;
+ * stored, it takes over that key's own slot even in a full bucket, so
+ * the bucket's other keys keep hitting. */
+static void scenario_bucket_alias(void) {
+  const purec_memo_word a[1] = {1}, b[1] = {2};
+  purec_memo_word g, out = 0;
+  CHECK(PUREC_MEMO_VERIFY);
+  for (g = 0; g < 4; g++) {
+    CHECK(purec_memo_store(bucket_key(0, 3, g), g == 1 ? a : b, 1, g) == 0);
+  }
+  CHECK(!purec_memo_lookup(bucket_key(0, 3, 1), b, 1, &out));
+  CHECK(purec_memo_store(bucket_key(0, 3, 1), b, 1, 100) == 1);
+  CHECK(purec_memo_lookup(bucket_key(0, 3, 1), b, 1, &out) && out == 100);
+  CHECK(!purec_memo_lookup(bucket_key(0, 3, 1), a, 1, &out));
+  CHECK(count_resident(bucket_key(0, 3, 1)) == 1);
+  for (g = 0; g < 4; g++) {
+    if (g == 1) continue;
+    CHECK(purec_memo_lookup(bucket_key(0, 3, g), b, 1, &out) && out == g);
+  }
+}
+
+/* ------------------------------------------------------------------ */
+/* Per-thread tables: privacy, thread exit                             */
+/* ------------------------------------------------------------------ */
 
 typedef struct {
   int missed, hit, wrong;
@@ -485,20 +530,20 @@ static void scenario_private(void) {
   expect_resident(64);
 }
 
-/* One short-lived thread: fill a table through two doublings, then exit. */
+/* One short-lived thread: fill a table past its size, then exit. */
 static void* exit_run(void* arg) {
   tally t = {0, 0, 0, 0};
   purec_memo_word i;
   int* wrong = (int*)arg;
   for (i = 0; i < 3000; i++) serve(i, &t);
   for (i = 0; i < 3000; i++) serve(i, &t);
-  *wrong = t.wrong != 0 || t.hits == 0 || table_slots() < 4096;
+  *wrong = t.wrong != 0 || t.hits == 0 || table_slots() != 4096;
   return 0;
 }
 
-/* A table dies with its thread. 64 threads each leave a table of at
- * least 4096 slots behind; had none been freed, the heap would hold them
- * all after the joins (LSan in the sanitizer lane reports each one). */
+/* A table dies with its thread. 64 threads each leave a table of 4096
+ * slots behind; had none been freed, the heap would hold them all after
+ * the joins (LSan in the sanitizer lane reports each one). */
 static void scenario_thread_exit(void) {
   pthread_t threads[8];
   int wrong[8];
@@ -619,21 +664,23 @@ static int square(int x) { return x * x; }
     T purec_result;                                                    \
     if (purec_memo_gate_skip(&purec_memo_gate_##fn)) {                 \
       PUREC_MEMO_STAT_INC(purec_memo_stats_##fn, bypassed);            \
-      return fn(purec_a0);                                             \
+      purec_key = 0;                                                   \
+    } else {                                                           \
+      PUREC_MEMO_KEY_INT(purec_key, purec_kw, purec_kn, purec_a0);     \
+      purec_key = purec_memo_mix(purec_key);                           \
+      if (purec_key == 0) purec_key = 1;                               \
+      if (purec_memo_lookup(purec_key, purec_kw, purec_kn,             \
+                            &purec_word)) {                            \
+        PUREC_MEMO_STAT_INC(purec_memo_stats_##fn, hits);              \
+        return (T)(purec_word);                                        \
+      }                                                                \
+      purec_memo_gate_##fn.misses++;                                   \
+      PUREC_MEMO_STAT_INC(purec_memo_stats_##fn, misses);              \
     }                                                                  \
-    PUREC_MEMO_KEY_INT(purec_key, purec_kw, purec_kn, purec_a0);       \
-    purec_key = purec_memo_mix(purec_key);                             \
-    if (purec_key == 0) purec_key = 1;                                 \
-    if (purec_memo_lookup(purec_key, purec_kw, purec_kn, &purec_word)) { \
-      PUREC_MEMO_STAT_INC(purec_memo_stats_##fn, hits);                \
-      return (T)(purec_word);                                          \
-    }                                                                  \
-    purec_memo_gate_##fn.misses++;                                     \
-    PUREC_MEMO_STAT_INC(purec_memo_stats_##fn, misses);                \
     purec_result = fn(purec_a0);                                       \
-    if (purec_memo_store(purec_key, purec_kw, purec_kn,                \
-                         (purec_memo_word)(purec_result),              \
-                         purec_memo_gate_##fn.backoff == 0))           \
+    if (purec_key != 0 &&                                              \
+        purec_memo_store(purec_key, purec_kw, purec_kn,                \
+                         (purec_memo_word)(purec_result)))             \
       PUREC_MEMO_STAT_INC(purec_memo_stats_##fn, evictions);           \
     return purec_result;                                               \
   }
@@ -839,23 +886,14 @@ static void gate_call(purec_memo_word i, gate_log* log) {
    2ULL * (PUREC_MEMO_WINDOW << PUREC_MEMO_BACKOFF_MAX))
 
 /* All keys distinct: the first window earns no hit, so the call after it
- * bypasses; backoff climbs by one per window to the cap and stays there;
- * and no probation window grows the table past the first window's size. */
+ * bypasses; backoff climbs by one per window to the cap and stays there. */
 static void scenario_gate_cold(void) {
   gate_log log;
-  purec_memo_word i, first_slots = 0;
+  purec_memo_word i;
   memset(&log, 0, sizeof log);
   log.first_bypass = ~0ULL;
-  for (i = 0; i < GATE_COLD_CALLS; i++) {
-    gate_call(i, &log);
-    if (i + 1 == PUREC_MEMO_WINDOW) first_slots = table_slots();
-    if (i >= PUREC_MEMO_WINDOW && table_slots() != first_slots) {
-      CHECK(table_slots() == first_slots);
-      break;
-    }
-  }
+  for (i = 0; i < GATE_COLD_CALLS; i++) gate_call(i, &log);
   CHECK(log.wrong == 0);
-  CHECK(first_slots >= PUREC_MEMO_WINDOW);
   CHECK(log.first_bypass == PUREC_MEMO_WINDOW);
   CHECK(log.backoff_steps_bad == 0);
   CHECK(log.backoff_max == PUREC_MEMO_BACKOFF_MAX);
@@ -883,9 +921,9 @@ static void scenario_gate_hot(void) {
  * a bypass stretch must see the first hit within the rest of that
  * stretch plus one window, and the gate open for good after it. A switch
  * inside a probe window may fail that window once more (its cold half
- * earned nothing), which costs one more stretch. The probation window
- * stored into a full table, so a hot key it evicted misses once more
- * after the bound: at most 64 callee calls, each growing the table. */
+ * earned nothing), which costs one more stretch. That window stored into
+ * the table, so a hot key it evicted misses once more after the bound:
+ * at most 64 callee calls. */
 static void scenario_gate_phase(const char* cold_calls) {
   gate_log log;
   const purec_memo_word cold = strtoull(cold_calls, 0, 10);
@@ -1110,10 +1148,12 @@ int main(int argc, char** argv) {
     scenario_verify_off();
   } else if (strcmp(name, "hit_readonly") == 0) {
     scenario_hit_readonly();
-  } else if (strcmp(name, "second_chance") == 0) {
-    scenario_second_chance();
-  } else if (strcmp(name, "growth") == 0) {
-    scenario_growth();
+  } else if (strcmp(name, "bucket_evict") == 0) {
+    scenario_bucket_evict();
+  } else if (strcmp(name, "bucket_fill") == 0) {
+    scenario_bucket_fill();
+  } else if (strcmp(name, "bucket_alias") == 0) {
+    scenario_bucket_alias();
   } else if (strcmp(name, "private") == 0) {
     scenario_private();
   } else if (strcmp(name, "thread_exit") == 0) {

@@ -199,8 +199,18 @@ TEST(ChainReportSchema, EveryAcceptedFixtureCarriesTheFullDecisionTrail) {
       ASSERT_NE(withheld, nullptr) << where;
       if (!withheld->is_null()) {
         EXPECT_FALSE(scop.find("simd")->as_bool()) << where;
-        EXPECT_EQ(withheld->as_string().rfind("callee '", 0), 0u) << where;
+        const std::string why = withheld->as_string();
+        EXPECT_TRUE(why.rfind("callee '", 0) == 0 ||
+                    why.rfind("loop '", 0) == 0)
+            << where << ": " << why;
         EXPECT_EQ(options.mode, TransformMode::Pluto) << where;
+      }
+      // A withheld tiling reason comes only with an untiled nest.
+      const json::Value* untiled = scop.find("tile_withheld");
+      ASSERT_NE(untiled, nullptr) << where;
+      if (!untiled->is_null()) {
+        EXPECT_FALSE(scop.find("tiled")->as_bool()) << where;
+        EXPECT_FALSE(untiled->as_string().empty()) << where;
       }
       if (scop.find("fissioned")->as_bool()) {
         EXPECT_GE(scop.find("fission_groups")->as_int(), 2) << where;

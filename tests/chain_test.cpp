@@ -491,6 +491,130 @@ TEST(ChainSimd, MemoizedCalleeWithholdsSimd) {
             "table)");
 }
 
+// A simd loop that moves any subscript but the last, or the last by a
+// stride other than +-1, makes the lanes gather and scatter.
+TEST(ChainSimd, StridedAccessWithholdsSimdAndSaysWhy) {
+  const auto withheld = [](const std::string& source) {
+    const ChainArtifacts a = run_pure_chain(source);
+    EXPECT_TRUE(a.ok) << a.diagnostics.format();
+    const ScopReport* nest = scop_in(a, "k");
+    EXPECT_NE(nest, nullptr);
+    if (nest == nullptr) return std::string("no scop");
+    EXPECT_TRUE(nest->parallelized);
+    EXPECT_EQ(nest->simd, nest->simd_withheld.empty());
+    EXPECT_EQ(a.final_source.find("#pragma omp simd") == std::string::npos,
+              !nest->simd)
+        << a.final_source;
+    return nest->simd_withheld;
+  };
+  // A transposed read, also inside a pure call's arguments (hidden from
+  // the model, not from the lanes).
+  EXPECT_EQ(withheld("float** A; float** B;\n"
+                     "void k(int n) {\n"
+                     "  for (int i = 0; i < n; i++)\n"
+                     "    for (int j = 0; j < n; j++)\n"
+                     "      B[i][j] = A[j][i] + 1.0f;\n"
+                     "}\n"),
+            "loop 'j' strides 'A[j][i]' by a whole row (it moves a "
+            "subscript other than the last)");
+  EXPECT_EQ(withheld("float** A; float** B;\n"
+                     "pure float f(float u, float v) { return u - v; }\n"
+                     "void k(int n) {\n"
+                     "  for (int i = 0; i < n; i++)\n"
+                     "    for (int j = 0; j < n; j++)\n"
+                     "      B[i][j] = f(A[i][j], A[j][i]);\n"
+                     "}\n"),
+            "loop 'j' strides 'A[j][i]' by a whole row (it moves a "
+            "subscript other than the last)");
+  // ell's column-major init: a flattened subscript stepped by a
+  // parameter.
+  EXPECT_EQ(withheld("void k(float* v, int rows, int w) {\n"
+                     "  for (int row = 0; row < rows; row++)\n"
+                     "    for (int c = 0; c < w; c++)\n"
+                     "      v[c * rows + row] = 1.0f;\n"
+                     "}\n"),
+            "loop 'c' strides 'v[c * rows + row]' by a non-constant factor");
+  EXPECT_EQ(withheld("float** A;\n"
+                     "void k(int n) {\n"
+                     "  for (int i = 0; i < n; i++)\n"
+                     "    for (int j = 0; j < n; j++)\n"
+                     "      A[i][2 * j] = A[i][2 * j] + 1.0f;\n"
+                     "}\n"),
+            "loop 'j' strides 'A[i][2 * j]' by 2 elements");
+  // Unit strides either way, and accesses the loop does not move, keep it.
+  EXPECT_EQ(withheld("float** A; float** B; float* r;\n"
+                     "void k(int n) {\n"
+                     "  for (int i = 0; i < n; i++)\n"
+                     "    for (int j = 1; j < n; j++)\n"
+                     "      B[i][j] = A[i][n - j] + A[i][j - 1] + r[i];\n"
+                     "}\n"),
+            "");
+
+  // sica keeps the paper's configuration: simd whatever the strides.
+  ChainOptions sica;
+  sica.mode = TransformMode::PlutoSica;
+  const ChainArtifacts s = run_pure_chain(
+      "float** A; float** B;\n"
+      "void k(int n) {\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    for (int j = 0; j < n; j++)\n"
+      "      B[i][j] = A[j][i] + 1.0f;\n"
+      "}\n",
+      sica);
+  ASSERT_TRUE(s.ok);
+  EXPECT_TRUE(scop_in(s, "k")->simd);
+}
+
+// A tile keeps what a nest reads in cache: a write-only fill is left
+// untiled, with the reason stated; a nest that reads, directly or through
+// a pure call, keeps its tiles.
+TEST(ChainTile, WriteOnlyFillIsNotTiled) {
+  const ChainArtifacts fill = run_pure_chain(
+      "float** M;\n"
+      "void k(int n) {\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    for (int j = 0; j < n; j++)\n"
+      "      M[i][j] = (float)(i * 3 + j);\n"
+      "}\n");
+  ASSERT_TRUE(fill.ok) << fill.diagnostics.format();
+  const ScopReport* nest = scop_in(fill, "k");
+  ASSERT_NE(nest, nullptr);
+  EXPECT_TRUE(nest->parallelized);
+  EXPECT_FALSE(nest->tiled);
+  EXPECT_EQ(nest->tile_withheld,
+            "the nest reads no array (a tile would keep nothing in cache)");
+  EXPECT_EQ(fill.final_source.find("t1t"), std::string::npos)
+      << fill.final_source;
+
+  for (const char* body : {"      M[i][j] = N[j][i];\n",
+                           "      M[i][j] = f(i, j);\n"}) {
+    const ChainArtifacts reads = run_pure_chain(
+        std::string("float** M; float** N;\n"
+                    "pure float f(int a, int b) { return a * 0.5f + b; }\n"
+                    "void k(int n) {\n"
+                    "  for (int i = 0; i < n; i++)\n"
+                    "    for (int j = 0; j < n; j++)\n") +
+        body + "}\n");
+    ASSERT_TRUE(reads.ok) << reads.diagnostics.format();
+    EXPECT_TRUE(scop_in(reads, "k")->tiled) << body;
+    EXPECT_EQ(scop_in(reads, "k")->tile_withheld, "") << body;
+  }
+
+  // Tiling off: nothing was withheld.
+  ChainOptions untiled;
+  untiled.tile = false;
+  const ChainArtifacts off = run_pure_chain(
+      "float** M;\n"
+      "void k(int n) {\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    for (int j = 0; j < n; j++)\n"
+      "      M[i][j] = (float)(i * 3 + j);\n"
+      "}\n",
+      untiled);
+  ASSERT_TRUE(off.ok);
+  EXPECT_EQ(scop_in(off, "k")->tile_withheld, "");
+}
+
 TEST(ChainSimd, IntegerReductionGetsTheSimdReductionClause) {
   const ChainArtifacts a = run_pure_chain(
       "int** M;\n"

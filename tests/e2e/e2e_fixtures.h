@@ -471,8 +471,8 @@ int main() {
 /// kRunTabulate with phases: distinct keys for the first half of the
 /// calls, then 32 repeating keys. At 4 threads every thread crosses
 /// several of the memo gate's 1024-call windows, so the run covers
-/// bypass stretches, probation windows and the switch back to hits, and
-/// must print the unmemoized checksum.
+/// bypass stretches, the probe windows after them and the switch back to
+/// hits, and must print the unmemoized checksum.
 inline constexpr const char* kRunTabulatePhases = R"(
 #include <stdio.h>
 #include <stdlib.h>

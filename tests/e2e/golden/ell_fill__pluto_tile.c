@@ -14,13 +14,10 @@ void init(float* A, int* cols, float* x, int rows, int width)
 #pragma omp parallel for
     for (int row = 0; row < rows; row++)
     {
+      for (int k = 0; k < width; k++)
       {
-#pragma omp simd
-        for (int k = 0; k < width; k++)
-        {
-          A[k * rows + row] = (float)((row * 3 + k * 5) % 9) * 0.5f;
-          cols[k * rows + row] = (row * 7 + k * 13) % rows;
-        }
+        A[k * rows + row] = (float)((row * 3 + k * 5) % 9) * 0.5f;
+        cols[k * rows + row] = (row * 7 + k * 13) % rows;
       }
       x[row] = (float)(row * 11 % 7) * 0.25f;
     }

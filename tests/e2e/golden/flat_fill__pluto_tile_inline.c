@@ -15,17 +15,15 @@ float haze(int b, int p)
 void fill(float* A, int nb, int n)
 {
   {
-#pragma omp parallel for collapse(2)
-    for (int t1t = 0; t1t <= floord(nb - 1, 32); t1t++)
-      for (int t2t = 0; t2t <= floord(n - 1, 32); t2t++)
-        for (int t1 = purec_max(0, 32 * t1t); t1 <= purec_min(nb - 1, 32 * t1t + 31); t1++)
-        {
+#pragma omp parallel for
+    for (int t1 = 0; t1 <= nb - 1; t1++)
+    {
 #pragma omp simd
-          for (int t2 = purec_max(0, 32 * t2t); t2 <= purec_min(n - 1, 32 * t2t + 31); t2++)
-          {
-            A[t1 * n + t2] = (float)((t1 * 31 + t2 * 7) % 13) * 0.125f;
-          }
-        }
+      for (int t2 = 0; t2 <= n - 1; t2++)
+      {
+        A[t1 * n + t2] = (float)((t1 * 31 + t2 * 7) % 13) * 0.125f;
+      }
+    }
   }
 }
 int main()

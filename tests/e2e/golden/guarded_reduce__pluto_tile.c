@@ -41,17 +41,15 @@ int main()
 {
   int n = 64;
   {
-#pragma omp parallel for collapse(2)
-    for (int t1t = 0; t1t <= floord(n - 1, 32); t1t++)
-      for (int t2t = 0; t2t <= floord(n - 1, 32); t2t++)
-        for (int t1 = purec_max(0, 32 * t1t); t1 <= purec_min(n - 1, 32 * t1t + 31); t1++)
-        {
+#pragma omp parallel for
+    for (int t1 = 0; t1 <= n - 1; t1++)
+    {
 #pragma omp simd
-          for (int t2 = purec_max(0, 32 * t2t); t2 <= purec_min(n - 1, 32 * t2t + 31); t2++)
-          {
-            g[t1][t2] = (t1 * 5 + t2 * 3) % 17;
-          }
-        }
+      for (int t2 = 0; t2 <= n - 1; t2++)
+      {
+        g[t1][t2] = (t1 * 5 + t2 * 3) % 17;
+      }
+    }
   }
   fold(n, 8);
   long checksum = (long)res[0];

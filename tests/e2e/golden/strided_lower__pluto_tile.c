@@ -17,11 +17,8 @@ void halfband(float** w, float** r, int n)
   {
 #pragma omp parallel for schedule(guided,4)
     for (int i = 0; i < n; i++)
-    {
-#pragma omp simd
       for (int j = i; j < n; j += 2)
         w[i][j] = damp(r[i][j]);
-    }
   }
 }
 int main()

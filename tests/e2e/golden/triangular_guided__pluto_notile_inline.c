@@ -19,13 +19,10 @@ void fold(int n)
   {
 #pragma omp parallel for schedule(guided,4)
     for (int t1 = 0; t1 <= n - 1; t1++)
-    {
-#pragma omp simd
       for (int t2 = 0; t2 <= t1; t2++)
       {
         L[t1][t2] = U2[t1][t2] + U2[t2][t1];
       }
-    }
   }
 }
 int main()

@@ -21,13 +21,10 @@ void fold(int n)
     for (int t1t = 0; t1t <= floord(n - 1, 32); t1t++)
       for (int t2t = 0; t2t <= purec_min(floord(n - 1, 32), t1t); t2t++)
         for (int t1 = purec_max(purec_max(0, 32 * t1t), 32 * t2t); t1 <= purec_min(n - 1, 32 * t1t + 31); t1++)
-        {
-#pragma omp simd
           for (int t2 = purec_max(0, 32 * t2t); t2 <= purec_min(t1, 32 * t2t + 31); t2++)
           {
             L[t1][t2] = U2[t1][t2] + U2[t2][t1];
           }
-        }
   }
 }
 int main()

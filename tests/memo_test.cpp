@@ -297,9 +297,11 @@ TEST(MemoCodegen, ThunkPrototypeShape) {
                "purec_a0);"),
       std::string::npos)
       << def;
-  EXPECT_NE(def.find("purec_result = mult(purec_a0, purec_a1);"),
-            std::string::npos)
+  // One call site, shared by the gate's bypass path and the miss path.
+  const std::string call = "mult(purec_a0, purec_a1)";
+  EXPECT_NE(def.find("purec_result = " + call + ";"), std::string::npos)
       << def;
+  EXPECT_EQ(def.find(call, def.find(call) + 1), std::string::npos) << def;
 }
 
 TEST(MemoCodegen, CountersOnlyWithStats) {
