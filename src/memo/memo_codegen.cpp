@@ -1,8 +1,10 @@
 #include "memo/memo_codegen.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
 #include <string_view>
+#include <vector>
 
 namespace purec {
 
@@ -18,25 +20,6 @@ enum class WordRepr { Float32, Float64, Integer };
   if (type->builtin == BuiltinKind::Float) return WordRepr::Float32;
   if (type->builtin == BuiltinKind::Double) return WordRepr::Float64;
   return WordRepr::Integer;
-}
-
-/// One `PUREC_MEMO_KEY_*` statement folding `expr` into the key and
-/// appending its raw word to the thunk's key-word array (verify mode
-/// compares those words on a hit).
-[[nodiscard]] std::string key_line(const TypePtr& type,
-                                   const std::string& expr) {
-  switch (word_repr(type)) {
-    case WordRepr::Float32:
-      return "    PUREC_MEMO_KEY_F32(purec_key, purec_kw, purec_kn, " + expr +
-             ");\n";
-    case WordRepr::Float64:
-      return "    PUREC_MEMO_KEY_F64(purec_key, purec_kw, purec_kn, " + expr +
-             ");\n";
-    case WordRepr::Integer:
-      return "    PUREC_MEMO_KEY_INT(purec_key, purec_kw, purec_kn, " + expr +
-             ");\n";
-  }
-  return {};
 }
 
 /// Expression converting the cached 64-bit word back to the result type.
@@ -83,6 +66,50 @@ enum class WordRepr { Float32, Float64, Integer };
   return std::move(out).str();
 }
 
+/// Key values that take a whole 64-bit word.
+[[nodiscard]] bool is_64_bit(const TypePtr& type) {
+  switch (type->builtin) {
+    case BuiltinKind::Long:
+    case BuiltinKind::ULong:
+    case BuiltinKind::LongLong:
+    case BuiltinKind::ULongLong:
+    case BuiltinKind::Double:
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// The thunk's key tuple (arguments, then the global snapshot) as 64-bit
+/// word expressions: a 64-bit value takes the next word, and a value of
+/// 32 bits or fewer waits for the next such value to share a word with,
+/// through PUREC_MEMO_PAIR (the last one may share it with 0).
+[[nodiscard]] std::vector<std::string> key_words(
+    const MemoFunctionInfo& info) {
+  std::vector<std::string> words;
+  std::string half;  // packed into the next word's low half
+  const auto add = [&](const TypePtr& type, const std::string& expr) {
+    if (is_64_bit(type)) {
+      words.push_back(pack_expr(type, expr));
+      return;
+    }
+    const std::string bits =
+        word_repr(type) == WordRepr::Float32 ? pack_expr(type, expr) : expr;
+    if (half.empty()) {
+      half = bits;
+      return;
+    }
+    words.push_back("PUREC_MEMO_PAIR(" + half + ", " + bits + ")");
+    half.clear();
+  };
+  for (std::size_t i = 0; i < info.param_types.size(); ++i) {
+    add(info.param_types[i], "purec_a" + std::to_string(i));
+  }
+  for (const auto& [global, type] : info.global_snapshot) add(type, global);
+  if (!half.empty()) words.push_back("PUREC_MEMO_PAIR(" + half + ", 0)");
+  return words;
+}
+
 }  // namespace
 
 const std::string& memo_runtime_prelude(bool stats) {
@@ -116,7 +143,7 @@ std::uint64_t memo_function_id(const std::string& function) {
 }
 
 std::size_t memo_key_words(const MemoFunctionInfo& info) {
-  return info.param_types.size() + info.global_snapshot.size();
+  return key_words(info).size();
 }
 
 std::string memo_thunk_prototype(const MemoFunctionInfo& info) {
@@ -130,7 +157,8 @@ std::string memo_thunk_definition(const MemoFunctionInfo& info,
   std::snprintf(id, sizeof(id), "0x%016llxULL",
                 static_cast<unsigned long long>(
                     memo_function_id(info.name)));
-  const std::size_t key_words = memo_key_words(info);
+  const std::vector<std::string> words = key_words(info);
+  const std::string kn = std::to_string(words.size());
   const std::string entry = "purec_memo_stats_" + info.name;
   const std::string gate = "purec_memo_gate_" + info.name;
   // With stats, the thunk counts every call into its registered entry.
@@ -159,25 +187,25 @@ std::string memo_thunk_definition(const MemoFunctionInfo& info,
   out << "  purec_memo_word purec_key = " << id << ";\n";
   out << "  purec_memo_word purec_word;\n";
   out << "  purec_memo_word purec_kw["
-      << (key_words == 0 ? std::size_t{1} : key_words) << "];\n";
-  out << "  unsigned purec_kn = 0;\n";
+      << std::max<std::size_t>(words.size(), 1) << "];\n";
   out << "  " << scalar_type_name(info.return_type) << " purec_result;\n";
   // The callee has one call site, shared by the bypass and miss paths;
-  // a zero key (never a real fingerprint) marks a bypassed call.
+  // a zero key marks a call that skips the table.
   out << "  if (purec_memo_gate_skip(&" << gate << ")) {\n";
   count("    ", "bypassed");
   out << "    purec_key = 0;\n";
   out << "  } else {\n";
-  for (std::size_t i = 0; i < info.param_types.size(); ++i) {
-    out << key_line(info.param_types[i], "purec_a" + std::to_string(i));
+  // One mix per word; a thunk without key words mixes its id once.
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    out << "    purec_kw[" << w << "] = " << words[w] << ";\n";
+    out << "    purec_key = purec_memo_mix(purec_key ^ purec_kw[" << w
+        << "]);\n";
   }
-  for (const auto& [global, type] : info.global_snapshot) {
-    out << key_line(type, global);
-  }
-  out << "    purec_key = purec_memo_mix(purec_key);\n";
-  out << "    if (purec_key == 0) purec_key = 1;\n";
-  out << "    if (purec_memo_lookup(purec_key, purec_kw, purec_kn, "
-         "&purec_word)) {\n";
+  if (words.empty()) out << "    purec_key = purec_memo_mix(purec_key);\n";
+  // A zero fingerprint is the empty tag: that tuple is never cached.
+  out << "    if (purec_key != 0 &&\n"
+         "        purec_memo_lookup(purec_key, purec_kw, "
+      << kn << ", &purec_word)) {\n";
   count("      ", "hits");
   out << "      return " << unpack_expr(info.return_type, "purec_word")
       << ";\n";
@@ -187,7 +215,7 @@ std::string memo_thunk_definition(const MemoFunctionInfo& info,
   out << "  }\n";
   out << "  purec_result = " << call << ";\n";
   out << "  if (purec_key != 0" << (stats ? " &&\n      " : ")\n    ")
-      << "purec_memo_store(purec_key, purec_kw, purec_kn, "
+      << "purec_memo_store(purec_key, purec_kw, " << kn << ", "
       << pack_expr(info.return_type, "purec_result")
       << (stats ? "))\n" : ");\n");
   count("    ", "evictions");

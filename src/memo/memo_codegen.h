@@ -4,12 +4,12 @@
 //
 // A memoizable call site `f(a, b)` is rewritten to `purec_memo_f(a, b)`;
 // the thunk asks its per-thread gate whether the table has been paying
-// (calling `f` directly when it has not), then folds the argument bit
-// patterns and the scalar global-read snapshot into one 64-bit
-// fingerprint, probes the table, and only falls through to the real `f`
-// on a miss. Values travel as bit patterns, so a
-// hit returns exactly the bits a miss stored — memoized and unmemoized
-// binaries print identical checksums.
+// (calling `f` directly when it has not), then packs the argument bit
+// patterns and the scalar global-read snapshot into 64-bit key words,
+// folds them into one 64-bit fingerprint with one mix per word, probes
+// the table, and only falls through to the real `f` on a miss. Values
+// travel as bit patterns, so a hit returns exactly the bits a miss
+// stored — memoized and unmemoized binaries print identical checksums.
 //
 // Layout in the final C file (see run_pure_chain):
 //   [system includes]  [codegen prelude]  [memo runtime]
@@ -41,8 +41,9 @@ namespace purec {
 /// argument tuples cannot alias (FNV-1a over the name).
 [[nodiscard]] std::uint64_t memo_function_id(const std::string& function);
 
-/// Words in the thunk's key tuple: one per argument and per snapshot
-/// global. A verify record must hold the widest tuple of its TU.
+/// Words in the thunk's packed key tuple: one per 64-bit argument or
+/// snapshot global, one per two narrower ones. A verify record must hold
+/// the widest tuple of its TU.
 [[nodiscard]] std::size_t memo_key_words(const MemoFunctionInfo& info);
 
 [[nodiscard]] std::string memo_thunk_prototype(const MemoFunctionInfo& info);

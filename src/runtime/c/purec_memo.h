@@ -5,15 +5,22 @@
  * exits. Only its own thread reads or writes a table, so it needs no
  * atomics or locks; threads do not share results, so a key misses at most
  * once per thread. The table never grows: it holds PUREC_MEMO_CAP slots
- * (per thread, default 4096 = 64 KiB, rounded down to a power of two and
- * up to one bucket) in buckets of 4 slots, one 64-byte cache line each.
+ * (per thread, default 8192 = 128 KiB, rounded down to a power of two and
+ * up to one bucket) in buckets of 4 slots, one 64-byte cache line each;
+ * at the default, 1024 hot keys over-fill about one bucket in 6000.
  * A key belongs to one bucket. A lookup scans only that bucket, and a hit
  * only loads. A store takes the key's own slot or the bucket's first empty
  * one; in a full bucket it overwrites the slot the key's bits pick, which
- * counts as an eviction. Each thunk first asks its per-thread gate
- * (purec_memo_gate, below), which sends calls that do not hit straight to
- * the callee. Per-thunk counters are compiled in only for --instrument
- * builds; other output carries none. Full-key verification is
+ * counts as an eviction. A key is the fingerprint of the call's tuple,
+ * its arguments and global snapshot packed into 64-bit words (values of
+ * 32 bits or fewer two to a word, PUREC_MEMO_PAIR; 64-bit values one
+ * each): it starts from the thunk's id and takes one purec_memo_mix per
+ * word, k = mix(k ^ word). The mix is a bijection, so two tuples of one
+ * thunk that fit one word never share a fingerprint. A zero fingerprint
+ * (the empty tag) is never cached. Each thunk first asks its per-thread
+ * gate (purec_memo_gate, below), which sends calls that do not hit
+ * straight to the callee. Per-thunk counters are compiled in only for
+ * --instrument builds; other output carries none. Full-key verification is
  * compile-time only: PUREC_MEMO_VERIFY=1 (--memoize=verify emits it)
  * stores the raw key words next to each slot and compares them on a hit,
  * so a fingerprint alias degrades to a miss instead of a wrong value; at
@@ -158,7 +165,7 @@ static void purec_memo_thread_exit(void* table) {
 }
 
 __attribute__((constructor)) static void purec_memo_init(void) {
-  purec_memo_cap = purec_memo_pow2(purec_memo_env("PUREC_MEMO_CAP", 4096));
+  purec_memo_cap = purec_memo_pow2(purec_memo_env("PUREC_MEMO_CAP", 8192));
   purec_memo_ready =
       pthread_key_create(&purec_memo_exit_key, purec_memo_thread_exit) == 0;
 }
@@ -263,7 +270,10 @@ static int purec_memo_store(purec_memo_word key, const purec_memo_word* kw,
  * calls past the table, backoff being the failed windows before this
  * one in a row (capped at PUREC_MEMO_BACKOFF_MAX); the window after that
  * stretch probes the table again, and one that earns hits resets
- * backoff.
+ * backoff. A thread's first window is never judged: it starts on a table
+ * that holds none of the thunk's keys, so hot traffic over many keys
+ * misses on each of them once. A second probe window follows it, and that
+ * one is judged.
  *
  * `left` encodes the mode. In a probe window it counts the calls left in
  * it, down to 0; in a bypass stretch it is INT_MIN plus the calls left in
@@ -274,7 +284,7 @@ static int purec_memo_store(purec_memo_word key, const purec_memo_word* kw,
  * counted by the thunk's miss path; a probe window's hits are the rest.
  *
  * The constants: a window of 1024 calls makes the judge's call rare
- * (one per 1024) and fills at most a quarter of the default table, so a
+ * (one per 1024) and fills at most an eighth of the default table, so a
  * window of distinct keys evicts little. Below 1 hit in 8 calls, seven
  * misses (key mixes, two bucket scans, an insert) must be paid from one
  * saved callee call, which loses unless the callee is many times dearer
@@ -290,15 +300,20 @@ typedef struct {
   int left;         /* see above */
   unsigned misses;  /* in the current probe window */
   unsigned backoff; /* failed windows in a row, capped */
+  unsigned opened;  /* probe windows opened, counted up to 2 */
 } purec_memo_gate;
 
 /* At the end of a probe window: 0 opens another probe window, 1 starts a
- * bypass stretch with this call. */
+ * bypass stretch with this call. The zeroed gate's first call opens the
+ * thread's first window, and that window's end opens the second one
+ * without judging it. */
 __attribute__((noinline, cold)) static int purec_memo_gate_judge(
     purec_memo_gate* g) {
   const unsigned hits = PUREC_MEMO_WINDOW - g->misses;
+  const int unjudged = g->opened < 2;
   g->misses = 0;
-  if (hits >= PUREC_MEMO_WINDOW / PUREC_MEMO_HIT_DIV) {
+  if (unjudged) g->opened++;
+  if (unjudged || hits >= PUREC_MEMO_WINDOW / PUREC_MEMO_HIT_DIV) {
     g->backoff = 0;
     g->left = PUREC_MEMO_WINDOW - 1;
     return 0;
@@ -316,28 +331,13 @@ static inline int purec_memo_gate_skip(purec_memo_gate* g) {
   return 1;
 }
 
-#define PUREC_MEMO_KEY_F32(k, kw, n, x)                                \
-  do {                                                                 \
-    purec_memo_f32 purec_u;                                            \
-    purec_u.v = (x);                                                   \
-    (kw)[(n)] = (purec_memo_word)purec_u.b;                            \
-    (k) = purec_memo_mix((k) ^ (kw)[(n)]);                             \
-    (n)++;                                                             \
-  } while (0)
-#define PUREC_MEMO_KEY_F64(k, kw, n, x)                                \
-  do {                                                                 \
-    purec_memo_f64 purec_u;                                            \
-    purec_u.v = (x);                                                   \
-    (kw)[(n)] = purec_u.b;                                             \
-    (k) = purec_memo_mix((k) ^ (kw)[(n)]);                             \
-    (n)++;                                                             \
-  } while (0)
-#define PUREC_MEMO_KEY_INT(k, kw, n, x)                                \
-  do {                                                                 \
-    (kw)[(n)] = (purec_memo_word)(x);                                  \
-    (k) = purec_memo_mix((k) ^ (kw)[(n)]);                             \
-    (n)++;                                                             \
-  } while (0)
+/* One key word holding two values of 32 bits or fewer (a float as its
+ * bits, PUREC_MEMO_PACK_F32), each zero-extended from 32 bits: lo in the
+ * low half, hi in the high half. A lone value packs with hi = 0. The thunk
+ * folds each word into its key as k = purec_memo_mix(k ^ word). */
+#define PUREC_MEMO_PAIR(lo, hi)            \
+  ((purec_memo_word)(unsigned int)(lo) |   \
+   ((purec_memo_word)(unsigned int)(hi) << 32))
 #define PUREC_MEMO_PACK_F32(x) \
   ((purec_memo_word)((purec_memo_f32){(x)}).b)
 #define PUREC_MEMO_PACK_F64(x) ((purec_memo_f64){(x)}).b

@@ -57,14 +57,13 @@ static const char* self_exe; /* argv[0], re-run for phases */
 /* Keys and values                                                     */
 /* ------------------------------------------------------------------ */
 
-/* The fingerprint a thunk for `f(int)` computes for argument i. */
+/* The fingerprint a thunk for `f(long)` computes for argument i: one
+ * key word, one mix. */
 static purec_memo_word key_of(purec_memo_word i, purec_memo_word* kw,
                               unsigned* kn) {
-  purec_memo_word key = 0x1234ULL;
-  *kn = 0;
-  PUREC_MEMO_KEY_INT(key, kw, *kn, i);
-  key = purec_memo_mix(key);
-  return key == 0 ? 1 : key;
+  kw[0] = i;
+  *kn = 1;
+  return purec_memo_mix(0x1234ULL ^ kw[0]);
 }
 
 /* The pure function being memoized: a hit must return exactly this. */
@@ -172,11 +171,13 @@ static void scenario_roundtrip(void) {
   CHECK(table_slots() == 256);
   CHECK(lookup_i(1, &out) && out == 42);
   CHECK(!lookup_i(2, &out));
-  /* Floating-point arguments and results travel as bit patterns. */
-  PUREC_MEMO_KEY_F32(key, kw, kn, f);
-  PUREC_MEMO_KEY_F64(key, kw, kn, d);
-  key = purec_memo_mix(key);
-  CHECK(kn == 2);
+  /* Floating-point arguments and results travel as bit patterns: a
+   * thunk for `f(float, double)` packs the float into a word of its own
+   * and gives the double a whole one. */
+  kw[kn] = PUREC_MEMO_PAIR(PUREC_MEMO_PACK_F32(f), 0);
+  key = purec_memo_mix(key ^ kw[kn++]);
+  kw[kn] = PUREC_MEMO_PACK_F64(d);
+  key = purec_memo_mix(key ^ kw[kn++]);
   CHECK(purec_memo_store(key, kw, kn, PUREC_MEMO_PACK_F64(d * f)) == 0);
   CHECK(purec_memo_lookup(key, kw, kn, &word));
   CHECK(PUREC_MEMO_UNPACK_F64(word) == d * f);
@@ -234,9 +235,9 @@ static void scenario_env_parse(void) {
   expect_cap_knob("", 65536);
   unsetenv("PUREC_MEMO_CAP");
   CHECK(purec_memo_env("PUREC_MEMO_CAP", 65536) == 65536);
-  /* The constructor saw no knob: the default table, 64 KiB. */
-  CHECK(purec_memo_cap == 4096);
-  CHECK(purec_memo_cap * sizeof(purec_memo_slot) == 65536);
+  /* The constructor saw no knob: the default table, 128 KiB. */
+  CHECK(purec_memo_cap == 8192);
+  CHECK(purec_memo_cap * sizeof(purec_memo_slot) == 131072);
   CHECK(PUREC_MEMO_WAYS * sizeof(purec_memo_slot) == 64);
   /* Below one bucket a cap rounds up to it. */
   CHECK(purec_memo_pow2(1) == 4);
@@ -338,9 +339,9 @@ static void scenario_verify_wide(void) {
   unsigned kn = 0, w;
   CHECK(PUREC_MEMO_VERIFY);
   for (w = 0; w < PUREC_MEMO_VWORDS + 1; w++) {
-    PUREC_MEMO_KEY_INT(key, wide, kn, w);
+    wide[kn] = w;
+    key = purec_memo_mix(key ^ wide[kn++]);
   }
-  key = purec_memo_mix(key);
   /* An unverifiable tuple is never cached: a permanent, safe miss. */
   CHECK(purec_memo_store(key, wide, kn, 5) == 0);
   CHECK(!purec_memo_lookup(key, wide, kn, &out));
@@ -356,6 +357,74 @@ static void scenario_verify_off(void) {
   CHECK(purec_memo_store(fp, a, 1, 33) == 0);
   /* Without verify the fingerprint is the whole key: b "hits". */
   CHECK(purec_memo_lookup(fp, b, 1, &out) && out == 33);
+}
+
+/* ------------------------------------------------------------------ */
+/* Packed keys                                                         */
+/* ------------------------------------------------------------------ */
+
+/* The key word a thunk for `f(int, float)` packs (tabulate's shade(int)
+ * with its float global). */
+static purec_memo_word pack_int_float(int a, float x) {
+  return PUREC_MEMO_PAIR(a, PUREC_MEMO_PACK_F32(x));
+}
+
+static float float_of_bits(unsigned int bits) {
+  purec_memo_f32 u;
+  u.b = bits;
+  return u.v;
+}
+
+/* A grid of (int, float) tuples: negative ints, 0.0f against -0.0f, NaNs
+ * with different payloads. The packed word holds both values exactly,
+ * so every tuple gets its own word and, the mix being a bijection, its
+ * own fingerprint. */
+static void scenario_key_pack(void) {
+  static const int ints[] = {-0x7fffffff - 1, -65536, -2, -1, 0, 1, 2,
+                             0x3f800000, 65535, 0x7fffffff};
+  static const unsigned int float_bits[] = {
+      0x00000000u, 0x80000000u, 0x3f800000u, 0xbf800000u,
+      0x00000001u, 0x7f800000u, 0xff800000u, 0x7fc00000u,
+      0x7fc00001u, 0xffc00000u, 0x7fa00000u, 0x3f400000u};
+  enum {
+    NI = sizeof ints / sizeof ints[0],
+    NF = sizeof float_bits / sizeof float_bits[0]
+  };
+  purec_memo_word words[NI * NF], keys[NI * NF];
+  unsigned i, f, n = 0, a, b;
+  for (i = 0; i < NI; i++) {
+    for (f = 0; f < NF; f++) {
+      words[n] = pack_int_float(ints[i], float_of_bits(float_bits[f]));
+      keys[n] = purec_memo_mix(0x6de5ULL ^ words[n]);
+      CHECK((unsigned int)words[n] == (unsigned int)ints[i]);
+      CHECK(words[n] >> 32 == float_bits[f]);
+      n++;
+    }
+  }
+  for (a = 0; a < n; a++) {
+    for (b = a + 1; b < n; b++) {
+      if (words[a] == words[b] || keys[a] == keys[b]) {
+        fprintf(stderr, "tuples %u and %u share a key\n", a, b);
+        failures++;
+      }
+    }
+  }
+}
+
+/* Under verify: two thunks whose one-word tuples differ by the xor of
+ * their ids share a fingerprint. The lookup compares the raw words and
+ * misses, and the resident entry still hits. */
+static void scenario_verify_thunks(void) {
+  const purec_memo_word id1 = 0x6a7eULL, id2 = 0x5151ULL;
+  const purec_memo_word w1 = pack_int_float(7, 0.75f), w2 = w1 ^ id1 ^ id2;
+  const purec_memo_word k1 = purec_memo_mix(id1 ^ w1);
+  const purec_memo_word k2 = purec_memo_mix(id2 ^ w2);
+  purec_memo_word out = 0;
+  CHECK(PUREC_MEMO_VERIFY);
+  CHECK(k1 == k2);
+  CHECK(purec_memo_store(k1, &w1, 1, 100) == 0);
+  CHECK(!purec_memo_lookup(k2, &w2, 1, &out));
+  CHECK(purec_memo_lookup(k1, &w1, 1, &out) && out == 100);
 }
 
 /* ------------------------------------------------------------------ */
@@ -535,13 +604,13 @@ static void* exit_run(void* arg) {
   tally t = {0, 0, 0, 0};
   purec_memo_word i;
   int* wrong = (int*)arg;
-  for (i = 0; i < 3000; i++) serve(i, &t);
-  for (i = 0; i < 3000; i++) serve(i, &t);
-  *wrong = t.wrong != 0 || t.hits == 0 || table_slots() != 4096;
+  for (i = 0; i < 9000; i++) serve(i, &t);
+  for (i = 0; i < 9000; i++) serve(i, &t);
+  *wrong = t.wrong != 0 || t.hits == 0 || table_slots() != 8192;
   return 0;
 }
 
-/* A table dies with its thread. 64 threads each leave a table of 4096
+/* A table dies with its thread. 64 threads each leave a table of 8192
  * slots behind; had none been freed, the heap would hold them all after
  * the joins (LSan in the sanitizer lane reports each one). */
 static void scenario_thread_exit(void) {
@@ -561,7 +630,7 @@ static void scenario_thread_exit(void) {
     }
   }
   after = mallinfo2();
-  /* 64 tables of 4096 slots would be over 4 MiB, in heap chunks
+  /* 64 tables of 8192 slots would be over 8 MiB, in heap chunks
    * (uordblks) or, past the mmap threshold, mapped blocks (hblkhd). */
   CHECK(after.uordblks + after.hblkhd <
         before.uordblks + before.hblkhd + (1u << 20));
@@ -641,8 +710,9 @@ static int count_of(const char* text, const char* needle) {
 
 static int square(int x) { return x * x; }
 
-/* The thunk shape purecc emits for `pure T fn(T)`: with counters, their
- * entry and its registrar come first. */
+/* The thunk shape purecc emits for `pure T fn(T)`, WORD being the key word
+ * it packs from purec_a0: with counters, their entry and its registrar
+ * come first. */
 #if PUREC_MEMO_STATS
 #define THUNK_ENTRY(fn)                                                 \
   static purec_memo_stats_entry purec_memo_stats_##fn = {.name = #fn}; \
@@ -653,24 +723,22 @@ static int square(int x) { return x * x; }
 #else
 #define THUNK_ENTRY(fn)
 #endif
-#define THUNK(fn, T, id)                                                \
+#define THUNK(fn, T, id, WORD)                                         \
   THUNK_ENTRY(fn)                                                      \
   static __thread purec_memo_gate purec_memo_gate_##fn;                \
   static T purec_memo_##fn(T purec_a0) {                               \
     purec_memo_word purec_key = id;                                    \
     purec_memo_word purec_word;                                        \
     purec_memo_word purec_kw[1];                                       \
-    unsigned purec_kn = 0;                                             \
     T purec_result;                                                    \
     if (purec_memo_gate_skip(&purec_memo_gate_##fn)) {                 \
       PUREC_MEMO_STAT_INC(purec_memo_stats_##fn, bypassed);            \
       purec_key = 0;                                                   \
     } else {                                                           \
-      PUREC_MEMO_KEY_INT(purec_key, purec_kw, purec_kn, purec_a0);     \
-      purec_key = purec_memo_mix(purec_key);                           \
-      if (purec_key == 0) purec_key = 1;                               \
-      if (purec_memo_lookup(purec_key, purec_kw, purec_kn,             \
-                            &purec_word)) {                            \
+      purec_kw[0] = WORD;                                              \
+      purec_key = purec_memo_mix(purec_key ^ purec_kw[0]);             \
+      if (purec_key != 0 &&                                            \
+          purec_memo_lookup(purec_key, purec_kw, 1, &purec_word)) {    \
         PUREC_MEMO_STAT_INC(purec_memo_stats_##fn, hits);              \
         return (T)(purec_word);                                        \
       }                                                                \
@@ -679,13 +747,13 @@ static int square(int x) { return x * x; }
     }                                                                  \
     purec_result = fn(purec_a0);                                       \
     if (purec_key != 0 &&                                              \
-        purec_memo_store(purec_key, purec_kw, purec_kn,                \
+        purec_memo_store(purec_key, purec_kw, 1,                       \
                          (purec_memo_word)(purec_result)))             \
       PUREC_MEMO_STAT_INC(purec_memo_stats_##fn, evictions);           \
     return purec_result;                                               \
   }
 
-THUNK(square, int, 0x5151ULL)
+THUNK(square, int, 0x5151ULL, PUREC_MEMO_PAIR(purec_a0, 0))
 
 /* phase_stats: 100 calls over 10 arguments. */
 static void phase_stats(void) {
@@ -838,7 +906,7 @@ static purec_memo_word gated(purec_memo_word i) {
   return value_of(i);
 }
 
-THUNK(gated, purec_memo_word, 0x6a7eULL)
+THUNK(gated, purec_memo_word, 0x6a7eULL, purec_a0)
 
 typedef struct {
   unsigned long long calls, bypassed, wrong;
@@ -878,15 +946,16 @@ static void gate_call(purec_memo_word i, gate_log* log) {
 }
 
 /* Calls until backoff has sat at the cap for two failed windows: the
- * stretches W << 0 .. W << 9 that climb to it, two of W << 10 at it, and
- * the 12 probe windows between them. */
+ * first, unjudged window, then the stretches W << 0 .. W << 9 that climb
+ * to it, two of W << 10 at it, and the 12 probe windows before them. */
 #define GATE_COLD_CALLS                                              \
-  (12ULL * PUREC_MEMO_WINDOW +                                       \
+  (13ULL * PUREC_MEMO_WINDOW +                                       \
    PUREC_MEMO_WINDOW * ((1ULL << PUREC_MEMO_BACKOFF_MAX) - 1) +      \
    2ULL * (PUREC_MEMO_WINDOW << PUREC_MEMO_BACKOFF_MAX))
 
-/* All keys distinct: the first window earns no hit, so the call after it
- * bypasses; backoff climbs by one per window to the cap and stays there. */
+/* All keys distinct: the first window is not judged, the second earns no
+ * hit, so the call after it bypasses; backoff climbs by one per window to
+ * the cap and stays there. */
 static void scenario_gate_cold(void) {
   gate_log log;
   purec_memo_word i;
@@ -894,13 +963,13 @@ static void scenario_gate_cold(void) {
   log.first_bypass = ~0ULL;
   for (i = 0; i < GATE_COLD_CALLS; i++) gate_call(i, &log);
   CHECK(log.wrong == 0);
-  CHECK(log.first_bypass == PUREC_MEMO_WINDOW);
+  CHECK(log.first_bypass == 2 * PUREC_MEMO_WINDOW);
   CHECK(log.backoff_steps_bad == 0);
   CHECK(log.backoff_max == PUREC_MEMO_BACKOFF_MAX);
   CHECK(purec_memo_gate_gated.backoff == PUREC_MEMO_BACKOFF_MAX);
   CHECK(log.windows_at_cap == 2);
-  /* Only the 12 probe windows reach the callee through the table. */
-  CHECK(log.calls - log.bypassed == 12ULL * PUREC_MEMO_WINDOW);
+  /* Only the 13 probe windows reach the callee through the table. */
+  CHECK(log.calls - log.bypassed == 13ULL * PUREC_MEMO_WINDOW);
   CHECK(gated_calls == log.calls);
 }
 
@@ -915,6 +984,20 @@ static void scenario_gate_hot(void) {
   CHECK(log.bypassed == 0);
   CHECK(log.backoff_max == 0);
   CHECK(gated_calls == 64);
+}
+
+/* Hot traffic over 1024 keys: the first window meets each key once and
+ * misses on all of them, but it is not judged; every later window hits,
+ * so no call bypasses the table. */
+static void scenario_gate_hot_wide(void) {
+  gate_log log;
+  purec_memo_word i;
+  memset(&log, 0, sizeof log);
+  for (i = 0; i < 16 * PUREC_MEMO_WINDOW; i++) gate_call(i % 1024, &log);
+  CHECK(log.wrong == 0);
+  CHECK(log.bypassed == 0);
+  CHECK(log.backoff_max == 0);
+  CHECK(gated_calls >= 1024 && gated_calls < 2 * 1024);
 }
 
 /* `cold` distinct keys, then hot traffic over 64 keys. A switch inside
@@ -996,7 +1079,7 @@ static void scenario_gate_threads(void) {
       CHECK(workers[t].log.bypassed == 0);
       CHECK(workers[t].callee == 64);
     } else {
-      CHECK(workers[t].log.first_bypass == PUREC_MEMO_WINDOW);
+      CHECK(workers[t].log.first_bypass == 2 * PUREC_MEMO_WINDOW);
       CHECK(workers[t].log.bypassed > 8 * PUREC_MEMO_WINDOW);
       CHECK(workers[t].log.backoff_max > 1);
     }
@@ -1005,6 +1088,7 @@ static void scenario_gate_threads(void) {
   CHECK(purec_memo_gate_gated.left == 0);
   CHECK(purec_memo_gate_gated.misses == 0);
   CHECK(purec_memo_gate_gated.backoff == 0);
+  CHECK(purec_memo_gate_gated.opened == 0);
   CHECK(gated_calls == 0);
 }
 
@@ -1146,6 +1230,10 @@ int main(int argc, char** argv) {
     scenario_verify_wide();
   } else if (strcmp(name, "verify_off") == 0) {
     scenario_verify_off();
+  } else if (strcmp(name, "key_pack") == 0) {
+    scenario_key_pack();
+  } else if (strcmp(name, "verify_thunks") == 0) {
+    scenario_verify_thunks();
   } else if (strcmp(name, "hit_readonly") == 0) {
     scenario_hit_readonly();
   } else if (strcmp(name, "bucket_evict") == 0) {
@@ -1162,6 +1250,8 @@ int main(int argc, char** argv) {
     scenario_gate_cold();
   } else if (strcmp(name, "gate_hot") == 0) {
     scenario_gate_hot();
+  } else if (strcmp(name, "gate_hot_wide") == 0) {
+    scenario_gate_hot_wide();
   } else if (strcmp(name, "gate_phase") == 0) {
     scenario_gate_phase(arg);
   } else if (strcmp(name, "gate_threads") == 0) {

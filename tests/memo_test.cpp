@@ -7,6 +7,7 @@
 
 #include <set>
 #include <string>
+#include <vector>
 
 #include "memo/memo_codegen.h"
 #include "memo/memoizable.h"
@@ -292,10 +293,16 @@ TEST(MemoCodegen, ThunkPrototypeShape) {
             "static float purec_memo_mult(float purec_a0, "
             "float purec_a1);\n");
   const std::string def = memo_thunk_definition(info, false);
-  EXPECT_NE(
-      def.find("PUREC_MEMO_KEY_F32(purec_key, purec_kw, purec_kn, "
-               "purec_a0);"),
-      std::string::npos)
+  // Both floats travel as their bits in one key word, mixed once.
+  EXPECT_NE(def.find("    purec_kw[0] = PUREC_MEMO_PAIR("
+                     "PUREC_MEMO_PACK_F32(purec_a0), "
+                     "PUREC_MEMO_PACK_F32(purec_a1));\n"
+                     "    purec_key = purec_memo_mix(purec_key ^ "
+                     "purec_kw[0]);\n"),
+            std::string::npos)
+      << def;
+  EXPECT_NE(def.find("purec_memo_lookup(purec_key, purec_kw, 1, "),
+            std::string::npos)
       << def;
   // One call site, shared by the gate's bypass path and the miss path.
   const std::string call = "mult(purec_a0, purec_a1)";
@@ -338,16 +345,80 @@ TEST(MemoCodegen, IntegerAndDoubleKeyLines) {
   info.global_snapshot.emplace_back(
       "g", Type::make_builtin(BuiltinKind::Double));
   const std::string def = memo_thunk_definition(info, false);
-  EXPECT_NE(
-      def.find("PUREC_MEMO_KEY_INT(purec_key, purec_kw, purec_kn, "
-               "purec_a0);"),
-      std::string::npos)
-      << def;
-  EXPECT_NE(def.find("PUREC_MEMO_KEY_F64(purec_key, purec_kw, purec_kn, "
-                     "g);"),
+  // The double takes a whole word; the int waits for a partner and,
+  // finding none, packs alone.
+  EXPECT_NE(def.find("    purec_kw[0] = PUREC_MEMO_PACK_F64(g);\n"),
             std::string::npos)
       << def;
+  EXPECT_NE(def.find("    purec_kw[1] = PUREC_MEMO_PAIR(purec_a0, 0);\n"),
+            std::string::npos)
+      << def;
+  EXPECT_NE(def.find("purec_memo_word purec_kw[2];"), std::string::npos)
+      << def;
   EXPECT_NE(def.find("PUREC_MEMO_UNPACK_F64"), std::string::npos) << def;
+}
+
+std::size_t count_of(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + needle.size())) {
+    ++n;
+  }
+  return n;
+}
+
+MemoFunctionInfo thunk_info(std::vector<BuiltinKind> params,
+                            std::vector<BuiltinKind> globals = {}) {
+  MemoFunctionInfo info;
+  info.name = "f";
+  info.return_type = Type::make_builtin(BuiltinKind::Float);
+  for (const BuiltinKind kind : params) {
+    info.param_types.push_back(Type::make_builtin(kind));
+  }
+  for (std::size_t i = 0; i < globals.size(); ++i) {
+    info.global_snapshot.emplace_back('g' + std::to_string(i),
+                                      Type::make_builtin(globals[i]));
+  }
+  return info;
+}
+
+// One mix per packed key word, and one of the id alone for a thunk
+// without key words.
+TEST(MemoCodegen, OneMixPerPackedWord) {
+  struct Case {
+    const char* what;
+    MemoFunctionInfo info;
+    std::size_t words;
+    std::size_t mixes;
+  };
+  const Case cases[] = {
+      {"tabulate's (int, float gain)",
+       thunk_info({BuiltinKind::Int}, {BuiltinKind::Float}), 1, 1},
+      {"(int, double)",
+       thunk_info({BuiltinKind::Int, BuiltinKind::Double}), 2, 2},
+      {"three ints",
+       thunk_info({BuiltinKind::Int, BuiltinKind::Int, BuiltinKind::Int}),
+       2, 2},
+      {"no parameters", thunk_info({}), 0, 1},
+  };
+  for (const Case& c : cases) {
+    const std::string def = memo_thunk_definition(c.info, false);
+    EXPECT_EQ(memo_key_words(c.info), c.words) << c.what;
+    EXPECT_EQ(count_of(def, "purec_memo_mix("), c.mixes) << c.what << def;
+  }
+  // tabulate: the int in the low half, the float's bits in the high one.
+  EXPECT_NE(memo_thunk_definition(cases[0].info, false)
+                .find("PUREC_MEMO_PAIR(purec_a0, PUREC_MEMO_PACK_F32(g0))"),
+            std::string::npos);
+  // Without key words the id alone is mixed, and the lookup gets a tuple
+  // of no words.
+  const std::string none = memo_thunk_definition(cases[3].info, false);
+  EXPECT_NE(none.find("    purec_key = purec_memo_mix(purec_key);\n"),
+            std::string::npos)
+      << none;
+  EXPECT_NE(none.find("purec_memo_lookup(purec_key, purec_kw, 0, "),
+            std::string::npos)
+      << none;
 }
 
 // ---------------------------------------------------------------------------
