@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
+#include <optional>
 #include <set>
 
 #include "ast/walk.h"
@@ -211,6 +213,280 @@ namespace {
     out += ")";
   }
   return out;
+}
+
+/// The value of an integer literal, possibly negated; nullopt for any
+/// other expression.
+[[nodiscard]] std::optional<std::int64_t> literal_value(const Expr& e) {
+  if (const auto* lit = expr_cast<IntLiteralExpr>(&e)) return lit->value;
+  const auto* neg = expr_cast<UnaryExpr>(&e);
+  if (neg == nullptr || neg->op != UnaryOp::Minus) return std::nullopt;
+  const auto* lit = expr_cast<IntLiteralExpr>(neg->operand.get());
+  if (lit == nullptr) return std::nullopt;
+  return -lit->value;
+}
+
+/// `original` (a loop's lower bound, or its upper bound operand)
+/// combined with the bounds `extra` by purec_max (lower) or purec_min
+/// (upper), `shift` added to each extra bound (1 turns an inclusive upper
+/// bound into the exclusive one a `<` test needs). Constant operands fold
+/// into one literal, which follows a non-constant `original`.
+[[nodiscard]] ExprPtr tighten_bound(ExprPtr original,
+                                    const std::vector<VarBound>& extra,
+                                    bool lower, std::int64_t shift,
+                                    const std::vector<std::string>& names) {
+  const std::optional<std::int64_t> original_constant =
+      literal_value(*original);
+  std::optional<std::int64_t> constant = original_constant;
+  std::vector<VarBound> terms;
+  for (const VarBound& b : extra) {
+    // floord(e, d) + k == floord(e + k * d, d): the shift stays exact.
+    VarBound t{b.coeffs,
+               checked_add(b.constant, checked_mul(shift, b.divisor)),
+               b.divisor};
+    if (std::any_of(t.coeffs.begin(), t.coeffs.end(),
+                    [](std::int64_t c) { return c != 0; })) {
+      terms.push_back(std::move(t));
+      continue;
+    }
+    const std::int64_t v = lower ? ceil_div(t.constant, t.divisor)
+                                 : floor_div(t.constant, t.divisor);
+    if (!constant) {
+      constant = v;
+    } else {
+      constant = lower ? std::max(*constant, v) : std::min(*constant, v);
+    }
+  }
+  std::vector<ExprPtr> operands;
+  if (!original_constant) operands.push_back(std::move(original));
+  if (constant) {
+    operands.push_back(std::make_unique<IntLiteralExpr>(*constant));
+  }
+  if (ExprPtr rest = combine_bounds(terms, lower, names)) {
+    operands.push_back(std::move(rest));
+  }
+  ExprPtr acc = std::move(operands.front());
+  for (std::size_t i = 1; i < operands.size(); ++i) {
+    acc = call_helper(lower ? "purec_max" : "purec_min", std::move(acc),
+                      std::move(operands[i]));
+  }
+  return acc;
+}
+
+/// True when `e` may move into a generated loop bound: it reads no
+/// opaque name (Scop::opaque_names) and has no cast or unsigned literal
+/// that would change the conversions purec_min/purec_max compare under.
+[[nodiscard]] bool plain_signed(const Expr& e, const Scop& scop) {
+  bool plain = true;
+  for_each_expr(e, [&](const Expr& x) {
+    if (x.kind() == ExprKind::Cast) plain = false;
+    if (const auto* lit = expr_cast<IntLiteralExpr>(&x)) {
+      if (lit->spelling.find_first_of("uU") != std::string::npos) {
+        plain = false;
+      }
+    }
+    if (const auto* ident = expr_cast<IdentExpr>(&x)) {
+      if (std::find(scop.opaque_names.begin(), scop.opaque_names.end(),
+                    ident->name) != scop.opaque_names.end()) {
+        plain = false;
+      }
+    }
+  });
+  return plain;
+}
+
+/// The bounds constraint `c` puts on iterator `j`, added to `lower` /
+/// `upper`: `a*j + r >= 0` bounds j from below when a > 0 and from above
+/// when a < 0; an equality does both. A constraint the loop's own bounds
+/// already state adds nothing. False when `c` cannot become a bound of
+/// loop `j`: it does not read j, or it reads an iterator that is not
+/// invariant in loop j (of a loop that does not enclose j) or not
+/// printable by name (a strided one: the model holds its trip count).
+[[nodiscard]] bool bound_from_guard(const Scop& scop, std::size_t j,
+                                    const Constraint& c,
+                                    std::vector<VarBound>& lower,
+                                    std::vector<VarBound>& upper) {
+  const std::size_t d = scop.depth();
+  const std::int64_t a = c.coeffs[j];
+  if (a == 0) return false;
+  for (std::size_t k = 0; k < d; ++k) {
+    if (k == j || c.coeffs[k] == 0) continue;
+    if (k < scop.strides.size() && scop.strides[k] != 1) return false;
+    std::size_t p = scop.loop_parents[j];
+    while (p != Scop::npos && p != k) p = scop.loop_parents[p];
+    if (p == Scop::npos) return false;
+  }
+  const auto& known = scop.domain.constraints();
+  if (std::any_of(known.begin(), known.end(), [&c](const Constraint& k) {
+        return k.kind == c.kind && k.constant == c.constant &&
+               k.coeffs == c.coeffs;
+      })) {
+    return true;
+  }
+  // a*j + r >= 0 (or == 0) puts j against r / -a: from below when
+  // a > 0, from above when a < 0, on both sides for an equality.
+  VarBound value{c.coeffs, c.constant, a > 0 ? a : -a};
+  value.coeffs[j] = 0;
+  if (a > 0) {
+    for (std::int64_t& v : value.coeffs) v = -v;
+    value.constant = -value.constant;
+  }
+  if (c.kind == ConstraintKind::Equality) {
+    lower.push_back(value);
+    upper.push_back(std::move(value));
+  } else {
+    (a > 0 ? lower : upper).push_back(std::move(value));
+  }
+  return true;
+}
+
+/// Maps every `if` of `copy`, a fresh clone of `original`, to the model
+/// of its original (Scop::guards), walking both trees in step.
+void map_guards(const Stmt& original, const Stmt& copy, const Scop& scop,
+                std::map<const IfStmt*, const ScopGuard*>& out) {
+  switch (original.kind()) {
+    case StmtKind::For:
+      map_guards(*static_cast<const ForStmt&>(original).body,
+                 *static_cast<const ForStmt&>(copy).body, scop, out);
+      return;
+    case StmtKind::Compound: {
+      const auto& a = static_cast<const CompoundStmt&>(original).stmts;
+      const auto& b = static_cast<const CompoundStmt&>(copy).stmts;
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        map_guards(*a[i], *b[i], scop, out);
+      }
+      return;
+    }
+    case StmtKind::If: {
+      const auto& a = static_cast<const IfStmt&>(original);
+      const auto& b = static_cast<const IfStmt&>(copy);
+      for (const ScopGuard& guard : scop.guards) {
+        if (guard.ast == &a) out.emplace(&b, &guard);
+      }
+      map_guards(*a.then_stmt, *b.then_stmt, scop, out);
+      if (a.else_stmt) map_guards(*a.else_stmt, *b.else_stmt, scop, out);
+      return;
+    }
+    default:
+      return;
+  }
+}
+
+/// The slots of the top-level `&&` conjuncts of `cond`, in
+/// guard_conjuncts order.
+void conjunct_slots(ExprPtr& cond, std::vector<ExprPtr*>& out) {
+  auto* b = expr_cast<BinaryExpr>(cond.get());
+  if (b == nullptr || b->op != BinaryOp::LogicalAnd) {
+    out.push_back(&cond);
+    return;
+  }
+  conjunct_slots(b->lhs, out);
+  conjunct_slots(b->rhs, out);
+}
+
+/// Folds guards on loop `j`'s own iterator into its bounds, as CLooG's
+/// scan of the statement domains would: while the (pruned) body is one
+/// `if (C) S` without else, every conjunct of C that bounds the iterator
+/// by loop-invariant affine terms moves into the bounds (purec_max on the
+/// lower bound, purec_min on the upper one), and the rest stays as the
+/// `if`. `guard_of` maps each `if` of the copy to its model; an `if` in
+/// `inverted` tests the negation of its model's condition (its then
+/// branch was pruned), which folds only whole. The loop must step by one
+/// and declare its iterator, so no code after it reads the iterator's
+/// final value; its bounds and every folded conjunct must be
+/// plain_signed. Returns how many guards folded.
+[[nodiscard]] std::size_t fold_guards(
+    ForStmt& loop, std::size_t j, const Scop& scop,
+    const std::map<const IfStmt*, const ScopGuard*>& guard_of,
+    const std::set<const IfStmt*>& inverted) {
+  if (j < scop.strides.size() && scop.strides[j] != 1) return 0;
+  auto* init = stmt_cast<DeclStmt>(loop.init.get());
+  if (init == nullptr || init->decls.size() != 1 || !init->decls[0].init) {
+    return 0;
+  }
+  std::vector<ExprPtr*> tests;
+  conjunct_slots(loop.cond, tests);
+  auto* test = expr_cast<BinaryExpr>(tests.back()->get());
+  if (test == nullptr ||
+      (test->op != BinaryOp::Less && test->op != BinaryOp::LessEqual) ||
+      !plain_signed(*test->lhs, scop) || !plain_signed(*test->rhs, scop) ||
+      !plain_signed(*init->decls[0].init, scop)) {
+    return 0;
+  }
+  const std::vector<std::string> names = scop.space_names();
+  std::size_t folded = 0;
+  for (;;) {
+    StmtPtr* slot = &loop.body;
+    if (auto* block = stmt_cast<CompoundStmt>(slot->get());
+        block != nullptr && block->stmts.size() == 1) {
+      slot = &block->stmts.front();
+    }
+    auto* branch = stmt_cast<IfStmt>(slot->get());
+    if (branch == nullptr || branch->else_stmt) return folded;
+    const auto it = guard_of.find(branch);
+    if (it == guard_of.end()) return folded;
+    const ScopGuard& guard = *it->second;
+
+    std::vector<VarBound> lower;
+    std::vector<VarBound> upper;
+    const auto fold_all = [&](const std::vector<Constraint>& constraints) {
+      std::vector<VarBound> lo;
+      std::vector<VarBound> up;
+      for (const Constraint& c : constraints) {
+        if (!bound_from_guard(scop, j, c, lo, up)) return false;
+      }
+      lower.insert(lower.end(), lo.begin(), lo.end());
+      upper.insert(upper.end(), up.begin(), up.end());
+      return true;
+    };
+    std::vector<ExprPtr> residual;
+    if (inverted.count(branch) != 0) {
+      if (!guard.negation || !plain_signed(*branch->cond, scop) ||
+          !fold_all(*guard.negation)) {
+        return folded;
+      }
+    } else {
+      std::vector<ExprPtr*> conjuncts;
+      conjunct_slots(branch->cond, conjuncts);
+      if (conjuncts.size() != guard.conjuncts.size()) return folded;
+      std::vector<bool> kept(conjuncts.size());
+      for (std::size_t i = 0; i < conjuncts.size(); ++i) {
+        kept[i] = !guard.conjuncts[i] ||
+                  !plain_signed(**conjuncts[i], scop) ||
+                  !fold_all(*guard.conjuncts[i]);
+      }
+      if (std::count(kept.begin(), kept.end(), false) == 0) return folded;
+      for (std::size_t i = 0; i < conjuncts.size(); ++i) {
+        if (kept[i]) residual.push_back(std::move(*conjuncts[i]));
+      }
+    }
+
+    ExprPtr& start = init->decls[0].init;
+    if (!lower.empty()) {
+      start = tighten_bound(std::move(start), lower, true, 0, names);
+    }
+    if (!upper.empty()) {
+      const std::int64_t shift = test->op == BinaryOp::Less ? 1 : 0;
+      test->rhs =
+          tighten_bound(std::move(test->rhs), upper, false, shift, names);
+    }
+    ++folded;
+    if (!residual.empty()) {
+      ExprPtr cond = std::move(residual.front());
+      for (std::size_t i = 1; i < residual.size(); ++i) {
+        cond = std::make_unique<BinaryExpr>(
+            BinaryOp::LogicalAnd, std::move(cond), std::move(residual[i]));
+      }
+      branch->cond = std::move(cond);
+      return folded;
+    }
+    StmtPtr then_stmt = std::move(branch->then_stmt);
+    if (slot != &loop.body && then_stmt->kind() == StmtKind::Compound) {
+      loop.body = std::move(then_stmt);
+    } else {
+      *slot = std::move(then_stmt);
+    }
+  }
 }
 
 [[nodiscard]] bool couples_iterators(const ConstraintSystem& domain,
@@ -723,6 +999,9 @@ StmtPtr schedule_region(const Scop& scop,
     // count at entry, assignments count in source order, guard branches
     // descend then-before-else.
     StmtPtr cloned = scop.root->clone();
+    std::map<const IfStmt*, const ScopGuard*> guard_of;
+    map_guards(*scop.root, *cloned, scop, guard_of);
+    std::set<const IfStmt*> inverted;
     std::size_t loop_counter = 0;
     std::size_t stmt_counter = 0;
     std::function<bool(StmtPtr&)> prune = [&](StmtPtr& slot) -> bool {
@@ -733,6 +1012,10 @@ StmtPtr schedule_region(const Scop& scop,
           auto& loop = static_cast<ForStmt&>(*slot);
           const bool kept = prune(loop.body);
           if (!kept) return false;
+          if (index < d) {
+            rs.guards_folded +=
+                fold_guards(loop, index, scop, guard_of, inverted);
+          }
           if (index >= d || (!selected[index] && !simd[index])) {
             return true;
           }
@@ -772,8 +1055,15 @@ StmtPtr schedule_region(const Scop& scop,
           const bool kept_else =
               branch.else_stmt ? prune(branch.else_stmt) : false;
           if (!kept_then && !kept_else) return false;
-          if (!kept_then) branch.then_stmt = std::make_unique<NullStmt>();
           if (!kept_else) branch.else_stmt = nullptr;
+          if (!kept_then) {
+            // Only the else side survived: test the negation rather than
+            // print an empty then-branch.
+            branch.cond = std::make_unique<UnaryExpr>(UnaryOp::Not,
+                                                      std::move(branch.cond));
+            branch.then_stmt = std::move(branch.else_stmt);
+            inverted.insert(&branch);
+          }
           return true;
         }
         case StmtKind::Expr: {

@@ -103,12 +103,15 @@ struct RegionSchedule {
   /// parallel pragma: they qualify for `#pragma omp simd` and carry it
   /// only under `options.simd`.
   std::size_t simd_loops = 0;
+  /// Guards folded into the bounds of the loop around them (an `if` on
+  /// the loop's own iterator that was the loop's whole body).
+  std::size_t guards_folded = 0;
 };
 
 /// Region scheduling for `Scop::region_shaped` scops (guards, imperfect
 /// nests, iterator-dependent strided origins) and for classic nests the
-/// hyperplane path left serial. Statements keep their guards and depth —
-/// no reordering, no tiling — but the nest is restructured:
+/// hyperplane path left serial. Statements keep their depth — no
+/// reordering, no tiling — but the nest is restructured:
 ///
 ///  * Loops whose non-exempt dependences all vanish get `#pragma omp
 ///    parallel for` at the outermost legal position; under
@@ -120,6 +123,11 @@ struct RegionSchedule {
 ///    SCC (loop fission): each group becomes its own copy of the nest,
 ///    pruned to the group's statements, and parallel groups take the
 ///    pragma while serial ones stay as they were.
+///  * A unit-step loop that declares its iterator and whose pruned body
+///    is one `if` without else loses the guard's conjuncts on its own
+///    iterator to its bounds (`for (i = 0; i < n; i++) if (i > 0) S`
+///    becomes `for (i = 1; i < n; i++) S`); a guard whose then-branch was
+///    pruned away tests its negation, folded the same way when convex.
 ///
 /// The guided-by-default gate is evaluated per pragma'd loop over the
 /// statements actually under it in its group, so a fissioned-off

@@ -63,6 +63,15 @@ std::vector<std::size_t> statement_loops(const Scop& scop,
   return chain;
 }
 
+std::vector<const Expr*> guard_conjuncts(const Expr& cond) {
+  const auto* b = expr_cast<BinaryExpr>(&cond);
+  if (b == nullptr || b->op != BinaryOp::LogicalAnd) return {&cond};
+  std::vector<const Expr*> out = guard_conjuncts(*b->lhs);
+  const std::vector<const Expr*> rhs = guard_conjuncts(*b->rhs);
+  out.insert(out.end(), rhs.begin(), rhs.end());
+  return out;
+}
+
 namespace {
 
 /// Incremental affine-expression builder over the region's variable space
@@ -768,6 +777,31 @@ class Extractor {
       }
     }
 
+    // The guards in the model's terms, conjunct by conjunct, for code
+    // generation. Each was lowered above for the statements it guards, so
+    // this adds no parameter; a guard over no statement is left out.
+    for (const GuardSite& site : guard_sites_) {
+      if (!site.guards_stmts) continue;
+      builder.set_chain(&site.chain);
+      ScopGuard guard;
+      guard.ast = site.ast;
+      std::string ignored;
+      const auto convex = [&](const Expr& cond, bool negated)
+          -> std::optional<std::vector<Constraint>> {
+        std::vector<std::vector<Constraint>> dnf;
+        if (!build_guard(cond, negated, builder, dnf, ignored) ||
+            dnf.size() != 1) {
+          return std::nullopt;
+        }
+        return std::move(dnf.front());
+      };
+      for (const Expr* conjunct : guard_conjuncts(*site.ast->cond)) {
+        guard.conjuncts.push_back(convex(*conjunct, false));
+      }
+      guard.negation = convex(*site.ast->cond, true);
+      scop.guards.push_back(std::move(guard));
+    }
+
     // ---- Finalize: pad every form/constraint to the full space --------
     scop.parameters = builder.parameters();
     const std::size_t space = builder.space_size();
@@ -794,6 +828,15 @@ class Extractor {
       }
     }
     for (AffineForm& origin : scop.origins) origin.coeffs.resize(space, 0);
+    for (ScopGuard& guard : scop.guards) {
+      for (auto& conjunct : guard.conjuncts) {
+        if (!conjunct) continue;
+        for (Constraint& c : *conjunct) c = aligned(std::move(c));
+      }
+      if (guard.negation) {
+        for (Constraint& c : *guard.negation) c = aligned(std::move(c));
+      }
+    }
 
     // A base is modeled two-dimensional only when every access to it
     // split by the same parameter. The dependence test pairs subscript
@@ -960,6 +1003,9 @@ class Extractor {
       case StmtKind::If: {
         saw_guard_ = true;
         const auto& branch = static_cast<const IfStmt&>(s);
+        const std::size_t site = guard_sites_.size();
+        const std::size_t first_stmt = pending_stmts_.size();
+        guard_sites_.push_back(GuardSite{&branch, chain, false});
         std::vector<GuardRef> then_guards = guards;
         then_guards.push_back(GuardRef{branch.cond.get(), false, chain});
         if (!walk_body(branch.then_stmt.get(), loop_index, chain,
@@ -969,9 +1015,13 @@ class Extractor {
         if (branch.else_stmt) {
           std::vector<GuardRef> else_guards = guards;
           else_guards.push_back(GuardRef{branch.cond.get(), true, chain});
-          return walk_body(branch.else_stmt.get(), loop_index, chain,
-                           else_guards, failure);
+          if (!walk_body(branch.else_stmt.get(), loop_index, chain,
+                         else_guards, failure)) {
+            return false;
+          }
         }
+        guard_sites_[site].guards_stmts =
+            pending_stmts_.size() > first_stmt;
         return true;
       }
       case StmtKind::Expr: {
@@ -1393,8 +1443,17 @@ class Extractor {
     const std::vector<std::vector<Constraint>>* alternatives = nullptr;
   };
 
+  /// One `if` met by the walk, in pre-order, with the loop chain in
+  /// scope at it; `guards_stmts` once a statement was found beneath it.
+  struct GuardSite {
+    const IfStmt* ast = nullptr;
+    std::vector<std::size_t> chain;
+    bool guards_stmts = false;
+  };
+
   std::vector<LoopNode> loops_;
   std::vector<PendingStmt> pending_stmts_;
+  std::vector<GuardSite> guard_sites_;
   const StatementScope* scope_ = nullptr;
   bool saw_guard_ = false;
   /// Set by the walk passes when a rejection can point at the offending

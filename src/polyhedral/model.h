@@ -138,6 +138,22 @@ struct ScopStatement {
   std::string reduction_callee;
 };
 
+/// One `if` of a region with its condition in the model's affine terms,
+/// over the scop's full space: what a code generator needs to fold the
+/// guard into the bounds of the loop around it.
+struct ScopGuard {
+  const IfStmt* ast = nullptr;  // original AST statement (not owned)
+  /// One entry per top-level `&&` conjunct of the condition, in
+  /// guard_conjuncts order: the constraints the conjunct lowers to, or
+  /// nullopt when it splits into several convex pieces (`||`, `!=`).
+  std::vector<std::optional<std::vector<Constraint>>> conjuncts;
+  /// The negated condition's constraints when the negation is convex.
+  std::optional<std::vector<Constraint>> negation;
+};
+
+/// The top-level `&&` conjuncts of a guard condition, left to right.
+[[nodiscard]] std::vector<const Expr*> guard_conjuncts(const Expr& cond);
+
 /// A static control part: a loop region rooted at one outermost `for`.
 struct Scop {
   std::vector<std::string> iterators;   // all region loops, pre-order
@@ -176,6 +192,17 @@ struct Scop {
   /// Bases whose flattened `e1 * P + e2` subscripts were split into two
   /// dimensions, in first-access order.
   std::vector<std::string> delinearized;
+  /// Every `if` in the region that guards at least one statement, in
+  /// pre-order.
+  std::vector<ScopGuard> guards;
+  /// Iterators and parameters no generated loop bound may read, set by
+  /// the chain: every name it could not confirm as a signed integer
+  /// variable. A substituted pure call's placeholder is one (the model
+  /// takes it as loop-invariant, but the call may read an iterator or
+  /// state the body writes); so are unsigned, floating-point and typedef'd
+  /// scalars, which purec_min/purec_max would compare under other
+  /// conversions than the source's test.
+  std::vector<std::string> opaque_names;
 
   [[nodiscard]] std::size_t depth() const noexcept {
     return iterators.size();

@@ -82,6 +82,10 @@ void join_report(const json::Value& report, TraceSummary* summary) {
           decisions += " reductions=" + std::to_string(reds->size());
         }
       }
+      if (find_int(scop, "guards_folded") > 0) {
+        decisions +=
+            " folded=" + std::to_string(find_int(scop, "guards_folded"));
+      }
       region.decisions = decisions;
     }
   }

@@ -59,7 +59,7 @@ json::Value build_chain_report(const ChainArtifacts& artifacts,
   // entries lose `profile` and options loses the gate's flag. A rejected
   // run's report since gained `errors` (additive, still v5).
   // v6: scops[] entries carry `simd` and `simd_withheld`, and since
-  // `tile_withheld` (additive, still v6).
+  // `tile_withheld` and `guards_folded` (additive, still v6).
   report.set("report_version", 6);
   report.set("ok", artifacts.ok);
   if (!artifacts.ok) {
@@ -152,6 +152,7 @@ json::Value build_chain_report(const ChainArtifacts& artifacts,
     entry.set("tile_withheld", r.tile_withheld.empty()
                                    ? json::Value(nullptr)
                                    : json::Value(r.tile_withheld));
+    entry.set("guards_folded", static_cast<std::int64_t>(r.guards_folded));
     entry.set("region_id", r.region_id < 0 ? json::Value(nullptr)
                                            : json::Value(r.region_id));
     entry.set("reductions", string_array(r.reductions));
@@ -367,6 +368,10 @@ std::string render_report_text(const json::Value& report) {
           scheduling += " collapse=" + std::to_string(get_int("collapse"));
         }
         if (get_bool("simd")) scheduling += " simd";
+        if (get_int("guards_folded") > 0) {
+          scheduling +=
+              " folded=" + std::to_string(get_int("guards_folded"));
+        }
         std::string reason;
         if (const auto* failure = entry.find("failure")) {
           if (!failure->is_null() && failure->find("reason") != nullptr) {

@@ -339,6 +339,50 @@ std::string escaping_iterator_use(const poly::Scop& scop,
   return nullptr;
 }
 
+/// True when every declaration of `name` that code in `fn` may see (a
+/// local in any block, a parameter, a global) has a signed integer
+/// type: no typedef, enum, unsigned or floating type, and no plain char.
+/// A substituted call's placeholder has no declaration and fails.
+[[nodiscard]] bool declared_signed_integer(const FunctionDecl& fn,
+                                           const SymbolTable& symbols,
+                                           const std::string& name) {
+  const auto signed_integer = [](const Type* t) {
+    if (t == nullptr || t->kind != TypeKind::Builtin) return false;
+    switch (t->builtin) {
+      case BuiltinKind::SChar:
+      case BuiltinKind::Short:
+      case BuiltinKind::Int:
+      case BuiltinKind::Long:
+      case BuiltinKind::LongLong:
+        return true;
+      default:
+        return false;
+    }
+  };
+  bool declared = false;
+  bool all_signed = true;
+  const auto see = [&](const Type* t) {
+    declared = true;
+    all_signed = all_signed && signed_integer(t);
+  };
+  if (fn.body) {
+    for_each_stmt(*fn.body, [&](const Stmt& s) {
+      if (const auto* decl = stmt_cast<DeclStmt>(&s)) {
+        for (const VarDecl& d : decl->decls) {
+          if (d.name == name) see(d.type.get());
+        }
+      }
+    });
+  }
+  for (const ParamDecl& param : fn.params) {
+    if (param.name == name) see(param.type.get());
+  }
+  if (const GlobalVarDecl* global = symbols.find_global(name)) {
+    see(global->var.type.get());
+  }
+  return declared && all_signed;
+}
+
 // ---- Local pointer bases --------------------------------------------------
 //
 // Dependence analysis keys accesses on the base name, so `alias[i]` and
@@ -897,6 +941,7 @@ void record_region_schedule(const poly::RegionSchedule& rs,
   report.fission_parallel_groups = rs.parallel_groups;
   report.privatized = rs.privatized;
   report.schedule_clause = rs.schedule_clause;
+  report.guards_folded = rs.guards_folded;
 }
 
 }  // namespace
@@ -1248,6 +1293,15 @@ ChainArtifacts run_pure_chain(const std::string& source,
 
       const FunctionDecl* owner =
           tu.find_function(candidate.function->name);
+      for (const std::vector<std::string>* names :
+           {&scop.iterators, &scop.parameters}) {
+        for (const std::string& name : *names) {
+          if (owner == nullptr ||
+              !declared_signed_integer(*owner, symbols, name)) {
+            scop.opaque_names.push_back(name);
+          }
+        }
+      }
 
       // FP-reassociation gate: +/-/* on a non-integer accumulator only
       // stays a reduction under --fp-reductions (OpenMP's per-thread

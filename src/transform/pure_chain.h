@@ -175,6 +175,9 @@ struct ScopReport {
   /// Why a nest that tiling applies to was left untiled ("" otherwise),
   /// e.g. a write-only fill that reads no array.
   std::string tile_withheld;
+  /// Guards on a loop's own iterator folded into that loop's bounds by
+  /// region scheduling (poly::RegionSchedule::guards_folded).
+  std::size_t guards_folded = 0;
   /// Stable instrumentation region id (-1 when the scop was not
   /// instrumented: no --instrument, or a nest left serial): the join key between this report entry and the
   /// runtime's trace events (`args.region_id`). Assigned in emission

@@ -215,6 +215,15 @@ TEST(ChainReportSchema, EveryAcceptedFixtureCarriesTheFullDecisionTrail) {
       if (scop.find("fissioned")->as_bool()) {
         EXPECT_GE(scop.find("fission_groups")->as_int(), 2) << where;
       }
+      // Guards folded into loop bounds: always stated, and only on a
+      // transformed region nest.
+      const json::Value* folded = scop.find("guards_folded");
+      ASSERT_NE(folded, nullptr) << where;
+      EXPECT_GE(folded->as_int(), 0) << where;
+      if (folded->as_int() > 0) {
+        EXPECT_TRUE(scop.find("transformed")->as_bool()) << where;
+        EXPECT_TRUE(scop.find("region")->as_bool()) << where;
+      }
       if (!scop.find("transformed")->as_bool()) {
         const json::Value* failure = scop.find("failure");
         ASSERT_FALSE(failure->is_null())

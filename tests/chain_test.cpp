@@ -1368,5 +1368,237 @@ TEST(Chain, MixedReadAccumulationStaysSerialWithReason) {
   EXPECT_EQ(a.final_source.find("#pragma omp"), std::string::npos);
 }
 
+// Guards folded into region loop bounds (schedule_region): an `if` on a
+// unit-step loop's own iterator that is the loop's whole pruned body
+// becomes part of the loop's bounds, as CLooG's domain scan would print it.
+TEST(ChainRegion, FissionedScanStartsAtItsGuard) {
+  const ChainArtifacts a = run_pure_chain(
+      "pure float twice(float x) { return 2.0f * x; }\n"
+      "void k(float* acc, float* out, float* in, int n) {\n"
+      "  for (int i = 0; i < n; i++) {\n"
+      "    if (i > 0)\n"
+      "      acc[i] = acc[i - 1] + in[i];\n"
+      "    out[i] = twice(in[i]);\n"
+      "  }\n"
+      "}\n");
+  ASSERT_TRUE(a.ok) << a.diagnostics.format();
+  const ScopReport* r = scop_in(a, "k");
+  ASSERT_NE(r, nullptr);
+  EXPECT_TRUE(r->fissioned);
+  EXPECT_EQ(r->guards_folded, 1u);
+  EXPECT_NE(a.final_source.find("for (int i = 1; i < n; i++)"),
+            std::string::npos)
+      << a.final_source;
+  EXPECT_EQ(a.final_source.find("if (i > 0)"), std::string::npos)
+      << a.final_source;
+}
+
+TEST(ChainRegion, PrunedThenBranchFoldsItsNegation) {
+  const ChainArtifacts a = run_pure_chain(
+      "pure float f(float x) { return 2.0f * x; }\n"
+      "void k(float* a, float* b, float* x, int n, int m) {\n"
+      "  for (int i = 0; i < n; i++) {\n"
+      "    if (i < m)\n"
+      "      a[i] = a[i - 1] + x[i];\n"
+      "    else\n"
+      "      b[i] = f(x[i]);\n"
+      "  }\n"
+      "}\n");
+  ASSERT_TRUE(a.ok) << a.diagnostics.format();
+  const ScopReport* r = scop_in(a, "k");
+  ASSERT_NE(r, nullptr);
+  EXPECT_TRUE(r->fissioned);
+  EXPECT_EQ(r->guards_folded, 2u);
+  EXPECT_NE(a.final_source.find("for (int i = 0; i < purec_min(n, m); i++)"),
+            std::string::npos)
+      << a.final_source;
+  EXPECT_NE(a.final_source.find("for (int i = purec_max(0, m); i < n; i++)"),
+            std::string::npos)
+      << a.final_source;
+  EXPECT_EQ(a.final_source.find("else"), std::string::npos)
+      << a.final_source;
+}
+
+TEST(ChainRegion, NonConvexNegationTestsTheNegatedGuard) {
+  const ChainArtifacts a = run_pure_chain(
+      "pure float f(float x) { return 2.0f * x; }\n"
+      "void k(float* a, float* b, float* x, int n, int m) {\n"
+      "  for (int i = 1; i < n; i++) {\n"
+      "    if (i < m && i > 3)\n"
+      "      a[i] = a[i - 1] + x[i];\n"
+      "    else\n"
+      "      b[i] = f(x[i]);\n"
+      "  }\n"
+      "}\n");
+  ASSERT_TRUE(a.ok) << a.diagnostics.format();
+  EXPECT_NE(a.final_source.find("if (!(i < m && i > 3))"),
+            std::string::npos)
+      << a.final_source;
+  EXPECT_EQ(a.final_source.find("else"), std::string::npos)
+      << a.final_source;
+}
+
+TEST(ChainRegion, ConjunctOffTheIteratorStaysTheGuard) {
+  const ChainArtifacts a = run_pure_chain(
+      "pure float f(float x) { return 2.0f * x; }\n"
+      "void k(float* c, float* x, int n, int flag) {\n"
+      "  for (int i = 0; i < n; i++) {\n"
+      "    if (i >= 2 && flag > 0 && i < n - 1)\n"
+      "      c[i] = f(x[i]);\n"
+      "  }\n"
+      "}\n");
+  ASSERT_TRUE(a.ok) << a.diagnostics.format();
+  const ScopReport* r = scop_in(a, "k");
+  ASSERT_NE(r, nullptr);
+  EXPECT_TRUE(r->parallelized) << r->failure_reason;
+  EXPECT_EQ(r->guards_folded, 1u);
+  EXPECT_NE(a.final_source.find(
+                "for (int i = 2; i < purec_min(n, n - 1); i++)"),
+            std::string::npos)
+      << a.final_source;
+  EXPECT_NE(a.final_source.find("if (flag > 0)"), std::string::npos)
+      << a.final_source;
+}
+
+TEST(ChainRegion, IfElseWithBothBranchesKeptIsNotFolded) {
+  const ChainArtifacts a = run_pure_chain(
+      "pure float f(float x) { return 2.0f * x; }\n"
+      "void k(float* a, float* x, int n, int m) {\n"
+      "  for (int i = 0; i < n; i++) {\n"
+      "    if (i < m)\n"
+      "      a[i] = f(x[i]);\n"
+      "    else\n"
+      "      a[i] = x[i];\n"
+      "  }\n"
+      "}\n");
+  ASSERT_TRUE(a.ok) << a.diagnostics.format();
+  const ScopReport* r = scop_in(a, "k");
+  ASSERT_NE(r, nullptr);
+  EXPECT_TRUE(r->parallelized) << r->failure_reason;
+  EXPECT_EQ(r->guards_folded, 0u);
+  EXPECT_NE(a.final_source.find("for (int i = 0; i < n; i++)"),
+            std::string::npos)
+      << a.final_source;
+  EXPECT_NE(a.final_source.find("if (i < m)"), std::string::npos);
+  EXPECT_NE(a.final_source.find("else"), std::string::npos);
+}
+
+TEST(ChainRegion, C89IteratorIsNotFolded) {
+  // The iterator outlives its loop: a new lower bound would change the
+  // value code after the loop reads. Read after the loop, the nest is
+  // left as written; not read, it parallelizes with the guard kept.
+  const char* read_after =
+      "pure float f(float x) { return 2.0f * x; }\n"
+      "int k(float* c, float* x, int n) {\n"
+      "  int i;\n"
+      "  for (i = 0; i < n; i++) {\n"
+      "    if (i > 3)\n"
+      "      c[i] = f(x[i]);\n"
+      "  }\n"
+      "  return i;\n"
+      "}\n";
+  const ChainArtifacts a = run_pure_chain(read_after);
+  ASSERT_TRUE(a.ok) << a.diagnostics.format();
+  const ScopReport* r = scop_in(a, "k");
+  ASSERT_NE(r, nullptr);
+  EXPECT_EQ(r->guards_folded, 0u);
+  EXPECT_NE(a.final_source.find("for (i = 0; i < n; i++)"),
+            std::string::npos)
+      << a.final_source;
+  EXPECT_NE(a.final_source.find("if (i > 3)"), std::string::npos);
+
+  std::string unread = read_after;
+  unread.replace(unread.find("return i;"), 9, "return 0;");
+  const ChainArtifacts b = run_pure_chain(unread);
+  ASSERT_TRUE(b.ok) << b.diagnostics.format();
+  const ScopReport* s = scop_in(b, "k");
+  ASSERT_NE(s, nullptr);
+  EXPECT_TRUE(s->parallelized) << s->failure_reason;
+  EXPECT_EQ(s->guards_folded, 0u);
+  EXPECT_NE(b.final_source.find("if (i > 3)"), std::string::npos)
+      << b.final_source;
+}
+
+TEST(ChainRegion, StridedLoopIsNotFolded) {
+  const ChainArtifacts a = run_pure_chain(
+      "pure float f(float x) { return 2.0f * x; }\n"
+      "void k(float* c, float* x, int n) {\n"
+      "  for (int i = 0; i < n; i += 2) {\n"
+      "    if (i > 5)\n"
+      "      c[i] = f(x[i]);\n"
+      "  }\n"
+      "}\n");
+  ASSERT_TRUE(a.ok) << a.diagnostics.format();
+  const ScopReport* r = scop_in(a, "k");
+  ASSERT_NE(r, nullptr);
+  EXPECT_TRUE(r->parallelized) << r->failure_reason;
+  EXPECT_EQ(r->guards_folded, 0u);
+  EXPECT_NE(a.final_source.find("if (i > 5)"), std::string::npos)
+      << a.final_source;
+}
+
+TEST(ChainRegion, UnsignedOrFloatingTermsAreNotFolded) {
+  // purec_min(n, m) with an unsigned n compares unsigned: a negative m
+  // would no longer empty the loop. A floating bound would truncate.
+  const char* shapes[] = {
+      "void k(int* c, int* x, unsigned n, int m) {\n"
+      "  for (int i = 0; i < n; i++) {\n"
+      "    if (i < m)\n"
+      "      c[i] = f(x[i]);\n"
+      "  }\n"
+      "}\n",
+      "void k(int* c, int* x, int n, float m) {\n"
+      "  for (int i = 0; i < n; i++) {\n"
+      "    if (i >= m)\n"
+      "      c[i] = f(x[i]);\n"
+      "  }\n"
+      "}\n",
+      "void k(int* c, int* x, int n, int m) {\n"
+      "  for (int i = 0; i < n; i++) {\n"
+      "    if (i < (unsigned)m)\n"
+      "      c[i] = f(x[i]);\n"
+      "  }\n"
+      "}\n",
+      "void k(int* c, int* x, int n) {\n"
+      "  for (unsigned i = 0; i < n; i++) {\n"
+      "    if (i > 2)\n"
+      "      c[i] = f(x[i]);\n"
+      "  }\n"
+      "}\n",
+  };
+  for (const char* shape : shapes) {
+    const ChainArtifacts a = run_pure_chain(
+        std::string("pure int f(int v) { return 3 * v; }\n") + shape);
+    ASSERT_TRUE(a.ok) << a.diagnostics.format();
+    const ScopReport* r = scop_in(a, "k");
+    ASSERT_NE(r, nullptr);
+    EXPECT_TRUE(r->parallelized) << shape << r->failure_reason;
+    EXPECT_EQ(r->guards_folded, 0u) << shape << a.final_source;
+    EXPECT_NE(a.final_source.find("    if (i "), std::string::npos)
+        << a.final_source;
+  }
+}
+
+TEST(ChainRegion, GuardOnAPureCallIsNotFolded) {
+  // The call's placeholder is a parameter to the model, but the call
+  // reads i: as a loop bound it would stop the loop at the first i the
+  // guard rejects instead of skipping it.
+  const ChainArtifacts a = run_pure_chain(
+      "pure int lim(int v) { return 40 - v; }\n"
+      "void k(int* c, int* x, int n) {\n"
+      "  for (int i = 0; i < n; i++) {\n"
+      "    if (i < lim(i))\n"
+      "      c[i] = x[i];\n"
+      "  }\n"
+      "}\n");
+  ASSERT_TRUE(a.ok) << a.diagnostics.format();
+  const ScopReport* r = scop_in(a, "k");
+  ASSERT_NE(r, nullptr);
+  EXPECT_TRUE(r->parallelized) << r->failure_reason;
+  EXPECT_EQ(r->guards_folded, 0u);
+  EXPECT_NE(a.final_source.find("if (i < lim(i))"), std::string::npos)
+      << a.final_source;
+}
+
 }  // namespace
 }  // namespace purec

@@ -912,6 +912,165 @@ int main() {
 }
 )";
 
+// Affine guards on a loop's own iterator fold into the loop's bounds
+// (schedule_region): a fissioned scan's `i > 0` at lengths 0, 1 and 2, a
+// triangle mask `j < i + cut` with a negative cut, a two-sided band whose
+// lower end passes its upper one, a conjunct that does not read the
+// iterator (it stays the guard), a pruned then-branch whose negation
+// folds, ceild/floord bounds under `<=`, and a pruned then-branch whose
+// negation is not convex (it stays `if (!(...))`).
+inline constexpr const char* kRunFoldedGuards = R"(
+#include <stdio.h>
+#include <stdlib.h>
+
+pure int twice(int x) {
+  return 2 * x;
+}
+
+pure int weight(int v) {
+  return v * v + 1;
+}
+
+/* Fissioned scan: the serial group's `i > 0` guard becomes `i = 1`. */
+void scan(int* acc, int* out, int* in, int n) {
+  for (int i = 0; i < n; i++) {
+    if (i > 0)
+      acc[i] = acc[i - 1] + in[i];
+    out[i] = twice(in[i]);
+  }
+}
+
+/* Masked triangle: `j < i + cut` becomes purec_min(n, i + cut). */
+int triangle(int** g, int* h, int n, int cut) {
+  int total = 0;
+  for (int i = 0; i < n; i++) {
+    h[i] = g[i][0];
+    for (int j = 0; j < n; j++) {
+      if (j < i + cut) {
+        total = total + weight(g[i][j]);
+      }
+    }
+  }
+  return total;
+}
+
+/* Both sides of a band: purec_max(0, m) and purec_min(n, n - 2). */
+void band(int* b, int* x, int m, int n) {
+  for (int i = 0; i < n; i++) {
+    if (i >= m && i < n - 2)
+      b[i] = twice(x[i]);
+  }
+}
+
+/* `flag > 0` does not read i: it stays behind as the guard. */
+void residual(int* c, int* x, int n, int flag) {
+  for (int i = 0; i < n; i++) {
+    if (i > 1 && flag > 0)
+      c[i] = weight(x[i]);
+  }
+}
+
+/* Fission keeps only the else side in the map group: the negation of
+   `i < m` folds into the lower bound. */
+void pruned_else(int* a, int* b, int* x, int m, int n) {
+  for (int i = 1; i < n; i++) {
+    if (i < m)
+      a[i] = a[i - 1] + x[i];
+    else
+      b[i] = twice(x[i]);
+  }
+}
+
+/* Non-unit coefficients under an inclusive test: ceild and floord. */
+void scaled(int* d, int* x, int n, int k) {
+  for (int i = 0; i <= n; i++) {
+    if (3 * i >= k && 2 * i < n)
+      d[i] = weight(x[i]);
+  }
+}
+
+/* The negation of a two-sided guard is not convex: the map group keeps
+   `if (!(...))`. */
+void two_sided_else(int* a, int* b, int* x, int m, int n) {
+  for (int i = 1; i < n; i++) {
+    if (i < m && i > 3)
+      a[i] = a[i - 1] + x[i];
+    else
+      b[i] = twice(x[i]);
+  }
+}
+
+int main() {
+  int size = 64;
+  int* in = (int*)malloc(size * sizeof(int));
+  int* acc = (int*)malloc(size * sizeof(int));
+  int* out = (int*)malloc(size * sizeof(int));
+  int* h = (int*)malloc(size * sizeof(int));
+  int** g = (int**)malloc(size * sizeof(int*));
+  unsigned long checksum = 0;
+  for (int i = 0; i < size; i++) {
+    g[i] = (int*)malloc(size * sizeof(int));
+    for (int j = 0; j < size; j++)
+      g[i][j] = (i * 5 + j * 3 + 1) % 17;
+  }
+  for (int t = 0; t < 4; t++) {
+    int len = t < 3 ? t : size;
+    for (int i = 0; i < size; i++) {
+      in[i] = (i * 7 + t) % 23;
+      acc[i] = in[i];
+      out[i] = -1;
+    }
+    scan(acc, out, in, len);
+    for (int i = 0; i < size; i++)
+      checksum = checksum * 3 + acc[i] + 7 * out[i];
+  }
+  for (int t = 0; t < 4; t++) {
+    int cut = t * t * 9 - 5;
+    for (int i = 0; i < size; i++) h[i] = -1;
+    checksum = checksum * 5 + triangle(g, h, size - t, cut);
+    for (int i = 0; i < size; i++) checksum = checksum * 3 + h[i];
+  }
+  for (int t = 0; t < 3; t++) {
+    int m = t == 0 ? 10 : (t == 1 ? 0 : 80);
+    for (int i = 0; i < size; i++) out[i] = -1;
+    band(out, in, m, size - 3 * t);
+    for (int i = 0; i < size; i++) checksum = checksum * 3 + out[i];
+  }
+  for (int flag = 0; flag < 2; flag++) {
+    for (int i = 0; i < size; i++) out[i] = -1;
+    residual(out, in, size, flag);
+    for (int i = 0; i < size; i++) checksum = checksum * 3 + out[i];
+  }
+  for (int t = 0; t < 3; t++) {
+    int split = t == 0 ? 20 : (t == 1 ? 0 : 90);
+    for (int i = 0; i < size; i++) {
+      acc[i] = i % 4;
+      out[i] = -1;
+    }
+    pruned_else(acc, out, in, split, size);
+    for (int i = 0; i < size; i++)
+      checksum = checksum * 3 + acc[i] + 11 * out[i];
+  }
+  for (int k = -4; k < 40; k += 11) {
+    for (int i = 0; i < size; i++) out[i] = -1;
+    scaled(out, in, size - 1 - k / 4, k);
+    for (int i = 0; i < size; i++) checksum = checksum * 3 + out[i];
+  }
+  for (int t = 0; t < 3; t++) {
+    int split = t == 0 ? 30 : (t == 1 ? 2 : 90);
+    for (int i = 0; i < size; i++) {
+      acc[i] = i % 5;
+      out[i] = -1;
+    }
+    two_sided_else(acc, out, in, split, size);
+    for (int i = 0; i < size; i++)
+      checksum = checksum * 3 + acc[i] + 11 * out[i];
+  }
+  printf("checksum %lu\n", checksum);
+  return 0;
+}
+)";
+
 // Two adjacent sibling nests with matching headers and no crossing
 // dependence: the chain fuses them into one loop before extraction, so a
 // single parallel pragma covers both statements. main fills its input in
@@ -1244,6 +1403,8 @@ inline std::vector<Fixture> all_fixtures() {
       {"private_tmp", kRunPrivateTmp, false, kRunPrivateTmp, true, true},
       {"disjunctive_guard", kRunDisjunctiveGuard, false,
        kRunDisjunctiveGuard, true, true},
+      {"folded_guards", kRunFoldedGuards, false, kRunFoldedGuards, true,
+       true},
       // Flattened `A[e1 * P + e2]` subscripts: split when the domain
       // proves 0 <= e2 < P and every access to the base splits alike.
       {"flat_fill", kRunFlatFill, false, kRunFlatFill, true, true},

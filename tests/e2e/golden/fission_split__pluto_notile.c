@@ -15,10 +15,9 @@ float twice(float x)
 void split(float* acc, float* out, float* in, int n)
 {
   {
-    for (int i = 0; i < n; i++)
+    for (int i = 1; i < n; i++)
     {
-      if (i > 0)
-        acc[i] = acc[i - 1] + in[i];
+      acc[i] = acc[i - 1] + in[i];
     }
     {
 #pragma omp parallel for

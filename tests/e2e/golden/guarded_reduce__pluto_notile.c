@@ -25,12 +25,9 @@ void fold(int n, int cut)
       h[i] = g[i][0];
       {
 #pragma omp simd reduction(+:total)
-        for (int j = 0; j < n; j++)
+        for (int j = 0; j < purec_min(n, i + cut); j++)
         {
-          if (j < i + cut)
-          {
-            total = total + weight(g[i][j]);
-          }
+          total = total + weight(g[i][j]);
         }
       }
     }

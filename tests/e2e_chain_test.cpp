@@ -800,8 +800,9 @@ TEST(E2ECorpus, RegionFixturesKeepRunnableDifferentials) {
   for (const char* name :
        {"guarded_update", "while_loop", "imperfect_nest", "strided_lower",
         "dot_reduce", "min_reduce", "guarded_reduce", "fission_split",
-        "fused_siblings", "private_tmp", "disjunctive_guard", "flat_fill",
-        "ell_fill", "flat_overlap", "flat_mixed", "alias_offset"}) {
+        "fused_siblings", "private_tmp", "disjunctive_guard", "folded_guards",
+        "flat_fill", "ell_fill", "flat_overlap", "flat_mixed",
+        "alias_offset"}) {
     const auto it = std::find_if(
         fixtures.begin(), fixtures.end(),
         [&](const Fixture& f) { return std::string(f.name) == name; });

@@ -337,6 +337,48 @@ TEST(RegionExtraction, ElseBranchGetsNegatedHalfSpace) {
   EXPECT_TRUE(else_domain.is_empty());
 }
 
+TEST(RegionExtraction, GuardsKeepTheirConjunctsAndNegation) {
+  auto r = extract_from(
+      "float* a; float* b;\n"
+      "void k(int n, int m) {\n"
+      "  for (int i = 0; i < n; i++) {\n"
+      "    if (i > 0 && (i < m || i > n - 3) && m > 2)\n"
+      "      a[i] = 1.0f;\n"
+      "    if (i != m)\n"
+      "      b[i] = 2.0f;\n"
+      "    if (i < 5) ;\n"
+      "  }\n"
+      "}\n",
+      "k");
+  ASSERT_TRUE(r.ok()) << r.failure_reason;
+  const Scop& scop = *r.scop;
+  // The empty `if (i < 5) ;` guards nothing and is left out.
+  ASSERT_EQ(scop.guards.size(), 2u);
+  // Space is [i, n, m]. First guard: three conjuncts; the disjunctive
+  // middle one has no convex lowering, nor has the negation.
+  const ScopGuard& first = scop.guards[0];
+  ASSERT_NE(first.ast, nullptr);
+  EXPECT_EQ(guard_conjuncts(*first.ast->cond).size(), 3u);
+  ASSERT_EQ(first.conjuncts.size(), 3u);
+  ASSERT_TRUE(first.conjuncts[0].has_value());
+  ASSERT_EQ(first.conjuncts[0]->size(), 1u);
+  EXPECT_EQ((*first.conjuncts[0])[0].coeffs, (IntVec{1, 0, 0}));
+  EXPECT_EQ((*first.conjuncts[0])[0].constant, -1);  // i - 1 >= 0
+  EXPECT_FALSE(first.conjuncts[1].has_value());
+  ASSERT_TRUE(first.conjuncts[2].has_value());
+  EXPECT_EQ((*first.conjuncts[2])[0].coeffs, (IntVec{0, 0, 1}));
+  EXPECT_FALSE(first.negation.has_value());
+  // Second guard: `i != m` splits on the then side, and its negation is
+  // the equality i - m == 0.
+  const ScopGuard& second = scop.guards[1];
+  ASSERT_EQ(second.conjuncts.size(), 1u);
+  EXPECT_FALSE(second.conjuncts[0].has_value());
+  ASSERT_TRUE(second.negation.has_value());
+  ASSERT_EQ(second.negation->size(), 1u);
+  EXPECT_EQ((*second.negation)[0].kind, ConstraintKind::Equality);
+  EXPECT_EQ((*second.negation)[0].coeffs, (IntVec{1, 0, -1}));
+}
+
 TEST(RegionExtraction, NotEqualGuardSplitsThenIntoTwoDisjuncts) {
   // A statement under the *then* of `!=` needs the disjunction i < m or
   // i > m: the extractor now emits one statement copy per disjunct

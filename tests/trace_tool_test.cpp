@@ -178,6 +178,30 @@ TEST(AnalyzeTrace, JoinsTheReportByRegionId) {
   EXPECT_NE(text.find("dropped events=5"), std::string::npos) << text;
 }
 
+TEST(AnalyzeTrace, DecisionsTailNamesFoldedGuards) {
+  const json::Value trace = parse_or_die(kEmittedTrace);
+  const json::Value report = parse_or_die(R"json({
+    "report_version": 6,
+    "scops": [{
+      "region_id": 0,
+      "function": "heat",
+      "location": {"line": 12},
+      "parallelized": true,
+      "fissioned": true,
+      "fission_groups": 2,
+      "fission_parallel_groups": 1,
+      "guards_folded": 1
+    }]
+  })json");
+  const auto summary = analyze_trace(trace, &report);
+  ASSERT_TRUE(summary.has_value());
+  const RegionTrace& region = summary->regions.begin()->second;
+  EXPECT_EQ(region.decisions, " fission=2g/1p folded=1");
+  const std::string text = render_trace_summary(*summary);
+  EXPECT_NE(text.find("fission=2g/1p folded=1"), std::string::npos)
+      << text;
+}
+
 TEST(AnalyzeTrace, ImbalanceArithmetic) {
   RegionTrace region;
   EXPECT_DOUBLE_EQ(region_imbalance(region), 0.0);
