@@ -44,21 +44,42 @@ constexpr const char* kParallelForPrefix = "#pragma omp parallel for";
   return n == 0 ? 1 : n;
 }
 
+/// Drops the ` simd` of a combined `#pragma omp parallel for simd`; true
+/// when there was one.
+bool drop_simd(std::string& pragma) {
+  const std::string simd = " simd";
+  const std::size_t at = std::string(kParallelForPrefix).size();
+  if (pragma.compare(at, simd.size(), simd) != 0 ||
+      (pragma.size() > at + simd.size() && pragma[at + simd.size()] != ' ')) {
+    return false;
+  }
+  pragma.erase(at, simd.size());
+  return true;
+}
+
 /// Plants the chunk tally at the top of the body of every loop that sits
 /// directly under a `#pragma omp parallel for` sibling: each iteration a
 /// worker claims bumps its padded cell exactly once, so the per-worker
 /// totals read back the scheduler's actual work split. Under
 /// `collapse(N)` the claimed iteration is one of the N-loop product, and
 /// the loops in between must stay perfectly nested, so the tally goes
-/// into the innermost collapsed loop's body.
-void add_chunk_tallies(Stmt& s, const std::string& region) {
+/// into the innermost collapsed loop's body. The tally queries the thread
+/// number and does an atomic add, neither of which OpenMP allows in a
+/// simd region, so a combined `parallel for simd` loses its ` simd`.
+/// Returns how many did.
+std::size_t add_chunk_tallies(Stmt& s, const std::string& region) {
+  std::size_t dropped = 0;
   std::function<void(Stmt&)> visit = [&](Stmt& node) {
     if (auto* block = stmt_cast<CompoundStmt>(&node)) {
       std::size_t collapsed = 0;  // 0 = not under a parallel-for pragma
+      PragmaStmt* parallel_for = nullptr;
       for (StmtPtr& child : block->stmts) {
         auto* pragma = stmt_cast<PragmaStmt>(child.get());
         if (pragma != nullptr) {
-          collapsed = pragma->text.rfind(kParallelForPrefix, 0) == 0
+          parallel_for = pragma->text.rfind(kParallelForPrefix, 0) == 0
+                             ? pragma
+                             : nullptr;
+          collapsed = parallel_for != nullptr
                           ? collapsed_loops(pragma->text)
                           : 0;
           continue;
@@ -77,8 +98,10 @@ void add_chunk_tallies(Stmt& s, const std::string& region) {
           }
           body->stmts.insert(body->stmts.begin(),
                              make_chunk_tally(region));
+          if (drop_simd(parallel_for->text)) ++dropped;
         }
         collapsed = 0;
+        parallel_for = nullptr;
         visit(*child);
       }
       return;
@@ -106,6 +129,7 @@ void add_chunk_tallies(Stmt& s, const std::string& region) {
     }
   };
   visit(s);
+  return dropped;
 }
 
 }  // namespace
@@ -135,10 +159,10 @@ std::string instrument_region_definition(std::size_t index,
   return out;
 }
 
-void instrument_region(StmtPtr& nest, std::size_t index) {
-  if (!nest) return;
+std::size_t instrument_region(StmtPtr& nest, std::size_t index) {
+  if (!nest) return 0;
   const std::string region = "purec_instr_r" + std::to_string(index);
-  add_chunk_tallies(*nest, region);
+  const std::size_t dropped = add_chunk_tallies(*nest, region);
 
   auto block = std::make_unique<CompoundStmt>();
   VarDecl t0;
@@ -156,6 +180,7 @@ void instrument_region(StmtPtr& nest, std::size_t index) {
   block->stmts.push_back(std::make_unique<ExprStmt>(
       make_call("purec_instr_region_done", std::move(args))));
   nest = std::move(block);
+  return dropped;
 }
 
 }  // namespace purec

@@ -51,7 +51,9 @@ namespace purec {
 
 /// Rewrites a parallelized nest in place: prepends a per-worker chunk tally
 /// to the body of every `#pragma omp parallel for` loop, then wraps the
-/// whole nest in `{ t0 = now(); nest; region_done(&rN, t0); }`.
-void instrument_region(StmtPtr& nest, std::size_t index);
+/// whole nest in `{ t0 = now(); nest; region_done(&rN, t0); }`. A tallied
+/// `parallel for simd` becomes `parallel for` (the tally is no simd code);
+/// returns how many did.
+std::size_t instrument_region(StmtPtr& nest, std::size_t index);
 
 }  // namespace purec

@@ -669,18 +669,29 @@ StmtPtr generate_code(const Scop& scop, const Transform& transform,
           ? outer_parallel
           : Transform::npos;
 
-  // Innermost parallel point dimension for the simd pragma. The
-  // outermost point loop never takes it, nor does the loop that takes the
-  // parallel pragma (gcc wants a loop right after `omp simd`).
+  // Innermost parallel point dimension for the simd hint. When that loop
+  // also takes the parallel pragma (a 1-D nest, or a nest whose only
+  // parallel loop is the innermost one) the two combine into `parallel
+  // for simd`: a standalone `omp simd` line above `omp parallel for`
+  // would not compile. A 1-D nest takes the hint only with the pragma.
   std::size_t simd_dim = Transform::npos;
-  if (d > 1 && transform.parallel[d - 1] &&
-      d - 1 != inner_parallel_point) {
+  if ((d > 1 || (d == 1 && options.parallelize)) &&
+      transform.parallel[d - 1]) {
     simd_dim = d - 1;
   }
   if (simd_loops_out != nullptr) {
     *simd_loops_out = simd_dim == Transform::npos ? 0 : 1;
   }
   if (!options.simd) simd_dim = Transform::npos;
+  // The point loop under the parallel pragma (npos when a tile loop or
+  // no loop takes it), and the directive that opens that pragma.
+  const std::size_t pragma_point =
+      parallel_outermost ? (tiled_dims == 0 ? 0 : Transform::npos)
+                         : inner_parallel_point;
+  const std::string parallel_directive =
+      pragma_point != Transform::npos && pragma_point == simd_dim
+          ? "#pragma omp parallel for simd"
+          : "#pragma omp parallel for";
 
   // Build loops inside-out: points innermost-first, then tiles.
   bool parallel_pragma = false;
@@ -697,16 +708,15 @@ StmtPtr generate_code(const Scop& scop, const Transform& transform,
     StmtPtr loop = make_loop(point_names[k], std::move(lower),
                              std::move(upper), std::move(current));
     auto wrapper = std::make_unique<CompoundStmt>();
-    if (k == simd_dim) {
-      std::string text = "#pragma omp simd";
+    if (k == inner_parallel_point) {
+      parallel_pragma = true;
+      std::string text = parallel_directive;
+      if (!schedule_clause.empty()) text += " " + schedule_clause;
       if (!reduction_clause.empty()) text += " " + reduction_clause;
       if (!private_clause.empty()) text += " " + private_clause;
       wrapper->stmts.push_back(std::make_unique<PragmaStmt>(text));
-    }
-    if (k == inner_parallel_point && k != 0) {
-      parallel_pragma = true;
-      std::string text = "#pragma omp parallel for";
-      if (!schedule_clause.empty()) text += " " + schedule_clause;
+    } else if (k == simd_dim && k != pragma_point) {
+      std::string text = "#pragma omp simd";
       if (!reduction_clause.empty()) text += " " + reduction_clause;
       if (!private_clause.empty()) text += " " + private_clause;
       wrapper->stmts.push_back(std::make_unique<PragmaStmt>(text));
@@ -746,11 +756,9 @@ StmtPtr generate_code(const Scop& scop, const Transform& transform,
   if (collapse_out != nullptr) *collapse_out = collapse;
 
   auto result = std::make_unique<CompoundStmt>();
-  if (options.parallelize &&
-      (parallel_outermost ||
-       (inner_parallel_point == 0 && tiled_dims == 0))) {
+  if (parallel_outermost) {
     parallel_pragma = true;
-    std::string text = "#pragma omp parallel for";
+    std::string text = parallel_directive;
     if (collapse != 0) text += " collapse(" + std::to_string(collapse) + ")";
     if (!schedule_clause.empty()) text += " " + schedule_clause;
     if (!reduction_clause.empty()) text += " " + reduction_clause;
@@ -860,11 +868,12 @@ StmtPtr schedule_region(const Scop& scop,
       selected[j] = !under_selected;
     }
 
-    // Parallel leaf loops (within this group's pruned nest) that did not
-    // take the parallel pragma qualify for the vectorization hint, which
-    // they carry under options.simd. Only plainly parallel loops qualify —
-    // a privatization-dependent loop would need its own private clause
-    // on the simd pragma.
+    // Parallel leaf loops (within this group's pruned nest) qualify for
+    // the vectorization hint, which they carry under options.simd; a leaf
+    // that also takes the parallel pragma gets the combined `parallel for
+    // simd`. Only plainly parallel loops qualify — a privatization-
+    // dependent loop would need its own private clause on the simd
+    // pragma.
     std::vector<bool> has_child(d, false);
     for (std::size_t j = 0; j < d; ++j) {
       if (relevant[j] && scop.loop_parents[j] != Scop::npos) {
@@ -873,8 +882,7 @@ StmtPtr schedule_region(const Scop& scop,
     }
     std::vector<bool> simd(d, false);
     for (std::size_t j = 0; j < d; ++j) {
-      simd[j] = relevant[j] && !has_child[j] && parallel_plain[j] &&
-                !selected[j];
+      simd[j] = relevant[j] && !has_child[j] && parallel_plain[j];
     }
     const std::size_t group_simd_loops = static_cast<std::size_t>(
         std::count(simd.begin(), simd.end(), true));
@@ -1019,23 +1027,18 @@ StmtPtr schedule_region(const Scop& scop,
           if (index >= d || (!selected[index] && !simd[index])) {
             return true;
           }
+          // One pragma per loop: `parallel for`, `simd`, or combined.
+          std::string text =
+              selected[index] ? "#pragma omp parallel for" : "#pragma omp";
+          if (simd[index]) text += " simd";
+          const auto add = [&](const std::string& clause) {
+            if (!clause.empty()) text += " " + clause;
+          };
+          if (selected[index]) add(clause_for_loop(index));
+          add(reduction_for_loop(index));
+          if (selected[index]) add(private_for_loop(index));
           auto wrapper = std::make_unique<CompoundStmt>();
-          if (simd[index]) {
-            std::string text = "#pragma omp simd";
-            const std::string red = reduction_for_loop(index);
-            if (!red.empty()) text += " " + red;
-            wrapper->stmts.push_back(std::make_unique<PragmaStmt>(text));
-          }
-          if (selected[index]) {
-            std::string text = "#pragma omp parallel for";
-            const std::string sched = clause_for_loop(index);
-            if (!sched.empty()) text += " " + sched;
-            const std::string red = reduction_for_loop(index);
-            if (!red.empty()) text += " " + red;
-            const std::string pc = private_for_loop(index);
-            if (!pc.empty()) text += " " + pc;
-            wrapper->stmts.push_back(std::make_unique<PragmaStmt>(text));
-          }
+          wrapper->stmts.push_back(std::make_unique<PragmaStmt>(text));
           wrapper->stmts.push_back(std::move(slot));
           slot = std::move(wrapper);
           return true;

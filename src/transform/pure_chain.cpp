@@ -339,10 +339,32 @@ std::string escaping_iterator_use(const poly::Scop& scop,
   return nullptr;
 }
 
-/// True when every declaration of `name` that code in `fn` may see (a
-/// local in any block, a parameter, a global) has a signed integer
-/// type: no typedef, enum, unsigned or floating type, and no plain char.
-/// A substituted call's placeholder has no declaration and fails.
+/// Calls `see` with the type of every declaration of `name` that code in
+/// `fn` may see: a local in any block, a parameter, a global.
+void for_each_declaration(const FunctionDecl& fn, const SymbolTable& symbols,
+                          const std::string& name,
+                          const std::function<void(const Type*)>& see) {
+  if (fn.body) {
+    for_each_stmt(*fn.body, [&](const Stmt& s) {
+      if (const auto* decl = stmt_cast<DeclStmt>(&s)) {
+        for (const VarDecl& d : decl->decls) {
+          if (d.name == name) see(d.type.get());
+        }
+      }
+    });
+  }
+  for (const ParamDecl& param : fn.params) {
+    if (param.name == name) see(param.type.get());
+  }
+  if (const GlobalVarDecl* global = symbols.find_global(name)) {
+    see(global->var.type.get());
+  }
+}
+
+/// True when every declaration of `name` that code in `fn` may see has a
+/// signed integer type: no typedef, enum, unsigned or floating type, and
+/// no plain char. A substituted call's placeholder has no declaration
+/// and fails.
 [[nodiscard]] bool declared_signed_integer(const FunctionDecl& fn,
                                            const SymbolTable& symbols,
                                            const std::string& name) {
@@ -361,26 +383,36 @@ std::string escaping_iterator_use(const poly::Scop& scop,
   };
   bool declared = false;
   bool all_signed = true;
-  const auto see = [&](const Type* t) {
+  for_each_declaration(fn, symbols, name, [&](const Type* t) {
     declared = true;
     all_signed = all_signed && signed_integer(t);
-  };
-  if (fn.body) {
-    for_each_stmt(*fn.body, [&](const Stmt& s) {
-      if (const auto* decl = stmt_cast<DeclStmt>(&s)) {
-        for (const VarDecl& d : decl->decls) {
-          if (d.name == name) see(d.type.get());
-        }
-      }
-    });
-  }
-  for (const ParamDecl& param : fn.params) {
-    if (param.name == name) see(param.type.get());
-  }
-  if (const GlobalVarDecl* global = symbols.find_global(name)) {
-    see(global->var.type.get());
-  }
+  });
   return declared && all_signed;
+}
+
+/// The first of `parameters` that a loop header of `nest` reads and that
+/// some declaration in `fn`'s view gives a floating type ("" when none).
+/// The header becomes the bound of a pragma'd loop, and OpenMP wants an
+/// integer one: gcc rejects `t1 <= x - 1` over a float `x` as an invalid
+/// controlling predicate. A guard may read one: it stays an `if`.
+[[nodiscard]] std::string floating_bound(
+    const ForStmt& nest, const std::vector<std::string>& parameters,
+    const FunctionDecl& fn, const SymbolTable& symbols) {
+  std::string found;
+  for_each_stmt(nest, [&](const Stmt& s) {
+    const auto* loop = stmt_cast<ForStmt>(&s);
+    if (loop == nullptr || !found.empty()) return;
+    for (const std::string& name : parameters) {
+      if (!(loop->init && references_identifier(*loop->init, name)) &&
+          !(loop->cond && references_identifier(*loop->cond, name))) {
+        continue;
+      }
+      for_each_declaration(fn, symbols, name, [&](const Type* t) {
+        if (found.empty() && t != nullptr && t->is_floating()) found = name;
+      });
+    }
+  });
+  return found;
 }
 
 // ---- Local pointer bases --------------------------------------------------
@@ -763,6 +795,18 @@ struct SimdLoop {
     });
   }
   return reason;
+}
+
+/// True when `nest` holds a standalone `#pragma omp simd` (the one kind
+/// --instrument leaves: it drops the ` simd` of every combined pragma).
+[[nodiscard]] bool carries_simd(const Stmt& nest) {
+  bool found = false;
+  for_each_stmt(nest, [&](const Stmt& s) {
+    const auto* pragma = stmt_cast<PragmaStmt>(&s);
+    found = found || (pragma != nullptr &&
+                      pragma->text.rfind("#pragma omp simd", 0) == 0);
+  });
+  return found;
 }
 
 /// Inserts `#pragma scop` / `#pragma endscop` around each candidate loop.
@@ -1302,6 +1346,18 @@ ChainArtifacts run_pure_chain(const std::string& source,
           }
         }
       }
+      const std::string floating =
+          owner != nullptr ? floating_bound(*loop, scop.parameters, *owner,
+                                            symbols)
+                           : std::string();
+      if (!floating.empty()) {
+        report.failure_reason = "loop bound reads floating-point '" +
+                                floating +
+                                "' (OpenMP loops need integer bounds)";
+        report.failure_loc = loop->loc;
+        undo();
+        continue;
+      }
 
       // FP-reassociation gate: +/-/* on a non-integer accumulator only
       // stays a reduction under --fp-reductions (OpenMP's per-thread
@@ -1433,7 +1489,9 @@ ChainArtifacts run_pure_chain(const std::string& source,
                                    artifacts.memoization.memoizable)
                     : std::string();
       std::string simd_withheld;
+      std::vector<SimdLoop> simd_judged;
       const auto decide_simd = [&](const std::vector<SimdLoop>& loops) {
+        simd_judged = loops;
         simd_withheld = callee_blocker;
         if (gate_simd && simd_withheld.empty()) {
           simd_withheld = stride_blocker(*loop, calls, loops);
@@ -1576,6 +1634,16 @@ ChainArtifacts run_pure_chain(const std::string& source,
       if (generated && simd_loops > 0) {
         report.simd = cg.simd;
         if (!cg.simd) report.simd_withheld = simd_withheld;
+      } else if (generated && report.parallelized) {
+        // No loop the nest vectorizes is dependence-free.
+        std::string names;
+        for (const SimdLoop& judged : simd_judged) {
+          names += (names.empty() ? "" : ", ") + judged.name;
+        }
+        report.simd_withheld =
+            simd_judged.size() == 1
+                ? "innermost loop " + names + " carries a dependence"
+                : "innermost loops " + names + " carry a dependence";
       }
     } catch (const ArithmeticOverflow&) {
       // Exact analysis would overflow int64 (gigantic bounds or
@@ -1643,8 +1711,15 @@ ChainArtifacts run_pure_chain(const std::string& source,
       // events join back to compiler decisions by args.region_id.
       report.region_id =
           static_cast<std::int64_t>(artifacts.instrumented_regions.size());
-      instrument_region(*slot,
-                        artifacts.instrumented_regions.size());
+      // A tallied `parallel for simd` loop keeps only `parallel for`.
+      if (instrument_region(*slot, artifacts.instrumented_regions.size()) !=
+              0 &&
+          !carries_simd(**slot)) {
+        report.simd = false;
+        report.simd_withheld =
+            "--instrument tallies chunks in the parallel loop (OpenMP "
+            "allows no thread query or atomic in a simd region)";
+      }
       artifacts.instrumented_regions.push_back(
           report.function + ":" + std::to_string(report.line));
     }

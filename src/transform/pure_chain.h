@@ -164,13 +164,14 @@ struct ScopReport {
   /// Tile loops folded into the parallel pragma's `collapse(N)` clause (0
   /// when the pragma has none).
   std::size_t collapse = 0;
-  /// The emitted nest carries `#pragma omp simd` (poly::CodegenOptions::
-  /// simd): always in sica mode, in the default mode only when the
-  /// nest's pure callees are loop-free.
+  /// The emitted nest carries `#pragma omp simd` or `#pragma omp parallel
+  /// for simd` (poly::CodegenOptions::simd): always in sica mode, in the
+  /// default mode only when the nest's pure callees are loop-free.
   bool simd = false;
-  /// Why the default mode left a loop that qualifies for `omp simd`
-  /// unvectorized ("" when it did not), naming the callee, e.g.
-  /// "callee 'dot' contains a loop", or the strided access.
+  /// Why a parallelized nest carries no simd hint ("" when it does),
+  /// naming the callee, e.g. "callee 'dot' contains a loop", the strided
+  /// access, or the innermost loop's dependence, e.g. "innermost loop 'k'
+  /// carries a dependence".
   std::string simd_withheld;
   /// Why a nest that tiling applies to was left untiled ("" otherwise),
   /// e.g. a write-only fill that reads no array.

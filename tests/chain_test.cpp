@@ -695,6 +695,190 @@ TEST(ChainSimd, RegionLeafLoopGetsSimdBesidePrivatization) {
       << a.final_source;
 }
 
+// A loop that takes the parallel pragma and is also the innermost loop
+// the nest vectorizes gets the combined `parallel for simd`; a standalone
+// `omp simd` line never sits on top of `parallel for`.
+TEST(ChainSimd, OneDimensionalPureCallLoopGetsParallelForSimd) {
+  const ChainArtifacts a = run_pure_chain(
+      "float* v;\n"
+      "pure float twice(float x) {\n"
+      "  return x + x;\n"
+      "}\n"
+      "void fill(int n) {\n"
+      "  for (int i = 0; i < n; i++) v[i] = twice((float)i);\n"
+      "}\n");
+  ASSERT_TRUE(a.ok) << a.diagnostics.format();
+  EXPECT_NE(a.final_source.find("#pragma omp parallel for simd\n"),
+            std::string::npos)
+      << a.final_source;
+  EXPECT_EQ(a.final_source.find("#pragma omp simd"), std::string::npos)
+      << a.final_source;
+  EXPECT_TRUE(scop_in(a, "fill")->simd);
+  EXPECT_EQ(scop_in(a, "fill")->simd_withheld, "");
+}
+
+TEST(ChainSimd, OneDimensionalReductionsGetParallelForSimdReduction) {
+  const auto combined = [](const char* type, const ChainOptions& options) {
+    const ChainArtifacts a = run_pure_chain(
+        std::string(type) + "* a;\n" + type + " total(int n) {\n  " +
+            type +
+            " s = 0;\n"
+            "  for (int i = 0; i < n; i++) s += a[i];\n"
+            "  return s;\n"
+            "}\n",
+        options);
+    EXPECT_TRUE(a.ok) << a.diagnostics.format();
+    EXPECT_EQ(a.final_source.find("#pragma omp simd"), std::string::npos)
+        << a.final_source;
+    return a.final_source.find("#pragma omp parallel for simd "
+                               "reduction(+:s)\n") != std::string::npos &&
+           scop_in(a, "total")->simd;
+  };
+  EXPECT_TRUE(combined("int", ChainOptions{}));
+  ChainOptions fp;
+  fp.fp_reductions = true;
+  EXPECT_TRUE(combined("float", fp));
+}
+
+TEST(ChainSimd, OneDimensionalLoopOverALoopingCalleeKeepsParallelFor) {
+  const ChainArtifacts a = run_pure_chain(
+      "float** A; float* b; float* out;\n"
+      "pure float dot(pure float* x, pure float* y, int n) {\n"
+      "  float r = 0.0f;\n"
+      "  for (int k = 0; k < n; k++) r += x[k] * y[k];\n"
+      "  return r;\n"
+      "}\n"
+      "void rows(int n) {\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    out[i] = dot((pure float*)A[i], (pure float*)b, n);\n"
+      "}\n");
+  ASSERT_TRUE(a.ok) << a.diagnostics.format();
+  EXPECT_NE(a.final_source.find("#pragma omp parallel for\n"),
+            std::string::npos)
+      << a.final_source;
+  EXPECT_EQ(a.final_source.find(" simd"), std::string::npos)
+      << a.final_source;
+  const ScopReport* nest = scop_in(a, "rows");
+  ASSERT_NE(nest, nullptr);
+  EXPECT_TRUE(nest->parallelized);
+  EXPECT_FALSE(nest->simd);
+  EXPECT_EQ(nest->simd_withheld, "callee 'dot' contains a loop");
+}
+
+TEST(ChainSimd, EachFissionGroupGetsItsOwnParallelForSimd) {
+  // The scan carries a dependence and stays serial; the two maps split
+  // off it each vectorize under their own combined pragma.
+  const ChainArtifacts a = run_pure_chain(
+      "pure float twice(float x) {\n"
+      "  return 2.0f * x;\n"
+      "}\n"
+      "void split(float* acc, float* out, float* in, int n) {\n"
+      "  for (int i = 0; i < n; i++) {\n"
+      "    if (i > 0)\n"
+      "      acc[i] = acc[i - 1] + in[i];\n"
+      "    out[i] = twice(in[i]);\n"
+      "  }\n"
+      "}\n");
+  ASSERT_TRUE(a.ok) << a.diagnostics.format();
+  const ScopReport* nest = scop_in(a, "split");
+  ASSERT_NE(nest, nullptr);
+  ASSERT_TRUE(nest->fissioned);
+  EXPECT_TRUE(nest->simd);
+  std::size_t combined = 0;
+  for (std::size_t at = a.final_source.find("#pragma omp parallel for simd");
+       at != std::string::npos;
+       at = a.final_source.find("#pragma omp parallel for simd", at + 1)) {
+    ++combined;
+  }
+  EXPECT_EQ(combined, nest->fission_parallel_groups) << a.final_source;
+  EXPECT_EQ(a.final_source.find("#pragma omp simd"), std::string::npos)
+      << a.final_source;
+}
+
+TEST(ChainSimd, PrivatizationDependentRegionLoopKeepsParallelFor) {
+  // The guard keeps the nest on the region path, where `t` makes the
+  // loop parallel only with private(t): no simd, and the report says why.
+  const ChainArtifacts a = run_pure_chain(
+      "pure float half(float x) {\n"
+      "  return 0.5f * x;\n"
+      "}\n"
+      "void sweep(float* out, float* in, float* w, int n, int m) {\n"
+      "  float t;\n"
+      "  for (int i = 0; i < n; i++) {\n"
+      "    t = half(in[i]);\n"
+      "    if (i < m)\n"
+      "      out[i] = t * w[i];\n"
+      "  }\n"
+      "}\n");
+  ASSERT_TRUE(a.ok) << a.diagnostics.format();
+  const ScopReport* nest = scop_in(a, "sweep");
+  ASSERT_NE(nest, nullptr);
+  EXPECT_TRUE(nest->region);
+  EXPECT_NE(a.final_source.find("#pragma omp parallel for private(t)\n"),
+            std::string::npos)
+      << a.final_source;
+  EXPECT_EQ(a.final_source.find(" simd"), std::string::npos)
+      << a.final_source;
+  EXPECT_FALSE(nest->simd);
+  EXPECT_EQ(nest->simd_withheld, "innermost loop 'i' carries a dependence");
+}
+
+TEST(ChainSimd, SerialOneDimensionalLoopsGetNoSimd) {
+  const std::string fill =
+      "float* v;\n"
+      "pure float twice(float x) {\n"
+      "  return x + x;\n"
+      "}\n"
+      "void fill(int n) {\n"
+      "  for (int i = 0; i < n; i++) v[i] = twice((float)i);\n"
+      "}\n";
+  for (const TransformMode mode :
+       {TransformMode::Pluto, TransformMode::PlutoSica}) {
+    ChainOptions serial;
+    serial.parallelize = false;
+    serial.mode = mode;
+    const ChainArtifacts a = run_pure_chain(fill, serial);
+    ASSERT_TRUE(a.ok) << a.diagnostics.format();
+    EXPECT_EQ(a.final_source.find("#pragma omp"), std::string::npos)
+        << a.final_source;
+    EXPECT_FALSE(scop_in(a, "fill")->simd);
+  }
+
+  // A may-alias nest keeps its source order and gets no pragma at all.
+  const ChainArtifacts alias = run_pure_chain(
+      "void k(int* a, int* b, int n, int c) {\n"
+      "  int* p = a;\n"
+      "  if (c) p = b;\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    p[i + 1] = a[i] + 1;\n"
+      "}\n");
+  ASSERT_TRUE(alias.ok) << alias.diagnostics.format();
+  EXPECT_EQ(alias.final_source.find("#pragma omp"), std::string::npos)
+      << alias.final_source;
+  EXPECT_FALSE(scop_in(alias, "k")->simd);
+}
+
+TEST(ChainSimd, InnermostLoopCarryingADependenceIsTheReason) {
+  // matmul_nest's `k` accumulates into C[i][j]: the nest parallelizes
+  // over i but vectorizes no loop.
+  const ChainArtifacts a = run_pure_chain(
+      "float** A; float** B; float** C;\n"
+      "void k3(int n) {\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    for (int j = 0; j < n; j++)\n"
+      "      for (int k = 0; k < n; k++)\n"
+      "        C[i][j] = C[i][j] + A[i][k] * B[k][j];\n"
+      "}\n");
+  ASSERT_TRUE(a.ok) << a.diagnostics.format();
+  const ScopReport* nest = scop_in(a, "k3");
+  ASSERT_NE(nest, nullptr);
+  EXPECT_TRUE(nest->parallelized);
+  EXPECT_FALSE(nest->simd);
+  EXPECT_EQ(nest->simd_withheld, "innermost loop 'k' carries a dependence");
+  EXPECT_EQ(a.final_source.find(" simd"), std::string::npos)
+      << a.final_source;
+}
+
 TEST(ChainVolatile, NestTouchingAVolatileObjectStaysSerialWithAReason) {
   const ChainArtifacts a = run_pure_chain(
       "volatile int ticks;\n"
@@ -1598,6 +1782,41 @@ TEST(ChainRegion, GuardOnAPureCallIsNotFolded) {
   EXPECT_EQ(r->guards_folded, 0u);
   EXPECT_NE(a.final_source.find("if (i < lim(i))"), std::string::npos)
       << a.final_source;
+}
+
+TEST(ChainBounds, FloatLoopBoundLeavesTheNestUntransformed) {
+  // OpenMP needs an integer loop bound: gcc rejects `t1 <= x - 1` over a
+  // float `x` as an invalid controlling predicate.
+  for (const char* header : {"  for (int i = 0; i < x; i++)\n",
+                             "  for (int i = x; i < n; i++)\n"}) {
+    const ChainArtifacts a = run_pure_chain(
+        std::string("int a[100];\n"
+                    "pure int sq(int v) { return v * v; }\n"
+                    "void fill(float x, int n) {\n") +
+        header + "    a[i] = sq(i);\n}\n");
+    ASSERT_TRUE(a.ok) << a.diagnostics.format();
+    const ScopReport* r = scop_in(a, "fill");
+    ASSERT_NE(r, nullptr);
+    EXPECT_FALSE(r->transformed) << header;
+    EXPECT_FALSE(r->parallelized) << header;
+    EXPECT_EQ(r->failure_reason,
+              "loop bound reads floating-point 'x' (OpenMP loops need "
+              "integer bounds)")
+        << header;
+    EXPECT_EQ(a.final_source.find("#pragma omp"), std::string::npos)
+        << a.final_source;
+  }
+
+  // A float read in the body, or in a guard, is no bound.
+  const ChainArtifacts body = run_pure_chain(
+      "float a[100];\n"
+      "pure float sq(float v) { return v * v; }\n"
+      "void fill(float y, int n) {\n"
+      "  for (int i = 0; i < n; i++) a[i] = sq(i) * y;\n"
+      "}\n");
+  ASSERT_TRUE(body.ok) << body.diagnostics.format();
+  EXPECT_TRUE(scop_in(body, "fill")->parallelized)
+      << scop_in(body, "fill")->failure_reason;
 }
 
 }  // namespace

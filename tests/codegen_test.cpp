@@ -422,9 +422,10 @@ TEST(Codegen, InnerParallelLoopGetsPragma) {
   EXPECT_GT(pragma_pos, text.find("for (")) << text;
 }
 
-TEST(Codegen, SimdNeverSharesTheLoopOfTheParallelPragma) {
-  // Only the innermost loop is parallel, so it takes `parallel for`;
-  // `#pragma omp simd` stacked on top of that would not compile.
+TEST(Codegen, InnermostParallelLoopTakesParallelForSimd) {
+  // Only the innermost loop is parallel, so it takes the combined
+  // `parallel for simd`; a standalone `#pragma omp simd` stacked on top
+  // of `parallel for` would not compile.
   Prepared p = prepare(
       "float** a; float* b;\n"
       "void k(int n) {\n"
@@ -441,9 +442,49 @@ TEST(Codegen, SimdNeverSharesTheLoopOfTheParallelPragma) {
                                     nullptr, nullptr, &simd_loops);
   ASSERT_NE(generated, nullptr);
   const std::string text = print_c(*generated);
-  EXPECT_NE(text.find("#pragma omp parallel for"), std::string::npos)
+  const std::size_t combined = text.find("#pragma omp parallel for simd\n");
+  ASSERT_NE(combined, std::string::npos) << text;
+  // The combined pragma sits on the inner loop, after the serial header.
+  EXPECT_GT(combined, text.find("for (")) << text;
+  EXPECT_EQ(text.find("#pragma omp simd"), std::string::npos) << text;
+  EXPECT_EQ(simd_loops, 1u);
+
+  // Without the hint it is plain `parallel for`, still counted.
+  o.simd = false;
+  simd_loops = 7;
+  generated = generate_code(p.scop, p.transform, o, nullptr, nullptr,
+                            nullptr, &simd_loops);
+  ASSERT_NE(generated, nullptr);
+  EXPECT_EQ(print_c(*generated).find(" simd"), std::string::npos);
+  EXPECT_EQ(simd_loops, 1u);
+}
+
+TEST(Codegen, OneDimensionalLoopTakesParallelForSimdOnlyWhenParallel) {
+  Prepared p = prepare(
+      "float* a; float* b;\n"
+      "void k(int n) {\n"
+      "  for (int i = 0; i < n; i++) a[i] = b[i];\n"
+      "}\n");
+  CodegenOptions o = untiled();
+  o.simd = true;
+  std::size_t simd_loops = 7;
+  StmtPtr generated = generate_code(p.scop, p.transform, o, nullptr,
+                                    nullptr, nullptr, &simd_loops);
+  ASSERT_NE(generated, nullptr);
+  std::string text = print_c(*generated);
+  EXPECT_NE(text.find("#pragma omp parallel for simd\n"), std::string::npos)
       << text;
   EXPECT_EQ(text.find("#pragma omp simd"), std::string::npos) << text;
+  EXPECT_EQ(simd_loops, 1u);
+
+  // A serial 1-D loop (`--no-parallel`) gets no hint, not even in sica.
+  o.parallelize = false;
+  simd_loops = 7;
+  generated = generate_code(p.scop, p.transform, o, nullptr, nullptr,
+                            nullptr, &simd_loops);
+  ASSERT_NE(generated, nullptr);
+  text = print_c(*generated);
+  EXPECT_EQ(text.find("#pragma omp"), std::string::npos) << text;
   EXPECT_EQ(simd_loops, 0u);
 }
 
@@ -563,14 +604,11 @@ TEST(Codegen, MinReductionClauseInSicaMode) {
   StmtPtr generated = generate_code(p.scop, p.transform, o);
   ASSERT_NE(generated, nullptr);
   const std::string text = print_c(*generated);
-  EXPECT_NE(text.find("#pragma omp parallel for reduction(min:lo)"),
+  // The 1-D loop takes both, combined, with the clause once.
+  EXPECT_NE(text.find("#pragma omp parallel for simd reduction(min:lo)\n"),
             std::string::npos)
       << text;
-  if (text.find("#pragma omp simd") != std::string::npos) {
-    EXPECT_NE(text.find("#pragma omp simd reduction(min:lo)"),
-              std::string::npos)
-        << text;
-  }
+  EXPECT_EQ(text.find("#pragma omp simd"), std::string::npos) << text;
 }
 
 // ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ int main()
 {
   int a[32769];
   {
-#pragma omp parallel for
+#pragma omp parallel for simd
     for (int t1 = 0; t1 <= 32768; t1++)
     {
       a[t1] = (t1 * 7 + 3) % 13;
@@ -26,7 +26,7 @@ int main()
   }
   long checksum = 0;
   {
-#pragma omp parallel for reduction(+:checksum)
+#pragma omp parallel for simd reduction(+:checksum)
     for (int t1 = 0; t1 <= 32768; t1++)
     {
       checksum += (long)a[t1] * (t1 % 9);

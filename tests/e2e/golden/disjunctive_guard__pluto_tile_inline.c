@@ -15,7 +15,7 @@ float twice(float x)
 void mask(float* out, float* in, int n, int m)
 {
   {
-#pragma omp parallel for
+#pragma omp parallel for simd
     for (int i = 0; i < n; i++)
     {
       if (i < m || i > m + 4)
@@ -31,7 +31,7 @@ int main()
   float* out = (float*)malloc(n * sizeof(float));
   float* in = (float*)malloc(n * sizeof(float));
   {
-#pragma omp parallel for
+#pragma omp parallel for simd
     for (int t1 = 0; t1 <= n - 1; t1++)
     {
       in[t1] = (float)((t1 * 13 + 7) % 29);

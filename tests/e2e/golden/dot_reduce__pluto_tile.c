@@ -16,7 +16,7 @@ void dot(float* a, float* b, float* out, int n)
 {
   float sum = 0.0f;
   {
-#pragma omp parallel for reduction(+:sum)
+#pragma omp parallel for simd reduction(+:sum)
     for (int t1 = 0; t1 <= n - 1; t1++)
     {
       sum = sum + mult(a[t1], b[t1]);
@@ -31,7 +31,7 @@ int main()
   float* b = (float*)malloc(n * sizeof(float));
   float* out = (float*)malloc(1 * sizeof(float));
   {
-#pragma omp parallel for
+#pragma omp parallel for simd
     for (int t1 = 0; t1 <= n - 1; t1++)
     {
       a[t1] = (float)((t1 * 7 + 3) % 11);

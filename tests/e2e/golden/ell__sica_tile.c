@@ -18,7 +18,7 @@ float ell_row_dot(const float* values, const int* cols, const float* x, int row,
 void ell_spmv(float* values, int* cols, float* x, float* y, int rows, int width)
 {
   {
-#pragma omp parallel for
+#pragma omp parallel for simd
     for (int t1 = 0; t1 <= rows - 1; t1++)
     {
       y[t1] = ell_row_dot((const float*)values, (const int*)cols, (const float*)x, t1, rows, width);

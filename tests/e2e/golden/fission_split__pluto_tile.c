@@ -20,7 +20,7 @@ void split(float* acc, float* out, float* in, int n)
       acc[i] = acc[i - 1] + in[i];
     }
     {
-#pragma omp parallel for
+#pragma omp parallel for simd
       for (int i = 0; i < n; i++)
       {
         out[i] = twice(in[i]);
@@ -35,7 +35,7 @@ int main()
   float* out = (float*)malloc(n * sizeof(float));
   float* in = (float*)malloc(n * sizeof(float));
   {
-#pragma omp parallel for
+#pragma omp parallel for simd
     for (int t1 = 0; t1 <= n - 1; t1++)
     {
       in[t1] = (float)((t1 * 7 + 3) % 23);

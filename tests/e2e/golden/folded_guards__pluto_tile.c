@@ -24,7 +24,7 @@ void scan(int* acc, int* out, int* in, int n)
       acc[i] = acc[i - 1] + in[i];
     }
     {
-#pragma omp parallel for
+#pragma omp parallel for simd
       for (int i = 0; i < n; i++)
       {
         out[i] = twice(in[i]);
@@ -54,7 +54,7 @@ int triangle(int** g, int* h, int n, int cut)
 void band(int* b, int* x, int m, int n)
 {
   {
-#pragma omp parallel for
+#pragma omp parallel for simd
     for (int i = purec_max(0, m); i < purec_min(n, n - 2); i++)
     {
       b[i] = twice(x[i]);
@@ -64,7 +64,7 @@ void band(int* b, int* x, int m, int n)
 void residual(int* c, int* x, int n, int flag)
 {
   {
-#pragma omp parallel for
+#pragma omp parallel for simd
     for (int i = 2; i < n; i++)
     {
       if (flag > 0)
@@ -80,7 +80,7 @@ void pruned_else(int* a, int* b, int* x, int m, int n)
       a[i] = a[i - 1] + x[i];
     }
     {
-#pragma omp parallel for
+#pragma omp parallel for simd
       for (int i = purec_max(1, m); i < n; i++)
       {
         b[i] = twice(x[i]);
@@ -91,7 +91,7 @@ void pruned_else(int* a, int* b, int* x, int m, int n)
 void scaled(int* d, int* x, int n, int k)
 {
   {
-#pragma omp parallel for
+#pragma omp parallel for simd
     for (int i = purec_max(0, ceild(k, 3)); i <= purec_min(n, floord(n - 1, 2)); i++)
     {
       d[i] = weight(x[i]);
@@ -106,7 +106,7 @@ void two_sided_else(int* a, int* b, int* x, int m, int n)
       a[i] = a[i - 1] + x[i];
     }
     {
-#pragma omp parallel for
+#pragma omp parallel for simd
       for (int i = 1; i < n; i++)
       {
         if (!(i < m && i > 3))
@@ -140,7 +140,7 @@ int main()
   {
     int len = t < 3 ? t : size;
     {
-#pragma omp parallel for
+#pragma omp parallel for simd
       for (int t1 = 0; t1 <= size - 1; t1++)
       {
         in[t1] = (t1 * 7 + t) % 23;
@@ -160,7 +160,7 @@ int main()
   {
     int cut = t * t * 9 - 5;
     {
-#pragma omp parallel for
+#pragma omp parallel for simd
       for (int t1 = 0; t1 <= size - 1; t1++)
       {
         h[t1] = -1;
@@ -178,7 +178,7 @@ int main()
   {
     int m = t == 0 ? 10 : t == 1 ? 0 : 80;
     {
-#pragma omp parallel for
+#pragma omp parallel for simd
       for (int t1 = 0; t1 <= size - 1; t1++)
       {
         out[t1] = -1;
@@ -195,7 +195,7 @@ int main()
   for (int flag = 0; flag < 2; flag++)
   {
     {
-#pragma omp parallel for
+#pragma omp parallel for simd
       for (int t1 = 0; t1 <= size - 1; t1++)
       {
         out[t1] = -1;
@@ -213,7 +213,7 @@ int main()
   {
     int split = t == 0 ? 20 : t == 1 ? 0 : 90;
     {
-#pragma omp parallel for
+#pragma omp parallel for simd
       for (int t1 = 0; t1 <= size - 1; t1++)
       {
         acc[t1] = t1 % 4;
@@ -231,7 +231,7 @@ int main()
   for (int k = -4; k < 40; k += 11)
   {
     {
-#pragma omp parallel for
+#pragma omp parallel for simd
       for (int t1 = 0; t1 <= size - 1; t1++)
       {
         out[t1] = -1;
@@ -249,7 +249,7 @@ int main()
   {
     int split = t == 0 ? 30 : t == 1 ? 2 : 90;
     {
-#pragma omp parallel for
+#pragma omp parallel for simd
       for (int t1 = 0; t1 <= size - 1; t1++)
       {
         acc[t1] = t1 % 5;

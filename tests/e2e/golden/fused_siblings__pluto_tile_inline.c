@@ -19,7 +19,7 @@ float shift(float x)
 void both(float* a, float* b, float* x, int n)
 {
   {
-#pragma omp parallel for
+#pragma omp parallel for simd
     for (int t1 = 0; t1 <= n - 1; t1++)
     {
       a[t1] = 2.0f * x[t1];
@@ -34,7 +34,7 @@ int main()
   float* b = (float*)malloc(n * sizeof(float));
   float* x = (float*)malloc(n * sizeof(float));
   {
-#pragma omp parallel for
+#pragma omp parallel for simd
     for (int t1 = 0; t1 <= n - 1; t1++)
     {
       x[t1] = (float)((t1 * 11 + 2) % 31);

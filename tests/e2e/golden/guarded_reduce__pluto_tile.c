@@ -51,7 +51,7 @@ int main()
   fold(n, 8);
   long checksum = (long)res[0];
   {
-#pragma omp parallel for reduction(+:checksum)
+#pragma omp parallel for simd reduction(+:checksum)
     for (int t1 = 0; t1 <= n - 1; t1++)
     {
       checksum += (long)h[t1] * (t1 % 7);

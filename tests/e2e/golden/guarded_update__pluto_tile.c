@@ -19,7 +19,7 @@ float shift(float v)
 void split_update(float* a, float* b, float* c, float* x, int n, int m)
 {
   {
-#pragma omp parallel for
+#pragma omp parallel for simd
     for (int i = 0; i < n; i++)
     {
       if (i < m)
@@ -39,14 +39,14 @@ int main()
   float* c = (float*)malloc(n * sizeof(float));
   float* x = (float*)malloc(n * sizeof(float));
   {
-#pragma omp parallel for
+#pragma omp parallel for simd
     for (int t1 = 0; t1 <= n + m - 1; t1++)
     {
       a[t1] = (float)((t1 * 7 + 5) % 19) * 0.25f;
     }
   }
   {
-#pragma omp parallel for
+#pragma omp parallel for simd
     for (int t1 = 0; t1 <= n - 1; t1++)
     {
       b[t1] = (float)((t1 * 3 + 1) % 13) * 0.5f;

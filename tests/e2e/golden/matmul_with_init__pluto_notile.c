@@ -10,7 +10,7 @@ float** A;
 void init(int n)
 {
   {
-#pragma omp parallel for
+#pragma omp parallel for simd
     for (int t1 = 0; t1 <= n - 1; t1++)
     {
       A[t1] = (float*)malloc(n * sizeof(float));

@@ -13,7 +13,7 @@ void minreduce(float* in, float* out, int n)
 {
   float lo = in[0];
   {
-#pragma omp parallel for reduction(min:lo)
+#pragma omp parallel for simd reduction(min:lo)
     for (int t1 = 0; t1 <= n - 1; t1++)
     {
       lo = fminf(lo, in[t1]);
@@ -27,7 +27,7 @@ int main()
   float* in = (float*)malloc(n * sizeof(float));
   float* out = (float*)malloc(1 * sizeof(float));
   {
-#pragma omp parallel for
+#pragma omp parallel for simd
     for (int t1 = 0; t1 <= n - 1; t1++)
     {
       in[t1] = (float)((t1 * 13 + 5) % 97) * 0.25f + 1.0f;

@@ -36,7 +36,7 @@ int main()
   float* in = (float*)malloc(n * sizeof(float));
   float* w = (float*)malloc(m * sizeof(float));
   {
-#pragma omp parallel for
+#pragma omp parallel for simd
     for (int t1 = 0; t1 <= n - 1; t1++)
     {
       out[t1] = (float*)malloc(m * sizeof(float));
@@ -44,7 +44,7 @@ int main()
     }
   }
   {
-#pragma omp parallel for
+#pragma omp parallel for simd
     for (int t1 = 0; t1 <= m - 1; t1++)
     {
       w[t1] = (float)((t1 * 5 + 2) % 13);

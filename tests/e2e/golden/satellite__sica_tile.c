@@ -22,7 +22,7 @@ float retrieve_aod(const float* bands, int nbands, int pixel)
 void filter(float* bands, float* out, int nbands, int npix)
 {
   {
-#pragma omp parallel for
+#pragma omp parallel for simd
     for (int t1 = 0; t1 <= npix - 1; t1++)
     {
       out[t1] = retrieve_aod((const float*)bands, nbands, t1);

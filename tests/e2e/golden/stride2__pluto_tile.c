@@ -28,14 +28,14 @@ int main()
   float* in = (float*)malloc((n + 1) * sizeof(float));
   float* out = (float*)malloc(n * sizeof(float));
   {
-#pragma omp parallel for
+#pragma omp parallel for simd
     for (int t1 = 0; t1 <= n; t1++)
     {
       in[t1] = (float)((t1 * 7 + 3) % 23) * 0.25f;
     }
   }
   {
-#pragma omp parallel for
+#pragma omp parallel for simd
     for (int t1 = 0; t1 <= n - 1; t1++)
     {
       out[t1] = 0.0f;

@@ -313,7 +313,7 @@ int main()
   float* out = (float*)malloc(n * sizeof(float));
   gain = 0.75f;
   {
-#pragma omp parallel for
+#pragma omp parallel for simd
     for (int t1 = 0; t1 <= n - 1; t1++)
     {
       vals[t1] = (t1 * 37 + 11) % 32;

@@ -299,7 +299,7 @@ float shade(int v)
 void render(int* vals, float* out, int n)
 {
   {
-#pragma omp parallel for
+#pragma omp parallel for simd
     for (int t1 = 0; t1 <= n - 1; t1++)
     {
       out[t1] = purec_memo_shade(vals[t1]);
@@ -317,7 +317,7 @@ int main()
   for (int i = n / 2; i < n; i++)
     vals[i] = (i * 37 + 11) % 32;
   {
-#pragma omp parallel for
+#pragma omp parallel for simd
     for (int t1 = 0; t1 <= n - 1; t1++)
     {
       out[t1] = 0.0f;

@@ -15,7 +15,7 @@ float blend(float u, float v)
 void mix(float* out, float* p, float* q, int n)
 {
   {
-#pragma omp parallel for
+#pragma omp parallel for simd
     for (int t1 = 0; t1 <= n - 1; t1++)
     {
       out[t1] = 0.6f * p[t1] + 0.4f * q[t1];
@@ -29,7 +29,7 @@ int main()
   float* p = (float*)malloc(n * sizeof(float));
   float* q = (float*)malloc(n * sizeof(float));
   {
-#pragma omp parallel for
+#pragma omp parallel for simd
     for (int t1 = 0; t1 <= n - 1; t1++)
     {
       out[t1] = 0.0f;

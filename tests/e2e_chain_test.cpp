@@ -332,10 +332,11 @@ TEST_P(E2EChainTest, InlinePureKeepsEveryParallelRegion) {
   }
 }
 
-/// The `#pragma omp simd` lines of emitted C, each keyed by its position
-/// in the rest of the text, plus that rest: the lines that are neither a
-/// simd pragma nor a lone brace (a pragma comes wrapped in a block of its
-/// own), trimmed.
+/// The `#pragma omp simd` and `#pragma omp parallel for simd` lines of
+/// emitted C, each keyed by its position in the rest of the text, plus
+/// that rest: the lines that are neither a standalone simd pragma nor a
+/// lone brace (a pragma comes wrapped in a block of its own), trimmed,
+/// with a combined pragma's ` simd` cut out.
 struct SimdPlacement {
   std::string rest;
   std::set<std::pair<std::size_t, std::string>> pragmas;
@@ -347,8 +348,13 @@ SimdPlacement simd_placement(const std::string& source) {
   std::size_t index = 0;
   for (std::string line; std::getline(lines, line);) {
     line.erase(0, line.find_first_not_of(' '));
+    const std::string parallel_for = "#pragma omp parallel for";
     if (line.rfind("#pragma omp simd", 0) == 0) {
       out.pragmas.emplace(index, line);
+    } else if (line.rfind(parallel_for + " simd", 0) == 0) {
+      out.pragmas.emplace(index, line);
+      out.rest += line.erase(parallel_for.size(), 5) + "\n";
+      ++index;
     } else if (line != "{" && line != "}") {
       out.rest += line + "\n";
       ++index;
@@ -595,6 +601,87 @@ TEST(E2EInstrument, EveryRegionPastSixtyFourReachesTheDump) {
     EXPECT_EQ(count_of(summary, "purec-instr[" + region + "] "), 1u)
         << region;
     EXPECT_EQ(count_of(trace, "\"" + region + " chunks\""), 1u) << region;
+  }
+}
+
+// The tally queries the thread number and does an atomic add, which
+// OpenMP allows in no simd region: a tallied `parallel for simd` loop
+// keeps only `parallel for`, and its workers' counts still sum to the
+// loop's trip count.
+TEST(E2EInstrument, NoTallySitsUnderASimdPragma) {
+  if (!gcc_available()) GTEST_SKIP() << "no system gcc";
+  const std::string source =
+      "#include <stdio.h>\n"
+      "float a[1000];\n"
+      "pure float twice(float x) {\n"
+      "  return x + x;\n"
+      "}\n"
+      "void fill(int n) {\n"
+      "  for (int i = 0; i < n; i++) a[i] = twice((float)i);\n"
+      "}\n"
+      "int count(int* v, int n) {\n"
+      "  int s = 0;\n"
+      "  for (int i = 0; i < n; i++) s += v[i];\n"
+      "  return s;\n"
+      "}\n"
+      "int main(void) {\n"
+      "  int v[1000];\n"
+      "  fill(1000);\n"
+      "  for (int i = 0; i < 1000; i++) v[i] = (int)a[i] % 7;\n"
+      "  printf(\"checksum %d\\n\", count(v, 1000));\n"
+      "  return 0;\n"
+      "}\n";
+  ChainOptions plain;
+  plain.tile = false;
+  const ChainArtifacts bare = run_pure_chain(source, plain);
+  ASSERT_TRUE(bare.ok) << bare.diagnostics.format();
+  ASSERT_GE(count_of(bare.final_source, "#pragma omp parallel for simd"), 2u)
+      << bare.final_source;
+
+  ChainOptions options = plain;
+  options.instrument = true;
+  const ChainArtifacts instrumented = run_pure_chain(source, options);
+  ASSERT_TRUE(instrumented.ok) << instrumented.diagnostics.format();
+  EXPECT_EQ(instrumented.final_source.find(" simd"), std::string::npos)
+      << instrumented.final_source;
+  std::size_t tallies = 0;
+  std::string last_pragma;
+  std::istringstream lines(instrumented.final_source);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("#pragma omp") != std::string::npos) last_pragma = line;
+    if (line.find("purec_instr_chunk(&") == std::string::npos) continue;
+    ++tallies;
+    EXPECT_EQ(last_pragma.find("simd"), std::string::npos) << last_pragma;
+  }
+  EXPECT_EQ(tallies, instrumented.instrumented_regions.size());
+  for (const ScopReport& r : instrumented.scops) {
+    if (!r.parallelized) continue;
+    EXPECT_FALSE(r.simd) << r.function;
+    EXPECT_EQ(r.simd_withheld.rfind("--instrument ", 0), 0u) << r.function;
+  }
+
+  const std::string reference = compile_and_run(bare.final_source, "simd_ref");
+  ASSERT_NE(reference.find("checksum"), std::string::npos);
+  const std::string bin_path =
+      build_clean(instrumented.final_source, "instr_simd");
+  const std::string run = run_command(std::string("OMP_NUM_THREADS=") +
+                                      kRunThreads + " " +
+                                      shell_quote(bin_path));
+  EXPECT_NE(run.find(reference), std::string::npos) << run;
+  // Each region runs its 1000-trip loop once: the worker cells sum to
+  // 1000.
+  for (const std::string& region : instrumented.instrumented_regions) {
+    const std::size_t at = run.find("purec-instr[" + region + "] ");
+    ASSERT_NE(at, std::string::npos) << region << " in:\n" << run;
+    std::istringstream fields(run.substr(at, run.find('\n', at) - at));
+    long sum = 0;
+    for (std::string field; fields >> field;) {
+      const std::size_t eq = field.find('=');
+      if (field[0] == 'w' && eq != std::string::npos) {
+        sum += std::stol(field.substr(eq + 1));
+      }
+    }
+    EXPECT_EQ(sum, 1000) << region << ": " << run;
   }
 }
 

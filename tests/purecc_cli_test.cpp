@@ -389,7 +389,7 @@ TEST_F(PureccCliTest, ScheduleSpecRoundTripsIntoPragma) {
   const RunResult r =
       run_purecc("--schedule guided,8 " + shell_quote(input_path_));
   ASSERT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_NE(r.output.find("#pragma omp parallel for schedule(guided,8)"),
+  EXPECT_NE(r.output.find("#pragma omp parallel for simd schedule(guided,8)"),
             std::string::npos)
       << r.output;
 }
@@ -399,9 +399,35 @@ TEST_F(PureccCliTest, FullClauseSpellingStillAccepted) {
   const RunResult r = run_purecc("--schedule 'schedule(dynamic,1)' " +
                                  shell_quote(input_path_));
   ASSERT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_NE(r.output.find("#pragma omp parallel for schedule(dynamic,1)"),
+  EXPECT_NE(r.output.find("#pragma omp parallel for simd schedule(dynamic,1)"),
             std::string::npos)
       << r.output;
+}
+
+TEST_F(PureccCliTest, FloatLoopBoundStaysSerialAndBuilds) {
+  // An OpenMP loop needs an integer bound: parallelized over `t1 <= x -
+  // 1` with a float `x`, the output would not compile.
+  const std::string path = write_temp("purecc_cli_float_bound.c",
+                                      "int a[100];\n"
+                                      "pure int sq(int v) { return v * v; }\n"
+                                      "void fill(float x) {\n"
+                                      "  for (int i = 0; i < x; i++) "
+                                      "a[i] = sq(i);\n"
+                                      "}\n");
+  const std::string out = ::testing::TempDir() + "/purecc_cli_float_bound";
+  const RunResult r = run_purecc("--report -o " + shell_quote(out + ".c") +
+                                 " " + shell_quote(path));
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("reason=loop bound reads floating-point 'x'"),
+            std::string::npos)
+      << r.output;
+  if (std::system("gcc --version > /dev/null 2>&1") != 0) {
+    GTEST_SKIP() << "no system gcc";
+  }
+  const std::string build = "gcc -fopenmp -Werror -c -o " +
+                            shell_quote(out + ".o") + " " +
+                            shell_quote(out + ".c") + " 2>&1";
+  EXPECT_EQ(std::system(build.c_str()), 0) << build;
 }
 
 TEST_F(PureccCliTest, MalformedScheduleRejectedWithDiagnostic) {
@@ -555,7 +581,7 @@ TEST_F(PureccCliTest, FpReductionsGatesTheFloatAccumulation) {
       run_purecc("--fp-reductions --report " + shell_quote(red_path));
   ASSERT_EQ(relaxed.exit_code, 0) << relaxed.output;
   EXPECT_NE(relaxed.output.find(
-                "#pragma omp parallel for reduction(+:sum)"),
+                "#pragma omp parallel for simd reduction(+:sum)"),
             std::string::npos)
       << relaxed.output;
   EXPECT_NE(relaxed.output.find("reduction=+:sum"), std::string::npos)
