@@ -138,30 +138,12 @@ namespace {
              : 0;
 }
 
-}  // namespace
-
-void apply_iterator_substitution(ExprPtr& expr,
-                                 const std::vector<std::string>& old_names,
-                                 const IteratorSubstitution& substitution) {
-  for_each_expr_slot(expr, [&](ExprPtr& slot) -> bool {
-    const auto* ident = expr_cast<IdentExpr>(slot.get());
-    if (ident == nullptr) return false;
-    for (std::size_t j = 0; j < old_names.size(); ++j) {
-      if (ident->name == old_names[j]) {
-        slot = affine_to_expr(substitution.iterator_replacement[j],
-                              substitution_constant(substitution, j),
-                              substitution.names);
-        return true;  // do not descend into the replacement
-      }
-    }
-    return false;
-  });
-}
-
-void apply_iterator_substitution(StmtPtr& stmt,
-                                 const std::vector<std::string>& old_names,
-                                 const IteratorSubstitution& substitution) {
-  for_each_expr_slot(*stmt, [&](ExprPtr& slot) -> bool {
+/// Replaces each old iterator's identifier in a walked slot with its
+/// affine replacement, and does not descend into the replacement.
+[[nodiscard]] ExprSlotFn substitute_iterators(
+    const std::vector<std::string>& old_names,
+    const IteratorSubstitution& substitution) {
+  return [&old_names, &substitution](ExprPtr& slot) -> bool {
     const auto* ident = expr_cast<IdentExpr>(slot.get());
     if (ident == nullptr) return false;
     for (std::size_t j = 0; j < old_names.size(); ++j) {
@@ -173,7 +155,15 @@ void apply_iterator_substitution(StmtPtr& stmt,
       }
     }
     return false;
-  });
+  };
+}
+
+}  // namespace
+
+void apply_iterator_substitution(ExprPtr& expr,
+                                 const std::vector<std::string>& old_names,
+                                 const IteratorSubstitution& substitution) {
+  for_each_expr_slot(expr, substitute_iterators(old_names, substitution));
 }
 
 namespace {
@@ -625,7 +615,8 @@ StmtPtr generate_code(const Scop& scop, const Transform& transform,
   auto body = std::make_unique<CompoundStmt>();
   for (const ScopStatement& stmt : scop.statements) {
     StmtPtr cloned = stmt.ast->clone();
-    apply_iterator_substitution(cloned, scop.iterators, substitution);
+    for_each_expr_slot(*cloned,
+                       substitute_iterators(scop.iterators, substitution));
     body->stmts.push_back(std::move(cloned));
   }
 

@@ -140,11 +140,8 @@ struct RegionSchedule {
     const std::vector<std::string>& privatizable,
     RegionSchedule* result = nullptr);
 
-/// Replaces occurrences of the old iterator identifiers in `stmt` with
+/// Replaces occurrences of the old iterator identifiers in `expr` with
 /// their affine replacements (exposed for the chain's call reinsertion).
-void apply_iterator_substitution(StmtPtr& stmt,
-                                 const std::vector<std::string>& old_names,
-                                 const IteratorSubstitution& substitution);
 void apply_iterator_substitution(ExprPtr& expr,
                                  const std::vector<std::string>& old_names,
                                  const IteratorSubstitution& substitution);

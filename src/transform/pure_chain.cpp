@@ -313,32 +313,6 @@ std::string escaping_iterator_use(const poly::Scop& scop,
   return {};
 }
 
-/// Type of scalar `name` as seen from `fn`: block-scope declarations win,
-/// then parameters, then file-scope globals. Null when unknown (the FP
-/// reduction gate then demotes conservatively).
-[[nodiscard]] const Type* scalar_type_in(const FunctionDecl& fn,
-                                         const SymbolTable& symbols,
-                                         const std::string& name) {
-  const Type* found = nullptr;
-  if (fn.body) {
-    for_each_stmt(*fn.body, [&](const Stmt& s) {
-      const auto* decl = stmt_cast<DeclStmt>(&s);
-      if (decl == nullptr) return;
-      for (const VarDecl& d : decl->decls) {
-        if (d.name == name && d.type) found = d.type.get();
-      }
-    });
-  }
-  if (found != nullptr) return found;
-  for (const ParamDecl& param : fn.params) {
-    if (param.name == name && param.type) return param.type.get();
-  }
-  if (const GlobalVarDecl* global = symbols.find_global(name)) {
-    return global->var.type.get();
-  }
-  return nullptr;
-}
-
 /// Calls `see` with the type of every declaration of `name` that code in
 /// `fn` may see: a local in any block, a parameter, a global.
 void for_each_declaration(const FunctionDecl& fn, const SymbolTable& symbols,
@@ -361,54 +335,67 @@ void for_each_declaration(const FunctionDecl& fn, const SymbolTable& symbols,
   }
 }
 
-/// True when every declaration of `name` that code in `fn` may see has a
-/// signed integer type: no typedef, enum, unsigned or floating type, and
-/// no plain char. A substituted call's placeholder has no declaration
-/// and fails.
-[[nodiscard]] bool declared_signed_integer(const FunctionDecl& fn,
-                                           const SymbolTable& symbols,
-                                           const std::string& name) {
-  const auto signed_integer = [](const Type* t) {
-    if (t == nullptr || t->kind != TypeKind::Builtin) return false;
-    switch (t->builtin) {
-      case BuiltinKind::SChar:
-      case BuiltinKind::Short:
-      case BuiltinKind::Int:
-      case BuiltinKind::Long:
-      case BuiltinKind::LongLong:
-        return true;
-      default:
-        return false;
-    }
-  };
-  bool declared = false;
-  bool all_signed = true;
-  for_each_declaration(fn, symbols, name, [&](const Type* t) {
-    declared = true;
-    all_signed = all_signed && signed_integer(t);
-  });
-  return declared && all_signed;
+/// A signed integer type: no typedef, unsigned or floating type, and no
+/// plain char.
+[[nodiscard]] bool signed_integer(const Type* t) {
+  if (t == nullptr || t->kind != TypeKind::Builtin) return false;
+  switch (t->builtin) {
+    case BuiltinKind::SChar:
+    case BuiltinKind::Short:
+    case BuiltinKind::Int:
+    case BuiltinKind::Long:
+    case BuiltinKind::LongLong:
+      return true;
+    default:
+      return false;
+  }
 }
 
-/// The first of `parameters` that a loop header of `nest` reads and that
-/// some declaration in `fn`'s view gives a floating type ("" when none).
-/// The header becomes the bound of a pragma'd loop, and OpenMP wants an
-/// integer one: gcc rejects `t1 <= x - 1` over a float `x` as an invalid
-/// controlling predicate. A guard may read one: it stays an `if`.
-[[nodiscard]] std::string floating_bound(
-    const ForStmt& nest, const std::vector<std::string>& parameters,
+/// True when `name` has a declaration that code in `fn` may see and every
+/// such declaration's type passes `is`. A substituted call's placeholder
+/// has no declaration and fails.
+[[nodiscard]] bool every_declaration(
+    const FunctionDecl& fn, const SymbolTable& symbols,
+    const std::string& name, const std::function<bool(const Type*)>& is) {
+  bool declared = false;
+  bool all = true;
+  for_each_declaration(fn, symbols, name, [&](const Type* t) {
+    declared = true;
+    all = all && is(t);
+  });
+  return declared && all;
+}
+
+/// A name a loop header reads, with the declared type that keeps the
+/// header from becoming an emitted loop's bound.
+struct OffTypeBound {
+  std::string name;
+  const Type* type = nullptr;
+};
+
+/// The first of `names` that a loop header of `nest` reads and that some
+/// declaration in `fn`'s view types as other than a signed integer. The
+/// header becomes the bound of an emitted loop over an `int` iterator:
+/// gcc rejects `t1 <= x - 1` over a float `x` as an invalid controlling
+/// predicate, and an unsigned `n - 1` wraps at n = 0. A guard may read
+/// one: it stays an `if`. A substituted call's placeholder has no
+/// declaration and passes.
+[[nodiscard]] std::optional<OffTypeBound> off_type_bound(
+    const ForStmt& nest, const std::vector<std::string>& names,
     const FunctionDecl& fn, const SymbolTable& symbols) {
-  std::string found;
+  std::optional<OffTypeBound> found;
   for_each_stmt(nest, [&](const Stmt& s) {
     const auto* loop = stmt_cast<ForStmt>(&s);
-    if (loop == nullptr || !found.empty()) return;
-    for (const std::string& name : parameters) {
+    if (loop == nullptr || found) return;
+    for (const std::string& name : names) {
       if (!(loop->init && references_identifier(*loop->init, name)) &&
           !(loop->cond && references_identifier(*loop->cond, name))) {
         continue;
       }
       for_each_declaration(fn, symbols, name, [&](const Type* t) {
-        if (found.empty() && t != nullptr && t->is_floating()) found = name;
+        if (!found && t != nullptr && !signed_integer(t)) {
+          found = OffTypeBound{name, t};
+        }
       });
     }
   });
@@ -878,17 +865,10 @@ void unmark_scops(TranslationUnit& tu) {
 /// Renames every identifier `from` to `to` in an expression/statement
 /// subtree (used to merge the second loop's body onto the first loop's
 /// iterator; callers have already rejected shadowing and capture).
-void rename_identifier(Expr& e, const std::string& from,
+template <typename Node>
+void rename_identifier(Node& node, const std::string& from,
                        const std::string& to) {
-  for_each_expr(e, [&](Expr& sub) {
-    auto* ident = expr_cast<IdentExpr>(&sub);
-    if (ident != nullptr && ident->name == from) ident->name = to;
-  });
-}
-
-void rename_identifier(Stmt& s, const std::string& from,
-                       const std::string& to) {
-  for_each_expr(s, [&](Expr& sub) {
+  for_each_expr(node, [&](Expr& sub) {
     auto* ident = expr_cast<IdentExpr>(&sub);
     if (ident != nullptr && ident->name == from) ident->name = to;
   });
@@ -1341,19 +1321,26 @@ ChainArtifacts run_pure_chain(const std::string& source,
            {&scop.iterators, &scop.parameters}) {
         for (const std::string& name : *names) {
           if (owner == nullptr ||
-              !declared_signed_integer(*owner, symbols, name)) {
+              !every_declaration(*owner, symbols, name, signed_integer)) {
             scop.opaque_names.push_back(name);
           }
         }
       }
-      const std::string floating =
-          owner != nullptr ? floating_bound(*loop, scop.parameters, *owner,
-                                            symbols)
-                           : std::string();
-      if (!floating.empty()) {
-        report.failure_reason = "loop bound reads floating-point '" +
-                                floating +
-                                "' (OpenMP loops need integer bounds)";
+      std::vector<std::string> header_names = scop.iterators;
+      header_names.insert(header_names.end(), scop.parameters.begin(),
+                          scop.parameters.end());
+      const std::optional<OffTypeBound> off_type =
+          owner != nullptr
+              ? off_type_bound(*loop, header_names, *owner, symbols)
+              : std::nullopt;
+      if (off_type) {
+        report.failure_reason =
+            off_type->type->is_floating()
+                ? "loop bound reads floating-point '" + off_type->name +
+                      "' (OpenMP loops need integer bounds)"
+                : "loop header reads '" + off_type->name + "' of type '" +
+                      off_type->type->to_string() +
+                      "' (emitted loops bound only signed integers)";
         report.failure_loc = loop->loc;
         undo();
         continue;
@@ -1371,12 +1358,13 @@ ChainArtifacts run_pure_chain(const std::string& source,
               stmt.reduction_op != poly::ReductionOp::Mul) {
             continue;
           }
-          const Type* type =
-              owner != nullptr
-                  ? scalar_type_in(*owner, symbols,
-                                   stmt.reduction_accumulator)
-                  : nullptr;
-          if (type != nullptr && type->is_integer()) continue;
+          if (owner != nullptr &&
+              every_declaration(*owner, symbols, stmt.reduction_accumulator,
+                                [](const Type* t) {
+                                  return t != nullptr && t->is_integer();
+                                })) {
+            continue;
+          }
           scop.reduction_notes.push_back(
               "reduction on '" + stmt.reduction_accumulator +
               "' demoted: accumulator is not integer "

@@ -16,17 +16,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include "e2e/e2e_fixtures.h"
+#include "e2e/golden_store.h"
 #include "transform/pure_chain.h"
-
-#ifndef PUREC_REPO_DIR
-#error "build must define PUREC_REPO_DIR (the repository root)"
-#endif
 
 namespace purec {
 namespace {
@@ -46,11 +41,8 @@ ChainOptions fixture_options(const Fixture& fixture) {
 
 std::string fixture_source(const Fixture& fixture) {
   if (!fixture.chain_source_is_path) return fixture.chain_source;
-  std::ifstream in(std::string(PUREC_REPO_DIR) + "/" +
-                   fixture.chain_source);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return std::move(ss).str();
+  return golden::read_file(std::string(PUREC_REPO_DIR) + "/" +
+                           fixture.chain_source);
 }
 
 const Fixture* find_fixture(const std::vector<Fixture>& all,
@@ -59,11 +51,6 @@ const Fixture* find_fixture(const std::vector<Fixture>& all,
     if (f.name == name) return &f;
   }
   return nullptr;
-}
-
-bool update_golden() {
-  const char* env = std::getenv("PUREC_UPDATE_GOLDEN");
-  return env != nullptr && env[0] == '1';
 }
 
 // -- Golden-pinned serialized reports ---------------------------------------
@@ -82,22 +69,19 @@ TEST_P(ReportGoldenTest, SerializedReportMatchesGolden) {
 
   const std::string serialized =
       build_chain_report(artifacts, options).dump(2) + "\n";
-  const std::string path = std::string(PUREC_REPO_DIR) +
-                           "/tests/e2e/golden/" + fixture->name +
-                           "__report.json";
-  if (update_golden()) {
+  const std::string path =
+      golden::repo_store().path(std::string(fixture->name) + "__report.json");
+  if (golden::update_golden()) {
     std::ofstream out(path);
     ASSERT_TRUE(out.good()) << "cannot write " << path;
     out << serialized;
     return;
   }
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good())
+  const std::string pinned = golden::read_file(path);
+  ASSERT_FALSE(pinned.empty())
       << "missing golden " << path
       << " — regenerate with PUREC_UPDATE_GOLDEN=1 ctest -R chain_report";
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  EXPECT_EQ(serialized, ss.str())
+  EXPECT_EQ(serialized, pinned)
       << "report drifted from " << path
       << " — if intentional, regenerate with PUREC_UPDATE_GOLDEN=1";
 }

@@ -1723,41 +1723,57 @@ TEST(ChainRegion, StridedLoopIsNotFolded) {
 
 TEST(ChainRegion, UnsignedOrFloatingTermsAreNotFolded) {
   // purec_min(n, m) with an unsigned n compares unsigned: a negative m
-  // would no longer empty the loop. A floating bound would truncate.
-  const char* shapes[] = {
-      "void k(int* c, int* x, unsigned n, int m) {\n"
-      "  for (int i = 0; i < n; i++) {\n"
-      "    if (i < m)\n"
-      "      c[i] = f(x[i]);\n"
-      "  }\n"
-      "}\n",
-      "void k(int* c, int* x, int n, float m) {\n"
-      "  for (int i = 0; i < n; i++) {\n"
-      "    if (i >= m)\n"
-      "      c[i] = f(x[i]);\n"
-      "  }\n"
-      "}\n",
-      "void k(int* c, int* x, int n, int m) {\n"
-      "  for (int i = 0; i < n; i++) {\n"
-      "    if (i < (unsigned)m)\n"
-      "      c[i] = f(x[i]);\n"
-      "  }\n"
-      "}\n",
-      "void k(int* c, int* x, int n) {\n"
-      "  for (unsigned i = 0; i < n; i++) {\n"
-      "    if (i > 2)\n"
-      "      c[i] = f(x[i]);\n"
-      "  }\n"
-      "}\n",
+  // would no longer empty the loop. A floating bound would truncate. A
+  // header that reads an unsigned name keeps the whole nest serial (with
+  // the guard in place); a guard alone only stays unfolded.
+  const struct {
+    const char* source;
+    const char* header_reason;  // nullptr: the nest parallelizes
+  } shapes[] = {
+      {"void k(int* c, int* x, unsigned n, int m) {\n"
+       "  for (int i = 0; i < n; i++) {\n"
+       "    if (i < m)\n"
+       "      c[i] = f(x[i]);\n"
+       "  }\n"
+       "}\n",
+       "loop header reads 'n' of type 'unsigned int' (emitted loops bound "
+       "only signed integers)"},
+      {"void k(int* c, int* x, int n, float m) {\n"
+       "  for (int i = 0; i < n; i++) {\n"
+       "    if (i >= m)\n"
+       "      c[i] = f(x[i]);\n"
+       "  }\n"
+       "}\n",
+       nullptr},
+      {"void k(int* c, int* x, int n, int m) {\n"
+       "  for (int i = 0; i < n; i++) {\n"
+       "    if (i < (unsigned)m)\n"
+       "      c[i] = f(x[i]);\n"
+       "  }\n"
+       "}\n",
+       nullptr},
+      {"void k(int* c, int* x, int n) {\n"
+       "  for (unsigned i = 0; i < n; i++) {\n"
+       "    if (i > 2)\n"
+       "      c[i] = f(x[i]);\n"
+       "  }\n"
+       "}\n",
+       "loop header reads 'i' of type 'unsigned int' (emitted loops bound "
+       "only signed integers)"},
   };
-  for (const char* shape : shapes) {
+  for (const auto& shape : shapes) {
     const ChainArtifacts a = run_pure_chain(
-        std::string("pure int f(int v) { return 3 * v; }\n") + shape);
+        std::string("pure int f(int v) { return 3 * v; }\n") + shape.source);
     ASSERT_TRUE(a.ok) << a.diagnostics.format();
     const ScopReport* r = scop_in(a, "k");
     ASSERT_NE(r, nullptr);
-    EXPECT_TRUE(r->parallelized) << shape << r->failure_reason;
-    EXPECT_EQ(r->guards_folded, 0u) << shape << a.final_source;
+    if (shape.header_reason != nullptr) {
+      EXPECT_FALSE(r->parallelized) << shape.source;
+      EXPECT_EQ(r->failure_reason, shape.header_reason) << shape.source;
+    } else {
+      EXPECT_TRUE(r->parallelized) << shape.source << r->failure_reason;
+    }
+    EXPECT_EQ(r->guards_folded, 0u) << shape.source << a.final_source;
     EXPECT_NE(a.final_source.find("    if (i "), std::string::npos)
         << a.final_source;
   }
@@ -1817,6 +1833,69 @@ TEST(ChainBounds, FloatLoopBoundLeavesTheNestUntransformed) {
   ASSERT_TRUE(body.ok) << body.diagnostics.format();
   EXPECT_TRUE(scop_in(body, "fill")->parallelized)
       << scop_in(body, "fill")->failure_reason;
+}
+
+TEST(ChainBounds, NonSignedLoopHeaderLeavesTheNestUntransformed) {
+  // Emitted loops run an `int` iterator to `bound - 1`: an unsigned
+  // `n - 1` wraps at n = 0, and a typedef may hide either. The reason
+  // names the name and its declared type.
+  const struct {
+    const char* source;
+    const char* reason;  // nullptr: the nest parallelizes
+  } shapes[] = {
+      {"void fill(unsigned n, int m) {\n"
+       "  for (int j = 0; j < m; j++)\n"
+       "    for (unsigned i = 0; i < n; i++) a[j][i] = sq(i + j);\n"
+       "}\n",
+       "loop header reads 'i' of type 'unsigned int' (emitted loops bound "
+       "only signed integers)"},
+      {"typedef unsigned long size_t;\n"
+       "void fill(size_t n, int m) {\n"
+       "  for (int j = 0; j < m; j++)\n"
+       "    for (int i = 0; i < n; i++) a[j][i] = sq(i + j);\n"
+       "}\n",
+       "loop header reads 'n' of type 'size_t' (emitted loops bound only "
+       "signed integers)"},
+      {"void fill(int m) {\n"
+       "  for (int j = 0; j < m; j++)\n"
+       "    for (unsigned char c = 0; c < 64; c++) a[j][c] = sq(c + j);\n"
+       "}\n",
+       "loop header reads 'c' of type 'unsigned char' (emitted loops bound "
+       "only signed integers)"},
+      {"void fill(long n, int m) {\n"
+       "  for (int j = 0; j < m; j++)\n"
+       "    for (long i = 0; i < n; i++) a[j][i] = sq(i + j);\n"
+       "}\n",
+       nullptr},
+  };
+  for (const auto& shape : shapes) {
+    const ChainArtifacts a = run_pure_chain(
+        std::string("int a[64][64];\n"
+                    "pure int sq(int v) { return v * v; }\n") +
+        shape.source);
+    ASSERT_TRUE(a.ok) << a.diagnostics.format();
+    const ScopReport* r = scop_in(a, "fill");
+    ASSERT_NE(r, nullptr);
+    if (shape.reason == nullptr) {
+      EXPECT_TRUE(r->parallelized) << shape.source << r->failure_reason;
+      continue;
+    }
+    EXPECT_FALSE(r->transformed) << shape.source;
+    EXPECT_EQ(r->failure_reason, shape.reason) << shape.source;
+    EXPECT_EQ(a.final_source.find("#pragma omp"), std::string::npos)
+        << a.final_source;
+  }
+
+  // A pure call's placeholder in a header has no declaration: it passes.
+  const ChainArtifacts call = run_pure_chain(
+      "int a[64];\n"
+      "pure int lim(int v) { return v + 1; }\n"
+      "void fill(int n) {\n"
+      "  for (int i = 0; i < lim(n); i++) a[i] = i;\n"
+      "}\n");
+  ASSERT_TRUE(call.ok) << call.diagnostics.format();
+  EXPECT_TRUE(scop_in(call, "fill")->parallelized)
+      << scop_in(call, "fill")->failure_reason;
 }
 
 }  // namespace

@@ -1331,6 +1331,69 @@ int main() {
 }
 )";
 
+// Loop headers whose names are not signed integers. Emitted loops run an
+// `int` iterator up to `bound - 1`: a float bound does not compile as an
+// OpenMP loop, and an unsigned `n - 1` wraps at n = 0 (fill_unsigned ran
+// off the array there). Every such nest stays serial with a reason; the
+// `long` nest still parallelizes.
+inline constexpr const char* kRunTypedBounds = R"(
+#include <stdio.h>
+
+typedef unsigned long size_t;
+
+int a[8][64];
+
+pure int sq(int v) {
+  return v * v + 1;
+}
+
+void fill_float(float x) {
+  for (int i = 0; i < x; i++) a[0][i] = sq(i);
+}
+
+void fill_unsigned(unsigned n, int m) {
+  for (int j = 0; j < m; j++)
+    for (unsigned i = 0; i < n; i++) a[1 + j][i] = sq(i + j);
+}
+
+void fill_size(size_t n) {
+  for (int i = 0; i < n; i++) a[4][i] = sq(i) + 3;
+}
+
+void fill_char(int m) {
+  for (int j = 0; j < m; j++)
+    for (unsigned char c = 0; c < 40; c++) a[5 + j][c] = sq(c - j);
+}
+
+void fill_long(long n) {
+  for (long i = 0; i < n; i++) a[7][i] = sq(i) - 2;
+}
+
+long sum(void) {
+  long s = 0;
+  for (int r = 0; r < 8; r++)
+    for (int c = 0; c < 64; c++) s += (long)a[r][c] * ((r * 64 + c) % 7 + 1);
+  return s;
+}
+
+int main() {
+  long checksum = 0;
+  fill_unsigned(0, 3);
+  checksum += sum();
+  fill_unsigned(1, 3);
+  checksum += sum();
+  fill_unsigned(5, 3);
+  checksum += sum();
+  fill_float(2.5f);
+  fill_size(17);
+  fill_char(2);
+  fill_long(50);
+  checksum += sum();
+  printf("checksum %ld\n", checksum);
+  return 0;
+}
+)";
+
 /// The complete corpus: every fixture in tests/test_sources.h plus every
 /// paper listing checked in under assets/c/.
 inline std::vector<Fixture> all_fixtures() {
@@ -1413,6 +1476,8 @@ inline std::vector<Fixture> all_fixtures() {
       {"flat_mixed", kRunFlatMixed, false, kRunFlatMixed, true, true},
       // Local pointer resolution: `int* p = &a[1]` rebased onto a.
       {"alias_offset", kRunAliasOffset, false, kRunAliasOffset, true, true},
+      // Loop headers typed float, unsigned, size_t, unsigned char, long.
+      {"typed_bounds", kRunTypedBounds, false, kRunTypedBounds, true, true},
       {"matmul_plain", testsrc::kMatmulPlain, false, kRunMatmulPlain, true,
        true, /*infer=*/true},
       {"heat_plain", testsrc::kHeatPlain, false, kRunHeatPlain, true, true,

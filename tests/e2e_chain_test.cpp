@@ -1,11 +1,12 @@
 // End-to-end differential harness over the full purecc chain.
 //
-// For every fixture in tests/test_sources.h and every paper listing in
-// assets/c/, and for every transform configuration (pluto|sica × tiling
+// For every fixture in tests/e2e/e2e_fixtures.h (paper listings in assets/c/
+// included), and for every transform configuration (pluto|sica × tiling
 // on/off × --inline-pure on/off):
 //
-//   1. Golden: the emitted C is byte-compared against a checked-in file
-//      under tests/e2e/golden/. Regenerate with PUREC_UPDATE_GOLDEN=1.
+//   1. Golden: the emitted C is byte-compared against the file MANIFEST
+//      maps the configuration to in the golden store (e2e/golden_store.h).
+//      Regenerate with PUREC_UPDATE_GOLDEN=1.
 //   2. Differential: runnable fixtures are compiled with the host gcc
 //      (-fopenmp; skipped when gcc is unavailable) in a serial reference
 //      configuration and in every parallel configuration, and the printed
@@ -20,6 +21,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <optional>
@@ -28,15 +30,14 @@
 #include <string>
 
 #include "e2e/e2e_fixtures.h"
+#include "e2e/golden_store.h"
 #include "tools/trace_analysis.h"
 #include "transform/pure_chain.h"
 
-#ifndef PUREC_REPO_DIR
-#error "build must define PUREC_REPO_DIR (the repository root)"
-#endif
-
 namespace purec::e2e {
 namespace {
+
+using golden::read_file;
 
 struct Config {
   const char* name;
@@ -73,14 +74,6 @@ ChainOptions options_for(const Config& config, const Fixture& fixture) {
   return options;
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return {};
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return std::move(ss).str();
-}
-
 std::string chain_source_of(const Fixture& fixture) {
   if (!fixture.chain_source_is_path) return fixture.chain_source;
   const std::string path =
@@ -90,14 +83,28 @@ std::string chain_source_of(const Fixture& fixture) {
   return text;
 }
 
-std::string golden_path(const Fixture& fixture, const Config& config) {
-  return std::string(PUREC_REPO_DIR) + "/tests/e2e/golden/" + fixture.name +
-         "__" + config.name + ".c";
-}
-
-bool update_golden() {
-  const char* env = std::getenv("PUREC_UPDATE_GOLDEN");
-  return env != nullptr && env[0] == '1';
+/// The emitted C of every configuration that accepts `fixture`, in
+/// kConfigs order; a configuration that must reject the fixture is
+/// checked to reject it and left out.
+golden::Outputs emit_all(const Fixture& fixture) {
+  golden::Outputs out;
+  const std::string source = chain_source_of(fixture);
+  EXPECT_FALSE(source.empty());
+  for (const Config& config : kConfigs) {
+    SCOPED_TRACE(config.name);
+    const ChainArtifacts artifacts =
+        run_pure_chain(source, options_for(config, fixture));
+    if (!fixture.ok_with(config.inline_pure)) {
+      EXPECT_FALSE(artifacts.ok)
+          << fixture.name << " must be rejected in this configuration";
+      EXPECT_TRUE(artifacts.diagnostics.has_errors());
+      continue;
+    }
+    EXPECT_TRUE(artifacts.ok) << artifacts.diagnostics.format();
+    EXPECT_FALSE(artifacts.final_source.empty());
+    out.emplace_back(config.name, artifacts.final_source);
+  }
+  return out;
 }
 
 /// Single-quotes a path for safe interpolation into a popen command line
@@ -209,35 +216,21 @@ class E2EChainTest : public ::testing::TestWithParam<Fixture> {};
 
 TEST_P(E2EChainTest, GoldenEmittedC) {
   const Fixture& fixture = GetParam();
-  const std::string source = chain_source_of(fixture);
-  ASSERT_FALSE(source.empty());
-
-  for (const Config& config : kConfigs) {
-    SCOPED_TRACE(config.name);
-    const ChainArtifacts artifacts =
-        run_pure_chain(source, options_for(config, fixture));
-    if (!fixture.ok_with(config.inline_pure)) {
-      EXPECT_FALSE(artifacts.ok)
-          << fixture.name << " must be rejected in this configuration";
-      EXPECT_TRUE(artifacts.diagnostics.has_errors());
-      continue;
-    }
-    ASSERT_TRUE(artifacts.ok) << artifacts.diagnostics.format();
-    ASSERT_FALSE(artifacts.final_source.empty());
-
-    const std::string path = golden_path(fixture, config);
-    if (update_golden()) {
-      std::ofstream out(path);
-      ASSERT_TRUE(out.good()) << "cannot write " << path;
-      out << artifacts.final_source;
-      continue;
-    }
-    const std::string golden = read_file(path);
-    ASSERT_FALSE(golden.empty())
-        << "missing golden " << path
+  const golden::Outputs outputs = emit_all(fixture);
+  if (HasFailure()) return;
+  const golden::Store store = golden::repo_store();
+  if (golden::update_golden()) {
+    store.regenerate(fixture.name, outputs);
+    return;
+  }
+  for (const auto& [config, emitted] : outputs) {
+    SCOPED_TRACE(config);
+    const std::string file = store.file_for(fixture.name, config);
+    ASSERT_FALSE(file.empty())
+        << "no MANIFEST line for " << fixture.name << " " << config
         << " — regenerate with PUREC_UPDATE_GOLDEN=1 ctest -R e2e";
-    EXPECT_EQ(artifacts.final_source, golden)
-        << "emitted C drifted from " << path
+    EXPECT_EQ(emitted, store.golden_for(fixture.name, config))
+        << "emitted C drifted from " << file
         << " — if intentional, regenerate with PUREC_UPDATE_GOLDEN=1";
   }
 }
@@ -375,12 +368,13 @@ TEST_P(E2EChainTest, PlutoSimdIsASubsetOfSica) {
     SCOPED_TRACE(config.name);
     const std::string twin =
         "sica" + std::string(config.name).substr(std::strlen("pluto"));
-    const std::string pluto_path = golden_path(fixture, config);
-    const std::string sica_path = std::string(PUREC_REPO_DIR) +
-                                  "/tests/e2e/golden/" + fixture.name +
-                                  "__" + twin + ".c";
-    const SimdPlacement pluto = simd_placement(read_file(pluto_path));
-    const SimdPlacement sica = simd_placement(read_file(sica_path));
+    const golden::Store store = golden::repo_store();
+    const std::string pluto_path = store.file_for(fixture.name, config.name);
+    const std::string sica_path = store.file_for(fixture.name, twin);
+    const SimdPlacement pluto =
+        simd_placement(store.golden_for(fixture.name, config.name));
+    const SimdPlacement sica =
+        simd_placement(store.golden_for(fixture.name, twin));
     ASSERT_FALSE(pluto.rest.empty()) << pluto_path;
     EXPECT_EQ(pluto.rest, sica.rest) << pluto_path << " vs " << sica_path;
     for (const auto& pragma : pluto.pragmas) {
@@ -396,6 +390,120 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<Fixture>& info) {
       return std::string(info.param.name);
     });
+
+/// Every (fixture, configuration) pair the corpus accepts.
+std::set<golden::Key> accepted_pairs() {
+  std::set<golden::Key> out;
+  for (const Fixture& fixture : all_fixtures()) {
+    for (const Config& config : kConfigs) {
+      if (fixture.ok_with(config.inline_pure)) {
+        out.emplace(fixture.name, config.name);
+      }
+    }
+  }
+  return out;
+}
+
+/// An empty scratch directory under TempDir for a throwaway store.
+std::string scratch_store(const std::string& tag) {
+  const std::string dir = ::testing::TempDir() + "/purec_golden_" + tag;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+// The checked-in store holds exactly one file per distinct output of a
+// fixture, every file is named by the manifest, and every accepted pair
+// has a line.
+TEST(GoldenStore, CheckedInStoreIsComplete) {
+  if (golden::update_golden()) GTEST_SKIP() << "regenerating";
+  for (const std::string& problem :
+       golden::repo_store().problems(accepted_pairs())) {
+    ADD_FAILURE() << problem;
+  }
+}
+
+TEST(GoldenStore, EveryDefectIsReported) {
+  const std::string dir = scratch_store("defects");
+  const golden::Store store(dir);
+  store.regenerate("f", {{"a", "x\n"}, {"b", "x\n"}, {"c", "y\n"}});
+  const std::set<golden::Key> accepted = {{"f", "a"}, {"f", "b"}, {"f", "c"}};
+  ASSERT_EQ(store.problems(accepted), std::vector<std::string>{});
+  ASSERT_EQ(store.file_for("f", "b"), "f__a.c");
+
+  const auto reports = [&](const std::set<golden::Key>& pairs,
+                           const std::string& problem) {
+    const std::vector<std::string> found = store.problems(pairs);
+    EXPECT_NE(std::find(found.begin(), found.end(), problem), found.end())
+        << problem;
+  };
+  reports({{"f", "a"}, {"f", "b"}, {"f", "c"}, {"f", "d"}},
+          "no MANIFEST line for f d");
+  reports({{"f", "a"}, {"f", "b"}}, "MANIFEST pins f c, which the corpus "
+                                    "does not accept");
+
+  std::ofstream(store.path("f__b.c")) << "z\n";
+  reports(accepted, "f__b.c is named by no MANIFEST line");
+  std::ofstream(store.path("f__b.c")) << "y\n";
+  reports(accepted, "f__c.c and f__b.c are identical");
+  std::filesystem::remove(store.path("f__b.c"));
+
+  std::filesystem::remove(store.path("f__c.c"));
+  reports(accepted, "MANIFEST maps f c to missing f__c.c");
+  std::filesystem::remove_all(dir);
+}
+
+// A regeneration rewrites one fixture: its files follow the new grouping,
+// the files no line names any more are deleted, and another fixture's
+// lines and files stay.
+TEST(GoldenStore, RegenerationRewritesOnlyItsFixture) {
+  const std::string dir = scratch_store("regenerate");
+  const golden::Store store(dir);
+  store.regenerate("f", {{"a", "x\n"}, {"b", "x\n"}, {"c", "y\n"}});
+  store.regenerate("g", {{"a", "x\n"}});
+  store.regenerate("f", {{"a", "x\n"}, {"b", "y\n"}});
+  EXPECT_EQ(read_file(store.path("MANIFEST")),
+            "f a f__a.c\nf b f__b.c\ng a g__a.c\n");
+  EXPECT_FALSE(std::filesystem::exists(store.path("f__c.c")));
+  EXPECT_EQ(read_file(store.path("f__b.c")), "y\n");
+  EXPECT_EQ(read_file(store.path("g__a.c")), "x\n");
+  EXPECT_EQ(store.problems({{"f", "a"}, {"f", "b"}, {"g", "a"}}),
+            std::vector<std::string>{});
+  std::filesystem::remove_all(dir);
+}
+
+// One byte changed in a file that several configurations share fails the
+// golden comparison for each of them, and for no other configuration.
+TEST(GoldenStore, OneByteEditFailsEveryConfigMappedToTheFile) {
+  const std::vector<Fixture> fixtures = all_fixtures();
+  const auto it = std::find_if(
+      fixtures.begin(), fixtures.end(),
+      [](const Fixture& f) { return std::string(f.name) == "satellite"; });
+  ASSERT_NE(it, fixtures.end());
+  const golden::Outputs outputs = emit_all(*it);
+  const std::string dir = scratch_store("edit");
+  const golden::Store store(dir);
+  store.regenerate(it->name, outputs);
+
+  const std::string shared = store.file_for(it->name, "pluto_tile");
+  std::string text = read_file(store.path(shared));
+  ASSERT_FALSE(text.empty());
+  text[text.size() / 2] ^= 1;
+  std::ofstream(store.path(shared)) << text;
+
+  std::vector<std::string> mapped;
+  std::vector<std::string> drifted;
+  for (const auto& [config, emitted] : outputs) {
+    if (store.file_for(it->name, config) == shared) mapped.push_back(config);
+    if (emitted != store.golden_for(it->name, config)) {
+      drifted.push_back(config);
+    }
+  }
+  EXPECT_GT(mapped.size(), 1u);
+  EXPECT_LT(mapped.size(), outputs.size());
+  EXPECT_EQ(drifted, mapped);
+  std::filesystem::remove_all(dir);
+}
 
 // --instrument end to end: the counters must not perturb the computation,
 // the exit dump must name every parallel region, and PUREC_TRACE must

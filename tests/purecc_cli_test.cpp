@@ -430,6 +430,59 @@ TEST_F(PureccCliTest, FloatLoopBoundStaysSerialAndBuilds) {
   EXPECT_EQ(std::system(build.c_str()), 0) << build;
 }
 
+TEST_F(PureccCliTest, UnsignedLoopBoundStaysSerialAndRunsAtZero) {
+  // Tiled over `floord(n - 1, 32)` with an unsigned n, the nest wrapped
+  // at n = 0 and ran off the array, with OpenMP or without it.
+  const std::string path =
+      write_temp("purecc_cli_unsigned_src.c",
+                 "#include <stdio.h>\n"
+                 "#include <stdlib.h>\n"
+                 "int a[4][64];\n"
+                 "pure int sq(int v) { return v * v; }\n"
+                 "void fill(unsigned n, int m) {\n"
+                 "  for (int j = 0; j < m; j++)\n"
+                 "    for (unsigned i = 0; i < n; i++) a[j][i] = sq(i + j);\n"
+                 "}\n"
+                 "int main(int argc, char** argv) {\n"
+                 "  long s = 0;\n"
+                 "  fill((unsigned)atoi(argv[1]), 4);\n"
+                 "  for (int j = 0; j < 4; j++)\n"
+                 "    for (int i = 0; i < 64; i++) s += a[j][i];\n"
+                 "  printf(\"%ld\\n\", s);\n"
+                 "  return 0;\n"
+                 "}\n");
+  const std::string out = ::testing::TempDir() + "/purecc_cli_unsigned_bound";
+  const RunResult r = run_purecc("--report -o " + shell_quote(out + ".c") +
+                                 " " + shell_quote(path));
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("reason=loop header reads 'i' of type 'unsigned "
+                          "int' (emitted loops bound only signed integers)"),
+            std::string::npos)
+      << r.output;
+  if (std::system("gcc --version > /dev/null 2>&1") != 0) {
+    GTEST_SKIP() << "no system gcc";
+  }
+  // Without -fopenmp: the emitted loops must be correct C on their own.
+  const std::string build = "gcc -O2 -o " + shell_quote(out + ".bin") + " " +
+                            shell_quote(out + ".c") + " 2>&1";
+  ASSERT_EQ(std::system(build.c_str()), 0) << build;
+  for (const int n : {0, 1, 5}) {
+    long want = 0;
+    for (int j = 0; j < 4; j++) {
+      for (int i = 0; i < n; i++) want += (i + j) * (i + j);
+    }
+    FILE* p = popen((shell_quote(out + ".bin") + " " + std::to_string(n))
+                        .c_str(),
+                    "r");
+    ASSERT_NE(p, nullptr);
+    std::array<char, 64> buf{};
+    const std::string got =
+        fgets(buf.data(), buf.size(), p) != nullptr ? buf.data() : "";
+    EXPECT_EQ(pclose(p), 0) << "n = " << n;
+    EXPECT_EQ(got, std::to_string(want) + "\n") << "n = " << n;
+  }
+}
+
 TEST_F(PureccCliTest, MalformedScheduleRejectedWithDiagnostic) {
   // The seed pasted any string verbatim into the pragma — "--schedule
   // bogus" produced uncompilable C with exit 0. Now it must fail fast
